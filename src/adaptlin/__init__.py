@@ -13,19 +13,18 @@ from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        SingularSpectrum, SupportBoundRequired, block_norm,
                        cone_membership, random_cone_member, tail_norm)
 from .algorithm import (Approximation, adaptive_algorithm, ball_algorithm,
-                        interpolate, stop_threshold, true_error,
+                        ball_budget, interpolate, stop_threshold, true_error,
                         DEFAULT_BLOCK_LIMIT)
-from .analysis import (BracketReport, ComparisonConstants, ComparisonReport,
-                       CostCurve, RatioScan, adaptive_cost_bound_curve,
-                       ball_cost_curve, blocked_ball_cost_curve,
+from .analysis import (BracketReport, ComparisonReport, CostCurve, RatioScan,
+                       adaptive_cost_bound_curve, ball_cost_curve,
+                       blocked_ball_cost_curve,
                        boundary_ratio, complexity_lower_block,
                        cost_bracket_check, essentially_no_worse,
                        stop_block_bound, stop_block_bound_first_term,
                        stop_block_bound_geometric, stop_block_bound_rough,
                        tolerance_shrink_factor)
 from .adversarial import (FoolingPair, fooling_input, fooling_pair,
-                          fooling_scale, orthogonal_blind_spot,
-                          solution_separation)
+                          fooling_scale, solution_separation)
 from .problems import (MultiIndexSpectrum, PeriodicApproximation,
                        RandomPeriodicInput, default_gamma,
                        derivative_coefficients, derivative_problem,
@@ -40,20 +39,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Approximation", "BracketReport", "CoefficientSource",
-    "ComparisonConstants", "ComparisonReport", "ConeParams", "CostCurve",
+    "ComparisonReport", "ConeParams", "CostCurve",
     "DEFAULT_BLOCK_LIMIT", "FoolingPair", "GuardExceeded", "MembershipReport",
     "MultiIndexSpectrum", "OutOfRangeError", "Partition",
     "PeriodicApproximation", "Problem", "RandomPeriodicInput", "RatioScan",
     "SingularSpectrum", "SupportBoundRequired", "adaptive_algorithm",
-    "adaptive_cost_bound_curve", "ball_algorithm", "ball_cost_curve",
-    "block_norm", "blocked_ball_cost_curve", "boundary_ratio",
+    "adaptive_cost_bound_curve", "ball_algorithm", "ball_budget",
+    "ball_cost_curve", "block_norm", "blocked_ball_cost_curve",
+    "boundary_ratio",
     "complexity_lower_block", "cone_membership", "cost_bracket_check",
     "default_gamma", "derivative_coefficients", "derivative_problem",
     "derivative_slice_grid", "derivative_weights",
     "enumerate_derivative_spectrum", "essentially_no_worse",
     "evaluate_input", "evaluate_solution", "fooling_input", "fooling_pair",
     "fooling_scale", "input_slice_grid", "interpolate",
-    "orthogonal_blind_spot", "periodic_approximation_cost",
+    "periodic_approximation_cost",
     "periodic_approximation_spectrum", "random_cone_member",
     "random_periodic_input", "solution_separation",
     "solution_slice_grid", "stop_block_bound",

@@ -1,12 +1,17 @@
 """Adversarial inputs that certify the cost lower bound.
 
-The construction places one coefficient per block so that the block norm
-profile decays exactly geometrically, then adds a bump that vanishes at
-every coordinate an algorithm sampled.  The two perturbed inputs are
-indistinguishable from the base input through those samples, both stay
-admissible and inside the norm ball, yet their solutions differ by a
-computable separation.  Any algorithm sampling too few coefficients must
-therefore err on one of them.
+The construction places one coefficient per block, at the block's
+boundary index n_k, so that the block norm profile decays exactly
+geometrically.  It then adds a bump that vanishes at every coordinate an
+algorithm sampled and is orthogonal to that base input.  Because the base
+is supported on the boundaries n_1..n_blocks alone, the bump has a closed
+form: a unit vector at the lowest unsampled index where the base
+vanishes, or, when every unsampled index is such a boundary, a
+two-coordinate rotation of the base values at the two lowest of them.
+The two perturbed inputs are indistinguishable from the base input
+through the samples, both stay admissible and inside the norm ball, yet
+their solutions differ by a computable separation.  Any algorithm
+sampling too few coefficients must therefore err on one of them.
 """
 
 from __future__ import annotations
@@ -17,9 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectrum import CoefficientSource, Problem, block_norm
-
-_RANK_TOLERANCE = 1e-12
+from .spectrum import CoefficientSource, Problem
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,26 +110,20 @@ def fooling_input(problem: Problem, ratio: float, rho: float, blocks: int) -> Co
     return CoefficientSource.from_vector(coeffs)
 
 
-def _null_space(matrix: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space, as rows."""
-    _, singulars, vh = np.linalg.svd(matrix, full_matrices=True)
-    if matrix.shape[0] == 0:
-        return vh
-    cutoff = _RANK_TOLERANCE * max(matrix.shape) * (singulars[0] if singulars.size else 0.0)
-    rank = int(np.sum(singulars > cutoff))
-    return vh[rank:]
-
-
 def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
                  zeroed_functionals: Sequence[int]) -> FoolingPair:
     """Base input f and perturbations f +- shift * u agreeing on sampled indices.
 
     The bump u is supported on indices 1..n_blocks, vanishes at every index
     in ``zeroed_functionals``, and is orthogonal to f, so f, f+ and f- are
-    indistinguishable through the zeroed coordinates.  Writing u as a sum of
-    per-block pieces u_k weighted by b**(k-blocks) / lam_{n_k}, the bump is
-    rescaled so max_k ||u_k|| = 1; the step is shift = (a-1) c / ((a+1) ratio).
-    Both perturbations then stay admissible with norm at most rho.
+    indistinguishable through the zeroed coordinates.  Since f is nonzero
+    only at the boundaries n_1..n_blocks, u is the unit vector at the lowest
+    free index where f vanishes; when every free index is a boundary, u is
+    f_q e_p - f_p e_q at the two lowest free indices p < q.  Writing u as a
+    sum of per-block pieces u_k weighted by b**(k-blocks) / lam_{n_k}, the
+    bump is rescaled so max_k ||u_k|| = 1; the step is
+    shift = (a-1) c / ((a+1) ratio).  Both perturbations then stay
+    admissible with norm at most rho.
 
     Feasibility requires strictly fewer constraints than dimensions:
     |zeroed inside 1..n_blocks| + 1 < n_blocks.
@@ -134,7 +131,7 @@ def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
     _check_ratio(problem, ratio, blocks)
     a, b = problem.cone.a, problem.cone.b
     dimension = problem.partition.boundary(blocks)
-    zeroed = sorted({int(i) for i in zeroed_functionals if 1 <= int(i) <= dimension})
+    zeroed = {int(i) for i in zeroed_functionals if 1 <= int(i) <= dimension}
     if len(zeroed) + 1 >= dimension:
         raise ValueError(
             f"infeasible: {len(zeroed)} zeroed functionals + 1 orthogonality "
@@ -144,35 +141,24 @@ def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
     c = fooling_scale(problem, ratio, rho, blocks)
     base_vec = base.dense(dimension)
 
-    constraints = np.zeros((len(zeroed) + 1, dimension))
-    for row, i in enumerate(zeroed):
-        constraints[row, i - 1] = 1.0
-    constraints[-1] = base_vec
+    unsampled = np.ones(dimension, dtype=bool)
+    unsampled[[i - 1 for i in zeroed]] = False
+    free = np.flatnonzero(unsampled)  # 0-based, at least two by feasibility
+    blank = free[base_vec[free] == 0.0]
+    bump = np.zeros(dimension)
+    if blank.size:
+        bump[blank[0]] = 1.0
+    else:
+        p, q = free[:2]
+        bump[p], bump[q] = base_vec[q], -base_vec[p]
 
-    candidates = _null_space(constraints)
-    if candidates.shape[0] == 0:
-        raise ValueError("constraint system left no room for a bump")
-
-    ranges = _block_ranges(problem, blocks)
-    boundaries = [problem.partition.boundary(k) for k in range(0, blocks + 1)]
-    lams = np.array([problem.spectrum.value(n) for n in boundaries])
-    weights = b ** (np.arange(0, blocks + 1, dtype=np.float64) - blocks) / lams
-
-    def piece_norms(vec):
-        # ||u_k|| implied by the dense bump: u restricted to block k is
-        # weights[k] * u_k, so u_k = u[block] / weights[k].
-        norms = np.zeros(blocks + 1)
-        for k, (lo, hi) in enumerate(ranges):
-            if hi >= lo:
-                norms[k] = float(np.linalg.norm(vec[lo - 1:hi])) / weights[k]
-        return norms
-
-    scores = [float(np.max(piece_norms(vec))) for vec in candidates]
-    chosen = candidates[int(np.argmax(scores))]
-    top = float(np.max(piece_norms(chosen)))
-    if top <= 0.0:
-        raise ValueError("degenerate bump; constraints admit only zero")
-    bump = chosen / top
+    # u restricted to block k is weight_k * u_k, so u_k = u[block] / weight_k
+    weights = [b ** (k - blocks)
+               / problem.spectrum.value(problem.partition.boundary(k))
+               for k in range(0, blocks + 1)]
+    bump /= max(float(np.linalg.norm(bump[lo - 1:hi])) / weight
+                for (lo, hi), weight in zip(_block_ranges(problem, blocks),
+                                            weights))
 
     shift = (a - 1.0) * c / ((a + 1.0) * ratio)
     plus = CoefficientSource.from_vector(base_vec + shift * bump)
@@ -191,29 +177,3 @@ def solution_separation(problem: Problem, pair: FoolingPair) -> float:
     idx = np.arange(1, pair.bump.size + 1, dtype=np.int64)
     image = problem.spectrum.values(idx) * pair.bump
     return 2.0 * pair.shift * math.sqrt(math.fsum((image * image).tolist()))
-
-
-def orthogonal_blind_spot(sampled_indices: Sequence[int], dimension: int) -> np.ndarray:
-    """Nonzero coefficient vector invisible to the sampled coordinates.
-
-    Returns a unit vector over indices 1..dimension vanishing at every
-    sampled index: equal weight on all unsampled coordinates.  Whatever
-    linear reconstruction an algorithm builds from those samples cannot
-    distinguish an input from the same input shifted along this vector.
-    """
-    if dimension < 1:
-        raise ValueError("dimension must be positive")
-    sampled = {int(i) for i in sampled_indices if 1 <= int(i) <= dimension}
-    free = [i for i in range(1, dimension + 1) if i not in sampled]
-    if not free:
-        raise ValueError(
-            f"infeasible: all {dimension} coordinates are sampled; a blind "
-            "spot needs at least one unsampled coordinate")
-    vec = np.zeros(dimension)
-    vec[np.array(free) - 1] = 1.0 / math.sqrt(len(free))
-    return vec
-
-
-def profile_norms(problem: Problem, source: CoefficientSource, blocks: int):
-    """Block norms 1..blocks of a source, as a list."""
-    return [block_norm(problem, source, j) for j in range(1, blocks + 1)]

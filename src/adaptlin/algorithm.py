@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
-                       OutOfRangeError, Problem, DEFAULT_SCAN_LIMIT,
-                       tail_norm)
+                       OutOfRangeError, Problem, SingularSpectrum,
+                       DEFAULT_SCAN_LIMIT, tail_norm)
 
 DEFAULT_BLOCK_LIMIT = 64
 
@@ -71,27 +71,46 @@ def interpolate(problem: Problem, f: CoefficientSource, n: int) -> Approximation
     return Approximation(indices=idx, values=vals, cost=n)
 
 
+def ball_budget(spectrum: SingularSpectrum, epsilon: float, rho: float, *,
+                scan_limit: int = DEFAULT_SCAN_LIMIT) -> int:
+    """Smallest budget n >= 0 with lam_{n+1} * rho <= epsilon.
+
+    The boundary is settled on the rounded product lam * rho, not on the
+    rounded quotient epsilon / rho: the scan runs against the largest
+    float t with t * rho <= epsilon, which exists because rounding keeps
+    the product monotone in t.  A finite table counts as zero past its
+    last mode, so its whole length always qualifies.  Raises ValueError
+    unless epsilon and rho are positive (NaN included), and GuardExceeded
+    when the budget exceeds ``scan_limit``.
+    """
+    if not (epsilon > 0 and rho > 0):
+        raise ValueError("epsilon and rho must be positive")
+    level = epsilon / rho
+    while level * rho > epsilon:
+        level = math.nextafter(level, 0.0)
+    while level < math.inf and math.nextafter(level, math.inf) * rho <= epsilon:
+        level = math.nextafter(level, math.inf)
+    try:
+        first = spectrum.first_at_or_below(level, limit=scan_limit + 1)
+    except OutOfRangeError:
+        first = spectrum.enumerated_length + 1
+    n_star = first - 1
+    if n_star > scan_limit:
+        raise GuardExceeded(f"budget {n_star} exceeds scan limit {scan_limit}")
+    return n_star
+
+
 def ball_algorithm(problem: Problem, f: CoefficientSource, epsilon: float,
                    rho: float, *, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Approximation:
     """Fixed-budget solver tuned to the norm ball of radius rho.
 
-    Keeps n* = min{n >= 0 : lam_{n+1} <= epsilon / rho} coefficients, the
-    smallest budget whose worst-case error over the ball is within epsilon:
-    every input of norm at most rho then satisfies
+    Keeps n* = min{n >= 0 : lam_{n+1} * rho <= epsilon} coefficients (see
+    ``ball_budget``), the smallest budget whose worst-case error over the
+    ball is within epsilon: every input of norm at most rho then satisfies
     ||tail|| <= lam_{n*+1} * rho <= epsilon.  Raises GuardExceeded when no
     such n within ``scan_limit`` exists.
     """
-    if epsilon <= 0 or rho <= 0:
-        raise ValueError("epsilon and rho must be positive")
-    try:
-        first = problem.spectrum.first_at_or_below(epsilon / rho, limit=scan_limit + 1)
-    except OutOfRangeError:
-        # Finite table: past the last mode the operator is zero, so keeping
-        # every enumerated coefficient already achieves error zero.
-        first = problem.spectrum.enumerated_length + 1
-    n_star = first - 1
-    if n_star > scan_limit:
-        raise GuardExceeded(f"budget {n_star} exceeds scan limit {scan_limit}")
+    n_star = ball_budget(problem.spectrum, epsilon, rho, scan_limit=scan_limit)
     return replace(interpolate(problem, f, n_star), tolerance=epsilon)
 
 

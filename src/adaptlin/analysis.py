@@ -11,12 +11,10 @@ adversarial construction (``complexity_lower_block``), and packages the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
-from .algorithm import DEFAULT_BLOCK_LIMIT, stop_threshold
+from .algorithm import DEFAULT_BLOCK_LIMIT, ball_budget, stop_threshold
 from .spectrum import (ConeParams, GuardExceeded, Problem, SingularSpectrum,
                        DEFAULT_SCAN_LIMIT, Partition)
 
@@ -44,29 +42,6 @@ class RatioScan:
     value: float
     attained_at: int
     still_growing: bool
-
-
-@dataclass(frozen=True)
-class ComparisonConstants:
-    """Constants controlling how the adaptive cost compares to the optimum.
-
-    ``boundary_ratio`` bounds lam_{n_{k-1}} / lam_{n_k} over blocks,
-    ``decay_floor`` bounds lam_{n_{j+1}+1} / lam_{n_j+1} from below, and
-    ``tolerance_factor`` is the tolerance shrink under which the adaptive
-    solver is essentially no worse than the ball-optimal one.
-    """
-
-    boundary_ratio: float
-    decay_floor: float
-    tolerance_factor: float
-
-    def __post_init__(self):
-        if self.boundary_ratio < 1.0:
-            raise ValueError("boundary ratio is at least 1")
-        if not (0.0 < self.decay_floor <= 1.0):
-            raise ValueError("decay floor lies in (0, 1]")
-        if not (0.0 < self.tolerance_factor < 1.0):
-            raise ValueError("tolerance factor lies in (0, 1)")
 
 
 def boundary_ratio(problem: Problem, k_max: int) -> RatioScan:
@@ -298,7 +273,7 @@ def cost_bracket_check(family: str, scale: float, base: float, epsilon: float,
         spectrum = SingularSpectrum.geometric(scale, base)
     else:
         raise ValueError(f"unknown family {family!r}")
-    cost = spectrum.first_at_or_below(epsilon / rho, limit=scan_limit + 1) - 1
+    cost = ball_budget(spectrum, epsilon, rho, scan_limit=scan_limit)
     reduced = scale * rho / epsilon
     if family == "algebraic":
         upper = reduced ** (1.0 / base)
@@ -323,10 +298,10 @@ def cost_bracket_check(family: str, scale: float, base: float, epsilon: float,
 
 def ball_cost_curve(spectrum: SingularSpectrum, *, label: str = "ball",
                     scan_limit: int = DEFAULT_SCAN_LIMIT) -> CostCurve:
-    """Cost curve of the ball solver: min{n >= 0 : lam_{n+1} <= eps/rho}."""
+    """Cost curve of the ball solver: min{n >= 0 : lam_{n+1} * rho <= eps}."""
 
     def evaluator(epsilon, rho):
-        return spectrum.first_at_or_below(epsilon / rho, limit=scan_limit + 1) - 1
+        return ball_budget(spectrum, epsilon, rho, scan_limit=scan_limit)
 
     return CostCurve(evaluator=evaluator, label=label)
 
@@ -335,13 +310,12 @@ def blocked_ball_cost_curve(spectrum: SingularSpectrum, partition: Partition, *,
                             label: str = "blocked ball",
                             block_limit: int = DEFAULT_BLOCK_LIMIT) -> CostCurve:
     """Ball solver restricted to partition boundaries: cost n_j at the first
-    j >= 0 with lam_{n_j + 1} <= eps/rho."""
+    j >= 0 with lam_{n_j + 1} * rho <= eps."""
 
     def evaluator(epsilon, rho):
-        level = epsilon / rho
         for j in range(0, block_limit + 1):
             n_j = partition.boundary(j)
-            if spectrum.value(n_j + 1) <= level:
+            if spectrum.value(n_j + 1) * rho <= epsilon:
                 return n_j
         raise GuardExceeded(f"no boundary within {block_limit} blocks")
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .adversarial import fooling_input, fooling_pair, solution_separation
-from .algorithm import adaptive_algorithm, true_error
+from .algorithm import adaptive_algorithm, ball_budget, true_error
 from .analysis import (boundary_ratio, complexity_lower_block,
                        stop_block_bound, stop_block_bound_first_term,
                        stop_block_bound_rough, tolerance_shrink_factor)
@@ -39,7 +39,7 @@ from .problems import (default_gamma, derivative_coefficients,
                        random_periodic_input, solution_slice_grid)
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        Partition, SingularSpectrum, Problem, block_norm,
-                       cone_membership, random_cone_member)
+                       cone_membership, random_cone_member, worst_decay_ratio)
 
 GENERATOR = "numpy-PCG64"
 DEFAULT_SEED = 20250101
@@ -253,20 +253,7 @@ def _svg_line_chart(path, xs, ys, *, title, x_label, y_label,
 def observed_cone_ratio(problem, f, stop_block):
     """Worst measured block-decay ratio over the blocks a run computed."""
     norms = [block_norm(problem, f, j) for j in range(1, stop_block + 1)]
-    a, b = problem.cone.a, problem.cone.b
-    worst = 0.0
-    for j in range(1, stop_block):
-        for r in range(1, stop_block - j + 1):
-            allowed = a * b ** r * norms[j - 1]
-            actual = norms[j + r - 1]
-            if actual == 0.0:
-                ratio = 0.0
-            elif allowed == 0.0:
-                ratio = math.inf
-            else:
-                ratio = actual / allowed
-            worst = max(worst, ratio)
-    return worst
+    return worst_decay_ratio(problem.cone, norms)[0]
 
 
 def _parse_epsilons(text):
@@ -649,7 +636,7 @@ def cmd_example1(merged, quiet):
     rows = []
     mismatches = 0
     for eps in epsilons:
-        scanned = spectrum.first_at_or_below(eps / rho) - 1
+        scanned = ball_budget(spectrum, eps, rho)
         closed = (periodic_approximation_cost(r, eps, rho)
                   if eps < rho else 0)
         match = int(scanned == closed)

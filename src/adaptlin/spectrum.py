@@ -105,16 +105,9 @@ class SingularSpectrum:
 
     @classmethod
     def from_rule(cls, fn: Callable, *, name: str = "rule",
-                  vectorized: bool = True,
                   decay_witness: Optional[Callable[[float], int]] = None) -> "SingularSpectrum":
-        if vectorized:
-            rule = fn
-        else:
-            def rule(idx):
-                flat = np.atleast_1d(idx)
-                return np.array([fn(float(v)) for v in flat], dtype=np.float64)
-
-        return cls(rule, name=name, decay_witness=decay_witness)
+        """Spectrum given by a rule that maps float index arrays to weights."""
+        return cls(fn, name=name, decay_witness=decay_witness)
 
     # -- access ------------------------------------------------------------
 
@@ -339,9 +332,7 @@ class CoefficientSource:
             out[mask] = arr[idx[mask] - 1]
             return out
 
-        src = cls(provider, support_bound=int(arr.size), vector=vector)
-        src._dense_backing = arr
-        return src
+        return cls(provider, support_bound=int(arr.size), vector=vector)
 
     @classmethod
     def zero(cls) -> "CoefficientSource":
@@ -441,7 +432,22 @@ def cone_membership(problem: Problem, f: CoefficientSource, *,
     while problem.partition.boundary(last) < bound:
         last += 1
     norms = [block_norm(problem, f, j) for j in range(1, last + 1)]
-    a, b = problem.cone.a, problem.cone.b
+    worst, witness = worst_decay_ratio(problem.cone, norms, slack=slack)
+    return MembershipReport(member=worst <= 1.0 + slack, worst_ratio=worst,
+                            witness=witness, blocks=last)
+
+
+def worst_decay_ratio(cone: ConeParams, norms: Sequence[float], *,
+                      slack: float = 1e-9) -> tuple:
+    """Worst ratio s_{j+r} / (a * b**r * s_j) over block norms s_1..s_J.
+
+    Scans every pair 1 <= j < j+r <= J and returns (worst, witness), where
+    ``witness`` is the first pair (j, r) in scan order whose ratio exceeds
+    1 + slack, or None.  A zero allowance with a positive later block norm
+    counts as an infinite ratio.
+    """
+    a, b = cone.a, cone.b
+    last = len(norms)
     worst = 0.0
     witness = None
     for j in range(1, last):
@@ -458,8 +464,7 @@ def cone_membership(problem: Problem, f: CoefficientSource, *,
                 worst = ratio
             if witness is None and ratio > 1.0 + slack:
                 witness = (j, r)
-    return MembershipReport(member=worst <= 1.0 + slack, worst_ratio=worst,
-                            witness=witness, blocks=last)
+    return worst, witness
 
 
 def tail_norm(problem: Problem, f: CoefficientSource, n: int) -> float:

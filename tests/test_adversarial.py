@@ -1,15 +1,12 @@
 """Fooling constructions behind the complexity lower bound."""
 
-import math
-
 import numpy as np
 import pytest
 
 from adaptlin import (CoefficientSource, ConeParams, Partition, Problem,
                       SingularSpectrum, adaptive_algorithm, block_norm,
                       cone_membership, fooling_input, fooling_pair,
-                      fooling_scale, orthogonal_blind_spot,
-                      solution_separation)
+                      fooling_scale, solution_separation)
 
 from conftest import unit_spectrum
 
@@ -179,25 +176,54 @@ def test_pair_deterministic():
     assert np.array_equal(first.plus.dense(64), second.plus.dense(64))
 
 
-# -- orthogonal blind spots --------------------------------------------------
+# -- closed-form bump --------------------------------------------------------
 
-def test_blind_spot_single_free_coordinate():
-    vec = orthogonal_blind_spot([1], 2)
-    assert np.allclose(vec, [0.0, 1.0])
+def check_pair_like_the_cli(problem, pair, rho, eps, zeroed):
+    """The constraint and per-entry checks the adversarial command makes."""
+    for i in zeroed:
+        assert pair.bump[i - 1] == 0.0
+    base_vec = pair.base.dense(pair.bump.size)
+    assert abs(float(np.dot(pair.bump, base_vec))) <= 1e-14 * float(
+        np.linalg.norm(pair.bump) * np.linalg.norm(base_vec))
+    for f in (pair.base, pair.plus, pair.minus):
+        assert cone_membership(problem, f).member
+        assert f.norm() <= rho * (1 + 1e-10)
+    assert solution_separation(problem, pair) >= 2.0 * pair.shift
+    if eps is not None:
+        run_plus = adaptive_algorithm(problem, pair.plus, eps)
+        run_minus = adaptive_algorithm(problem, pair.minus, eps)
+        assert np.array_equal(run_plus.indices, run_minus.indices)
+        assert np.array_equal(run_plus.values, run_minus.values)
 
 
-def test_blind_spot_nothing_sampled():
-    vec = orthogonal_blind_spot([], 1)
-    assert np.allclose(vec, [1.0])
+def test_pair_bump_sits_at_lowest_free_index_where_base_vanishes():
+    problem = harmonic_problem()
+    # the base is nonzero exactly at n_1..n_6; n_0 = 1 is no exception
+    support = {problem.partition.boundary(k) for k in range(1, 7)}
+    for zeroed in ((), (1, 2, 5), (1, 2, 3), (1, 2, 3, 5, 6)):
+        pair = fooling_pair(problem, 2.0, 1.0, 6, zeroed)
+        expected = min(i for i in range(1, pair.bump.size + 1)
+                       if i not in zeroed and i not in support)
+        assert np.flatnonzero(pair.bump).tolist() == [expected - 1]
 
 
-def test_blind_spot_two_free_coordinates():
-    vec = orthogonal_blind_spot([1, 3], 4)
-    assert np.allclose(vec, [0.0, 1.0 / math.sqrt(2.0), 0.0,
-                             1.0 / math.sqrt(2.0)])
-    assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-15)
+def test_pair_two_coordinate_bump_when_only_boundaries_are_free():
+    # four coordinates, zeroed 1 and 3: the free ones, 2 and 4, are both
+    # boundaries, so the bump rotates the base within them
+    problem = unit_problem()
+    rho = 1.0
+    pair = fooling_pair(problem, 1.0, rho, 2, (1, 3))
+    base_vec = pair.base.dense(4)
+    assert np.flatnonzero(pair.bump).tolist() == [1, 3]
+    assert pair.bump[1] * base_vec[3] > 0.0 and pair.bump[3] * base_vec[1] < 0.0
+    check_pair_like_the_cli(problem, pair, rho, None, (1, 3))
 
 
-def test_blind_spot_infeasible_when_everything_sampled():
-    with pytest.raises(ValueError, match="unsampled"):
-        orthogonal_blind_spot([1, 2, 3], 3)
+def test_pair_at_dimension_two_to_the_fourteen():
+    problem = harmonic_problem()
+    rho, eps, blocks = 1.0, 1e-3, 14
+    probe = fooling_input(problem, 2.0, rho, blocks)
+    zeroed = tuple(adaptive_algorithm(problem, probe, eps).indices.tolist())
+    pair = fooling_pair(problem, 2.0, rho, blocks, zeroed)
+    assert pair.bump.size == 2 ** 14
+    check_pair_like_the_cli(problem, pair, rho, eps, zeroed)

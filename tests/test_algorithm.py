@@ -70,8 +70,9 @@ def test_ball_matches_periodic_closed_form():
 def test_ball_zero_budget_when_first_weight_qualifies():
     problem = Problem(SingularSpectrum.geometric(2.0, 2.0),
                       Partition.doubling(1), ConeParams(2.0, 0.5))
-    approx = ball_algorithm(problem, CoefficientSource.zero(), 1.0, 1.0)
-    assert approx.cost == 0
+    for eps in (1.0, math.inf):
+        approx = ball_algorithm(problem, CoefficientSource.zero(), eps, 1.0)
+        assert approx.cost == 0
 
 
 def test_ball_scan_example():
@@ -118,6 +119,8 @@ def test_ball_rejects_bad_parameters(harmonic_doubling):
         ball_algorithm(harmonic_doubling, CoefficientSource.zero(), 0.0, 1.0)
     with pytest.raises(ValueError):
         ball_algorithm(harmonic_doubling, CoefficientSource.zero(), 0.1, -1.0)
+    with pytest.raises(ValueError):
+        ball_algorithm(harmonic_doubling, CoefficientSource.zero(), math.nan, 1.0)
 
 
 # -- adaptive_algorithm ------------------------------------------------------

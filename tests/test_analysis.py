@@ -1,13 +1,12 @@
-"""Cost bounds, comparison constants, and optimality certificates."""
+"""Cost bounds, shrink factors, and optimality certificates."""
 
 import math
 
 import numpy as np
 import pytest
 
-from adaptlin import (ComparisonConstants, ConeParams, GuardExceeded,
-                      Partition, Problem, SingularSpectrum,
-                      adaptive_algorithm, adaptive_cost_bound_curve,
+from adaptlin import (ConeParams, GuardExceeded, Partition, Problem,
+                      SingularSpectrum, adaptive_algorithm, adaptive_cost_bound_curve,
                       ball_cost_curve, blocked_ball_cost_curve,
                       boundary_ratio, complexity_lower_block,
                       cost_bracket_check, essentially_no_worse,
@@ -84,20 +83,6 @@ def test_shrink_factor_always_inside_unit_interval():
             for ratio in (1.0, 3.0, 50.0):
                 omega = tolerance_shrink_factor(ConeParams(a, b), ratio)
                 assert 0.0 < omega < 1.0
-
-
-def test_comparison_constants_validate():
-    ComparisonConstants(boundary_ratio=4.0, decay_floor=0.5,
-                        tolerance_factor=0.01)
-    with pytest.raises(ValueError):
-        ComparisonConstants(boundary_ratio=0.9, decay_floor=0.5,
-                            tolerance_factor=0.1)
-    with pytest.raises(ValueError):
-        ComparisonConstants(boundary_ratio=2.0, decay_floor=0.0,
-                            tolerance_factor=0.1)
-    with pytest.raises(ValueError):
-        ComparisonConstants(boundary_ratio=2.0, decay_floor=0.5,
-                            tolerance_factor=1.0)
 
 
 # -- stopping block bounds ---------------------------------------------------

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adaptlin import (CoefficientSource, ConeParams, Partition, Problem,
                       SingularSpectrum, adaptive_algorithm, ball_algorithm,
@@ -77,6 +77,10 @@ def test_error_bound_is_tail_factor_times_stop_norm(coeffs, a, b, eps):
        st.floats(min_value=0.1, max_value=100.0),
        # (1/frac)**(1/p) stays below the default scan guard of 2**30
        st.floats(min_value=1e-4, max_value=1.0))
+# lam_n * rho equals eps exactly here, while the quotient eps / rho rounds
+# just below lam_n
+@example(p=1.0, rho=20.875, eps_frac=1e-4)
+@example(p=1.0, rho=1.3515625, eps_frac=1e-4)
 def test_ball_budget_is_minimal_and_sufficient(p, rho, eps_frac):
     eps = eps_frac * rho
     problem = Problem(SingularSpectrum.algebraic(1.0, p),
