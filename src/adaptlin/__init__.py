@@ -12,9 +12,9 @@ from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        MembershipReport, OutOfRangeError, Partition, Problem,
                        SingularSpectrum, SupportBoundRequired, block_norm,
                        cone_membership, random_cone_member, tail_norm)
-from .algorithm import (Approximation, adaptive_algorithm, ball_algorithm,
-                        ball_budget, interpolate, stop_threshold, true_error,
-                        DEFAULT_BLOCK_LIMIT)
+from .algorithm import (Approximation, adaptive_algorithm, adaptive_sweep,
+                        ball_algorithm, ball_budget, interpolate,
+                        stop_threshold, true_error, DEFAULT_BLOCK_LIMIT)
 from .analysis import (BracketReport, ComparisonReport, CostCurve, RatioScan,
                        adaptive_cost_bound_curve, ball_cost_curve,
                        blocked_ball_cost_curve,
@@ -44,8 +44,8 @@ __all__ = [
     "MultiIndexSpectrum", "OutOfRangeError", "Partition",
     "PeriodicApproximation", "Problem", "RandomPeriodicInput", "RatioScan",
     "SingularSpectrum", "SupportBoundRequired", "adaptive_algorithm",
-    "adaptive_cost_bound_curve", "ball_algorithm", "ball_budget",
-    "ball_cost_curve", "block_norm", "blocked_ball_cost_curve",
+    "adaptive_cost_bound_curve", "adaptive_sweep", "ball_algorithm",
+    "ball_budget", "ball_cost_curve", "block_norm", "blocked_ball_cost_curve",
     "boundary_ratio",
     "complexity_lower_block", "cone_membership", "cost_bracket_check",
     "default_gamma", "derivative_coefficients", "derivative_problem",

@@ -6,11 +6,13 @@ coefficients.  ``ball_algorithm`` picks that number a priori from the
 singular values, which is the optimal fixed choice over a norm ball.
 ``adaptive_algorithm`` reads block norms off the data and stops when the
 cone decay certifies the remaining tail, paying only for what the input
-actually required.
+actually required; ``adaptive_sweep`` does the same for a whole tolerance
+list in one walk.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -114,53 +116,104 @@ def ball_algorithm(problem: Problem, f: CoefficientSource, epsilon: float,
     return replace(interpolate(problem, f, n_star), tolerance=epsilon)
 
 
+def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
+                   *, block_limit: int = DEFAULT_BLOCK_LIMIT) -> tuple:
+    """One block walk serving a whole tolerance list.
+
+    Walks the blocks in order, computing each block norm s_j once, and
+    settles every tolerance epsilon at the first block j with
+    s_j <= epsilon * sqrt(1-b**2)/(a*b).  The level grows with epsilon, so
+    the walk stops at the stop block of the smallest tolerance, or at
+    ``block_limit``.  For inputs satisfying the cone decay the remaining
+    tail is then at most a*b*s_j/sqrt(1-b**2) <= epsilon, which is
+    recorded as ``error_bound``.  The comparison is a plain floating-point
+    <=, and each s_j is the exact-summation norm that ``block_norm``
+    computes.
+
+    Returns ``(runs, norms)``: one Approximation per tolerance in input
+    order, or None where no block within ``block_limit`` qualifies, and
+    the block norms s_1..s_J read.  Each run is the interpolation through
+    its boundary n_j (clipped to the table length when the spectrum is a
+    finite table, since no modes exist past it); its ``indices`` and
+    ``values`` are prefix views of one read-only array, and every
+    coefficient is evaluated exactly once.
+
+    Raises ValueError unless every tolerance is positive (NaN included),
+    when a solution coefficient read is not finite or its square overflows
+    (so no certificate rests on one), or when a rule-based spectrum is not
+    positive and non-increasing on the indices read.
+    """
+    epsilons = list(epsilons)
+    if not all(eps > 0 for eps in epsilons):
+        raise ValueError("epsilon must be positive")
+    spectrum, partition = problem.spectrum, problem.partition
+    levels = [stop_threshold(problem.cone, eps) for eps in epsilons]
+    pending = sorted(range(len(epsilons)), key=levels.__getitem__)
+    stops = [None] * len(epsilons)
+    length = spectrum.enumerated_length
+    # piece 0 holds indices 1..n_0, sampled but never tested
+    pieces = itertools.chain(
+        [np.arange(1, partition.boundary(0) + 1, dtype=np.int64)],
+        map(partition.block_indices, range(1, block_limit + 1)))
+    kept_idx, kept_val, ends, norms = [], [], [], []
+    previous = math.inf
+    for j, idx in enumerate(pieces):
+        if length is not None:
+            idx = idx[idx <= length]  # finite table: no modes past the end
+        lam = spectrum.values(idx)
+        if length is None and lam.size:
+            spectrum.check_run(lam, previous)
+            previous = lam[-1]
+        prod = lam * f.coefficients(idx)
+        kept_idx.append(idx)
+        kept_val.append(prod)
+        ends.append(idx.size + (ends[-1] if ends else 0))
+        s = math.sqrt(math.fsum((prod * prod).tolist()))
+        if not math.isfinite(s):
+            raise ValueError(
+                f"non-finite norm over indices {int(idx[0])}..{int(idx[-1])}: "
+                "a solution coefficient is not finite or its square overflows")
+        if j:
+            norms.append(s)
+            while pending and s <= levels[pending[-1]]:
+                stops[pending.pop()] = j
+        if not pending:
+            break
+    last = max((j for j in stops if j is not None), default=0)
+    indices = np.concatenate(kept_idx[:last + 1])
+    values = np.concatenate(kept_val[:last + 1])
+    indices.flags.writeable = False
+    values.flags.writeable = False
+    runs = [None if j is None else
+            Approximation(indices=indices[:ends[j]], values=values[:ends[j]],
+                          cost=ends[j], stop_block=j,
+                          error_bound=problem.cone.tail_factor * norms[j - 1],
+                          tolerance=eps)
+            for eps, j in zip(epsilons, stops)]
+    return runs, norms
+
+
+def no_stop_error(block_limit: int) -> GuardExceeded:
+    """The guard failure of a tolerance no block within the limit settles."""
+    return GuardExceeded(
+        f"no stopping block within {block_limit} blocks; the input may not "
+        "satisfy the assumed decay, or the tolerance may be unreachable")
+
+
 def adaptive_algorithm(problem: Problem, f: CoefficientSource, epsilon: float,
                        *, block_limit: int = DEFAULT_BLOCK_LIMIT) -> Approximation:
     """Data-driven solver with a certified error bound at termination.
 
-    Walks the blocks in order, computing each block norm once, and stops at
-    the first block j whose norm s_j falls to epsilon * sqrt(1-b**2)/(a*b)
-    or below.  For inputs satisfying the cone decay the remaining tail is
-    then at most a*b*s_j/sqrt(1-b**2) <= epsilon, which is recorded as
-    ``error_bound``.  The comparison is a plain floating-point <=.
-
-    Returns the interpolation through boundary n_j.  Indices 1..n_0 are
-    sampled only at assembly, and every coefficient is evaluated exactly
-    once, so ``cost`` equals n_j (clipped to the table length when the
-    spectrum is a finite table, since no modes exist past it).  Raises
-    GuardExceeded when no block within ``block_limit`` satisfies the
-    stopping rule.
+    The single-tolerance case of ``adaptive_sweep``: returns the
+    interpolation through the first block whose norm certifies the tail
+    within epsilon, with ``cost`` equal to its boundary n_j and the
+    certified ``error_bound``.  Raises GuardExceeded when no block within
+    ``block_limit`` satisfies the stopping rule.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    threshold = stop_threshold(problem.cone, epsilon)
-    length = problem.spectrum.enumerated_length
-    kept_idx = []
-    kept_val = []
-    for j in range(1, block_limit + 1):
-        idx = problem.partition.block_indices(j)
-        if length is not None:
-            idx = idx[idx <= length]  # finite table: no modes past the end
-        prod = problem.spectrum.values(idx) * f.coefficients(idx)
-        kept_idx.append(idx)
-        kept_val.append(prod)
-        s = math.sqrt(math.fsum((prod * prod).tolist()))
-        if s <= threshold:
-            top = problem.partition.boundary(0)
-            if length is not None:
-                top = min(top, length)
-            head = np.arange(1, top + 1, dtype=np.int64)
-            head_vals = problem.spectrum.values(head) * f.coefficients(head)
-            indices = np.concatenate([head] + kept_idx)
-            values = np.concatenate([head_vals] + kept_val)
-            return Approximation(indices=indices, values=values,
-                                 cost=int(indices.size),
-                                 stop_block=j,
-                                 error_bound=problem.cone.tail_factor * s,
-                                 tolerance=epsilon)
-    raise GuardExceeded(
-        f"no stopping block within {block_limit} blocks; the input may not "
-        "satisfy the assumed decay, or the tolerance may be unreachable")
+    (run,), _ = adaptive_sweep(problem, f, [epsilon], block_limit=block_limit)
+    if run is None:
+        raise no_stop_error(block_limit)
+    return run
 
 
 def true_error(problem: Problem, f: CoefficientSource, approx: Approximation) -> float:

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from .adversarial import fooling_input, fooling_pair, solution_separation
-from .algorithm import adaptive_algorithm, ball_budget, true_error
+from .algorithm import (adaptive_algorithm, adaptive_sweep, ball_budget,
+                        no_stop_error, true_error)
 from .analysis import (boundary_ratio, complexity_lower_block,
                        stop_block_bound, stop_block_bound_first_term,
                        stop_block_bound_rough, tolerance_shrink_factor)
@@ -38,8 +39,8 @@ from .problems import (default_gamma, derivative_coefficients,
                        periodic_approximation_spectrum,
                        random_periodic_input, solution_slice_grid)
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
-                       Partition, SingularSpectrum, Problem, block_norm,
-                       cone_membership, random_cone_member, worst_decay_ratio)
+                       Partition, SingularSpectrum, Problem, cone_membership,
+                       random_cone_member, worst_decay_ratio)
 
 GENERATOR = "numpy-PCG64"
 DEFAULT_SEED = 20250101
@@ -140,13 +141,16 @@ def build_problem(cfg):
 
 def build_input(cfg, problem, extras, seed):
     _check_keys("input", cfg, ("kind", "blocks", "scale", "head"))
+    scale = float(cfg.get("scale", 1.0))
+    if not math.isfinite(scale):
+        raise ConfigError("input.scale must be finite")
     kind = cfg.get("kind", "random-cone")
     if kind == "zero":
         return CoefficientSource.zero()
     if kind == "random-cone":
         rng = np.random.default_rng(seed)
         return random_cone_member(problem, rng, int(cfg.get("blocks", 8)),
-                                  scale=float(cfg.get("scale", 1.0)),
+                                  scale=scale,
                                   head=bool(cfg.get("head", True)))
     if kind == "derivative-random":
         if "mis" not in extras:
@@ -250,10 +254,22 @@ def _svg_line_chart(path, xs, ys, *, title, x_label, y_label,
         fh.write("\n".join(parts) + "\n")
 
 
-def observed_cone_ratio(problem, f, stop_block):
-    """Worst measured block-decay ratio over the blocks a run computed."""
-    norms = [block_norm(problem, f, j) for j in range(1, stop_block + 1)]
-    return worst_decay_ratio(problem.cone, norms)[0]
+def observed_cone_ratio(cone, norms):
+    """Worst measured block-decay ratio over the block norms a run read."""
+    return worst_decay_ratio(cone, norms)[0]
+
+
+def _true_errors(problem, f, runs):
+    """True error of each run, computed once per distinct cost.
+
+    None where the guard fired or the input has no finite support bound.
+    """
+    errors = {}
+    if f.support_bound is not None:
+        for run in runs:
+            if run is not None and run.cost not in errors:
+                errors[run.cost] = true_error(problem, f, run)
+    return [None if run is None else errors.get(run.cost) for run in runs]
 
 
 def _parse_epsilons(text):
@@ -261,7 +277,7 @@ def _parse_epsilons(text):
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --epsilons list: {exc}") from exc
-    if not values or any(v <= 0 for v in values):
+    if not values or not all(v > 0 for v in values):
         raise ConfigError("--epsilons must be positive numbers")
     return values
 
@@ -292,10 +308,10 @@ def _epsilons_from(merged, default=None):
     if eps is None:
         raise ConfigError("no tolerance list: set epsilons in the config "
                           "or pass --epsilons")
-    eps = sorted({float(v) for v in eps}, reverse=True)
-    if any(v <= 0 for v in eps):
+    eps = [float(v) for v in eps]
+    if not all(v > 0 for v in eps):
         raise ConfigError("tolerances must be positive")
-    return eps
+    return sorted(set(eps), reverse=True)
 
 
 def _out_dir(merged):
@@ -322,19 +338,21 @@ def cmd_solve(merged, quiet):
     json_rows = []
     failures = 0
     start = time.perf_counter()
-    for eps in epsilons:
-        try:
-            approx = adaptive_algorithm(problem, f, eps, block_limit=j_max)
-        except GuardExceeded as exc:
+    try:
+        runs, norms = adaptive_sweep(problem, f, epsilons, block_limit=j_max)
+    except ValueError as exc:  # e.g. a non-finite coefficient
+        raise ConfigError(f"input rejected: {exc}") from exc
+    errors = _true_errors(problem, f, runs)
+    for eps, approx, t_err in zip(epsilons, runs, errors):
+        if approx is None:
+            exc = no_stop_error(j_max)
             print(f"solve: guard exceeded at epsilon={eps!r}: {exc}",
                   file=sys.stderr)
             rows.append((eps, None, None, None, None, None))
             json_rows.append({"epsilon": eps, "diagnostic": str(exc)})
             failures += 1
             continue
-        t_err = (true_error(problem, f, approx)
-                 if f.support_bound is not None else None)
-        ratio = observed_cone_ratio(problem, f, approx.stop_block)
+        ratio = observed_cone_ratio(problem.cone, norms[:approx.stop_block])
         if approx.error_bound > eps:
             print(f"solve: error bound {approx.error_bound!r} exceeds "
                   f"tolerance {eps!r}", file=sys.stderr)
@@ -550,13 +568,18 @@ def cmd_demo_derivative(merged, quiet):
     inp = random_periodic_input(d, k_max, seed)
     f = derivative_coefficients(mis, inp)
 
+    # the figure run at epsilon = 0.1 joins the same walk
+    swept = epsilons if 0.1 in epsilons else epsilons + [0.1]
+    runs, norms = adaptive_sweep(problem, f, swept, block_limit=j_max)
+    if any(run is None for run in runs):
+        raise no_stop_error(j_max)
+    figure_run = runs[swept.index(0.1)]
+    runs = runs[:len(epsilons)]
     rows = []
     json_rows = []
     failures = 0
-    figure_run = None
-    for eps in epsilons:
-        approx = adaptive_algorithm(problem, f, eps, block_limit=j_max)
-        t_err = true_error(problem, f, approx)
+    for eps, approx, t_err in zip(epsilons, runs,
+                                  _true_errors(problem, f, runs)):
         ratio = t_err / eps
         if ratio > 1.0:
             print(f"demo-derivative: tolerance missed at epsilon={eps!r}: "
@@ -569,13 +592,9 @@ def cmd_demo_derivative(merged, quiet):
             "cost": approx.cost,
             "error_bound": approx.error_bound,
             "true_error": t_err,
-            "worst_cone_ratio": observed_cone_ratio(problem, f,
-                                                    approx.stop_block),
+            "worst_cone_ratio": observed_cone_ratio(
+                problem.cone, norms[:approx.stop_block]),
         })
-        if eps == 0.1:
-            figure_run = approx
-    if figure_run is None:
-        figure_run = adaptive_algorithm(problem, f, 0.1, block_limit=j_max)
 
     write_csv(out / "fig2.csv",
               ("epsilon", "n_j_dagger", "true_error", "ratio"), rows)

@@ -55,10 +55,7 @@ class SingularSpectrum:
         if self._table is not None:
             if self._table.ndim != 1 or self._table.size == 0:
                 raise ValueError("enumerated spectrum must be a non-empty 1-d array")
-            if not np.all(self._table > 0.0):
-                raise ValueError("singular values must be positive")
-            if np.any(np.diff(self._table) > 0.0):
-                raise ValueError("singular values must be non-increasing")
+            self.check_run(self._table)
 
     # -- constructors ------------------------------------------------------
 
@@ -119,7 +116,7 @@ class SingularSpectrum:
                 raise OutOfRangeError(
                     f"index {i} past the {self._table.size} enumerated singular values")
             return float(self._table[i - 1])
-        return float(np.asarray(self._rule(np.float64(i))))
+        return float(self._rule(np.float64(i)))
 
     def values(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
@@ -173,16 +170,25 @@ class SingularSpectrum:
                 lo = mid
         return hi
 
+    def check_run(self, vals: np.ndarray, previous: float = math.inf) -> None:
+        """Raise ValueError unless ``vals`` are positive and non-increasing.
+
+        ``vals`` are consecutive weights and ``previous`` is the weight just
+        before the first of them, so a long run can be checked in pieces.
+        """
+        # non-increasing down to a positive last value: one pass, NaN fails
+        if not vals.size or (vals[-1] > 0.0 and vals[0] <= previous
+                             and (vals[1:] <= vals[:-1]).all()):
+            return
+        if not (vals > 0.0).all():
+            raise ValueError(f"{self.name}: singular values must be positive")
+        raise ValueError(f"{self.name}: singular values must be non-increasing")
+
     def validate_prefix(self, count: int = 32) -> None:
         """Check positivity and monotonicity on the first ``count`` indices."""
         if self._table is not None:
             return  # validated at construction
-        upto = count
-        vals = self.values(np.arange(1, upto + 1))
-        if not np.all(vals > 0.0):
-            raise ValueError(f"{self.name}: singular values must be positive")
-        if np.any(np.diff(vals) > 0.0):
-            raise ValueError(f"{self.name}: singular values must be non-increasing")
+        self.check_run(self.values(np.arange(1, count + 1)))
 
     def __repr__(self):
         return f"SingularSpectrum({self.name})"
@@ -320,19 +326,18 @@ class CoefficientSource:
 
     @classmethod
     def from_vector(cls, values) -> "CoefficientSource":
-        arr = np.asarray(values, dtype=np.float64).copy()
-        arr.flags.writeable = False
+        # one trailing zero serves every index past the support
+        padded = np.append(np.asarray(values, dtype=np.float64), 0.0)
+        padded.flags.writeable = False
+        size = padded.size - 1
 
         def provider(i):
-            return float(arr[i - 1]) if 1 <= i <= arr.size else 0.0
+            return float(padded[i - 1]) if 1 <= i <= size else 0.0
 
         def vector(idx):
-            out = np.zeros(idx.shape, dtype=np.float64)
-            mask = idx <= arr.size
-            out[mask] = arr[idx[mask] - 1]
-            return out
+            return padded[np.minimum(idx - 1, size)]
 
-        return cls(provider, support_bound=int(arr.size), vector=vector)
+        return cls(provider, support_bound=size, vector=vector)
 
     @classmethod
     def zero(cls) -> "CoefficientSource":

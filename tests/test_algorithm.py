@@ -7,9 +7,11 @@ import pytest
 
 from adaptlin import (CoefficientSource, ConeParams, GuardExceeded, Partition,
                       Problem, SingularSpectrum, adaptive_algorithm,
-                      ball_algorithm, block_norm, interpolate,
-                      periodic_approximation_spectrum, stop_threshold,
-                      true_error)
+                      adaptive_sweep, ball_algorithm, block_norm,
+                      derivative_coefficients, derivative_problem,
+                      enumerate_derivative_spectrum, interpolate,
+                      periodic_approximation_spectrum, random_periodic_input,
+                      stop_threshold, true_error)
 
 from conftest import brute_tail, profile_member, unit_spectrum
 
@@ -204,8 +206,15 @@ def test_adaptive_guard(unit_doubling):
 
 
 def test_adaptive_rejects_nonpositive_tolerance(unit_doubling):
-    with pytest.raises(ValueError):
-        adaptive_algorithm(unit_doubling, CoefficientSource.zero(), 0.0)
+    # NaN included, and before any coefficient is read
+    calls = []
+    f = CoefficientSource(lambda i: calls.append(i) or 1.0)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            adaptive_algorithm(unit_doubling, f, bad)
+        with pytest.raises(ValueError):
+            adaptive_sweep(unit_doubling, f, [0.1, bad])
+    assert calls == []
 
 
 def test_adaptive_clips_to_enumerated_length():
@@ -229,6 +238,123 @@ def test_adaptive_guarantee_on_cone_members(harmonic_doubling):
                          approx.cost, f.support_bound)
         assert err <= approx.error_bound * (1 + 1e-12)
         assert approx.error_bound <= eps
+
+
+# -- adaptive_sweep ----------------------------------------------------------
+
+def harmonic_sweep():
+    problem = Problem(SingularSpectrum.algebraic(1.0, 1.0),
+                      Partition.doubling(1), ConeParams(2.0, 0.5))
+    f = profile_member(problem, np.random.default_rng(31), blocks=12,
+                       head=True)
+    # unsorted, with a repeat; stop blocks range from 1 to 13
+    return problem, f, [0.3, 1e-3, 2.0, 0.05, 1e-3, 1e-5], 64
+
+
+def derivative_sweep():
+    # 156 enumerated modes: block 6 (indices 257..512) lies past the table,
+    # so the tightest tolerance stops there on an empty block at cost 156
+    mis = enumerate_derivative_spectrum(2, 6)
+    problem = derivative_problem(mis)
+    f = derivative_coefficients(mis, random_periodic_input(2, 6, 5))
+    return problem, f, [10.0, 1.0, 1e-2, 1e-9], 64
+
+
+def guarded_sweep():
+    # four blocks settle the loose tolerances but not the tight ones
+    problem, f, _, _ = harmonic_sweep()
+    return problem, f, [1e-6, 0.3, 2.0, 1e-3], 4
+
+
+@pytest.mark.parametrize("case", [harmonic_sweep, derivative_sweep,
+                                  guarded_sweep],
+                         ids=["harmonic-doubling", "clipped-derivative",
+                              "block-limit"])
+def test_sweep_matches_one_run_per_tolerance(case):
+    problem, f, epsilons, limit = case()
+    runs, norms = adaptive_sweep(problem, f, epsilons, block_limit=limit)
+    assert len(runs) == len(epsilons)
+    for eps, run in zip(epsilons, runs):
+        try:
+            single = adaptive_algorithm(problem, f, eps, block_limit=limit)
+        except GuardExceeded:
+            assert run is None
+            continue
+        assert run.tolerance == eps
+        assert run.stop_block == single.stop_block
+        assert run.cost == single.cost
+        assert run.error_bound.hex() == single.error_bound.hex()
+        assert np.array_equal(run.indices, single.indices)
+        assert np.array_equal(run.values, single.values)
+    settled = [run.stop_block for run in runs if run is not None]
+    assert settled
+    # the walk ends at the last stop block, or at the limit if one is left
+    assert len(norms) == (limit if None in runs else max(settled))
+    assert norms == [block_norm(problem, f, j)
+                     for j in range(1, len(norms) + 1)]
+
+
+def test_sweep_cases_cover_guard_and_clipping():
+    runs, _ = adaptive_sweep(*guarded_sweep()[:3], block_limit=4)
+    assert [run is None for run in runs] == [True, False, False, True]
+    problem, f, epsilons, _ = derivative_sweep()
+    runs, norms = adaptive_sweep(problem, f, epsilons)
+    assert runs[-1].cost == problem.spectrum.enumerated_length == 156
+    assert norms[-1] == 0.0
+
+
+def test_sweep_stops_on_a_norm_equal_to_the_level(harmonic_doubling):
+    f = profile_member(harmonic_doubling, np.random.default_rng(33), 8)
+    sigma = block_norm(harmonic_doubling, f, 4)
+    eps = sigma / math.sqrt(0.75)  # a * b = 1: level = eps * sqrt(3/4)
+    while stop_threshold(harmonic_doubling.cone, eps) < sigma:
+        eps = math.nextafter(eps, math.inf)
+    while stop_threshold(harmonic_doubling.cone, eps) > sigma:
+        eps = math.nextafter(eps, 0.0)
+    assert stop_threshold(harmonic_doubling.cone, eps) == sigma
+    (run,), norms = adaptive_sweep(harmonic_doubling, f, [eps])
+    assert all(s > sigma for s in norms[:3])
+    assert run.stop_block == 4
+
+
+def test_sweep_runs_share_one_read_only_array(harmonic_doubling):
+    f = profile_member(harmonic_doubling, np.random.default_rng(32), 10)
+    (loose, tight), _ = adaptive_sweep(harmonic_doubling, f, [0.5, 0.01])
+    assert loose.cost < tight.cost
+    for run in (loose, tight):
+        assert not run.indices.flags.writeable
+        assert not run.values.flags.writeable
+    assert np.shares_memory(loose.indices, tight.indices)
+    assert np.shares_memory(loose.values, tight.values)
+    with pytest.raises(ValueError):
+        tight.values[0] = 1.0
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, math.nan, 0.1],
+                                    [1.0, 0.5, -math.inf, 0.1],
+                                    [math.nan, 0.1]],
+                         ids=["nan-in-block", "inf-in-block", "nan-in-head"])
+def test_non_finite_data_never_certified(harmonic_doubling, coeffs):
+    f = CoefficientSource.from_vector(coeffs)
+    with pytest.raises(ValueError, match="non-finite"):
+        adaptive_algorithm(harmonic_doubling, f, 0.1)
+
+
+@pytest.mark.parametrize("rule", [
+    lambda i: np.where(i <= 20, 1.0 / i, 1.0),
+    lambda i: np.where(i <= 16, 1.0 / i, 1.0 + 1.0 / i),
+    lambda i: np.where(i <= 20, 1.0 / i, 0.0),
+], ids=["rises-after-20", "rises-at-block-start", "vanishes-after-20"])
+def test_sweep_checks_spectrum_on_every_block_read(rule):
+    # Problem checks only indices 1..16, so each rule is accepted; block 5
+    # covers indices 17..32, and lam_16 = 1/16 < lam_17 = 1 + 1/17 is a rise
+    # between blocks 4 and 5
+    problem = Problem(SingularSpectrum.from_rule(rule, name="bad"),
+                      Partition.doubling(1), ConeParams(2.0, 0.5))
+    f = CoefficientSource.from_vector(np.ones(64))
+    assert adaptive_sweep(problem, f, [10.0])[0][0].stop_block == 1
+    with pytest.raises(ValueError, match="bad: singular values"):
+        adaptive_sweep(problem, f, [10.0, 1e-6])
 
 
 # -- true_error --------------------------------------------------------------

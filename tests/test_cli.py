@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from adaptlin import cli
+from adaptlin import (GuardExceeded, adaptive_algorithm, block_norm, cli,
+                      true_error)
+from adaptlin.spectrum import worst_decay_ratio
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -45,10 +47,13 @@ def test_solve_needs_a_tolerance_list(tmp_path, capsys):
     assert "epsilons" in capsys.readouterr().err
 
 
-def test_bad_epsilons_flag(tmp_path):
+def test_bad_epsilons_flag(tmp_path, capsys):
     cfg = write_config(tmp_path, {"problem": ALGEBRAIC})
-    assert cli.main(["solve", "--config", cfg, "--epsilons", "1,-2",
-                     "--output", str(tmp_path / "out")]) == 2
+    for flag in ("1,-2", "0.1,nan"):
+        assert cli.main(["solve", "--config", cfg, "--epsilons", flag,
+                         "--jmax", "8", "--output",
+                         str(tmp_path / "out")]) == 2
+        assert "--epsilons must be positive" in capsys.readouterr().err
 
 
 def test_malformed_json(tmp_path):
@@ -149,6 +154,71 @@ def test_solve_without_config_uses_defaults(tmp_path):
     assert cli.main(["solve", "--config", cfg, "--epsilons", "0.5",
                      "--quiet", "--output", str(out)]) == 0
     assert (out / "run.csv").exists()
+
+
+def test_solve_csv_matches_one_run_per_tolerance(tmp_path):
+    out = tmp_path / "out"
+    payload = {"problem": ALGEBRAIC,
+               "input": {"kind": "random-cone", "blocks": 10},
+               "epsilons": [0.1, 1e-4, 0.5, 0.03, 0.1],
+               "seed": 3, "guards": {"j_max": 6}, "output": str(out)}
+    cfg = write_config(tmp_path, payload)
+    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 1  # 1e-4
+    problem, extras = cli.build_problem(payload["problem"])
+    f = cli.build_input(payload["input"], problem, extras, payload["seed"])
+    rows, ratios = [], []
+    for eps in (0.5, 0.1, 0.03, 1e-4):
+        try:
+            run = adaptive_algorithm(problem, f, eps, block_limit=6)
+        except GuardExceeded:
+            rows.append((eps, None, None, None, None, None))
+            ratios.append(None)
+            continue
+        err = true_error(problem, f, run)
+        rows.append((eps, run.stop_block, run.cost, run.error_bound, err,
+                     err / eps))
+        norms = [block_norm(problem, f, j)
+                 for j in range(1, run.stop_block + 1)]
+        ratios.append(worst_decay_ratio(problem.cone, norms)[0])
+    assert [row[1] for row in rows] == [2, 5, 6, None]
+    cli.write_csv(tmp_path / "expected.csv",
+                  ("epsilon", "j_star", "cost", "error_bound", "true_error",
+                   "ratio_true_over_eps"), rows)
+    assert (out / "run.csv").read_bytes() \
+        == (tmp_path / "expected.csv").read_bytes()
+    record = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    assert [r.get("worst_cone_ratio") for r in record["rows"]] == ratios
+
+
+def test_solve_rejects_nan_tolerance(tmp_path, capsys):
+    # a NaN tolerance never settles; the walk must not start at all
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, {"problem": ALGEBRAIC,
+                                  "input": {"kind": "zero"},
+                                  "epsilons": [float("nan")], "output": out})
+    assert cli.main(["solve", "--config", cfg, "--jmax", "8",
+                     "--quiet"]) == 2
+    assert "tolerances must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+def test_solve_rejects_non_finite_input_scale(tmp_path, capsys, scale):
+    cfg = write_config(tmp_path, {
+        "problem": ALGEBRAIC, "input": {"kind": "random-cone", "scale": scale},
+        "epsilons": [0.1], "output": str(tmp_path / "out")})
+    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 2
+    assert "input.scale must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_solve_rejects_non_finite_input_data(tmp_path, capsys):
+    # a finite scale whose cone member overflows to inf in block 1
+    cfg = write_config(tmp_path, {
+        "problem": ALGEBRAIC,
+        "input": {"kind": "random-cone", "blocks": 4, "scale": 1.7e308},
+        "epsilons": [0.1], "seed": 1, "output": str(tmp_path / "out")})
+    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 2
+    assert "input rejected: non-finite" in capsys.readouterr().err
 
 
 # -- bounds --------------------------------------------------------------------
@@ -268,3 +338,14 @@ def test_demo_derivative_writes_report_and_figures(tmp_path):
     assert record["rows"][0]["cost"] >= 0
     svg = (out / "fig2_cost.svg").read_text(encoding="utf-8")
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+
+
+def test_demo_derivative_figure_run_is_the_same_when_swept_along(tmp_path):
+    # 0.1 is a row of the second list; the first sweeps it only for fig1
+    for name, epsilons in (("extra", "10,1"), ("row", "1,0.1")):
+        assert cli.main(["demo-derivative", "--quiet", "--epsilons", epsilons,
+                         "--output", str(tmp_path / name)]) == 0
+    assert (tmp_path / "extra" / "fig1_approx.csv").read_bytes() \
+        == (tmp_path / "row" / "fig1_approx.csv").read_bytes()
+    _, rows = read_csv(tmp_path / "extra" / "fig2.csv")
+    assert [float(r[0]) for r in rows] == [10.0, 1.0]
