@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectrum import CoefficientSource, Problem
+from .spectrum import CoefficientSource, Problem, exact_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,4 +176,4 @@ def solution_separation(problem: Problem, pair: FoolingPair) -> float:
     """
     idx = np.arange(1, pair.bump.size + 1, dtype=np.int64)
     image = problem.spectrum.values(idx) * pair.bump
-    return 2.0 * pair.shift * math.sqrt(math.fsum((image * image).tolist()))
+    return 2.0 * pair.shift * exact_norm(image)

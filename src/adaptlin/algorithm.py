@@ -21,7 +21,7 @@ import numpy as np
 
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        OutOfRangeError, Problem, SingularSpectrum,
-                       DEFAULT_SCAN_LIMIT, tail_norm)
+                       DEFAULT_SCAN_LIMIT, exact_norm, tail_norm)
 
 DEFAULT_BLOCK_LIMIT = 64
 
@@ -124,14 +124,15 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
     settles every tolerance epsilon at the first block j with
     s_j <= epsilon * sqrt(1-b**2)/(a*b).  The level grows with epsilon, so
     the walk stops at the stop block of the smallest tolerance, or at
-    ``block_limit``.  For inputs satisfying the cone decay the remaining
-    tail is then at most a*b*s_j/sqrt(1-b**2) <= epsilon, which is
-    recorded as ``error_bound``.  The comparison is a plain floating-point
+    ``block_limit`` or the last block of an explicit partition, whichever
+    comes first.  For inputs satisfying the cone decay the remaining tail
+    is then at most a*b*s_j/sqrt(1-b**2) <= epsilon, which is recorded as
+    ``error_bound``.  The comparison is a plain floating-point
     <=, and each s_j is the exact-summation norm that ``block_norm``
     computes.
 
     Returns ``(runs, norms)``: one Approximation per tolerance in input
-    order, or None where no block within ``block_limit`` qualifies, and
+    order, or None where no block within that walk qualifies, and
     the block norms s_1..s_J read.  Each run is the interpolation through
     its boundary n_j (clipped to the table length when the spectrum is a
     finite table, since no modes exist past it); its ``indices`` and
@@ -151,6 +152,8 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
     pending = sorted(range(len(epsilons)), key=levels.__getitem__)
     stops = [None] * len(epsilons)
     length = spectrum.enumerated_length
+    if partition.block_count is not None:  # an explicit partition ends
+        block_limit = min(block_limit, partition.block_count)
     # piece 0 holds indices 1..n_0, sampled but never tested
     pieces = itertools.chain(
         [np.arange(1, partition.boundary(0) + 1, dtype=np.int64)],
@@ -168,7 +171,7 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
         kept_idx.append(idx)
         kept_val.append(prod)
         ends.append(idx.size + (ends[-1] if ends else 0))
-        s = math.sqrt(math.fsum((prod * prod).tolist()))
+        s = exact_norm(prod)
         if not math.isfinite(s):
             raise ValueError(
                 f"non-finite norm over indices {int(idx[0])}..{int(idx[-1])}: "

@@ -8,8 +8,10 @@ adversarial      fooling-pair construction and indistinguishability checks
 demo-derivative  three-dimensional spectral-derivative showcase
 example1         periodic-approximation cost scan against the closed form
 
-Configuration is a single JSON document validated strictly: unknown keys
-are rejected so stored configs remain faithful records of what ran.  CSV
+Configuration is a single JSON document checked against ``SCHEMA`` as a
+whole, flags merged in, before any command runs: unknown keys, wrong types,
+non-finite numbers and out-of-range values are rejected, so stored configs
+remain faithful records of what ran.  CSV
 output uses shortest round-trip decimals, one header row, comma delimiters,
 LF line endings, and UTF-8, making reruns bit-stable for identical configs
 and seeds.  Exit status is 0 only when no guarantee violation, guard
@@ -33,14 +35,14 @@ from .analysis import (boundary_ratio, complexity_lower_block,
                        stop_block_bound, stop_block_bound_first_term,
                        stop_block_bound_rough, tolerance_shrink_factor)
 from .problems import (default_gamma, derivative_coefficients,
-                       derivative_problem, derivative_slice_grid,
-                       enumerate_derivative_spectrum, input_slice_grid,
-                       periodic_approximation_cost,
+                       derivative_slice_grid, enumerate_derivative_spectrum,
+                       input_slice_grid, periodic_approximation_cost,
                        periodic_approximation_spectrum,
                        random_periodic_input, solution_slice_grid)
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
-                       Partition, SingularSpectrum, Problem, cone_membership,
-                       random_cone_member, worst_decay_ratio)
+                       OutOfRangeError, Partition, SingularSpectrum, Problem,
+                       cone_membership, random_cone_member,
+                       worst_decay_ratio)
 
 GENERATOR = "numpy-PCG64"
 DEFAULT_SEED = 20250101
@@ -52,106 +54,153 @@ class ConfigError(ValueError):
     """A configuration document failed validation."""
 
 
-def _check_keys(section, mapping, allowed, required=()):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{section} must be a JSON object")
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys in {section}: {', '.join(unknown)}")
-    for key in required:
-        if key not in mapping:
-            raise ConfigError(f"{section} is missing required key {key!r}")
+# The config format: each section maps its keys to a JSON type.  float is a
+# finite number, int an integer, bool true or false, str a string, [t] a list
+# of t, and a dict a nested section.  Booleans are never numbers.
+SCHEMA = {
+    "problem": {
+        "spectrum": {"family": str, "scale": float, "power": float,
+                     "base": float, "r": float, "dimension": int,
+                     "k_max": int},
+        "partition": {"kind": str, "start": int, "step": int, "first": int,
+                      "boundaries": [int]},
+        "cone": {"a": float, "b": float},
+    },
+    "input": {"kind": str, "blocks": int, "scale": float, "head": bool},
+    "epsilons": [float],
+    "rho": float,
+    "seed": int,
+    "output": str,
+    "guards": {"j_max": int, "n_max": int},
+    "adversarial": {"blocks": int, "ratio": float},
+    "example1": {"r": float, "ratios": [float]},
+}
+# range checks the library does not make; the library's own checks surface
+# as ConfigError from build_problem
+LIMITS = {
+    "epsilons": (lambda v: v > 0, "tolerances must be positive"),
+    "rho": (lambda v: v > 0, "rho must be positive"),
+    "seed": (lambda v: v >= 0, "seed must be non-negative"),
+    "guards.j_max": (lambda v: v >= 1, "guards.j_max must be at least 1"),
+    "guards.n_max": (lambda v: v >= 1, "guards.n_max must be at least 1"),
+    "input.blocks": (lambda v: v >= 1, "input.blocks must be at least 1"),
+    "adversarial.blocks": (lambda v: v >= 1,
+                           "adversarial.blocks must be at least 1"),
+    "example1.ratios": (lambda v: v > 0, "example1.ratios must be positive"),
+}
+_JSON_TYPES = {float: ((int, float), "a number"), int: ((int,), "an integer"),
+               bool: ((bool,), "true or false"), str: ((str,), "a string")}
+
+
+def check_config(value, spec=SCHEMA, path=""):
+    """``value`` checked against ``spec``, with every number as a float.
+
+    Raises ConfigError naming the first key that is unknown, of the wrong
+    type, out of range or not finite.
+    """
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be a JSON object")
+        unknown = sorted(set(value) - set(spec))
+        if unknown:
+            raise ConfigError(
+                f"unknown keys in {path or 'config'}: {', '.join(unknown)}")
+        return {key: check_config(item, spec[key],
+                                  f"{path}.{key}" if path else key)
+                for key, item in value.items()}
+    if isinstance(spec, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list")
+        return [check_config(item, spec[0], path) for item in value]
+    kinds, name = _JSON_TYPES[spec]
+    if type(value) not in kinds:  # JSON gives exact types; True is no int
+        raise ConfigError(f"{path} must be {name}")
+    if path in LIMITS and not LIMITS[path][0](value):
+        raise ConfigError(LIMITS[path][1])
+    if spec is float and not abs(value) <= sys.float_info.max:  # NaN too
+        raise ConfigError(f"{path} must be finite")
+    return float(value) if spec is float else value
 
 
 def load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_keys("config", raw,
-                ("problem", "input", "epsilons", "rho", "seed", "output",
-                 "guards", "adversarial", "example1"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     return raw
 
 
-def build_spectrum(cfg):
+def build_spectrum(cfg, n_max=DEFAULT_NMAX):
     """Spectrum from its config section; returns (spectrum, extras).
 
     The derivative family carries its enumeration alongside the spectrum
     because input construction and figure evaluation need the multi-index
-    table, not just the sorted weights.
+    table, not just the sorted weights; it may hold at most ``n_max`` modes.
     """
-    _check_keys("problem.spectrum", cfg, ("family", "scale", "power", "base",
-                                          "r", "dimension", "k_max"),
-                required=("family",))
-    family = cfg["family"]
+    family = cfg.get("family")
     if family == "algebraic":
-        return SingularSpectrum.algebraic(float(cfg.get("scale", 1.0)),
-                                          float(cfg.get("power", 1.0))), {}
+        return SingularSpectrum.algebraic(cfg.get("scale", 1.0),
+                                          cfg.get("power", 1.0)), {}
     if family == "geometric":
-        return SingularSpectrum.geometric(float(cfg.get("scale", 1.0)),
-                                          float(cfg.get("base", 2.0))), {}
+        return SingularSpectrum.geometric(cfg.get("scale", 1.0),
+                                          cfg.get("base", 2.0)), {}
     if family == "periodic":
-        return periodic_approximation_spectrum(float(cfg.get("r", 2.0))), {}
+        return periodic_approximation_spectrum(cfg.get("r", 2.0)), {}
     if family == "derivative":
-        d = int(cfg.get("dimension", 3))
-        k_max = int(cfg.get("k_max", 30))
-        mis = enumerate_derivative_spectrum(d, k_max)
+        d, k_max = cfg.get("dimension", 3), cfg.get("k_max", 30)
+        mis = enumerate_derivative_spectrum(d, k_max, cap=n_max)
         return mis.spectrum(), {"mis": mis, "dimension": d, "k_max": k_max}
-    raise ConfigError(f"unknown spectrum family {family!r}")
+    raise ConfigError("problem.spectrum.family must be algebraic, geometric, "
+                      f"periodic or derivative, not {family!r}")
 
 
 def build_partition(cfg):
-    _check_keys("problem.partition", cfg,
-                ("kind", "start", "step", "first", "boundaries"),
-                required=("kind",))
-    kind = cfg["kind"]
+    kind = cfg.get("kind")
     if kind == "doubling":
-        return Partition.doubling(int(cfg.get("start", 1)))
+        return Partition.doubling(cfg.get("start", 1))
     if kind == "arithmetic":
-        return Partition.arithmetic(int(cfg.get("start", 1)),
-                                    int(cfg.get("step", 1)))
+        return Partition.arithmetic(cfg.get("start", 1), cfg.get("step", 1))
     if kind == "zero-doubling":
-        return Partition.zero_then_doubling(int(cfg.get("first", 16)))
+        return Partition.zero_then_doubling(cfg.get("first", 16))
     if kind == "explicit":
-        return Partition.from_boundaries(cfg["boundaries"])
-    raise ConfigError(f"unknown partition kind {kind!r}")
+        return Partition.from_boundaries(cfg.get("boundaries", ()))
+    raise ConfigError("problem.partition.kind must be doubling, arithmetic, "
+                      f"zero-doubling or explicit, not {kind!r}")
 
 
-def build_problem(cfg):
-    _check_keys("problem", cfg, ("spectrum", "partition", "cone"),
-                required=("spectrum",))
-    spectrum, extras = build_spectrum(cfg["spectrum"])
-    if "partition" in cfg:
-        partition = build_partition(cfg["partition"])
-    elif "mis" in extras:
-        partition = Partition.zero_then_doubling(16)
-    else:
-        partition = Partition.doubling(1)
-    cone_cfg = cfg.get("cone", {})
-    _check_keys("problem.cone", cone_cfg, ("a", "b"))
-    cone = ConeParams(float(cone_cfg.get("a", 2.0)),
-                      float(cone_cfg.get("b", 0.5)))
+def build_problem(cfg, n_max=DEFAULT_NMAX):
     try:
+        spectrum, extras = build_spectrum(cfg.get("spectrum", {}), n_max)
+        default = {"kind": "zero-doubling" if "mis" in extras else "doubling"}
+        partition = build_partition(cfg.get("partition", default))
+        cone_cfg = cfg.get("cone", {})
+        cone = ConeParams(cone_cfg.get("a", 2.0), cone_cfg.get("b", 0.5))
         return Problem(spectrum, partition, cone), extras
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def build_input(cfg, problem, extras, seed):
-    _check_keys("input", cfg, ("kind", "blocks", "scale", "head"))
-    scale = float(cfg.get("scale", 1.0))
-    if not math.isfinite(scale):
-        raise ConfigError("input.scale must be finite")
+def _index_budget(problem, blocks, n_max, key):
+    """Reject ``blocks`` blocks spanning more than ``n_max`` indices."""
+    size = problem.partition.boundary(blocks)
+    if size > n_max:
+        raise ConfigError(f"{key} = {blocks} spans {size} indices, over the "
+                          f"index budget guards.n_max = {n_max}")
+
+
+def build_input(cfg, problem, extras, seed, n_max=DEFAULT_NMAX):
     kind = cfg.get("kind", "random-cone")
     if kind == "zero":
         return CoefficientSource.zero()
     if kind == "random-cone":
-        rng = np.random.default_rng(seed)
-        return random_cone_member(problem, rng, int(cfg.get("blocks", 8)),
-                                  scale=scale,
-                                  head=bool(cfg.get("head", True)))
+        blocks = cfg.get("blocks", 8)
+        _index_budget(problem, blocks, n_max, "input.blocks")
+        return random_cone_member(problem, np.random.default_rng(seed),
+                                  blocks, scale=cfg.get("scale", 1.0),
+                                  head=cfg.get("head", True))
     if kind == "derivative-random":
         if "mis" not in extras:
             raise ConfigError(
@@ -259,17 +308,32 @@ def observed_cone_ratio(cone, norms):
     return worst_decay_ratio(cone, norms)[0]
 
 
-def _true_errors(problem, f, runs):
-    """True error of each run, computed once per distinct cost.
+def _sweep(problem, f, epsilons, j_max):
+    """One block walk over ``epsilons``; returns the runs and run.json rows.
 
-    None where the guard fired or the input has no finite support bound.
+    A guard diagnostic stands in for each tolerance no block settled; true
+    errors are computed once per distinct cost, None without a support bound.
     """
+    runs, norms = adaptive_sweep(problem, f, epsilons, block_limit=j_max)
     errors = {}
-    if f.support_bound is not None:
-        for run in runs:
-            if run is not None and run.cost not in errors:
-                errors[run.cost] = true_error(problem, f, run)
-    return [None if run is None else errors.get(run.cost) for run in runs]
+    rows = []
+    for eps, run in zip(epsilons, runs):
+        if run is None:
+            rows.append({"epsilon": eps,
+                         "diagnostic": str(no_stop_error(j_max))})
+            continue
+        if f.support_bound is not None and run.cost not in errors:
+            errors[run.cost] = true_error(problem, f, run)
+        rows.append({
+            "epsilon": eps,
+            "j_star": run.stop_block,
+            "cost": run.cost,
+            "error_bound": run.error_bound,
+            "true_error": errors.get(run.cost),
+            "worst_cone_ratio": observed_cone_ratio(
+                problem.cone, norms[:run.stop_block]),
+        })
+    return runs, rows
 
 
 def _parse_epsilons(text):
@@ -283,24 +347,20 @@ def _parse_epsilons(text):
 
 
 def _effective(args, config):
-    """Merge config defaults with command-line overrides."""
+    """Config merged with the command-line flags, checked against SCHEMA."""
     merged = dict(config)
     if args.epsilons is not None:
         merged["epsilons"] = _parse_epsilons(args.epsilons)
-    if args.rho is not None:
-        merged["rho"] = args.rho
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    if args.output is not None:
-        merged["output"] = args.output
-    guards = dict(merged.get("guards", {}))
-    _check_keys("guards", guards, ("j_max", "n_max"))
-    if args.jmax is not None:
-        guards["j_max"] = args.jmax
-    guards.setdefault("j_max", DEFAULT_JMAX)
-    guards.setdefault("n_max", DEFAULT_NMAX)
-    merged["guards"] = guards
-    return merged
+    for key in ("rho", "seed", "output"):
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
+    guards = merged.get("guards", {})
+    if isinstance(guards, dict):  # anything else fails the check below
+        guards = merged["guards"] = dict(
+            {"j_max": DEFAULT_JMAX, "n_max": DEFAULT_NMAX}, **guards)
+        if args.jmax is not None:
+            guards["j_max"] = args.jmax
+    return check_config(merged)
 
 
 def _epsilons_from(merged, default=None):
@@ -308,9 +368,6 @@ def _epsilons_from(merged, default=None):
     if eps is None:
         raise ConfigError("no tolerance list: set epsilons in the config "
                           "or pass --epsilons")
-    eps = [float(v) for v in eps]
-    if not all(v > 0 for v in eps):
-        raise ConfigError("tolerances must be positive")
     return sorted(set(eps), reverse=True)
 
 
@@ -320,66 +377,48 @@ def _out_dir(merged):
     return out
 
 
-def _echo(merged):
+def _write_record(path, merged, key, items, elapsed):
+    """JSON record of a run: the config that ran, its results, provenance."""
     echo = {k: merged[k] for k in sorted(merged) if k != "output"}
-    echo["output"] = str(merged.get("output", "out"))
-    return echo
+    echo["output"] = merged.get("output", "out")
+    write_json(path, {"config": echo, key: items, "elapsed_seconds": elapsed,
+                      "library_version": __version__, "generator": GENERATOR})
 
 
 def cmd_solve(merged, quiet):
-    problem, extras = build_problem(merged.get("problem", {}))
-    seed = int(merged.get("seed", DEFAULT_SEED))
-    f = build_input(merged.get("input", {}), problem, extras, seed)
+    j_max, n_max = merged["guards"]["j_max"], merged["guards"]["n_max"]
+    problem, extras = build_problem(merged.get("problem", {}), n_max)
+    f = build_input(merged.get("input", {}), problem, extras,
+                    merged.get("seed", DEFAULT_SEED), n_max)
     epsilons = _epsilons_from(merged)
-    j_max = int(merged["guards"]["j_max"])
     out = _out_dir(merged)
 
-    rows = []
-    json_rows = []
-    failures = 0
     start = time.perf_counter()
     try:
-        runs, norms = adaptive_sweep(problem, f, epsilons, block_limit=j_max)
+        _, rows = _sweep(problem, f, epsilons, j_max)
     except ValueError as exc:  # e.g. a non-finite coefficient
         raise ConfigError(f"input rejected: {exc}") from exc
-    errors = _true_errors(problem, f, runs)
-    for eps, approx, t_err in zip(epsilons, runs, errors):
-        if approx is None:
-            exc = no_stop_error(j_max)
-            print(f"solve: guard exceeded at epsilon={eps!r}: {exc}",
-                  file=sys.stderr)
-            rows.append((eps, None, None, None, None, None))
-            json_rows.append({"epsilon": eps, "diagnostic": str(exc)})
+    table = []
+    failures = 0
+    for row in rows:
+        eps, t_err = row["epsilon"], row.get("true_error")
+        if "diagnostic" in row:
+            print(f"solve: guard exceeded at epsilon={eps!r}: "
+                  f"{row['diagnostic']}", file=sys.stderr)
             failures += 1
-            continue
-        ratio = observed_cone_ratio(problem.cone, norms[:approx.stop_block])
-        if approx.error_bound > eps:
-            print(f"solve: error bound {approx.error_bound!r} exceeds "
+        elif row["error_bound"] > eps:
+            print(f"solve: error bound {row['error_bound']!r} exceeds "
                   f"tolerance {eps!r}", file=sys.stderr)
             failures += 1
-        rows.append((eps, approx.stop_block, approx.cost, approx.error_bound,
-                     t_err, None if t_err is None else t_err / eps))
-        json_rows.append({
-            "epsilon": eps,
-            "j_star": approx.stop_block,
-            "cost": approx.cost,
-            "error_bound": approx.error_bound,
-            "true_error": t_err,
-            "worst_cone_ratio": ratio,
-        })
+        table.append((eps, row.get("j_star"), row.get("cost"),
+                      row.get("error_bound"), t_err,
+                      None if t_err is None else t_err / eps))
     elapsed = time.perf_counter() - start
 
-    record = {
-        "config": _echo(merged),
-        "rows": json_rows,
-        "elapsed_seconds": elapsed,
-        "library_version": __version__,
-        "generator": GENERATOR,
-    }
-    write_json(out / "run.json", record)
+    _write_record(out / "run.json", merged, "rows", rows, elapsed)
     write_csv(out / "run.csv",
               ("epsilon", "j_star", "cost", "error_bound", "true_error",
-               "ratio_true_over_eps"), rows)
+               "ratio_true_over_eps"), table)
     if not quiet:
         print(f"solve: {len(rows)} tolerances in {elapsed:.3f} s "
               f"-> {out / 'run.csv'}")
@@ -387,10 +426,10 @@ def cmd_solve(merged, quiet):
 
 
 def cmd_bounds(merged, quiet):
-    problem, _ = build_problem(merged.get("problem", {}))
+    j_max, n_max = merged["guards"]["j_max"], merged["guards"]["n_max"]
+    problem, _ = build_problem(merged.get("problem", {}), n_max)
     epsilons = _epsilons_from(merged)
-    rho = float(merged.get("rho", 1.0))
-    j_max = int(merged["guards"]["j_max"])
+    rho = merged.get("rho", 1.0)
     out = _out_dir(merged)
 
     scan = boundary_ratio(problem, j_max)
@@ -431,11 +470,11 @@ def cmd_bounds(merged, quiet):
                       f"epsilon={eps!r}: {exc}", file=sys.stderr)
                 failures += 1
             else:
-                if (problem.partition.boundary(j_dagger)
-                        > problem.partition.boundary(j_lower)):
+                n_dagger, n_lower = map(problem.partition.boundary,
+                                        (j_dagger, j_lower))
+                if n_dagger > n_lower:
                     print(f"bounds: chain violated at epsilon={eps!r}: "
-                          f"n_(j_dagger)={problem.partition.boundary(j_dagger)} "
-                          f"> n_(j_lower)={problem.partition.boundary(j_lower)}",
+                          f"n_(j_dagger)={n_dagger} > n_(j_lower)={n_lower}",
                           file=sys.stderr)
                     violations += 1
         rows.append((eps, rho, j_dagger, j_rough, j_first, j_lower, omega,
@@ -451,14 +490,15 @@ def cmd_bounds(merged, quiet):
 
 
 def cmd_adversarial(merged, quiet):
-    problem, _ = build_problem(merged.get("problem", {}))
+    j_max, n_max = merged["guards"]["j_max"], merged["guards"]["n_max"]
+    problem, _ = build_problem(merged.get("problem", {}), n_max)
     if problem.partition.boundary(0) < 1:
         raise ConfigError("adversarial constructions need n_0 >= 1")
     adv_cfg = merged.get("adversarial", {})
-    _check_keys("adversarial", adv_cfg, ("blocks", "ratio"))
+    if "blocks" in adv_cfg:
+        _index_budget(problem, adv_cfg["blocks"], n_max, "adversarial.blocks")
     epsilons = _epsilons_from(merged)
-    rho = float(merged.get("rho", 1.0))
-    j_max = int(merged["guards"]["j_max"])
+    rho = merged.get("rho", 1.0)
     out = _out_dir(merged)
 
     entries = []
@@ -467,13 +507,10 @@ def cmd_adversarial(merged, quiet):
     for eps in epsilons:
         # The sampled indices of a run on the base input become the zeroed
         # functionals; the bump then hides in coordinates the run never saw.
-        probe_blocks = int(adv_cfg.get("blocks", 0))
-        ratio_cfg = adv_cfg.get("ratio")
+        probe_blocks = adv_cfg.get("blocks", 4)
         try:
-            if probe_blocks < 1:
-                probe_blocks = 4
             while True:
-                ratio = (float(ratio_cfg) if ratio_cfg is not None
+                ratio = (adv_cfg["ratio"] if "ratio" in adv_cfg
                          else boundary_ratio(problem, probe_blocks).value)
                 base_probe = fooling_input(problem, ratio, rho, probe_blocks)
                 run = adaptive_algorithm(problem, base_probe, eps,
@@ -485,6 +522,7 @@ def cmd_adversarial(merged, quiet):
                         "configured block count leaves no free coordinate "
                         "for the bump; increase adversarial.blocks")
                 probe_blocks += 1
+                _index_budget(problem, probe_blocks, n_max, "the probe depth")
             pair = fooling_pair(problem, ratio, rho, probe_blocks,
                                 tuple(run.indices.tolist()))
         except (ValueError, GuardExceeded) as exc:
@@ -501,14 +539,10 @@ def cmd_adversarial(merged, quiet):
             np.array_equal(run_plus.indices, run_minus.indices)
             and np.array_equal(run_plus.values, run_minus.values))
         separation = solution_separation(problem, pair)
+        sources = {"base": pair.base, "plus": pair.plus, "minus": pair.minus}
         memberships = {name: cone_membership(problem, source)
-                       for name, source in (("base", pair.base),
-                                            ("plus", pair.plus),
-                                            ("minus", pair.minus))}
-        norms = {name: source.norm()
-                 for name, source in (("base", pair.base),
-                                      ("plus", pair.plus),
-                                      ("minus", pair.minus))}
+                       for name, source in sources.items()}
+        norms = {name: source.norm() for name, source in sources.items()}
         c, eta = pair.amplitude, pair.shift
         identity_gap = abs(problem.cone.a * (c - eta * pair.ratio)
                            - (c + eta * pair.ratio))
@@ -540,13 +574,8 @@ def cmd_adversarial(merged, quiet):
         })
     elapsed = time.perf_counter() - start
 
-    write_json(out / "adversarial.json", {
-        "config": _echo(merged),
-        "entries": entries,
-        "elapsed_seconds": elapsed,
-        "library_version": __version__,
-        "generator": GENERATOR,
-    })
+    _write_record(out / "adversarial.json", merged, "entries", entries,
+                  elapsed)
     if not quiet:
         print(f"adversarial: {len(entries)} tolerances, "
               f"{failures} failures -> {out / 'adversarial.json'}")
@@ -554,56 +583,45 @@ def cmd_adversarial(merged, quiet):
 
 
 def cmd_demo_derivative(merged, quiet):
-    seed = int(merged.get("seed", DEFAULT_SEED))
-    j_max = int(merged["guards"]["j_max"])
-    cap = int(merged["guards"]["n_max"])
+    j_max, n_max = merged["guards"]["j_max"], merged["guards"]["n_max"]
     out = _out_dir(merged)
     epsilons = _epsilons_from(
         merged, default=np.logspace(1, -1, 10).tolist())
 
     start = time.perf_counter()
-    d, k_max = 3, 30
-    mis = enumerate_derivative_spectrum(d, k_max, cap=cap)
-    problem = derivative_problem(mis)
-    inp = random_periodic_input(d, k_max, seed)
+    problem, extras = build_problem({"spectrum": {"family": "derivative"}},
+                                    n_max)
+    mis, d = extras["mis"], extras["dimension"]
+    inp = random_periodic_input(d, extras["k_max"],
+                                merged.get("seed", DEFAULT_SEED))
     f = derivative_coefficients(mis, inp)
 
     # the figure run at epsilon = 0.1 joins the same walk
     swept = epsilons if 0.1 in epsilons else epsilons + [0.1]
-    runs, norms = adaptive_sweep(problem, f, swept, block_limit=j_max)
+    runs, rows = _sweep(problem, f, swept, j_max)
     if any(run is None for run in runs):
         raise no_stop_error(j_max)
     figure_run = runs[swept.index(0.1)]
-    runs = runs[:len(epsilons)]
-    rows = []
-    json_rows = []
+    rows = rows[:len(epsilons)]
+    table = []
     failures = 0
-    for eps, approx, t_err in zip(epsilons, runs,
-                                  _true_errors(problem, f, runs)):
+    for row in rows:
+        eps, t_err = row["epsilon"], row["true_error"]
         ratio = t_err / eps
         if ratio > 1.0:
             print(f"demo-derivative: tolerance missed at epsilon={eps!r}: "
                   f"true error {t_err!r}", file=sys.stderr)
             failures += 1
-        rows.append((eps, approx.cost, t_err, ratio))
-        json_rows.append({
-            "epsilon": eps,
-            "j_star": approx.stop_block,
-            "cost": approx.cost,
-            "error_bound": approx.error_bound,
-            "true_error": t_err,
-            "worst_cone_ratio": observed_cone_ratio(
-                problem.cone, norms[:approx.stop_block]),
-        })
+        table.append((eps, row["cost"], t_err, ratio))
 
     write_csv(out / "fig2.csv",
-              ("epsilon", "n_j_dagger", "true_error", "ratio"), rows)
+              ("epsilon", "n_j_dagger", "true_error", "ratio"), table)
     _svg_line_chart(out / "fig2_cost.svg",
-                    [r[0] for r in rows], [r[1] for r in rows],
+                    [r[0] for r in table], [r[1] for r in table],
                     title="Sample size against error tolerance",
                     x_label="tolerance", y_label="sample size")
     _svg_line_chart(out / "fig2_ratio.svg",
-                    [r[0] for r in rows], [r[2] for r in rows],
+                    [r[0] for r in table], [r[2] for r in table],
                     title="True error against error tolerance",
                     x_label="tolerance", y_label="true error")
 
@@ -621,13 +639,7 @@ def cmd_demo_derivative(merged, quiet):
                    for i in range(len(axis)) for j in range(len(axis))])
     elapsed = time.perf_counter() - start
 
-    write_json(out / "run.json", {
-        "config": _echo(merged),
-        "rows": json_rows,
-        "elapsed_seconds": elapsed,
-        "library_version": __version__,
-        "generator": GENERATOR,
-    })
+    _write_record(out / "run.json", merged, "rows", rows, elapsed)
     if not quiet:
         print(f"demo-derivative: {mis.indices.shape[0]} modes, "
               f"{len(rows)} tolerances in {elapsed:.2f} s -> {out}")
@@ -636,26 +648,20 @@ def cmd_demo_derivative(merged, quiet):
 
 def cmd_example1(merged, quiet):
     ex_cfg = merged.get("example1", {})
-    _check_keys("example1", ex_cfg, ("r", "ratios"))
-    r = float(ex_cfg.get("r", 2.0))
-    problem_cfg = merged.get("problem", {})
-    if problem_cfg:
-        spectrum_cfg = problem_cfg.get("spectrum", {})
-        if spectrum_cfg.get("family") == "periodic":
-            r = float(spectrum_cfg.get("r", r))
-    rho = float(merged.get("rho", 1.0))
+    r = ex_cfg.get("r", 2.0)
+    spectrum_cfg = merged.get("problem", {}).get("spectrum", {})
+    if spectrum_cfg.get("family") == "periodic":
+        r = spectrum_cfg.get("r", r)
+    rho = merged.get("rho", 1.0)
     out = _out_dir(merged)
-    if "epsilons" in merged:
-        epsilons = _epsilons_from(merged)
-    else:
-        ratios = ex_cfg.get("ratios", np.logspace(6, 0.01, 50).tolist())
-        epsilons = sorted({rho / float(q) for q in ratios}, reverse=True)
+    ratios = ex_cfg.get("ratios", np.logspace(6, 0.01, 50).tolist())
+    epsilons = _epsilons_from(merged, default=[rho / q for q in ratios])
 
-    spectrum = periodic_approximation_spectrum(r)
+    problem, _ = build_problem({"spectrum": {"family": "periodic", "r": r}})
     rows = []
     mismatches = 0
     for eps in epsilons:
-        scanned = ball_budget(spectrum, eps, rho)
+        scanned = ball_budget(problem.spectrum, eps, rho)
         closed = (periodic_approximation_cost(r, eps, rho)
                   if eps < rho else 0)
         match = int(scanned == closed)
@@ -717,7 +723,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except GuardExceeded as exc:
+    except (GuardExceeded, OutOfRangeError) as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 1
 

@@ -32,6 +32,15 @@ class GuardExceeded(RuntimeError):
     """An iteration or scan guard was reached before the target condition."""
 
 
+def exact_norm(x: np.ndarray) -> float:
+    """Euclidean norm of ``x`` from the correctly rounded sum of its squares.
+
+    ``math.fsum`` makes the sum independent of the order of ``x``.  Every
+    block, tail, input and solution norm goes through this one kernel.
+    """
+    return math.sqrt(math.fsum((x * x).tolist()))
+
+
 class SingularSpectrum:
     """Non-increasing positive weights lam_1 >= lam_2 >= ... > 0.
 
@@ -255,6 +264,11 @@ class Partition:
             return self._table[j]
         return int(self._rule(j))
 
+    @property
+    def block_count(self) -> Optional[int]:
+        """Number of blocks of an explicit partition; None for a rule."""
+        return None if self._table is None else len(self._table) - 1
+
     def block(self, j: int) -> tuple:
         """Inclusive coefficient index range (n_{j-1}+1, n_j) of block j >= 1."""
         if j < 1:
@@ -373,7 +387,7 @@ class CoefficientSource:
             raise SupportBoundRequired(
                 "input norms need a finite support bound")
         vals = self.dense(self.support_bound)
-        return math.sqrt(math.fsum((vals * vals).tolist()))
+        return exact_norm(vals)
 
 
 @dataclass(frozen=True)
@@ -416,7 +430,7 @@ def block_norm(problem: Problem, f: CoefficientSource, j: int) -> float:
             return 0.0
     idx = np.arange(lo, hi + 1, dtype=np.int64)
     prod = problem.spectrum.values(idx) * f.coefficients(idx)
-    return math.sqrt(math.fsum((prod * prod).tolist()))
+    return exact_norm(prod)
 
 
 def cone_membership(problem: Problem, f: CoefficientSource, *,
@@ -495,7 +509,7 @@ def tail_norm(problem: Problem, f: CoefficientSource, n: int) -> float:
             return 0.0
     idx = np.arange(n + 1, top + 1, dtype=np.int64)
     prod = problem.spectrum.values(idx) * f.coefficients(idx)
-    return math.sqrt(math.fsum((prod * prod).tolist()))
+    return exact_norm(prod)
 
 
 def random_cone_member(problem: Problem, rng: np.random.Generator,

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +62,90 @@ def test_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     assert cli.main(["solve", "--config", str(path)]) == 2
+    assert cli.main(["solve", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+def _problem(**sections):
+    return {"problem": dict(ALGEBRAIC, **sections)}
+
+
+def _case(name, command, sections):
+    return pytest.param(command, sections, id=f"{command}-{name}")
+
+
+# (command, config sections over a valid solve config); every one exits 2
+MALFORMED = [
+    _case("rho-string", "solve", {"rho": "abc"}),
+    _case("rho-string", "bounds", {"rho": "abc"}),
+    _case("rho-negative", "bounds", {"rho": -1}),
+    _case("rho-infinite", "bounds", {"rho": float("inf")}),
+    _case("head-string", "solve", {"input": {"head": "false"}}),
+    _case("epsilon-boolean", "solve", {"epsilons": [True]}),
+    _case("epsilons-string", "solve", {"epsilons": "0.1"}),
+    _case("blocks-string", "solve", {"input": {"blocks": "x"}}),
+    _case("seed-string", "solve", {"seed": "x"}),
+    _case("k_max-string", "solve",
+          {"problem": {"spectrum": {"family": "derivative", "k_max": "x"}}}),
+    _case("blocks-string", "adversarial", {"adversarial": {"blocks": "x"}}),
+    _case("r-string", "example1", {"example1": {"r": "x"}}),
+    _case("ratio-zero", "example1", {"example1": {"ratios": [0]}}),
+    _case("scale-negative", "solve",
+          {"problem": {"spectrum": {"family": "algebraic", "scale": -1}}}),
+    _case("cone-a-below-1", "solve", _problem(cone={"a": 0.5})),
+    _case("cone-a-infinite", "solve", _problem(cone={"a": float("inf")})),
+    _case("doubling-start-0", "solve",
+          _problem(partition={"kind": "doubling", "start": 0})),
+    _case("unread-section-bad-key", "bounds", {"input": {"bogus": 1}}),
+    _case("unread-section-bad-key", "example1", {"problem": {"junk": 2}}),
+    _case("n_max-string", "solve", {"guards": {"n_max": "zz"}}),
+]
+
+
+@pytest.mark.parametrize("command,sections", MALFORMED)
+def test_malformed_config_exits_2(tmp_path, capsys, command, sections):
+    payload = dict({"problem": ALGEBRAIC, "epsilons": [0.1],
+                    "output": str(tmp_path / "out")}, **sections)
+    cfg = write_config(tmp_path, payload)
+    assert cli.main([command, "--config", cfg, "--jmax", "8",
+                     "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
+def test_readme_config_example_passes_the_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    example = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    document = json.loads(re.sub(r"//.*", "", example))
+    assert cli.check_config(document) == document
+
+
+@pytest.mark.parametrize("command,sections", [
+    # 40 doubling blocks span 2**40 indices
+    ("solve", {"input": {"kind": "random-cone", "blocks": 40}}),
+    ("adversarial", {"adversarial": {"blocks": 40}}),
+    # the default enumeration holds 226981 modes
+    ("solve", {"problem": {"spectrum": {"family": "derivative"}},
+               "input": {"kind": "derivative-random"}})])
+def test_index_budget_is_checked_before_allocation(tmp_path, capsys, command,
+                                                   sections):
+    cfg = write_config(tmp_path, dict({
+        "problem": ALGEBRAIC, "epsilons": [0.1], "guards": {"n_max": 1000},
+        "output": str(tmp_path / "out")}, **sections))
+    assert cli.main([command, "--config", cfg, "--quiet"]) == 2
+    assert "1000" in capsys.readouterr().err
+
+
+def test_adversarial_probe_grows_within_the_index_budget(tmp_path, capsys):
+    # at this tolerance a run reads each probe's whole support, so the probe
+    # keeps growing; it must stop at the budget, not double until memory ends
+    cfg = write_config(tmp_path, {
+        "problem": ALGEBRAIC, "epsilons": [1e-30], "guards": {"n_max": 1000},
+        "output": str(tmp_path / "out")})
+    assert cli.main(["adversarial", "--config", cfg, "--quiet"]) == 1
+    assert "over the index budget guards.n_max = 1000" \
+        in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_with_usage_error():
@@ -219,6 +305,21 @@ def test_solve_rejects_non_finite_input_data(tmp_path, capsys):
         "epsilons": [0.1], "seed": 1, "output": str(tmp_path / "out")})
     assert cli.main(["solve", "--config", cfg, "--quiet"]) == 2
     assert "input rejected: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "bounds", "adversarial"])
+def test_explicit_partition_that_runs_out_is_a_guard(tmp_path, capsys,
+                                                     command):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(
+        _problem(partition={"kind": "explicit", "boundaries": [1, 2, 4, 8]}),
+        input={"kind": "random-cone", "blocks": 3}, epsilons=[1e-9],
+        output=str(out)))
+    assert cli.main([command, "--config", cfg, "--quiet"]) == 1
+    assert "guard exceeded" in capsys.readouterr().err
+    if command == "solve":
+        _, rows = read_csv(out / "run.csv")
+        assert rows == [["1e-09", "", "", "", "", ""]]
 
 
 # -- bounds --------------------------------------------------------------------
