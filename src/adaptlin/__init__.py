@@ -11,7 +11,8 @@ and stop as soon as a computable error bound meets the tolerance.
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        MembershipReport, OutOfRangeError, Partition, Problem,
                        SingularSpectrum, SupportBoundRequired, block_norm,
-                       cone_membership, random_cone_member, tail_norm)
+                       cone_membership, random_cone_member, tail_norm,
+                       tail_norms)
 from .algorithm import (Approximation, adaptive_algorithm, adaptive_sweep,
                         ball_algorithm, ball_budget, interpolate,
                         stop_threshold, true_error, DEFAULT_BLOCK_LIMIT)
@@ -58,6 +59,6 @@ __all__ = [
     "random_periodic_input", "solution_separation",
     "solution_slice_grid", "stop_block_bound",
     "stop_block_bound_first_term", "stop_block_bound_geometric",
-    "stop_block_bound_rough", "stop_threshold", "tail_norm",
+    "stop_block_bound_rough", "stop_threshold", "tail_norm", "tail_norms",
     "tolerance_shrink_factor", "true_error",
 ]

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
-                       OutOfRangeError, Problem, SingularSpectrum,
+                       OutOfRangeError, Partition, Problem, SingularSpectrum,
                        DEFAULT_SCAN_LIMIT, exact_norm, tail_norm)
 
 DEFAULT_BLOCK_LIMIT = 64
@@ -152,8 +152,7 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
     pending = sorted(range(len(epsilons)), key=levels.__getitem__)
     stops = [None] * len(epsilons)
     length = spectrum.enumerated_length
-    if partition.block_count is not None:  # an explicit partition ends
-        block_limit = min(block_limit, partition.block_count)
+    block_limit = _blocks_walked(partition, block_limit)
     # piece 0 holds indices 1..n_0, sampled but never tested
     pieces = itertools.chain(
         [np.arange(1, partition.boundary(0) + 1, dtype=np.int64)],
@@ -196,10 +195,23 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
     return runs, norms
 
 
-def no_stop_error(block_limit: int) -> GuardExceeded:
-    """The guard failure of a tolerance no block within the limit settles."""
+def _blocks_walked(partition: Partition, block_limit: int) -> int:
+    """Blocks a walk may read: ``block_limit``, or fewer where an explicit
+    partition ends first."""
+    if partition.block_count is None:
+        return block_limit
+    return min(block_limit, partition.block_count)
+
+
+def no_stop_error(problem: Problem, block_limit: int) -> GuardExceeded:
+    """The guard failure of a tolerance no block of a walk settles.
+
+    The message names the blocks that walk could read, which is fewer than
+    ``block_limit`` when the problem's explicit partition ends first.
+    """
+    walked = _blocks_walked(problem.partition, block_limit)
     return GuardExceeded(
-        f"no stopping block within {block_limit} blocks; the input may not "
+        f"no stopping block within {walked} blocks; the input may not "
         "satisfy the assumed decay, or the tolerance may be unreachable")
 
 
@@ -215,7 +227,7 @@ def adaptive_algorithm(problem: Problem, f: CoefficientSource, epsilon: float,
     """
     (run,), _ = adaptive_sweep(problem, f, [epsilon], block_limit=block_limit)
     if run is None:
-        raise no_stop_error(block_limit)
+        raise no_stop_error(problem, block_limit)
     return run
 
 
@@ -223,6 +235,9 @@ def true_error(problem: Problem, f: CoefficientSource, approx: Approximation) ->
     """Reference error of an approximation for a finite-support input.
 
     The retained pairs reproduce the solution coefficients exactly, so the
-    error is the norm of the coefficient tail past index ``approx.cost``.
+    error is the norm of the coefficient tail past index ``approx.cost``:
+    ``tail_norm``, correctly rounded with the bits of ``math.fsum``, and
+    inf where the exact sum of squares exceeds the float range.  For many
+    runs of one input, ``tail_norms`` gives every error from one pass.
     """
     return tail_norm(problem, f, approx.cost)

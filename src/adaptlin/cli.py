@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .adversarial import fooling_input, fooling_pair, solution_separation
 from .algorithm import (adaptive_algorithm, adaptive_sweep, ball_budget,
-                        no_stop_error, true_error)
+                        no_stop_error)
 from .analysis import (boundary_ratio, complexity_lower_block,
                        stop_block_bound, stop_block_bound_first_term,
                        stop_block_bound_rough, tolerance_shrink_factor)
@@ -41,7 +41,7 @@ from .problems import (default_gamma, derivative_coefficients,
                        random_periodic_input, solution_slice_grid)
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        OutOfRangeError, Partition, SingularSpectrum, Problem,
-                       cone_membership, random_cone_member,
+                       cone_membership, random_cone_member, tail_norms,
                        worst_decay_ratio)
 
 GENERATOR = "numpy-PCG64"
@@ -311,19 +311,21 @@ def observed_cone_ratio(cone, norms):
 def _sweep(problem, f, epsilons, j_max):
     """One block walk over ``epsilons``; returns the runs and run.json rows.
 
-    A guard diagnostic stands in for each tolerance no block settled; true
-    errors are computed once per distinct cost, None without a support bound.
+    A guard diagnostic stands in for each tolerance no block settled; the
+    true errors of all runs come from one suffix pass, None without a
+    support bound.
     """
     runs, norms = adaptive_sweep(problem, f, epsilons, block_limit=j_max)
     errors = {}
+    if f.support_bound is not None:
+        costs = [run.cost for run in runs if run is not None]
+        errors = dict(zip(costs, tail_norms(problem, f, costs)))
     rows = []
     for eps, run in zip(epsilons, runs):
         if run is None:
             rows.append({"epsilon": eps,
-                         "diagnostic": str(no_stop_error(j_max))})
+                         "diagnostic": str(no_stop_error(problem, j_max))})
             continue
-        if f.support_bound is not None and run.cost not in errors:
-            errors[run.cost] = true_error(problem, f, run)
         rows.append({
             "epsilon": eps,
             "j_star": run.stop_block,
@@ -600,7 +602,7 @@ def cmd_demo_derivative(merged, quiet):
     swept = epsilons if 0.1 in epsilons else epsilons + [0.1]
     runs, rows = _sweep(problem, f, swept, j_max)
     if any(run is None for run in runs):
-        raise no_stop_error(j_max)
+        raise no_stop_error(problem, j_max)
     figure_run = runs[swept.index(0.1)]
     rows = rows[:len(epsilons)]
     table = []

@@ -12,6 +12,7 @@ Coefficient indices are 1-based throughout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -32,13 +33,91 @@ class GuardExceeded(RuntimeError):
     """An iteration or scan guard was reached before the target condition."""
 
 
+_FSUM_BELOW = 2 ** 11  # below this many squares math.fsum is the faster path
+_NUMPY_FROM = 2 ** 5  # below this many, Python floats square faster than numpy
+_CHUNK = 2 ** 16  # squares per bincount: cache-sized, each bin sum exact
+_FIELDS = 2048  # values of the 11-bit IEEE exponent field
+_FRACTION = (1 << 52) - 1
+_LOW = (1 << 26) - 1
+_ULP_SCALE = 1 << 1074  # times the smallest subnormal gives 1
+
+
+# an overflowing square is inf, and so is the sum; as a decorator errstate
+# costs about 0.6 us a call, a quarter of a with block, which short blocks feel
+@np.errstate(over="ignore")
+def _squares(x: np.ndarray) -> np.ndarray:
+    return np.square(x)
+
+
+def _bin_squares(x: np.ndarray, bins: np.ndarray) -> None:
+    """Add the squares of ``x`` into ``bins`` without rounding.
+
+    ``bins`` is an int64 array of shape (3, 2048), indexed by the squares'
+    exponent field: the count of squares, then the sums of the high 26 and
+    the low 26 bits of their stored fractions.  Each bincount covers at
+    most _CHUNK squares, so every float64 bin sum is an exact integer.
+    """
+    for start in range(0, x.size, _CHUNK):
+        bits = _squares(x[start:start + _CHUNK]).view(np.int64)
+        field = bits >> 52
+        field &= _FIELDS - 1  # drops the sign a NaN may carry
+        bits &= _FRACTION
+        high = bits >> 26
+        bits &= _LOW
+        bins[0] += np.bincount(field, minlength=_FIELDS)
+        bins[1] += np.bincount(field, high, _FIELDS).astype(np.int64)
+        bins[2] += np.bincount(field, bits, _FIELDS).astype(np.int64)
+
+
+def _rounded_sum(bins: np.ndarray) -> float:
+    """The correctly rounded sum of the squares binned in ``bins``.
+
+    Field e >= 1 holds (2**52 + fraction) * 2**(e - 1075) and field 0, the
+    subnormals, holds fraction * 2**-1074, so 2**1074 times the sum is one
+    Python int.  Int/int true division rounds it to nearest once.  A NaN
+    square gives NaN, an infinite one inf, and a sum past the float range
+    inf, which are the values ``math.fsum`` gives or overflows towards.
+    """
+    count, high, low = bins
+    if count[-1]:  # exponent field 2047: inf, or NaN with a nonzero fraction
+        return math.nan if high[-1] or low[-1] else math.inf
+    fields = np.flatnonzero(count)
+    total = 0
+    for e, c, h, l in zip(fields.tolist(), count[fields].tolist(),
+                          high[fields].tolist(), low[fields].tolist()):
+        mantissa = (h << 26) + l + (c << 52 if e else 0)
+        total += mantissa << max(e - 1, 0)
+    try:
+        return total / _ULP_SCALE
+    except OverflowError:
+        return math.inf
+
+
 def exact_norm(x: np.ndarray) -> float:
     """Euclidean norm of ``x`` from the correctly rounded sum of its squares.
 
-    ``math.fsum`` makes the sum independent of the order of ``x``.  Every
+    The sum is exact before its one rounding, so the result does not depend
+    on the order of ``x`` and has the bits of ``sqrt(math.fsum(x*x))``.
+    Where that sum exceeds the float range, or a square is infinite, the
+    norm is inf, and a NaN entry gives NaN.  Short vectors go through
+    ``math.fsum`` (squared as Python floats below 32 entries, which skips
+    numpy's per-call cost) and long ones through exponent bins
+    (``_bin_squares``); both round the same exact sum to nearest.  Every
     block, tail, input and solution norm goes through this one kernel.
     """
-    return math.sqrt(math.fsum((x * x).tolist()))
+    if x.size >= _FSUM_BELOW:
+        bins = np.zeros((3, _FIELDS), dtype=np.int64)
+        _bin_squares(x, bins)
+        return math.sqrt(_rounded_sum(bins))
+    if x.size < _NUMPY_FROM:
+        values = x.tolist()
+        squares = map(operator.mul, values, values)
+    else:
+        squares = _squares(x).tolist()
+    try:
+        return math.sqrt(math.fsum(squares))
+    except OverflowError:  # finite squares whose sum leaves the float range
+        return math.nan if np.isnan(x).any() else math.inf
 
 
 class SingularSpectrum:
@@ -486,30 +565,53 @@ def worst_decay_ratio(cone: ConeParams, norms: Sequence[float], *,
     return worst, witness
 
 
-def tail_norm(problem: Problem, f: CoefficientSource, n: int) -> float:
-    """Exact norm of the solution tail past index n for finite-support input.
+def tail_norms(problem: Problem, f: CoefficientSource, cuts) -> list:
+    """Exact norms of the solution tails past each index n in ``cuts``.
 
-    Returns sqrt(sum((lam_i * fhat_i)**2 for i > n)), summed directly over
-    the declared support.  This is the reference value of the error made by
-    keeping only the first n solution coefficients; no quadrature enters.
+    Returns sqrt(sum((lam_i * fhat_i)**2 for i > n)) for every n, in the
+    order of ``cuts``, summed over the declared support (clipped to the
+    table length when the spectrum is a finite table).  These are the
+    reference errors of keeping only the first n solution coefficients; no
+    quadrature enters.  One pass gathers the products past the smallest
+    cut, bins each segment between two cuts exactly, and adds the segments
+    from the last backwards, so every tail is the correctly rounded sum of
+    its squares (the bits of ``math.fsum``) and each product is read once.
     """
-    if n < 0:
+    cuts = list(cuts)
+    if any(n < 0 for n in cuts):
         raise ValueError("n must be non-negative")
     bound = f.support_bound
     if bound is None:
         raise SupportBoundRequired(
             "exact tail norms need a finite support bound")
-    if n >= bound:
-        return 0.0
     top = bound
     length = problem.spectrum.enumerated_length
     if length is not None:
         top = min(top, length)
-        if n >= top:
-            return 0.0
-    idx = np.arange(n + 1, top + 1, dtype=np.int64)
-    prod = problem.spectrum.values(idx) * f.coefficients(idx)
-    return exact_norm(prod)
+    # segment k covers indices edges[k]+1 .. edges[k+1]; past top it is empty
+    edges = sorted({min(n, top) for n in cuts}) + [top]
+    bins = np.zeros((len(edges) - 1, 3, _FIELDS), dtype=np.int64)
+    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        for first in range(lo, hi, _CHUNK):
+            idx = np.arange(first + 1, min(first + _CHUNK, hi) + 1,
+                            dtype=np.int64)
+            _bin_squares(problem.spectrum.values(idx) * f.coefficients(idx),
+                         bins[k])
+    # each index adds under 2**26 to a bin: int64 holds any support < 2**37
+    suffix = np.cumsum(bins[::-1], axis=0)[::-1]
+    tails = {n: math.sqrt(_rounded_sum(b)) for n, b in zip(edges, suffix)}
+    return [tails[min(n, top)] for n in cuts]
+
+
+def tail_norm(problem: Problem, f: CoefficientSource, n: int) -> float:
+    """Exact norm of the solution tail past index n for finite-support input.
+
+    The one-cut case of ``tail_norms``: the correctly rounded
+    sqrt(sum((lam_i * fhat_i)**2 for i > n)) over the declared support,
+    0.0 at or past its end, and inf where the exact sum of squares exceeds
+    the float range.
+    """
+    return tail_norms(problem, f, [n])[0]
 
 
 def random_cone_member(problem: Problem, rng: np.random.Generator,

@@ -11,7 +11,7 @@ from adaptlin import (CoefficientSource, ConeParams, GuardExceeded, Partition,
                       derivative_coefficients, derivative_problem,
                       enumerate_derivative_spectrum, interpolate,
                       periodic_approximation_spectrum, random_periodic_input,
-                      stop_threshold, true_error)
+                      stop_threshold, tail_norm, true_error)
 
 from conftest import brute_tail, profile_member, unit_spectrum
 
@@ -337,6 +337,14 @@ def test_sweep_runs_share_one_read_only_array(harmonic_doubling):
 def test_non_finite_data_never_certified(harmonic_doubling, coeffs):
     f = CoefficientSource.from_vector(coeffs)
     with pytest.raises(ValueError, match="non-finite"):
+        adaptive_algorithm(harmonic_doubling, f, 0.1)
+
+
+def test_sum_of_squares_past_the_float_range_is_rejected(harmonic_doubling):
+    # every square is finite (the largest is 1.69e308), their exact sum is not
+    f = CoefficientSource.from_vector([0.0, 2e154, 3.9e154, 5.2e154])
+    assert tail_norm(harmonic_doubling, f, 0) == math.inf
+    with pytest.raises(ValueError, match="non-finite norm"):
         adaptive_algorithm(harmonic_doubling, f, 0.1)
 
 

@@ -2,13 +2,14 @@
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from adaptlin import (GuardExceeded, adaptive_algorithm, block_norm, cli,
-                      true_error)
+from adaptlin import GuardExceeded, adaptive_algorithm, block_norm, cli
 from adaptlin.spectrum import worst_decay_ratio
 
 
@@ -242,31 +243,47 @@ def test_solve_without_config_uses_defaults(tmp_path):
     assert (out / "run.csv").exists()
 
 
-def test_solve_csv_matches_one_run_per_tolerance(tmp_path):
+def _fsum_tail(problem, f, n):
+    """Solution tail norm past n by math.fsum, sharing no code with the
+    library's kernel."""
+    idx = np.arange(n + 1, f.support_bound + 1)
+    prod = problem.spectrum.values(idx) * f.coefficients(idx)
+    return math.sqrt(math.fsum((prod * prod).tolist()))
+
+
+@pytest.mark.parametrize("blocks, j_max, epsilons, stops", [
+    (10, 6, [0.1, 1e-4, 0.5, 0.03, 0.1], [2, 5, 6, None]),
+    # support 2**14 and blocks of up to 4096 indices: the binned kernel and
+    # the suffix pass produce the bytes
+    (14, 13, [0.1, 1e-3, 0.5, 0.03, 3e-4, 0.1, 1e-4], [2, 5, 6, 11, 13, None]),
+], ids=["support-1024", "support-16384"])
+def test_solve_csv_matches_one_run_per_tolerance(tmp_path, blocks, j_max,
+                                                 epsilons, stops):
     out = tmp_path / "out"
     payload = {"problem": ALGEBRAIC,
-               "input": {"kind": "random-cone", "blocks": 10},
-               "epsilons": [0.1, 1e-4, 0.5, 0.03, 0.1],
-               "seed": 3, "guards": {"j_max": 6}, "output": str(out)}
+               "input": {"kind": "random-cone", "blocks": blocks},
+               "epsilons": epsilons,
+               "seed": 3, "guards": {"j_max": j_max}, "output": str(out)}
     cfg = write_config(tmp_path, payload)
-    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 1  # 1e-4
+    # the smallest tolerance is unreachable within j_max
+    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 1
     problem, extras = cli.build_problem(payload["problem"])
     f = cli.build_input(payload["input"], problem, extras, payload["seed"])
     rows, ratios = [], []
-    for eps in (0.5, 0.1, 0.03, 1e-4):
+    for eps in sorted(set(epsilons), reverse=True):
         try:
-            run = adaptive_algorithm(problem, f, eps, block_limit=6)
+            run = adaptive_algorithm(problem, f, eps, block_limit=j_max)
         except GuardExceeded:
             rows.append((eps, None, None, None, None, None))
             ratios.append(None)
             continue
-        err = true_error(problem, f, run)
+        err = _fsum_tail(problem, f, run.cost)
         rows.append((eps, run.stop_block, run.cost, run.error_bound, err,
                      err / eps))
         norms = [block_norm(problem, f, j)
                  for j in range(1, run.stop_block + 1)]
         ratios.append(worst_decay_ratio(problem.cone, norms)[0])
-    assert [row[1] for row in rows] == [2, 5, 6, None]
+    assert [row[1] for row in rows] == stops
     cli.write_csv(tmp_path / "expected.csv",
                   ("epsilon", "j_star", "cost", "error_bound", "true_error",
                    "ratio_true_over_eps"), rows)
@@ -320,6 +337,10 @@ def test_explicit_partition_that_runs_out_is_a_guard(tmp_path, capsys,
     if command == "solve":
         _, rows = read_csv(out / "run.csv")
         assert rows == [["1e-09", "", "", "", "", ""]]
+        # the walk read the partition's 3 blocks, not the default j_max
+        record = json.loads((out / "run.json").read_text(encoding="utf-8"))
+        assert record["rows"][0]["diagnostic"].startswith(
+            "no stopping block within 3 blocks;")
 
 
 # -- bounds --------------------------------------------------------------------

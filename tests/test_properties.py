@@ -8,8 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from adaptlin import (CoefficientSource, ConeParams, Partition, Problem,
                       SingularSpectrum, adaptive_algorithm, ball_algorithm,
                       block_norm, cone_membership, random_cone_member,
-                      tail_norm, true_error)
-from conftest import brute_sigma, profile_member
+                      tail_norm, tail_norms, true_error)
+from adaptlin.spectrum import exact_norm
+from conftest import brute_sigma, profile_member, unit_spectrum
 
 # magnitudes below 1e-100 flush to zero: their squares would land in the
 # denormal range where even scaling by 2 stops being exact
@@ -128,3 +129,50 @@ def test_certified_bound_dominates_true_error_on_members(seed, eps):
     err = true_error(problem, f, run)
     assert err <= run.error_bound * (1.0 + 1e-12)
     assert run.error_bound <= eps
+
+
+@st.composite
+def wide_vectors(draw):
+    """Vectors on both sides of exact_norm's fsum cutoff (2**11 entries),
+    with zeros, subnormal squares and magnitudes 1e-160 .. 1e150."""
+    n = draw(st.one_of(st.integers(0, 2 ** 11 - 1),
+                       st.integers(2 ** 11, 2 ** 13)))
+    low = draw(st.floats(-160.0, 150.0))
+    high = draw(st.floats(low, 150.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(low, high, n)
+    x[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.9]))] = 0.0
+    cuts = draw(st.lists(st.integers(0, n + 2), max_size=6))
+    return x, cuts
+
+
+def fsum_norm(x):
+    """sqrt(fsum) of the squares; inf where fsum overflows."""
+    with np.errstate(over="ignore"):
+        squares = (x * x).tolist()
+    try:
+        return math.sqrt(math.fsum(squares))
+    except OverflowError:
+        return math.inf
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_vectors())
+# squares that overflow; finite squares whose sum overflows (the products
+# lam_i * fhat_i of harmonic/doubling on the first vector); NaN; all zeros
+@example((np.array([0.0, 2e154, 3.9e154, 5.2e154]), [0, 2]))
+@example((np.array([0.0, 1e154, 1.3e154, 1.3e154]), [0, 1, 2]))
+@example((np.array([1.0, math.nan, 3.0] * 1000), [0, 2, 2999]))
+@example((np.zeros(3000), [0, 2999, 3000]))
+def test_exact_norm_has_the_bits_of_fsum(case):
+    x, cuts = case
+    assert same_float(exact_norm(x), fsum_norm(x))
+    problem = Problem(unit_spectrum(), Partition.doubling(1),
+                      ConeParams(2.0, 0.5))
+    tails = tail_norms(problem, CoefficientSource.from_vector(x), cuts)
+    for n, tail in zip(cuts, tails):
+        assert same_float(tail, fsum_norm(x[n:]))

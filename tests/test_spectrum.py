@@ -8,7 +8,8 @@ import pytest
 from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
                       OutOfRangeError, Partition, Problem, SingularSpectrum,
                       SupportBoundRequired, block_norm, cone_membership,
-                      random_cone_member, tail_norm)
+                      random_cone_member, tail_norm, tail_norms)
+from adaptlin.spectrum import exact_norm
 
 from conftest import brute_sigma, brute_tail, unit_spectrum
 
@@ -321,6 +322,30 @@ def test_membership_requires_support_bound(unit_doubling):
         cone_membership(unit_doubling, f)
 
 
+# -- exact_norm --------------------------------------------------------------
+
+@pytest.mark.parametrize("size", [4, 100, 4096],
+                         ids=["python-squares", "numpy-squares", "binned"])
+def test_exact_norm_zero_overflow_and_nan(size):
+    x = np.zeros(size)
+    assert exact_norm(x) == 0.0
+    x[:4] = [3.0, 4.0, -12.0, 0.0]
+    assert exact_norm(x) == 13.0
+    x[:4] = [0.0, 1e154, 1.3e154, 1.3e154]  # finite squares, sum past range
+    assert exact_norm(x) == math.inf
+    x[1] = -2e154  # a square past the range
+    assert exact_norm(x) == math.inf
+    x[2] = math.nan
+    assert math.isnan(exact_norm(x))
+
+
+def test_exact_norm_sums_subnormal_squares_exactly():
+    # each square is the smallest subnormal 2**-1074; their sums are exact
+    x = np.full(4096, 2.0 ** -537)
+    assert exact_norm(x) == math.sqrt(4096 * 2.0 ** -1074)
+    assert exact_norm(x[:5]) == math.sqrt(5 * 2.0 ** -1074)
+
+
 # -- tail_norm ---------------------------------------------------------------
 
 def test_tail_norm_hand_value(harmonic_doubling):
@@ -353,6 +378,31 @@ def test_tail_norm_clips_to_enumerated_length():
     f = CoefficientSource.from_vector([1.0, 1.0, 1.0, 1.0])
     assert tail_norm(problem, f, 1) == 0.5
     assert tail_norm(problem, f, 2) == 0.0
+
+
+def test_tail_norms_serve_any_cut_list(harmonic_doubling):
+    # above the fsum cutoff, so the suffix pass runs the binned kernel
+    rng = np.random.default_rng(12)
+    support = 5000
+    f = CoefficientSource.from_vector(rng.normal(size=support))
+    cuts = [4000, 0, 17, 4000, support, support + 9, 2047]
+    expect = []
+    for n in cuts:
+        idx = np.arange(n + 1, support + 1)
+        prod = harmonic_doubling.spectrum.values(idx) * f.coefficients(idx)
+        expect.append(math.sqrt(math.fsum((prod * prod).tolist())))
+    assert tail_norms(harmonic_doubling, f, cuts) == expect
+    assert [tail_norm(harmonic_doubling, f, n) for n in cuts] == expect
+    assert tail_norms(harmonic_doubling, f, []) == []
+
+
+def test_tail_norms_reject_bad_cuts(harmonic_doubling):
+    f = CoefficientSource.from_vector([1.0, 1.0])
+    with pytest.raises(ValueError):
+        tail_norms(harmonic_doubling, f, [0, -1])
+    unbounded = CoefficientSource(lambda i: 1.0)
+    with pytest.raises(SupportBoundRequired):
+        tail_norms(harmonic_doubling, unbounded, [0])
 
 
 def test_pythagoras_blocks_sum_to_tail(harmonic_doubling):
