@@ -218,11 +218,32 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _float_column(cells):
+    """A float64 column as text: one repr per distinct bit pattern."""
+    bits, inverse = np.unique(cells.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                    dtype=object)
+    return text[inverse].tolist()
+
+
 def write_csv(path, header, rows):
+    """Write ``rows`` under ``header``, formatting one column at a time.
+
+    ``rows`` is a sequence of rows as wide as the header, or a 2-D float64
+    array; either way ``len(rows)`` is the number of data rows.
+    """
+    width = len(header)
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError(f"rows must be an (n, {width}) array")
+        columns = [_float_column(c) for c in rows.T]
+    else:
+        if any(len(row) != width for row in rows):
+            raise ValueError(f"every row must hold {width} cells")
+        columns = [list(map(_fmt, c)) for c in zip(*rows)]
+    body = "".join(line + "\n" for line in map(",".join, zip(*columns)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n" + body)
 
 
 def write_json(path, payload):
@@ -635,10 +656,10 @@ def cmd_demo_derivative(merged, quiet):
         "fig1_approx.csv": solution_slice_grid(figure_run, mis, axis, axis),
     }
     grids["fig1_error.csv"] = grids["fig1_approx.csv"] - grids["fig1_true.csv"]
+    x1, x2 = np.repeat(axis, axis.size), np.tile(axis, axis.size)
     for name, grid in grids.items():
         write_csv(out / name, ("x1", "x2", "value"),
-                  [(axis[i], axis[j], grid[i, j])
-                   for i in range(len(axis)) for j in range(len(axis))])
+                  np.column_stack([x1, x2, grid.ravel()]))
     elapsed = time.perf_counter() - start
 
     _write_record(out / "run.json", merged, "rows", rows, elapsed)

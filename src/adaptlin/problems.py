@@ -143,25 +143,35 @@ def enumerate_derivative_spectrum(d: int, k_max: int,
     gamma = default_gamma(d) if gamma is None else np.asarray(gamma, dtype=np.float64)
     if gamma.shape != (d,) or np.any(gamma <= 0):
         raise ValueError("gamma must hold d positive weights")
-    side = 2 * k_max + 1
-    total = side ** d
+    total = (2 * k_max + 1) ** d
     if total > cap:
         raise ValueError(f"enumeration of {total} modes exceeds the cap {cap}")
-    axes = [np.arange(-k_max, k_max + 1, dtype=np.int64)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    ks = np.stack([m.ravel() for m in mesh], axis=1)
-    ks = ks[ks[:, 0] != 0]
-    lam = derivative_weights(ks, gamma)
-    # np.lexsort sorts by the last key first; feed keys least significant
-    # to most significant: ... sign k_2, |k_2|, sign k_1, |k_1|, -weight.
-    keys = []
-    for j in range(d - 1, -1, -1):
-        keys.append((ks[:, j] < 0).astype(np.int8))
-        keys.append(np.abs(ks[:, j]))
-    keys.append(-lam)
-    order = np.lexsort(tuple(keys))
+    # The weights depend on |k| only: compute them once on the orthant and
+    # rank the distinct values, largest first.
+    mags = np.arange(k_max + 1, dtype=np.int64)
+    orthant = np.meshgrid(mags[1:], *[mags] * (d - 1), indexing="ij")
+    neg_lam, rank = np.unique(
+        -derivative_weights(np.stack([m.ravel() for m in orthant], axis=1),
+                            gamma),
+        return_inverse=True)
+    rank = rank.reshape(orthant[0].shape)
+    # Lay each axis out in tie order, 1, -1, 2, -2, ... (with 0 first past
+    # the first axis), so that the C order of the box is the tie-break
+    # order and one stable sort by rank finishes the enumeration.
+    signed = np.stack([mags, -mags], axis=1).ravel()[1:]
+    axes = [signed[1:]] + [signed] * (d - 1)
+    shape = tuple(a.size for a in axes)
+    ranks = rank[np.ix_(np.abs(axes[0]) - 1, *[np.abs(a) for a in axes[1:]])]
+    # ranks of at most 16 bits sort stably by radix
+    ranks = ranks.ravel().astype(np.min_scalar_type(neg_lam.size - 1))
+    order = np.argsort(ranks, kind="stable")
+    modes = np.empty(shape + (d,), dtype=np.int64)
+    for j, a in enumerate(axes):
+        modes[..., j] = a.reshape((-1,) + (1,) * (d - 1 - j))
     return MultiIndexSpectrum(dimension=d, k_max=k_max, gamma=gamma,
-                              indices=ks[order], weights=lam[order])
+                              indices=np.take(modes.reshape(-1, d), order,
+                                              axis=0),
+                              weights=-neg_lam[ranks[order]])
 
 
 class RandomPeriodicInput:
@@ -209,6 +219,10 @@ def derivative_coefficients(mis: MultiIndexSpectrum,
     """
     if inp.dimension != mis.dimension:
         raise ValueError("dimension mismatch between spectrum and input")
+    if inp.k_max >= mis.k_max:  # the box covers every enumerated mode
+        flat = np.ravel_multi_index((mis.indices + inp.k_max).T,
+                                    inp.box.shape)
+        return CoefficientSource.from_vector(inp.box.ravel()[flat])
     inside = np.all(np.abs(mis.indices) <= inp.k_max, axis=1)
     hits = np.nonzero(inside)[0]
     if hits.size == 0:
@@ -279,6 +293,27 @@ def evaluate_solution(approx: Approximation, mis: MultiIndexSpectrum,
     return float(np.dot(approx.values, basis))
 
 
+def _exact_slice_grid(inp: RandomPeriodicInput, gamma: np.ndarray,
+                      first_factor, first: np.ndarray, second: np.ndarray,
+                      rest: float) -> np.ndarray:
+    """Contract the input box on a grid over the first two coordinates.
+
+    Coordinates from the third on are pinned at ``rest``; ``first_factor``
+    gives the first axis's factor, the second axis takes the input's own.
+    """
+    if inp.dimension < 2:
+        raise ValueError("slice grids need at least two coordinates")
+    running = inp.box
+    for j in range(2, inp.dimension):
+        factor = _input_axis_factor(inp.k_max, float(gamma[j]), rest)
+        running = np.tensordot(running, factor, axes=([2], [0]))
+    rows = np.stack([first_factor(inp.k_max, float(gamma[0]), float(v))
+                     for v in first])
+    cols = np.stack([_input_axis_factor(inp.k_max, float(gamma[1]), float(v))
+                     for v in second])
+    return rows @ running @ cols.T
+
+
 def input_slice_grid(inp: RandomPeriodicInput, gamma: np.ndarray,
                      first: np.ndarray, second: np.ndarray,
                      rest: float = 0.0) -> np.ndarray:
@@ -287,58 +322,50 @@ def input_slice_grid(inp: RandomPeriodicInput, gamma: np.ndarray,
     Remaining coordinates are pinned at ``rest``.  Returns an array of shape
     (len(first), len(second)).
     """
-    if inp.dimension < 2:
-        raise ValueError("slice grids need at least two coordinates")
-    running = inp.box
-    for j in range(2, inp.dimension):
-        factor = _input_axis_factor(inp.k_max, float(gamma[j]), rest)
-        running = np.tensordot(running, factor, axes=([2], [0]))
-    rows = np.stack([_input_axis_factor(inp.k_max, float(gamma[0]), float(v))
-                     for v in first])
-    cols = np.stack([_input_axis_factor(inp.k_max, float(gamma[1]), float(v))
-                     for v in second])
-    return rows @ running @ cols.T
+    return _exact_slice_grid(inp, gamma, _input_axis_factor, first, second,
+                             rest)
 
 
 def derivative_slice_grid(inp: RandomPeriodicInput, gamma: np.ndarray,
                           first: np.ndarray, second: np.ndarray,
                           rest: float = 0.0) -> np.ndarray:
     """Exact first-coordinate derivative of the input on the same grid."""
-    if inp.dimension < 2:
-        raise ValueError("slice grids need at least two coordinates")
-    running = inp.box
-    for j in range(2, inp.dimension):
-        factor = _input_axis_factor(inp.k_max, float(gamma[j]), rest)
-        running = np.tensordot(running, factor, axes=([2], [0]))
-    rows = np.stack([_derivative_axis_factor(inp.k_max, float(gamma[0]), float(v))
-                     for v in first])
-    cols = np.stack([_input_axis_factor(inp.k_max, float(gamma[1]), float(v))
-                     for v in second])
-    return rows @ running @ cols.T
+    return _exact_slice_grid(inp, gamma, _derivative_axis_factor, first,
+                             second, rest)
 
 
 def solution_slice_grid(approx: Approximation, mis: MultiIndexSpectrum,
                         first: np.ndarray, second: np.ndarray,
                         rest: float = 0.0) -> np.ndarray:
-    """Approximate derivative values on a grid over the first two coordinates."""
+    """Approximate derivative values on a grid over the first two coordinates.
+
+    The sine factor of a term depends on it only through k_1 and the cosine
+    factor only through k_2, so the terms (with the cosines of the pinned
+    coordinates folded in) are first summed per (k_1, k_2) cell.  The grid
+    is then S W C^T for the (2 k_max + 1)-square cell table W, contracted
+    with ``einsum`` rather than BLAS so that its bits do not depend on the
+    machine or the thread count.
+    """
     if mis.dimension < 2:
         raise ValueError("slice grids need at least two coordinates")
     if approx.cost == 0:
         return np.zeros((len(first), len(second)))
     ks = mis.indices[approx.indices - 1]
-    k1 = ks[:, 0].astype(np.float64)
-    phase1 = np.where(k1 < 0, 0.5 * math.pi, 0.0)
     term = approx.values.copy()
     for j in range(2, mis.dimension):
         kj = ks[:, j].astype(np.float64)
         phase = np.where(kj < 0, 0.5 * math.pi, 0.0)
         term *= np.cos(TWO_PI * kj * rest + phase)
-    sin_rows = -np.sign(k1)[None, :] * np.sin(
-        TWO_PI * np.outer(first, k1) + phase1[None, :])
-    k2 = ks[:, 1].astype(np.float64)
-    phase2 = np.where(k2 < 0, 0.5 * math.pi, 0.0)
-    cos_cols = np.cos(TWO_PI * np.outer(second, k2) + phase2[None, :])
-    return np.einsum("t,at,bt->ab", term, sin_rows, cos_cols)
+    side = 2 * mis.k_max + 1
+    cell = (ks[:, 0] + mis.k_max) * side + (ks[:, 1] + mis.k_max)
+    cells = np.bincount(cell, weights=term,
+                        minlength=side * side).reshape(side, side)
+    k = np.arange(-mis.k_max, mis.k_max + 1, dtype=np.float64)
+    phase = np.where(k < 0, 0.5 * math.pi, 0.0)
+    sin_rows = -np.sign(k) * np.sin(TWO_PI * np.outer(first, k) + phase)
+    cos_cols = np.cos(TWO_PI * np.outer(second, k) + phase)
+    return np.einsum("al,bl->ab", np.einsum("ak,kl->al", sin_rows, cells),
+                     cos_cols)
 
 
 def derivative_problem(mis: MultiIndexSpectrum,

@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +441,61 @@ def test_example1_respects_configured_r(tmp_path):
     assert int(rows[0][2]) == 13
 
 
+# -- CSV writer ----------------------------------------------------------------
+
+def _per_cell_csv(path, header, rows):
+    """The writer's rules applied cell by cell: None is empty, integers
+    print as str(int), everything else as repr(float)."""
+    def fmt(value):
+        if value is None:
+            return ""
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return repr(float(value))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+MIXED_ROWS = [
+    (0.1, 3, None, np.float64(2.5), np.int64(-7), -0.0),
+    (1e-300, np.int64(0), 0.0, np.float64(-0.0), 12, float("nan")),
+    (float("inf"), -1, np.float64("inf"), None, True, np.float32(0.1)),
+    (0.1, 3, 5e-324, np.float64(float("-inf")), None, 1.0),
+]
+
+
+@pytest.mark.parametrize("rows", [MIXED_ROWS, [], [(1.5, 2.0, 0.25)] * 3,
+                                  [(1, 2, 3), (4, 5, 6)]],
+                         ids=["mixed", "empty", "floats", "ints"])
+def test_write_csv_matches_per_cell_writer(tmp_path, rows):
+    header = tuple("abcdef"[:len(rows[0]) if rows else 3])
+    cli.write_csv(tmp_path / "new.csv", header, rows)
+    _per_cell_csv(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() \
+        == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_of_a_float_array_matches_per_cell_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    array = np.column_stack([np.repeat([0.0, -0.0, 0.5], 4),
+                             np.tile([0.1, 0.2, float("nan"), 0.1], 3),
+                             rng.standard_normal(12) * 1e5])
+    array[3, 2], array[7, 2] = float("inf"), -float("inf")
+    cli.write_csv(tmp_path / "new.csv", ("x1", "x2", "value"), array)
+    _per_cell_csv(tmp_path / "old.csv", ("x1", "x2", "value"), array)
+    assert (tmp_path / "new.csv").read_bytes() \
+        == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_rejects_rows_that_do_not_fit_the_header(tmp_path):
+    with pytest.raises(ValueError):
+        cli.write_csv(tmp_path / "a.csv", ("a", "b"), [(1, 2), (3,)])
+    with pytest.raises(ValueError):
+        cli.write_csv(tmp_path / "b.csv", ("a", "b"), np.zeros((2, 3)))
+
+
 # -- demo-derivative -----------------------------------------------------------
 
 def test_demo_derivative_writes_report_and_figures(tmp_path):
@@ -471,3 +529,26 @@ def test_demo_derivative_figure_run_is_the_same_when_swept_along(tmp_path):
         == (tmp_path / "row" / "fig1_approx.csv").read_bytes()
     _, rows = read_csv(tmp_path / "extra" / "fig2.csv")
     assert [float(r[0]) for r in rows] == [10.0, 1.0]
+
+
+def test_demo_derivative_csvs_do_not_depend_on_blas_threads(tmp_path):
+    # fig1_input and fig1_true contract through BLAS; the README promises
+    # the same bytes for a fixed config and seed, whatever the thread count
+    src = str(Path(cli.__file__).resolve().parents[1])
+    names = ("fig2.csv", "fig1_input.csv", "fig1_true.csv",
+             "fig1_approx.csv", "fig1_error.csv")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        out = tmp_path / f"threads-{threads}"
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from adaptlin.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "demo-derivative", "--quiet", "--output", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]

@@ -1,12 +1,13 @@
 """Worked problem instances: periodic approximation and the 3-d derivative."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from adaptlin import (CoefficientSource, Partition, PeriodicApproximation,
-                      adaptive_algorithm, default_gamma,
+                      adaptive_algorithm, cli, default_gamma,
                       derivative_coefficients, derivative_problem,
                       derivative_weights, derivative_slice_grid,
                       enumerate_derivative_spectrum, evaluate_input,
@@ -129,9 +130,50 @@ def test_enumeration_sorted_with_documented_tie_break():
     assert mis.weights[0] == pytest.approx(TWO_PI * 2.0 ** 1.5, rel=1e-14)
 
 
+def _lexsort_enumeration(d, k_max, gamma):
+    """The whole box, sorted by one np.lexsort over all 2d + 1 keys."""
+    axes = [np.arange(-k_max, k_max + 1, dtype=np.int64)] * d
+    ks = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                  axis=1)
+    ks = ks[ks[:, 0] != 0]
+    lam = derivative_weights(ks, gamma)
+    keys = []
+    for j in range(d - 1, -1, -1):  # least significant key first
+        keys.append((ks[:, j] < 0).astype(np.int8))
+        keys.append(np.abs(ks[:, j]))
+    keys.append(-lam)
+    order = np.lexsort(tuple(keys))
+    return ks[order], lam[order]
+
+
+@pytest.mark.parametrize("gamma_kind", ["default", "ones"])
+@pytest.mark.parametrize("d, k_max", [(1, 1), (1, 9), (2, 7), (3, 5),
+                                      (4, 3), (5, 2)])
+def test_enumeration_matches_full_lexsort(d, k_max, gamma_kind):
+    # gamma = ones ties every mode with the same |k_1| and nonzero count
+    gamma = default_gamma(d) if gamma_kind == "default" else np.ones(d)
+    mis = enumerate_derivative_spectrum(d, k_max, gamma)
+    ks, lam = _lexsort_enumeration(d, k_max, gamma)
+    assert mis.indices.dtype == np.int64
+    assert np.array_equal(mis.indices, ks)
+    assert np.array_equal(mis.weights.view(np.int64), lam.view(np.int64))
+
+
 def test_enumeration_cap():
     with pytest.raises(ValueError, match="cap"):
         enumerate_derivative_spectrum(3, 30, cap=1000)
+
+
+def test_enumeration_cap_is_checked_before_allocation():
+    # 10**30 modes: any array of the box would fail or take forever
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            enumerate_derivative_spectrum(5, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_derivative_problem_defaults():
@@ -166,6 +208,20 @@ def test_coefficients_follow_enumeration_order():
     assert f.support_bound == len(mis)
     for i in (1, 5, len(mis)):
         assert f.coefficient(i) == inp.coefficient(mis.mode(i))
+
+
+@pytest.mark.parametrize("input_k_max", [1, 2, 4])
+def test_coefficients_for_any_input_box(input_k_max):
+    # a box that covers the enumeration gathers through one flat index; a
+    # smaller one keeps the masked path; both agree with mode-by-mode lookup
+    mis = enumerate_derivative_spectrum(2, 2)
+    inp = random_periodic_input(2, input_k_max, seed=9)
+    f = derivative_coefficients(mis, inp)
+    expect = [inp.coefficient(k) for k in mis.indices]
+    last = max(i + 1 for i, k in enumerate(mis.indices)
+               if np.all(np.abs(k) <= input_k_max))
+    assert f.support_bound == last
+    assert f.dense(len(mis)).tolist() == expect
 
 
 def test_coefficients_single_mode_is_indicator():
@@ -292,6 +348,63 @@ def test_slice_grids_match_pointwise_evaluation():
             assert true_grid[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-4)
             assert sol_grid[i, j] == pytest.approx(
                 evaluate_solution(approx, mis, point), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("d, rest", [(2, 0.0), (3, 0.3), (4, 0.85)])
+def test_solution_slice_grid_matches_pointwise_evaluation(d, rest):
+    mis = enumerate_derivative_spectrum(d, 3)
+    inp = random_periodic_input(d, 3, seed=40 + d)
+    problem = derivative_problem(mis, partition=Partition.doubling(1))
+    approx = interpolate(problem, derivative_coefficients(mis, inp),
+                         len(mis) // 2)
+    first = np.array([0.0, 0.13, 0.5, 0.77])
+    second = np.array([0.05, 0.4, 0.9])
+    grid = solution_slice_grid(approx, mis, first, second, rest=rest)
+    assert grid.shape == (4, 3)
+    for i, x1 in enumerate(first):
+        for j, x2 in enumerate(second):
+            point = [x1, x2] + [rest] * (d - 2)
+            assert grid[i, j] == pytest.approx(
+                evaluate_solution(approx, mis, point), rel=1e-12, abs=1e-11)
+
+
+def _einsum_solution_grid(approx, mis, first, second, rest=0.0):
+    """One three-operand einsum over every retained term."""
+    ks = mis.indices[approx.indices - 1].astype(np.float64)
+    term = approx.values.copy()
+    for j in range(2, mis.dimension):
+        phase = np.where(ks[:, j] < 0, 0.5 * math.pi, 0.0)
+        term *= np.cos(TWO_PI * ks[:, j] * rest + phase)
+    k1, k2 = ks[:, 0], ks[:, 1]
+    sin_rows = -np.sign(k1) * np.sin(TWO_PI * np.outer(first, k1)
+                                     + np.where(k1 < 0, 0.5 * math.pi, 0.0))
+    cos_cols = np.cos(TWO_PI * np.outer(second, k2)
+                      + np.where(k2 < 0, 0.5 * math.pi, 0.0))
+    return np.einsum("t,at,bt->ab", term, sin_rows, cos_cols)
+
+
+def test_solution_slice_grid_matches_einsum_on_the_figure_run():
+    # the demo-derivative figure: d = 3, k_max = 30, epsilon = 0.1
+    mis = enumerate_derivative_spectrum(3, 30)
+    inp = random_periodic_input(3, 30, seed=cli.DEFAULT_SEED)
+    problem = derivative_problem(mis)
+    run = adaptive_algorithm(problem, derivative_coefficients(mis, inp), 0.1)
+    assert run.cost > 1000
+    axis = np.linspace(0.0, 1.0, 64, endpoint=False)
+    grid = solution_slice_grid(run, mis, axis, axis)
+    oracle = _einsum_solution_grid(run, mis, axis, axis)
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(grid - oracle)) <= 1e-11 * scale
+
+
+def test_solution_slice_grid_of_zero_cost_is_zero():
+    mis = enumerate_derivative_spectrum(3, 2)
+    problem = derivative_problem(mis)
+    approx = interpolate(problem, CoefficientSource.zero(), 0)
+    grid = solution_slice_grid(approx, mis, np.array([0.1, 0.2, 0.3]),
+                               np.array([0.4, 0.5]))
+    assert grid.shape == (3, 2)
+    assert not grid.any()
 
 
 def test_slice_grids_need_two_axes():
