@@ -92,6 +92,17 @@ def fooling_scale(problem: Problem, ratio: float, rho: float, blocks: int) -> fl
     return rho / math.sqrt(inflation * total)
 
 
+def _base_vector(problem: Problem, c: float, blocks: int) -> np.ndarray:
+    """Coefficients 1..n_blocks of the base input of amplitude c."""
+    b = problem.cone.b
+    coeffs = np.zeros(problem.partition.boundary(blocks))
+    for k in range(1, blocks + 1):
+        boundary = problem.partition.boundary(k)
+        lam = problem.spectrum.value(boundary)
+        coeffs[boundary - 1] = c * b ** (k - blocks) / lam
+    return coeffs
+
+
 def fooling_input(problem: Problem, ratio: float, rho: float, blocks: int) -> CoefficientSource:
     """Admissible input whose block norm profile is exactly c * b**(k - blocks).
 
@@ -101,13 +112,7 @@ def fooling_input(problem: Problem, ratio: float, rho: float, blocks: int) -> Co
     """
     _check_ratio(problem, ratio, blocks)
     c = fooling_scale(problem, ratio, rho, blocks)
-    b = problem.cone.b
-    coeffs = np.zeros(problem.partition.boundary(blocks))
-    for k in range(1, blocks + 1):
-        boundary = problem.partition.boundary(k)
-        lam = problem.spectrum.value(boundary)
-        coeffs[boundary - 1] = c * b ** (k - blocks) / lam
-    return CoefficientSource.from_vector(coeffs)
+    return CoefficientSource.from_vector(_base_vector(problem, c, blocks))
 
 
 def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
@@ -137,9 +142,9 @@ def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
             f"infeasible: {len(zeroed)} zeroed functionals + 1 orthogonality "
             f"constraint must stay below the {dimension} available dimensions")
 
-    base = fooling_input(problem, ratio, rho, blocks)
     c = fooling_scale(problem, ratio, rho, blocks)
-    base_vec = base.dense(dimension)
+    base_vec = _base_vector(problem, c, blocks)
+    base = CoefficientSource.from_vector(base_vec)
 
     unsampled = np.ones(dimension, dtype=bool)
     unsampled[[i - 1 for i in zeroed]] = False

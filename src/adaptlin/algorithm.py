@@ -12,7 +12,6 @@ list in one walk.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -30,29 +29,28 @@ DEFAULT_BLOCK_LIMIT = 64
 class Approximation:
     """Retained solution coefficients plus run metadata.
 
-    ``indices`` and ``values`` hold the pairs (i, lam_i * fhat_i) actually
-    computed; ``cost`` counts coefficient evaluations and always equals the
-    number of retained pairs.  Tolerance-driven runs also record the target
-    tolerance, and adaptive runs record the stopping block and the
-    data-driven error bound certified at termination.
+    Every solver keeps a prefix: ``values`` holds lam_i * fhat_i for
+    i = 1..cost, so ``cost``, the number of coefficient evaluations, is its
+    length and ``indices`` is the read-only range 1..cost.
+    Tolerance-driven runs also record the target tolerance, and adaptive
+    runs record the stopping block and the data-driven error bound
+    certified at termination.
     """
 
-    indices: np.ndarray
     values: np.ndarray
-    cost: int
     stop_block: Optional[int] = None
     error_bound: Optional[float] = None
     tolerance: Optional[float] = None
 
-    def __post_init__(self):
-        if len(self.indices) != self.cost or len(self.values) != self.cost:
-            raise ValueError("cost must equal the number of retained pairs")
+    @property
+    def cost(self) -> int:
+        return len(self.values)
 
     @property
-    def retained(self):
-        """Retained pairs as a list of (index, lam_i * fhat_i)."""
-        return list(zip((int(i) for i in self.indices),
-                        (float(v) for v in self.values)))
+    def indices(self) -> np.ndarray:
+        idx = np.arange(1, self.cost + 1, dtype=np.int64)
+        idx.flags.writeable = False
+        return idx
 
 
 def stop_threshold(cone: ConeParams, epsilon: float) -> float:
@@ -65,12 +63,22 @@ def stop_threshold(cone: ConeParams, epsilon: float) -> float:
 
 
 def interpolate(problem: Problem, f: CoefficientSource, n: int) -> Approximation:
-    """Keep the first n solution coefficients; exactly n evaluations."""
+    """Keep the first n solution coefficients.
+
+    Products past the input's support bound are zero and are not computed;
+    an n past a finite table raises OutOfRangeError.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    vals = problem.spectrum.values(idx) * f.coefficients(idx)
-    return Approximation(indices=idx, values=vals, cost=n)
+    length = problem.spectrum.enumerated_length
+    if length is not None and n > length:
+        raise OutOfRangeError(
+            f"index {n} past the {length} enumerated singular values")
+    vals = np.zeros(n)
+    top = n if f.support_bound is None else min(n, f.support_bound)
+    idx = np.arange(1, top + 1, dtype=np.int64)
+    vals[:top] = problem.spectrum.values(idx) * f.coefficients(idx)
+    return Approximation(values=vals)
 
 
 def ball_budget(spectrum: SingularSpectrum, epsilon: float, rho: float, *,
@@ -135,9 +143,9 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
     order, or None where no block within that walk qualifies, and
     the block norms s_1..s_J read.  Each run is the interpolation through
     its boundary n_j (clipped to the table length when the spectrum is a
-    finite table, since no modes exist past it); its ``indices`` and
-    ``values`` are prefix views of one read-only array, and every
-    coefficient is evaluated exactly once.
+    finite table, since no modes exist past it); its ``values`` are prefix
+    views of one read-only array, and every coefficient is evaluated
+    exactly once.
 
     Raises ValueError unless every tolerance is positive (NaN included),
     when a solution coefficient read is not finite or its square overflows
@@ -152,28 +160,25 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
     pending = sorted(range(len(epsilons)), key=levels.__getitem__)
     stops = [None] * len(epsilons)
     length = spectrum.enumerated_length
-    block_limit = _blocks_walked(partition, block_limit)
-    # piece 0 holds indices 1..n_0, sampled but never tested
-    pieces = itertools.chain(
-        [np.arange(1, partition.boundary(0) + 1, dtype=np.int64)],
-        map(partition.block_indices, range(1, block_limit + 1)))
-    kept_idx, kept_val, ends, norms = [], [], [], []
+    products, ends, norms = [], [], []
     previous = math.inf
-    for j, idx in enumerate(pieces):
+    for j in range(_blocks_walked(partition, block_limit) + 1):
+        # block 0 holds indices 1..n_0, sampled but never tested
+        end = partition.block(j)[1] if j else partition.boundary(0)
         if length is not None:
-            idx = idx[idx <= length]  # finite table: no modes past the end
+            end = min(end, length)  # finite table: no modes past the end
+        idx = np.arange(ends[-1] + 1 if j else 1, end + 1, dtype=np.int64)
         lam = spectrum.values(idx)
         if length is None and lam.size:
             spectrum.check_run(lam, previous)
             previous = lam[-1]
         prod = lam * f.coefficients(idx)
-        kept_idx.append(idx)
-        kept_val.append(prod)
-        ends.append(idx.size + (ends[-1] if ends else 0))
+        products.append(prod)
+        ends.append(end)
         s = exact_norm(prod)
         if not math.isfinite(s):
             raise ValueError(
-                f"non-finite norm over indices {int(idx[0])}..{int(idx[-1])}: "
+                f"non-finite norm over indices {int(idx[0])}..{end}: "
                 "a solution coefficient is not finite or its square overflows")
         if j:
             norms.append(s)
@@ -182,13 +187,10 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
         if not pending:
             break
     last = max((j for j in stops if j is not None), default=0)
-    indices = np.concatenate(kept_idx[:last + 1])
-    values = np.concatenate(kept_val[:last + 1])
-    indices.flags.writeable = False
+    values = np.concatenate(products[:last + 1])
     values.flags.writeable = False
     runs = [None if j is None else
-            Approximation(indices=indices[:ends[j]], values=values[:ends[j]],
-                          cost=ends[j], stop_block=j,
+            Approximation(values=values[:ends[j]], stop_block=j,
                           error_bound=problem.cone.tail_factor * norms[j - 1],
                           tolerance=eps)
             for eps, j in zip(epsilons, stops)]

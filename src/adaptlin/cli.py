@@ -19,6 +19,7 @@ exceedance, or validation failure occurred.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -41,8 +42,8 @@ from .problems import (default_gamma, derivative_coefficients,
                        random_periodic_input, solution_slice_grid)
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        OutOfRangeError, Partition, SingularSpectrum, Problem,
-                       cone_membership, random_cone_member, tail_norms,
-                       worst_decay_ratio)
+                       block_decay_ratios, cone_membership,
+                       random_cone_member, tail_norms)
 
 GENERATOR = "numpy-PCG64"
 DEFAULT_SEED = 20250101
@@ -325,8 +326,12 @@ def _svg_line_chart(path, xs, ys, *, title, x_label, y_label,
 
 
 def observed_cone_ratio(cone, norms):
-    """Worst measured block-decay ratio over the block norms a run read."""
-    return worst_decay_ratio(cone, norms)[0]
+    """Worst measured block-decay ratio over s_1..s_k, for every k.
+
+    Entry k - 1 is the worst ratio of a run that read blocks 1..k.
+    """
+    ratios, _ = block_decay_ratios(cone, norms)
+    return list(itertools.accumulate(ratios, max, initial=0.0))[1:]
 
 
 def _sweep(problem, f, epsilons, j_max):
@@ -337,6 +342,7 @@ def _sweep(problem, f, epsilons, j_max):
     support bound.
     """
     runs, norms = adaptive_sweep(problem, f, epsilons, block_limit=j_max)
+    worst = observed_cone_ratio(problem.cone, norms)
     errors = {}
     if f.support_bound is not None:
         costs = [run.cost for run in runs if run is not None]
@@ -353,8 +359,7 @@ def _sweep(problem, f, epsilons, j_max):
             "cost": run.cost,
             "error_bound": run.error_bound,
             "true_error": errors.get(run.cost),
-            "worst_cone_ratio": observed_cone_ratio(
-                problem.cone, norms[:run.stop_block]),
+            "worst_cone_ratio": worst[run.stop_block - 1],
         })
     return runs, rows
 
@@ -547,7 +552,7 @@ def cmd_adversarial(merged, quiet):
                 probe_blocks += 1
                 _index_budget(problem, probe_blocks, n_max, "the probe depth")
             pair = fooling_pair(problem, ratio, rho, probe_blocks,
-                                tuple(run.indices.tolist()))
+                                range(1, run.cost + 1))
         except (ValueError, GuardExceeded) as exc:
             print(f"adversarial: construction failed at epsilon={eps!r}: "
                   f"{exc}", file=sys.stderr)
@@ -558,9 +563,8 @@ def cmd_adversarial(merged, quiet):
                                       block_limit=j_max)
         run_minus = adaptive_algorithm(problem, pair.minus, eps,
                                        block_limit=j_max)
-        indistinguishable = (
-            np.array_equal(run_plus.indices, run_minus.indices)
-            and np.array_equal(run_plus.values, run_minus.values))
+        # runs are prefixes: equal values mean equal samples
+        indistinguishable = np.array_equal(run_plus.values, run_minus.values)
         separation = solution_separation(problem, pair)
         sources = {"base": pair.base, "plus": pair.plus, "minus": pair.minus}
         memberships = {name: cone_membership(problem, source)

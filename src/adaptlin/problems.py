@@ -39,11 +39,7 @@ def periodic_approximation_spectrum(r: float) -> SingularSpectrum:
     def rule(i):
         return 1.0 / np.maximum(1.0, np.floor(i / 2.0)) ** r
 
-    def witness(delta):
-        return 2 * (int(math.floor((1.0 / delta) ** (1.0 / r))) + 1)
-
-    return SingularSpectrum.from_rule(rule, name=f"periodic(r={r})",
-                                      decay_witness=witness)
+    return SingularSpectrum.from_rule(rule, name=f"periodic(r={r})")
 
 
 class PeriodicApproximation:
@@ -282,7 +278,7 @@ def evaluate_solution(approx: Approximation, mis: MultiIndexSpectrum,
         raise ValueError("point dimension mismatch")
     if approx.cost == 0:
         return 0.0
-    ks = mis.indices[approx.indices - 1]
+    ks = mis.indices[:approx.cost]
     k1 = ks[:, 0].astype(np.float64)
     phase = np.where(k1 < 0, 0.5 * math.pi, 0.0)
     basis = -np.sign(k1) * np.sin(TWO_PI * k1 * x[0] + phase)
@@ -350,7 +346,7 @@ def solution_slice_grid(approx: Approximation, mis: MultiIndexSpectrum,
         raise ValueError("slice grids need at least two coordinates")
     if approx.cost == 0:
         return np.zeros((len(first), len(second)))
-    ks = mis.indices[approx.indices - 1]
+    ks = mis.indices[:approx.cost]
     term = approx.values.copy()
     for j in range(2, mis.dimension):
         kj = ks[:, j].astype(np.float64)

@@ -127,19 +127,13 @@ class SingularSpectrum:
     Rules must accept float numpy arrays (indices are cast to float64 before
     the call so integer powers cannot overflow).  Explicitly enumerated
     spectra keep their values in an array and refuse queries past the end.
-
-    A ``decay_witness`` callable, when present, maps a level ``delta > 0`` to
-    an index at which the weight has dropped to ``delta`` or below.  It makes
-    the "tends to zero" invariant checkable for closed-form rules.
     """
 
     def __init__(self, rule: Callable, *, name: str = "spectrum",
-                 table: Optional[np.ndarray] = None,
-                 decay_witness: Optional[Callable[[float], int]] = None):
+                 table: Optional[np.ndarray] = None):
         self._rule = rule
         self._table = None if table is None else np.asarray(table, dtype=np.float64)
         self.name = name
-        self.decay_witness = decay_witness
         if self._table is not None:
             if self._table.ndim != 1 or self._table.size == 0:
                 raise ValueError("enumerated spectrum must be a non-empty 1-d array")
@@ -152,13 +146,8 @@ class SingularSpectrum:
         """lam_i = scale / i**power with scale > 0, power > 0."""
         if scale <= 0 or power <= 0:
             raise ValueError("scale and power must be positive")
-
-        def witness(delta):
-            return int(math.floor((scale / delta) ** (1.0 / power))) + 1
-
         return cls(lambda i: scale / i ** power,
-                   name=f"algebraic(scale={scale}, power={power})",
-                   decay_witness=witness)
+                   name=f"algebraic(scale={scale}, power={power})")
 
     @classmethod
     def geometric(cls, scale: float, base: float) -> "SingularSpectrum":
@@ -166,17 +155,13 @@ class SingularSpectrum:
         if scale <= 0 or base <= 1:
             raise ValueError("need scale > 0 and base > 1")
 
-        def witness(delta):
-            return max(1, int(math.floor(math.log(scale / delta, base))) + 1)
-
         def rule(i):
             # deep indices overflow base**i to inf; the quotient is then a
             # clean 0.0, so the warning carries no information
             with np.errstate(over="ignore"):
                 return scale / base ** i
 
-        return cls(rule, name=f"geometric(scale={scale}, base={base})",
-                   decay_witness=witness)
+        return cls(rule, name=f"geometric(scale={scale}, base={base})")
 
     @classmethod
     def from_values(cls, values: Sequence[float], *, name: str = "enumerated") -> "SingularSpectrum":
@@ -189,10 +174,9 @@ class SingularSpectrum:
         return cls(rule, name=name, table=table)
 
     @classmethod
-    def from_rule(cls, fn: Callable, *, name: str = "rule",
-                  decay_witness: Optional[Callable[[float], int]] = None) -> "SingularSpectrum":
+    def from_rule(cls, fn: Callable, *, name: str = "rule") -> "SingularSpectrum":
         """Spectrum given by a rule that maps float index arrays to weights."""
-        return cls(fn, name=name, decay_witness=decay_witness)
+        return cls(fn, name=name)
 
     # -- access ------------------------------------------------------------
 
@@ -520,7 +504,9 @@ def cone_membership(problem: Problem, f: CoefficientSource, *,
     where J is the first block whose boundary covers the support.  Blocks
     past J vanish, so those pairs hold vacuously.  The verdict allows a
     relative slack of 1e-9 on the ratio; a zero allowance with a positive
-    later block norm counts as an infinite ratio.
+    later block norm counts as an infinite ratio.  The witness is the pair
+    (j, k - j) of the first block k over 1 + slack, where j is the block
+    that binds k (see ``block_decay_ratios``), or None.
     """
     bound = f.support_bound
     if bound is None:
@@ -530,39 +516,40 @@ def cone_membership(problem: Problem, f: CoefficientSource, *,
     while problem.partition.boundary(last) < bound:
         last += 1
     norms = [block_norm(problem, f, j) for j in range(1, last + 1)]
-    worst, witness = worst_decay_ratio(problem.cone, norms, slack=slack)
+    ratios, binders = block_decay_ratios(problem.cone, norms)
+    worst = max([0.0] + ratios)  # a NaN ratio never becomes the worst
+    witness = next(((j, k - j) for k, (ratio, j)
+                    in enumerate(zip(ratios, binders), start=1)
+                    if ratio > 1.0 + slack), None)
     return MembershipReport(member=worst <= 1.0 + slack, worst_ratio=worst,
                             witness=witness, blocks=last)
 
 
-def worst_decay_ratio(cone: ConeParams, norms: Sequence[float], *,
-                      slack: float = 1e-9) -> tuple:
-    """Worst ratio s_{j+r} / (a * b**r * s_j) over block norms s_1..s_J.
+def block_decay_ratios(cone: ConeParams, norms: Sequence[float]) -> tuple:
+    """Worst decay ratio of each block over block norms s_1..s_J, in one pass.
 
-    Scans every pair 1 <= j < j+r <= J and returns (worst, witness), where
-    ``witness`` is the first pair (j, r) in scan order whose ratio exceeds
-    1 + slack, or None.  A zero allowance with a positive later block norm
-    counts as an infinite ratio.
+    Returns ``(ratios, binders)``: for each block k, the worst ratio
+    s_k / (a * b**(k-j) * s_j) over j < k, which is s_k over a times the
+    allowance min_{j<k} b**(k-j) * s_j, and the earliest block j attaining
+    that allowance (0.0 and None for block 1, which has no earlier block).
+    The allowance of block k+1 is b * min(allowance of k, s_k), so no power
+    of b is formed.  A zero allowance with a positive s_k is an infinite
+    ratio, and a zero s_k a zero ratio.
     """
-    a, b = cone.a, cone.b
-    last = len(norms)
-    worst = 0.0
-    witness = None
-    for j in range(1, last):
-        for r in range(1, last - j + 1):
-            allowed = a * b ** r * norms[j - 1]
-            actual = norms[j + r - 1]
-            if actual == 0.0:
-                ratio = 0.0
-            elif allowed == 0.0:
-                ratio = math.inf
-            else:
-                ratio = actual / allowed
-            if ratio > worst:
-                worst = ratio
-            if witness is None and ratio > 1.0 + slack:
-                witness = (j, r)
-    return worst, witness
+    ratios, binders = [], []
+    allowance, binder = math.inf, None
+    for k, s in enumerate(norms, start=1):
+        if s == 0.0:
+            ratios.append(0.0)
+        elif allowance == 0.0:
+            ratios.append(math.inf)
+        else:
+            ratios.append(s / (cone.a * allowance))
+        binders.append(binder)
+        if s < allowance:
+            allowance, binder = s, k
+        allowance *= cone.b
+    return ratios, binders
 
 
 def tail_norms(problem: Problem, f: CoefficientSource, cuts) -> list:

@@ -43,6 +43,29 @@ def brute_sigma(problem, f, j):
     return math.sqrt(math.fsum(terms))
 
 
+def pair_ratio(cone, norms, j, r):
+    """s_{j+r} / (a * b**r * s_j) for 1-based block j, as the cone states it.
+
+    A zero later norm is ratio 0 and a zero allowance under a positive
+    later norm is an infinite ratio.
+    """
+    allowed = cone.a * cone.b ** r * norms[j - 1]
+    actual = norms[j + r - 1]
+    if actual == 0.0:
+        return 0.0
+    if allowed == 0.0:
+        return math.inf
+    return actual / allowed
+
+
+def brute_worst_ratio(cone, norms):
+    """Worst decay ratio over every block pair 1 <= j < j+r <= J, pair by pair."""
+    last = len(norms)
+    return max([0.0] + [pair_ratio(cone, norms, j, r)
+                        for j in range(1, last)
+                        for r in range(1, last - j + 1)])
+
+
 def profile_member(problem, rng, blocks, scale=1.0, head=False):
     """Finite-support input obeying the cone decay, built from scratch.
 

@@ -82,6 +82,15 @@ def make_pair(problem, ratio, rho=1.0, blocks=6, zeroed=(1, 2, 5)):
     return fooling_pair(problem, ratio, rho, blocks, zeroed)
 
 
+def test_pair_base_has_the_bits_of_the_fooling_input():
+    problem = harmonic_problem()
+    pair = make_pair(problem, 2.0, rho=3.0, blocks=7)
+    probe = fooling_input(problem, 2.0, 3.0, 7)
+    size = problem.partition.boundary(7)
+    assert pair.base.dense(size).tobytes() == probe.dense(size).tobytes()
+    assert pair.amplitude == fooling_scale(problem, 2.0, 3.0, 7)
+
+
 def test_pair_identity_between_amplitude_and_shift():
     pair = make_pair(harmonic_problem(), 2.0)
     a = CONE.a

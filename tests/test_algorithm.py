@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from adaptlin import (CoefficientSource, ConeParams, GuardExceeded, Partition,
-                      Problem, SingularSpectrum, adaptive_algorithm,
-                      adaptive_sweep, ball_algorithm, block_norm,
-                      derivative_coefficients, derivative_problem,
+from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
+                      OutOfRangeError, Partition, Problem, SingularSpectrum,
+                      adaptive_algorithm, adaptive_sweep, ball_algorithm,
+                      block_norm, derivative_coefficients, derivative_problem,
                       enumerate_derivative_spectrum, interpolate,
                       periodic_approximation_spectrum, random_periodic_input,
                       stop_threshold, tail_norm, true_error)
@@ -36,7 +36,7 @@ def test_stop_threshold_values():
 def test_interpolate_empty_budget(harmonic_doubling):
     approx = interpolate(harmonic_doubling, geometric_coefficients(), 0)
     assert approx.cost == 0
-    assert approx.retained == []
+    assert approx.values.tolist() == []
     assert approx.stop_block is None
     assert approx.error_bound is None
 
@@ -44,19 +44,41 @@ def test_interpolate_empty_budget(harmonic_doubling):
 def test_interpolate_products(harmonic_doubling):
     f = CoefficientSource.from_vector([1.0, 1.0, 1.0])
     approx = interpolate(harmonic_doubling, f, 2)
-    assert approx.retained == [(1, 1.0), (2, 0.5)]
+    assert approx.indices.tolist() == [1, 2]
+    assert approx.values.tolist() == [1.0, 0.5]
     assert approx.cost == 2
 
 
 def test_interpolate_zero_input(harmonic_doubling):
     approx = interpolate(harmonic_doubling, CoefficientSource.zero(), 5)
     assert approx.cost == 5
-    assert all(v == 0.0 for _, v in approx.retained)
+    assert all(v == 0.0 for v in approx.values)
 
 
 def test_interpolate_rejects_negative(harmonic_doubling):
     with pytest.raises(ValueError):
         interpolate(harmonic_doubling, CoefficientSource.zero(), -1)
+
+
+@pytest.mark.parametrize("support", [0, 3, 7, 12])
+def test_interpolate_past_the_support_has_the_bits_of_the_products(
+        harmonic_doubling, support):
+    f = CoefficientSource.from_vector(
+        np.random.default_rng(8).normal(size=support))
+    approx = interpolate(harmonic_doubling, f, 9)
+    idx = np.arange(1, 10)
+    products = harmonic_doubling.spectrum.values(idx) * f.coefficients(idx)
+    assert approx.values.tobytes() == products.tobytes()  # +0.0 included
+    assert approx.indices.tolist() == list(range(1, 10))
+    assert not approx.indices.flags.writeable
+
+
+def test_interpolate_past_a_finite_table_raises():
+    problem = Problem(SingularSpectrum.from_values([1.0, 0.5, 0.25]),
+                      Partition.doubling(1), ConeParams(2.0, 0.5))
+    assert interpolate(problem, CoefficientSource.zero(), 3).cost == 3
+    with pytest.raises(OutOfRangeError):
+        interpolate(problem, CoefficientSource.zero(), 4)
 
 
 # -- ball_algorithm ----------------------------------------------------------
@@ -324,7 +346,6 @@ def test_sweep_runs_share_one_read_only_array(harmonic_doubling):
     for run in (loose, tight):
         assert not run.indices.flags.writeable
         assert not run.values.flags.writeable
-    assert np.shares_memory(loose.indices, tight.indices)
     assert np.shares_memory(loose.values, tight.values)
     with pytest.raises(ValueError):
         tight.values[0] = 1.0

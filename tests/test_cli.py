@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from adaptlin import GuardExceeded, adaptive_algorithm, block_norm, cli
-from adaptlin.spectrum import worst_decay_ratio
+
+from conftest import brute_worst_ratio
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -285,7 +286,7 @@ def test_solve_csv_matches_one_run_per_tolerance(tmp_path, blocks, j_max,
                      err / eps))
         norms = [block_norm(problem, f, j)
                  for j in range(1, run.stop_block + 1)]
-        ratios.append(worst_decay_ratio(problem.cone, norms)[0])
+        ratios.append(brute_worst_ratio(problem.cone, norms))
     assert [row[1] for row in rows] == stops
     cli.write_csv(tmp_path / "expected.csv",
                   ("epsilon", "j_star", "cost", "error_bound", "true_error",

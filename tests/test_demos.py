@@ -20,6 +20,9 @@ def test_demo_runs_cleanly(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+    # the warning policy of the test suite: a numpy RuntimeWarning is a fault
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert done.stderr == ""

@@ -3,14 +3,16 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adaptlin import (CoefficientSource, ConeParams, Partition, Problem,
                       SingularSpectrum, adaptive_algorithm, ball_algorithm,
-                      block_norm, cone_membership, random_cone_member,
+                      block_norm, cli, cone_membership, random_cone_member,
                       tail_norm, tail_norms, true_error)
-from adaptlin.spectrum import exact_norm
-from conftest import brute_sigma, profile_member, unit_spectrum
+from adaptlin.spectrum import block_decay_ratios, exact_norm
+from conftest import (brute_sigma, brute_worst_ratio, pair_ratio,
+                      profile_member, unit_spectrum)
 
 # magnitudes below 1e-100 flush to zero: their squares would land in the
 # denormal range where even scaling by 2 stops being exact
@@ -176,3 +178,61 @@ def test_exact_norm_has_the_bits_of_fsum(case):
     tails = tail_norms(problem, CoefficientSource.from_vector(x), cuts)
     for n, tail in zip(cuts, tails):
         assert same_float(tail, fsum_norm(x[n:]))
+
+
+# Zeros and norms in [1e-50, 1e50]: over at most 40 blocks with b >= 1/16
+# no allowance leaves the normal range, so powers of two scale exactly.
+decay_norms = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=1e-50, max_value=1e50)),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(decay_norms, st.floats(min_value=1.0001, max_value=8.0),
+       st.one_of(st.sampled_from([0.5, 0.25, 0.125, 0.0625]),
+                 st.floats(min_value=0.05, max_value=0.95)))
+@example([1.0, 0.0, 1.0], 2.0, 0.5)
+@example([3.0], 2.0, 0.5)
+@example([0.0, 0.0, 5.0, 1.0], 1.5, 0.3)
+@example([1.0, 2.0, 4.0, 8.0], 2.0, 0.5)
+def test_block_decay_ratios_match_the_pair_scan(norms, a, b):
+    cone = ConeParams(a, b)
+    exact = math.frexp(b)[0] == 0.5  # b = 2**-k: every allowance is exact
+
+    def same(x, oracle):
+        if exact or math.isinf(oracle):
+            return x == oracle
+        return x == pytest.approx(oracle, rel=1e-12)
+
+    ratios, binders = block_decay_ratios(cone, norms)
+    running = cli.observed_cone_ratio(cone, norms)
+    assert len(ratios) == len(binders) == len(running) == len(norms)
+    assert ratios[0] == 0.0 and binders[0] is None
+    for k in range(1, len(norms) + 1):
+        worst = max([0.0] + [pair_ratio(cone, norms, j, k - j)
+                             for j in range(1, k)])
+        assert same(ratios[k - 1], worst)
+        assert same(running[k - 1], brute_worst_ratio(cone, norms[:k]))
+        if k > 1:  # the binding block attains the worst ratio
+            j = binders[k - 1]
+            assert 1 <= j < k
+            assert same(ratios[k - 1], pair_ratio(cone, norms, j, k - j))
+            if exact:  # the earliest block with the smallest allowance
+                assert j == min(range(1, k),
+                                key=lambda i: b ** (k - i) * norms[i - 1])
+
+    # one coefficient per block under unit weights: s_j = |fhat_j| exactly
+    problem = Problem(unit_spectrum(), Partition.arithmetic(0, 1), cone)
+    report = cone_membership(problem, CoefficientSource.from_vector(norms))
+    assert report.blocks == len(norms)
+    assert report.worst_ratio == running[-1]
+    assert report.member == (report.worst_ratio <= 1.0 + 1e-9)
+    if report.witness is None:
+        assert report.member
+    else:
+        j, r = report.witness
+        first = next(k for k, ratio in enumerate(ratios, start=1)
+                     if ratio > 1.0 + 1e-9)
+        assert j + r == first and j == binders[first - 1]
+        violation = pair_ratio(cone, norms, j, r)
+        assert violation > (1.0 + 1e-9) * (1.0 if exact else 1.0 - 1e-12)

@@ -95,14 +95,6 @@ def test_first_at_or_below_guard():
         spec.first_at_or_below(1e-9, limit=1000)
 
 
-def test_decay_witness_reaches_level():
-    for spec in (SingularSpectrum.algebraic(3.0, 1.5),
-                 SingularSpectrum.geometric(2.0, 3.0)):
-        for delta in (0.5, 1e-3, 1e-9):
-            i = spec.decay_witness(delta)
-            assert spec.value(i) <= delta
-
-
 def test_validate_prefix_flags_increasing_rule():
     bad = SingularSpectrum.from_rule(
         lambda i: np.asarray(i, dtype=np.float64), name="increasing")
@@ -284,13 +276,13 @@ def test_membership_zero_input(unit_doubling):
 
 
 def test_membership_violator_with_witness():
-    # sigma = (1, 0, 1): the skip from block 1 to block 3 breaks the decay
+    # sigma = (1, 0, 1): block 3 breaks the decay; zero block 2 binds it
     problem = Problem(unit_spectrum(), Partition.arithmetic(0, 1),
                       ConeParams(2.0, 0.5))
     f = CoefficientSource.from_vector([1.0, 0.0, 1.0])
     report = cone_membership(problem, f)
     assert not report.member
-    assert report.witness == (1, 2)
+    assert report.witness == (2, 1)
     assert report.blocks == 3
     assert math.isinf(report.worst_ratio)  # block 2 is zero, block 3 is not
 
