@@ -161,7 +161,7 @@ def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
     weights = [b ** (k - blocks)
                / problem.spectrum.value(problem.partition.boundary(k))
                for k in range(0, blocks + 1)]
-    bump /= max(float(np.linalg.norm(bump[lo - 1:hi])) / weight
+    bump /= max(exact_norm(bump[lo - 1:hi]) / weight
                 for (lo, hi), weight in zip(_block_ranges(problem, blocks),
                                             weights))
 
@@ -179,6 +179,5 @@ def solution_separation(problem: Problem, pair: FoolingPair) -> float:
     least its own norm to ||S(bump)|| after the singular values are applied,
     and the largest piece has norm one.
     """
-    idx = np.arange(1, pair.bump.size + 1, dtype=np.int64)
-    image = problem.spectrum.values(idx) * pair.bump
+    image = problem.spectrum.values(range(1, pair.bump.size + 1)) * pair.bump
     return 2.0 * pair.shift * exact_norm(image)

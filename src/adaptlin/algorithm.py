@@ -20,7 +20,9 @@ import numpy as np
 
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        OutOfRangeError, Partition, Problem, SingularSpectrum,
-                       DEFAULT_SCAN_LIMIT, exact_norm, tail_norm)
+                       DEFAULT_SCAN_LIMIT, _FSUM_BELOW, _bin_products,
+                       _bin_squares, _chunks, _exact_sum, _new_bins,
+                       _rounded, exact_norm, tail_norm)
 
 DEFAULT_BLOCK_LIMIT = 64
 
@@ -76,8 +78,8 @@ def interpolate(problem: Problem, f: CoefficientSource, n: int) -> Approximation
             f"index {n} past the {length} enumerated singular values")
     vals = np.zeros(n)
     top = n if f.support_bound is None else min(n, f.support_bound)
-    idx = np.arange(1, top + 1, dtype=np.int64)
-    vals[:top] = problem.spectrum.values(idx) * f.coefficients(idx)
+    span = range(1, top + 1)
+    vals[:top] = problem.spectrum.values(span) * f.coefficients(span)
     return Approximation(values=vals)
 
 
@@ -145,12 +147,25 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
     its boundary n_j (clipped to the table length when the spectrum is a
     finite table, since no modes exist past it); its ``values`` are prefix
     views of one read-only array, and every coefficient is evaluated
-    exactly once.
+    exactly once.  Blocks are read as index ranges, 2**14 entries at a
+    time, and no product is formed past the input's support bound.
 
     Raises ValueError unless every tolerance is positive (NaN included),
     when a solution coefficient read is not finite or its square overflows
     (so no certificate rests on one), or when a rule-based spectrum is not
     positive and non-increasing on the indices read.
+    """
+    runs, norms, _ = _walk(problem, f, epsilons, block_limit)
+    return runs, norms
+
+
+def _walk(problem: Problem, f: CoefficientSource, epsilons, block_limit: int,
+          *, true_errors: bool = False) -> tuple:
+    """The walk of ``adaptive_sweep``; returns ``(runs, norms, errors)``.
+
+    ``errors`` is None unless ``true_errors`` is set; then it holds each
+    run's error from ``_true_errors``, which reads no coefficient the walk
+    read.
     """
     epsilons = list(epsilons)
     if not all(eps > 0 for eps in epsilons):
@@ -160,26 +175,42 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
     pending = sorted(range(len(epsilons)), key=levels.__getitem__)
     stops = [None] * len(epsilons)
     length = spectrum.enumerated_length
-    products, ends, norms = [], [], []
+    support = f.support_bound
+    # per block j = 0, 1, ...: products, last index, exact sum of squares
+    products, ends, sums, norms = [], [], [], []
     previous = math.inf
     for j in range(_blocks_walked(partition, block_limit) + 1):
         # block 0 holds indices 1..n_0, sampled but never tested
+        start = ends[-1] + 1 if j else 1
         end = partition.block(j)[1] if j else partition.boundary(0)
         if length is not None:
             end = min(end, length)  # finite table: no modes past the end
-        idx = np.arange(ends[-1] + 1 if j else 1, end + 1, dtype=np.int64)
-        lam = spectrum.values(idx)
-        if length is None and lam.size:
-            spectrum.check_run(lam, previous)
-            previous = lam[-1]
-        prod = lam * f.coefficients(idx)
-        products.append(prod)
-        ends.append(end)
-        s = exact_norm(prod)
+        prod = np.zeros(end - start + 1)
+        bins = _new_bins() if prod.size >= _FSUM_BELOW else None
+        for span in _chunks(start, end):
+            lam = spectrum.values(span)
+            if length is None:
+                spectrum.check_run(lam, previous)
+                previous = lam[-1]
+            piece = prod[span.start - start:span.stop - start]
+            if (support is not None and span.start > support
+                    and lam[0] < math.inf):
+                continue  # the zeros lam * 0 gives for every finite lam
+            np.multiply(lam, f.coefficients(span), out=piece)
+            if bins is not None:
+                _bin_squares(piece, bins)
+        if bins is None:
+            total, s = None, exact_norm(prod)
+        else:
+            total = _exact_sum(bins)
+            s = math.sqrt(_rounded(total))
         if not math.isfinite(s):
             raise ValueError(
-                f"non-finite norm over indices {int(idx[0])}..{end}: "
+                f"non-finite norm over indices {start}..{end}: "
                 "a solution coefficient is not finite or its square overflows")
+        products.append(prod)
+        ends.append(end)
+        sums.append(total)
         if j:
             norms.append(s)
             while pending and s <= levels[pending[-1]]:
@@ -194,7 +225,44 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
                           error_bound=problem.cone.tail_factor * norms[j - 1],
                           tolerance=eps)
             for eps, j in zip(epsilons, stops)]
-    return runs, norms
+    if not true_errors:
+        return runs, norms, None
+    return runs, norms, _true_errors(problem, f, stops, ends, products, sums)
+
+
+def _true_errors(problem: Problem, f: CoefficientSource, stops: list,
+                 ends: list, products: list, sums: list) -> list:
+    """The ``tail_norms`` error of each stop block of a walk, bit for bit.
+
+    The tail past block k's end is the exact sum of squares of blocks k+1
+    onwards plus that of the support past the walk, rounded once.  Blocks
+    the walk binned left their sums in ``sums``; one past the first stop
+    that took the fsum path (a None sum) is binned from its products, and
+    the support past the walk is read and binned once.  Returns None for
+    a stop that is None, and for every stop without a support bound.
+    """
+    if f.support_bound is None:
+        return [None] * len(stops)
+    length = problem.spectrum.enumerated_length
+    top = f.support_bound if length is None else min(f.support_bound, length)
+    total = 0  # the exact sum of squares past the walk, up to the support
+    if top > ends[-1]:
+        bins = _new_bins()
+        _bin_products(problem, f, ends[-1] + 1, top, bins)
+        total = _exact_sum(bins)
+    if isinstance(total, float):  # an inf or NaN square past the walk
+        return [None if j is None else math.sqrt(total) for j in stops]
+    walked = len(ends) - 1
+    first = min((j for j in stops if j is not None), default=walked)
+    tails = {walked: math.sqrt(_rounded(total))}
+    for k in range(walked, first, -1):
+        if sums[k] is None:
+            bins = _new_bins()
+            _bin_squares(products[k], bins)
+            sums[k] = _exact_sum(bins)
+        total += sums[k]
+        tails[k - 1] = math.sqrt(_rounded(total))
+    return [None if j is None else tails[j] for j in stops]
 
 
 def _blocks_walked(partition: Partition, block_limit: int) -> int:

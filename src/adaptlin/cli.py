@@ -19,6 +19,7 @@ exceedance, or validation failure occurred.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -30,8 +31,7 @@ import numpy as np
 
 from . import __version__
 from .adversarial import fooling_input, fooling_pair, solution_separation
-from .algorithm import (adaptive_algorithm, adaptive_sweep, ball_budget,
-                        no_stop_error)
+from .algorithm import _walk, adaptive_algorithm, ball_budget, no_stop_error
 from .analysis import (boundary_ratio, complexity_lower_block,
                        stop_block_bound, stop_block_bound_first_term,
                        stop_block_bound_rough, tolerance_shrink_factor)
@@ -43,7 +43,7 @@ from .problems import (default_gamma, derivative_coefficients,
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        OutOfRangeError, Partition, SingularSpectrum, Problem,
                        block_decay_ratios, cone_membership,
-                       random_cone_member, tail_norms)
+                       random_cone_member)
 
 GENERATOR = "numpy-PCG64"
 DEFAULT_SEED = 20250101
@@ -338,17 +338,13 @@ def _sweep(problem, f, epsilons, j_max):
     """One block walk over ``epsilons``; returns the runs and run.json rows.
 
     A guard diagnostic stands in for each tolerance no block settled; the
-    true errors of all runs come from one suffix pass, None without a
-    support bound.
+    true errors of all runs are suffix sums of the walk's exact block sums,
+    None without a support bound.
     """
-    runs, norms = adaptive_sweep(problem, f, epsilons, block_limit=j_max)
+    runs, norms, errors = _walk(problem, f, epsilons, j_max, true_errors=True)
     worst = observed_cone_ratio(problem.cone, norms)
-    errors = {}
-    if f.support_bound is not None:
-        costs = [run.cost for run in runs if run is not None]
-        errors = dict(zip(costs, tail_norms(problem, f, costs)))
     rows = []
-    for eps, run in zip(epsilons, runs):
+    for eps, run, error in zip(epsilons, runs, errors):
         if run is None:
             rows.append({"epsilon": eps,
                          "diagnostic": str(no_stop_error(problem, j_max))})
@@ -358,7 +354,7 @@ def _sweep(problem, f, epsilons, j_max):
             "j_star": run.stop_block,
             "cost": run.cost,
             "error_bound": run.error_bound,
-            "true_error": errors.get(run.cost),
+            "true_error": error,
             "worst_cone_ratio": worst[run.stop_block - 1],
         })
     return runs, rows
@@ -707,6 +703,7 @@ def cmd_example1(merged, quiet):
     return 1 if mismatches else 0
 
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="adaptlin",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algorithm import Approximation
 from .spectrum import (CoefficientSource, ConeParams, Partition, Problem,
-                       SingularSpectrum)
+                       SingularSpectrum, exact_norm)
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_ENUMERATION_CAP = 10 ** 8
@@ -115,9 +115,10 @@ class MultiIndexSpectrum:
         self.k_max = k_max
         self.gamma = gamma
         self.indices = indices       # (N, d) wave vectors, sorted
-        self.weights = weights       # (N,) matching singular values
         self._spectrum = SingularSpectrum.from_values(
             weights, name=f"derivative(d={dimension}, k_max={k_max})")
+        # (N,) matching singular values: the spectrum's read-only table
+        self.weights = self._spectrum.values(range(1, weights.size + 1))
 
     def __len__(self):
         return int(self.weights.size)
@@ -198,7 +199,7 @@ class RandomPeriodicInput:
 
     def norm(self) -> float:
         """Input norm: root sum of squared coefficients."""
-        return float(np.sqrt(np.sum(self.box ** 2)))
+        return exact_norm(self.box.ravel())
 
 
 def random_periodic_input(d: int, k_max: int, seed: int) -> RandomPeriodicInput:

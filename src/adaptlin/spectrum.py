@@ -35,7 +35,7 @@ class GuardExceeded(RuntimeError):
 
 _FSUM_BELOW = 2 ** 11  # below this many squares math.fsum is the faster path
 _NUMPY_FROM = 2 ** 5  # below this many, Python floats square faster than numpy
-_CHUNK = 2 ** 16  # squares per bincount: cache-sized, each bin sum exact
+_CHUNK = 2 ** 14  # entries per pass: cache-sized, each bin sum exact
 _FIELDS = 2048  # values of the 11-bit IEEE exponent field
 _FRACTION = (1 << 52) - 1
 _LOW = (1 << 26) - 1
@@ -47,6 +47,11 @@ _ULP_SCALE = 1 << 1074  # times the smallest subnormal gives 1
 @np.errstate(over="ignore")
 def _squares(x: np.ndarray) -> np.ndarray:
     return np.square(x)
+
+
+def _new_bins() -> np.ndarray:
+    """Empty bins for ``_bin_squares``."""
+    return np.zeros((3, _FIELDS), dtype=np.int64)
 
 
 def _bin_squares(x: np.ndarray, bins: np.ndarray) -> None:
@@ -69,14 +74,13 @@ def _bin_squares(x: np.ndarray, bins: np.ndarray) -> None:
         bins[2] += np.bincount(field, bits, _FIELDS).astype(np.int64)
 
 
-def _rounded_sum(bins: np.ndarray) -> float:
-    """The correctly rounded sum of the squares binned in ``bins``.
+def _exact_sum(bins: np.ndarray):
+    """2**1074 times the sum of the squares binned in ``bins``, exactly.
 
     Field e >= 1 holds (2**52 + fraction) * 2**(e - 1075) and field 0, the
-    subnormals, holds fraction * 2**-1074, so 2**1074 times the sum is one
-    Python int.  Int/int true division rounds it to nearest once.  A NaN
-    square gives NaN, an infinite one inf, and a sum past the float range
-    inf, which are the values ``math.fsum`` gives or overflows towards.
+    subnormals, holds fraction * 2**-1074, so the scaled sum is one Python
+    int, and the ints of two sets of squares add to the int of their union.
+    A NaN square gives NaN and an infinite one inf, as floats.
     """
     count, high, low = bins
     if count[-1]:  # exponent field 2047: inf, or NaN with a nonzero fraction
@@ -87,6 +91,17 @@ def _rounded_sum(bins: np.ndarray) -> float:
                           high[fields].tolist(), low[fields].tolist()):
         mantissa = (h << 26) + l + (c << 52 if e else 0)
         total += mantissa << max(e - 1, 0)
+    return total
+
+
+def _rounded(total) -> float:
+    """An ``_exact_sum`` rounded to nearest once.
+
+    Int/int true division rounds once; a sum past the float range is inf,
+    which is what ``math.fsum`` overflows towards, and NaN and inf pass.
+    """
+    if isinstance(total, float):
+        return total
     try:
         return total / _ULP_SCALE
     except OverflowError:
@@ -106,9 +121,9 @@ def exact_norm(x: np.ndarray) -> float:
     block, tail, input and solution norm goes through this one kernel.
     """
     if x.size >= _FSUM_BELOW:
-        bins = np.zeros((3, _FIELDS), dtype=np.int64)
+        bins = _new_bins()
         _bin_squares(x, bins)
-        return math.sqrt(_rounded_sum(bins))
+        return math.sqrt(_rounded(_exact_sum(bins)))
     if x.size < _NUMPY_FROM:
         values = x.tolist()
         squares = map(operator.mul, values, values)
@@ -120,24 +135,39 @@ def exact_norm(x: np.ndarray) -> float:
         return math.nan if np.isnan(x).any() else math.inf
 
 
+def _chunks(lo: int, hi: int):
+    """Step-1 ranges of at most _CHUNK indices that cover lo..hi in order."""
+    return (range(first, min(first + _CHUNK, hi + 1))
+            for first in range(lo, hi + 1, _CHUNK))
+
+
+def _is_span(indices) -> bool:
+    """Whether ``indices`` is a non-empty step-1 range of 1-based indices."""
+    return (isinstance(indices, range) and indices.step == 1
+            and 1 <= indices.start < indices.stop)
+
+
 class SingularSpectrum:
     """Non-increasing positive weights lam_1 >= lam_2 >= ... > 0.
 
     The sequence is described by a rule mapping 1-based indices to weights.
     Rules must accept float numpy arrays (indices are cast to float64 before
     the call so integer powers cannot overflow).  Explicitly enumerated
-    spectra keep their values in an array and refuse queries past the end.
+    spectra keep their values in a read-only copy and refuse queries past
+    the end.
     """
 
     def __init__(self, rule: Callable, *, name: str = "spectrum",
                  table: Optional[np.ndarray] = None):
         self._rule = rule
-        self._table = None if table is None else np.asarray(table, dtype=np.float64)
+        self._table = None
         self.name = name
-        if self._table is not None:
+        if table is not None:
+            self._table = np.array(table, dtype=np.float64)
             if self._table.ndim != 1 or self._table.size == 0:
                 raise ValueError("enumerated spectrum must be a non-empty 1-d array")
             self.check_run(self._table)
+            self._table.flags.writeable = False
 
     # -- constructors ------------------------------------------------------
 
@@ -191,6 +221,19 @@ class SingularSpectrum:
         return float(self._rule(np.float64(i)))
 
     def values(self, indices) -> np.ndarray:
+        """Weights at 1-based ``indices``, an index array or a step-1 range.
+
+        A table answers a range with a read-only view and a rule evaluates
+        it on ``np.arange`` floats, the floats an index array casts to.
+        """
+        if _is_span(indices):
+            lo, hi = indices.start, indices.stop - 1
+            if self._table is None:
+                return np.asarray(
+                    self._rule(np.arange(lo, hi + 1, dtype=np.float64)),
+                    dtype=np.float64)
+            if hi <= self._table.size:
+                return self._table[lo - 1:hi]
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and idx.min() < 1:
             raise ValueError("indices are 1-based")
@@ -341,10 +384,6 @@ class Partition:
             raise ValueError(f"partition boundaries not increasing at block {j}")
         return lo + 1, hi
 
-    def block_indices(self, j: int) -> np.ndarray:
-        lo, hi = self.block(j)
-        return np.arange(lo, hi + 1, dtype=np.int64)
-
     def validate_prefix(self, count: int = 8) -> None:
         if self._table is not None:
             return
@@ -397,6 +436,7 @@ class CoefficientSource:
                  vector: Optional[Callable] = None):
         self._provider = provider
         self._vector = vector
+        self._span = None  # (lo, hi) -> coefficients lo..hi, where known
         if support_bound is not None and support_bound < 0:
             raise ValueError("support bound must be non-negative")
         self.support_bound = support_bound
@@ -404,7 +444,13 @@ class CoefficientSource:
     @classmethod
     def from_vector(cls, values) -> "CoefficientSource":
         # one trailing zero serves every index past the support
-        padded = np.append(np.asarray(values, dtype=np.float64), 0.0)
+        return cls._from_padded(
+            np.append(np.asarray(values, dtype=np.float64), 0.0))
+
+    @classmethod
+    def _from_padded(cls, padded: np.ndarray) -> "CoefficientSource":
+        """Source over ``padded`` itself, whose last entry is the zero that
+        every index past the support reads; the array becomes read-only."""
         padded.flags.writeable = False
         size = padded.size - 1
 
@@ -414,7 +460,16 @@ class CoefficientSource:
         def vector(idx):
             return padded[np.minimum(idx - 1, size)]
 
-        return cls(provider, support_bound=size, vector=vector)
+        def span(lo, hi):
+            if hi <= size:
+                return padded[lo - 1:hi]
+            out = np.zeros(hi - lo + 1)
+            out[:max(size - lo + 1, 0)] = padded[lo - 1:size]
+            return out
+
+        source = cls(provider, support_bound=size, vector=vector)
+        source._span = span
+        return source
 
     @classmethod
     def zero(cls) -> "CoefficientSource":
@@ -426,6 +481,11 @@ class CoefficientSource:
         return float(self._provider(int(i)))
 
     def coefficients(self, indices) -> np.ndarray:
+        """Coefficients at 1-based ``indices``, an index array or a step-1
+        range; a vector source answers a range with a slice of its array,
+        zero-filled past the support."""
+        if self._span is not None and _is_span(indices):
+            return self._span(indices.start, indices.stop - 1)
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and idx.min() < 1:
             raise ValueError("indices are 1-based")
@@ -435,14 +495,17 @@ class CoefficientSource:
 
     def dense(self, n: int) -> np.ndarray:
         """Coefficients 1..n as an array."""
-        return self.coefficients(np.arange(1, n + 1, dtype=np.int64))
+        return self.coefficients(range(1, n + 1))
 
     def scaled(self, factor: float) -> "CoefficientSource":
-        base_provider = self._provider
-        base_vector = self._vector
+        base_provider, base_vector, base_span = (self._provider, self._vector,
+                                                 self._span)
         vector = None if base_vector is None else (lambda idx: factor * base_vector(idx))
-        return CoefficientSource(lambda i: factor * base_provider(i),
-                                 support_bound=self.support_bound, vector=vector)
+        source = CoefficientSource(lambda i: factor * base_provider(i),
+                                   support_bound=self.support_bound, vector=vector)
+        if base_span is not None:
+            source._span = lambda lo, hi: factor * base_span(lo, hi)
+        return source
 
     def norm(self) -> float:
         """Input-space norm, the plain l2 norm of the coefficients."""
@@ -491,9 +554,8 @@ def block_norm(problem: Problem, f: CoefficientSource, j: int) -> float:
         hi = min(hi, length)
         if lo > hi:
             return 0.0
-    idx = np.arange(lo, hi + 1, dtype=np.int64)
-    prod = problem.spectrum.values(idx) * f.coefficients(idx)
-    return exact_norm(prod)
+    span = range(lo, hi + 1)
+    return exact_norm(problem.spectrum.values(span) * f.coefficients(span))
 
 
 def cone_membership(problem: Problem, f: CoefficientSource, *,
@@ -579,15 +641,20 @@ def tail_norms(problem: Problem, f: CoefficientSource, cuts) -> list:
     edges = sorted({min(n, top) for n in cuts}) + [top]
     bins = np.zeros((len(edges) - 1, 3, _FIELDS), dtype=np.int64)
     for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        for first in range(lo, hi, _CHUNK):
-            idx = np.arange(first + 1, min(first + _CHUNK, hi) + 1,
-                            dtype=np.int64)
-            _bin_squares(problem.spectrum.values(idx) * f.coefficients(idx),
-                         bins[k])
+        _bin_products(problem, f, lo + 1, hi, bins[k])
     # each index adds under 2**26 to a bin: int64 holds any support < 2**37
     suffix = np.cumsum(bins[::-1], axis=0)[::-1]
-    tails = {n: math.sqrt(_rounded_sum(b)) for n, b in zip(edges, suffix)}
+    tails = {n: math.sqrt(_rounded(_exact_sum(b)))
+             for n, b in zip(edges, suffix)}
     return [tails[min(n, top)] for n in cuts]
+
+
+def _bin_products(problem: Problem, f: CoefficientSource, lo: int, hi: int,
+                  bins: np.ndarray) -> None:
+    """Bin the squares of lam_i * fhat_i for i = lo..hi, _CHUNK at a time."""
+    for span in _chunks(lo, hi):
+        _bin_squares(problem.spectrum.values(span) * f.coefficients(span),
+                     bins)
 
 
 def tail_norm(problem: Problem, f: CoefficientSource, n: int) -> float:
@@ -608,7 +675,8 @@ def random_cone_member(problem: Problem, rng: np.random.Generator,
 
     The block norm profile is s_j = c_j * scale * b**j with c_j uniform on
     [1, a], so s_{j+r} / s_j = (c_{j+r} / c_j) * b**r <= a * b**r for every
-    pair.  Mass inside each block is spread along a random direction.  With
+    pair.  Mass inside each block is spread along a random direction,
+    normalised with ``exact_norm`` so no BLAS thread count enters.  With
     ``head`` set, indices 1..n_0 also receive Gaussian mass, which changes
     the input norm but no block norm.
     """
@@ -617,17 +685,21 @@ def random_cone_member(problem: Problem, rng: np.random.Generator,
     a, b = problem.cone.a, problem.cone.b
     factors = rng.uniform(1.0, a, size=blocks)
     profile = scale * factors * b ** np.arange(1, blocks + 1, dtype=np.float64)
-    coeffs = np.zeros(problem.partition.boundary(blocks))
+    # the trailing zero lets the source read this array without a copy
+    padded = np.zeros(problem.partition.boundary(blocks) + 1)
     for j in range(1, blocks + 1):
-        idx = problem.partition.block_indices(j)
-        direction = rng.standard_normal(idx.size)
-        norm = float(np.linalg.norm(direction))
+        lo, hi = problem.partition.block(j)
+        weights = padded[lo - 1:hi]
+        norm = 0.0
         while norm == 0.0:
-            direction = rng.standard_normal(idx.size)
-            norm = float(np.linalg.norm(direction))
-        weights = profile[j - 1] * direction / norm
-        coeffs[idx - 1] = weights / problem.spectrum.values(idx)
+            rng.standard_normal(out=weights)
+            norm = exact_norm(weights)
+        weights *= profile[j - 1]
+        weights /= norm
+        for span in _chunks(lo, hi):
+            weights[span.start - lo:span.stop - lo] /= \
+                problem.spectrum.values(span)
     head_len = problem.partition.boundary(0)
     if head and head_len > 0:
-        coeffs[:head_len] = scale * rng.standard_normal(head_len)
-    return CoefficientSource.from_vector(coeffs)
+        padded[:head_len] = scale * rng.standard_normal(head_len)
+    return CoefficientSource._from_padded(padded)

@@ -11,7 +11,9 @@ from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
                       block_norm, derivative_coefficients, derivative_problem,
                       enumerate_derivative_spectrum, interpolate,
                       periodic_approximation_spectrum, random_periodic_input,
-                      stop_threshold, tail_norm, true_error)
+                      random_cone_member, stop_threshold, tail_norm,
+                      tail_norms, true_error)
+from adaptlin.cli import _sweep
 
 from conftest import brute_tail, profile_member, unit_spectrum
 
@@ -384,6 +386,112 @@ def test_sweep_checks_spectrum_on_every_block_read(rule):
     assert adaptive_sweep(problem, f, [10.0])[0][0].stop_block == 1
     with pytest.raises(ValueError, match="bad: singular values"):
         adaptive_sweep(problem, f, [10.0, 1e-6])
+
+
+def test_walk_checks_spectrum_past_the_support():
+    # block 2 runs to index 70000 in chunks; those past the support of 64
+    # form no product, but their weights are still read and checked
+    problem = Problem(
+        SingularSpectrum.from_rule(lambda i: np.where(i <= 50_000, 1.0 / i, 0.0),
+                                   name="bad"),
+        Partition.from_boundaries([1, 8, 70_000]), ConeParams(2.0, 0.5))
+    f = CoefficientSource.from_vector(np.ones(64))
+    with pytest.raises(ValueError, match="bad: singular values must be positive"):
+        adaptive_sweep(problem, f, [1e-9])
+
+
+def test_infinite_weight_past_the_support_is_not_certified():
+    # lam_1 = inf times the zero coefficient is NaN, never a zero norm
+    problem = Problem(
+        SingularSpectrum.from_rule(
+            lambda i: np.where(i > 1, 1.0 / np.maximum(i - 1.0, 1.0), np.inf)),
+        Partition.doubling(1), ConeParams(2.0, 0.5))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite norm over indices 1..1"):
+        adaptive_sweep(problem, CoefficientSource.zero(), [0.1])
+
+
+# -- the sweep's true errors -------------------------------------------------
+
+def test_sweep_reads_each_weight_once():
+    reads = []
+
+    def harmonic(i):
+        reads.append(np.array(i))
+        return 1.0 / i
+
+    problem = Problem(SingularSpectrum.from_rule(harmonic, name="counted"),
+                      Partition.doubling(1), ConeParams(2.0, 0.5))
+    f = random_cone_member(problem, np.random.default_rng(40), 15)
+    reads.clear()
+    # the tightest tolerance stops on block 16, 32769..65536, past the
+    # support of 2**15: the walk reads every weight through 65536 once and
+    # the true errors read none again
+    runs, rows = _sweep(problem, f, [0.3, 0.02, 1e-3, 1e-12], 64)
+    assert [run.cost for run in runs][-1] == 2 ** 16
+    counts = np.bincount(np.concatenate(reads).astype(np.int64))
+    assert counts.size == 2 ** 16 + 1
+    assert counts[0] == 0 and (counts[1:] == 1).all()
+    assert [row["true_error"] for row in rows] \
+        == tail_norms(problem, f, [run.cost for run in runs])
+
+
+def remainder_sweep():
+    # the walk stops before the support ends at 2**15, after blocks long
+    # enough for the binned kernel
+    problem = Problem(SingularSpectrum.algebraic(1.0, 1.0),
+                      Partition.doubling(1), ConeParams(2.0, 0.5))
+    f = random_cone_member(problem, np.random.default_rng(41), 15)
+    return problem, f, [0.3, 0.02, 3e-4], 64
+
+
+def short_block_sweep():
+    # blocks of 100 indices all take the fsum path; support 1200
+    problem = Problem(SingularSpectrum.algebraic(1.0, 1.0),
+                      Partition.arithmetic(0, 100), ConeParams(2.0, 0.5))
+    f = random_cone_member(problem, np.random.default_rng(42), 12)
+    return problem, f, [0.3, 0.05, 1e-3, 1e-5], 64
+
+
+def zero_support_sweep():
+    problem, _, _, _ = remainder_sweep()
+    return problem, CoefficientSource.zero(), [0.1, 1e-3], 64
+
+
+def explicit_sweep():
+    # block 4, 3001..40000, straddles the support of 20000 and block 5 lies
+    # past it: chunks past the support form no product
+    problem = Problem(SingularSpectrum.algebraic(1.0, 1.0),
+                      Partition.from_boundaries([0, 3, 10, 3000, 40_000, 90_000]),
+                      ConeParams(2.0, 0.5))
+    f = CoefficientSource.from_vector(
+        np.random.default_rng(43).standard_normal(20_000) / 10.0)
+    return problem, f, [1.0, 0.05, 0.01, 1e-3, 1e-9], 64
+
+
+@pytest.mark.parametrize("case", [remainder_sweep, short_block_sweep,
+                                  derivative_sweep, zero_support_sweep,
+                                  explicit_sweep, guarded_sweep],
+                         ids=["remainder", "short-blocks",
+                              "clipped-derivative", "zero-support",
+                              "explicit", "block-limit"])
+def test_sweep_true_errors_have_the_bits_of_tail_norms(case):
+    problem, f, epsilons, limit = case()
+    runs, rows = _sweep(problem, f, epsilons, limit)
+    costs = [run.cost for run in runs if run is not None]
+    errors = [row["true_error"] for row in rows if "true_error" in row]
+    assert len(errors) == len(costs) >= 2
+    assert [e.hex() for e in errors] \
+        == [t.hex() for t in tail_norms(problem, f, costs)]
+
+
+def test_sweep_true_error_cases_cover_their_paths():
+    problem, f, epsilons, limit = remainder_sweep()
+    runs, _ = _sweep(problem, f, epsilons, limit)
+    assert max(run.cost for run in runs) < f.support_bound
+    problem, f, epsilons, limit = explicit_sweep()
+    runs, _ = _sweep(problem, f, epsilons, limit)
+    assert sorted({run.stop_block for run in runs}) == [1, 3, 4, 5]
 
 
 # -- true_error --------------------------------------------------------------

@@ -153,6 +153,10 @@ def test_adversarial_probe_grows_within_the_index_budget(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_main_builds_its_parser_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_missing_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit):
         cli.main([])
@@ -532,12 +536,10 @@ def test_demo_derivative_figure_run_is_the_same_when_swept_along(tmp_path):
     assert [float(r[0]) for r in rows] == [10.0, 1.0]
 
 
-def test_demo_derivative_csvs_do_not_depend_on_blas_threads(tmp_path):
-    # fig1_input and fig1_true contract through BLAS; the README promises
-    # the same bytes for a fixed config and seed, whatever the thread count
+def _outputs_under_blas_threads(tmp_path, argv, names):
+    """The files ``names`` that ``adaptlin argv --output DIR`` writes in a
+    fresh process under OPENBLAS_NUM_THREADS 1 and then 2."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    names = ("fig2.csv", "fig1_input.csv", "fig1_true.csv",
-             "fig1_approx.csv", "fig1_error.csv")
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -548,8 +550,31 @@ def test_demo_derivative_csvs_do_not_depend_on_blas_threads(tmp_path):
             [sys.executable, "-c",
              "import sys; from adaptlin.cli import main; "
              "sys.exit(main(sys.argv[1:]))",
-             "demo-derivative", "--quiet", "--output", str(out)],
+             *argv, "--quiet", "--output", str(out)],
             env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         outputs.append([(out / name).read_bytes() for name in names])
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_demo_derivative_csvs_do_not_depend_on_blas_threads(tmp_path):
+    # fig1_input and fig1_true contract through BLAS; the README promises
+    # the same bytes for a fixed config and seed, whatever the thread count
+    first, second = _outputs_under_blas_threads(
+        tmp_path, ["demo-derivative"],
+        ("fig2.csv", "fig1_input.csv", "fig1_true.csv", "fig1_approx.csv",
+         "fig1_error.csv"))
+    assert first == second
+
+
+def test_solve_csv_does_not_depend_on_blas_threads(tmp_path):
+    # blocks of 2**14 and more entries are where a threaded BLAS dot
+    # product would normalise the random-cone directions
+    cfg = write_config(tmp_path, {
+        "problem": {"spectrum": {"family": "algebraic", "power": 1.0},
+                    "partition": {"kind": "doubling", "start": 1}},
+        "input": {"kind": "random-cone", "blocks": 16}, "seed": 1,
+        "epsilons": [0.1, 0.01, 1e-3, 1e-4, 1e-5]})
+    first, second = _outputs_under_blas_threads(
+        tmp_path, ["solve", "--config", cfg], ("run.csv",))
+    assert first == second

@@ -8,7 +8,8 @@ import pytest
 from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
                       OutOfRangeError, Partition, Problem, SingularSpectrum,
                       SupportBoundRequired, block_norm, cone_membership,
-                      random_cone_member, tail_norm, tail_norms)
+                      periodic_approximation_spectrum, random_cone_member,
+                      tail_norm, tail_norms)
 from adaptlin.spectrum import exact_norm
 
 from conftest import brute_sigma, brute_tail, unit_spectrum
@@ -75,6 +76,42 @@ def test_huge_index_does_not_overflow():
     assert spec.value(10 ** 40) == pytest.approx(1e-80)
 
 
+@pytest.mark.parametrize("spec", [
+    SingularSpectrum.algebraic(1.5, 1.3),
+    SingularSpectrum.geometric(2.0, 1.001),
+    periodic_approximation_spectrum(2.5),
+    SingularSpectrum.from_values(1.0 / np.arange(1.0, 50_001.0) ** 0.7),
+], ids=["algebraic", "geometric", "periodic", "table"])
+@pytest.mark.parametrize("lo, hi", [(1, 1), (1, 50_000), (7, 40_003)])
+def test_range_values_have_the_bits_of_index_values(spec, lo, hi):
+    whole = spec.values(range(lo, hi + 1))
+    assert whole.tobytes() == spec.values(np.arange(lo, hi + 1)).tobytes()
+    # the walk reads in chunks: pieces have the bits of the whole
+    cut = lo + (hi - lo) // 3
+    pieces = [spec.values(range(lo, cut)), spec.values(range(cut, hi + 1))]
+    assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
+def test_table_values_are_read_only_views():
+    weights = np.array([1.0, 0.5, 0.25, 0.125])
+    spec = SingularSpectrum.from_values(weights)
+    weights[0] = 9.0  # the table is a copy
+    view = spec.values(range(2, 5))
+    assert np.array_equal(view, [0.5, 0.25, 0.125])
+    assert np.shares_memory(view, spec.values(range(1, 3)))
+    assert not view.flags.writeable
+    with pytest.raises(ValueError):
+        view[0] = 1.0
+    assert spec.values([1])[0] == 1.0
+
+
+@pytest.mark.parametrize("span", [range(2, 5), range(4, 6), range(9, 10)])
+def test_range_past_a_table_raises(span):
+    spec = SingularSpectrum.from_values([1.0, 0.5, 0.25])
+    with pytest.raises(OutOfRangeError, match=f"index {span[-1]} past"):
+        spec.values(span)
+
+
 def test_first_at_or_below_rule_path():
     spec = SingularSpectrum.algebraic(1.0, 1.0)
     assert spec.first_at_or_below(1.0) == 1
@@ -108,7 +145,7 @@ def test_doubling_boundaries():
     part = Partition.doubling(1)
     assert [part.boundary(j) for j in range(5)] == [1, 2, 4, 8, 16]
     assert part.block(2) == (3, 4)
-    assert list(part.block_indices(3)) == [5, 6, 7, 8]
+    assert part.block(3) == (5, 8)
 
 
 def test_arithmetic_boundaries():
@@ -202,6 +239,33 @@ def test_queries_are_repeatable():
     f = CoefficientSource.from_vector(np.random.default_rng(0).normal(size=9))
     for i in (1, 5, 9):
         assert f.coefficient(i) == f.coefficient(i)
+
+
+def _sources():
+    base = CoefficientSource.from_vector([1.0, -2.0, 3.0, 0.5, -0.25])
+    custom = CoefficientSource(
+        lambda i: 1.0 / i if i <= 5 else 0.0, support_bound=5,
+        vector=lambda idx: np.where(idx <= 5, 1.0 / idx, 0.0))
+    return {"vector": base, "scaled": base.scaled(-0.5), "custom": custom,
+            "zero": CoefficientSource.zero(),
+            "provider": CoefficientSource(lambda i: float(i))}
+
+
+@pytest.mark.parametrize("name", list(_sources()))
+@pytest.mark.parametrize("lo, hi", [(1, 1), (1, 5), (2, 4), (4, 9), (6, 8)])
+def test_range_coefficients_match_the_index_path(name, lo, hi):
+    f = _sources()[name]
+    got = f.coefficients(range(lo, hi + 1))
+    assert got.tobytes() == f.coefficients(np.arange(lo, hi + 1)).tobytes()
+    if f.support_bound is not None:
+        assert not got[max(f.support_bound - lo + 1, 0):].any()
+
+
+def test_range_coefficients_of_a_vector_are_read_only_views():
+    f = CoefficientSource.from_vector([1.0, -2.0, 3.0])
+    view = f.coefficients(range(2, 4))
+    assert np.shares_memory(view, f.dense(3))
+    assert not view.flags.writeable
 
 
 # -- block_norm --------------------------------------------------------------
