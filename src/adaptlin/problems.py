@@ -18,7 +18,7 @@ import numpy as np
 
 from .algorithm import Approximation
 from .spectrum import (CoefficientSource, ConeParams, Partition, Problem,
-                       SingularSpectrum, exact_norm)
+                       SingularSpectrum)
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_ENUMERATION_CAP = 10 ** 8
@@ -48,7 +48,7 @@ class PeriodicApproximation:
     def __init__(self, r: float):
         self.r = float(r)
         self.spectrum = periodic_approximation_spectrum(self.r)
-        lead = self.spectrum.values(np.arange(1, 4))
+        lead = self.spectrum.values(range(1, 4))
         if not np.all(lead == 1.0):
             raise ValueError("leading three weights must equal one")
 
@@ -190,16 +190,6 @@ class RandomPeriodicInput:
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)
         self.box = rng.standard_normal((2 * k_max + 1,) * dimension)
-
-    def coefficient(self, k: Sequence[int]) -> float:
-        k = np.asarray(k, dtype=np.int64)
-        if np.any(np.abs(k) > self.k_max):
-            return 0.0
-        return float(self.box[tuple(k + self.k_max)])
-
-    def norm(self) -> float:
-        """Input norm: root sum of squared coefficients."""
-        return exact_norm(self.box.ravel())
 
 
 def random_periodic_input(d: int, k_max: int, seed: int) -> RandomPeriodicInput:

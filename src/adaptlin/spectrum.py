@@ -141,10 +141,16 @@ def _chunks(lo: int, hi: int):
             for first in range(lo, hi + 1, _CHUNK))
 
 
-def _is_span(indices) -> bool:
-    """Whether ``indices`` is a non-empty step-1 range of 1-based indices."""
-    return (isinstance(indices, range) and indices.step == 1
-            and 1 <= indices.start < indices.stop)
+def _bounds(indices) -> tuple:
+    """First and last index of a step-1 range of 1-based indices.
+
+    An empty range gives last = first - 1; anything but such a range raises
+    ValueError.
+    """
+    if not (isinstance(indices, range) and indices.step == 1
+            and indices.start >= 1):
+        raise ValueError("indices must be a step-1 range of 1-based indices")
+    return indices.start, max(indices.stop, indices.start) - 1
 
 
 class SingularSpectrum:
@@ -153,11 +159,11 @@ class SingularSpectrum:
     The sequence is described by a rule mapping 1-based indices to weights.
     Rules must accept float numpy arrays (indices are cast to float64 before
     the call so integer powers cannot overflow).  Explicitly enumerated
-    spectra keep their values in a read-only copy and refuse queries past
-    the end.
+    spectra keep their values in a read-only copy, have no rule, and refuse
+    queries past the end.
     """
 
-    def __init__(self, rule: Callable, *, name: str = "spectrum",
+    def __init__(self, rule: Optional[Callable], *, name: str = "spectrum",
                  table: Optional[np.ndarray] = None):
         self._rule = rule
         self._table = None
@@ -196,12 +202,7 @@ class SingularSpectrum:
     @classmethod
     def from_values(cls, values: Sequence[float], *, name: str = "enumerated") -> "SingularSpectrum":
         """Spectrum backed by an explicit finite array of weights."""
-        table = np.asarray(values, dtype=np.float64)
-
-        def rule(idx):
-            raise OutOfRangeError("enumerated spectrum has no rule")
-
-        return cls(rule, name=name, table=table)
+        return cls(None, name=name, table=values)
 
     @classmethod
     def from_rule(cls, fn: Callable, *, name: str = "rule") -> "SingularSpectrum":
@@ -220,30 +221,21 @@ class SingularSpectrum:
             return float(self._table[i - 1])
         return float(self._rule(np.float64(i)))
 
-    def values(self, indices) -> np.ndarray:
-        """Weights at 1-based ``indices``, an index array or a step-1 range.
+    def values(self, indices: range) -> np.ndarray:
+        """Weights at ``indices``, a step-1 range of 1-based indices.
 
-        A table answers a range with a read-only view and a rule evaluates
-        it on ``np.arange`` floats, the floats an index array casts to.
+        A table answers with a read-only view and a rule is evaluated on
+        ``np.arange(lo, hi + 1, dtype=np.float64)``; an empty range gives an
+        empty array.
         """
-        if _is_span(indices):
-            lo, hi = indices.start, indices.stop - 1
-            if self._table is None:
-                return np.asarray(
-                    self._rule(np.arange(lo, hi + 1, dtype=np.float64)),
-                    dtype=np.float64)
-            if hi <= self._table.size:
-                return self._table[lo - 1:hi]
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and idx.min() < 1:
-            raise ValueError("indices are 1-based")
-        if self._table is not None:
-            if idx.size and idx.max() > self._table.size:
-                raise OutOfRangeError(
-                    f"index {int(idx.max())} past the {self._table.size} "
-                    "enumerated singular values")
-            return self._table[idx - 1]
-        return np.asarray(self._rule(idx.astype(np.float64)), dtype=np.float64)
+        lo, hi = _bounds(indices)
+        if self._table is None:
+            return np.asarray(self._rule(np.arange(lo, hi + 1, dtype=np.float64)),
+                              dtype=np.float64)
+        if lo <= hi and hi > self._table.size:
+            raise OutOfRangeError(
+                f"index {hi} past the {self._table.size} enumerated singular values")
+        return self._table[lo - 1:hi]
 
     @property
     def enumerated_length(self) -> Optional[int]:
@@ -303,7 +295,7 @@ class SingularSpectrum:
         """Check positivity and monotonicity on the first ``count`` indices."""
         if self._table is not None:
             return  # validated at construction
-        self.check_run(self.values(np.arange(1, count + 1)))
+        self.check_run(self.values(range(1, count + 1)))
 
     def __repr__(self):
         return f"SingularSpectrum({self.name})"
@@ -316,7 +308,7 @@ class Partition:
     1..n_0 belong to no block; solvers sample them but never test them.
     """
 
-    def __init__(self, rule: Callable[[int], int], *, kind: str = "rule",
+    def __init__(self, rule: Optional[Callable[[int], int]], *, kind: str = "rule",
                  table: Optional[Sequence[int]] = None):
         self._rule = rule
         self._table = None if table is None else [int(v) for v in table]
@@ -346,12 +338,7 @@ class Partition:
 
     @classmethod
     def from_boundaries(cls, values: Sequence[int]) -> "Partition":
-        table = [int(v) for v in values]
-
-        def rule(j):
-            raise OutOfRangeError("explicit partition has no rule")
-
-        return cls(rule, kind="explicit", table=table)
+        return cls(None, kind="explicit", table=values)
 
     @classmethod
     def zero_then_doubling(cls, first: int) -> "Partition":
@@ -426,20 +413,21 @@ class ConeParams:
 class CoefficientSource:
     """Deterministic, repeatable map from 1-based index to series coefficient.
 
-    ``support_bound`` = N promises that coefficients vanish for indices
-    above N, which is what makes exact tail norms and membership checks
-    decidable.  Sources without a bound can still be solved adaptively.
+    ``rule`` maps ``np.arange(lo, hi + 1, dtype=np.float64)`` to the
+    coefficients at lo..hi, one per index, the contract of
+    ``SingularSpectrum.from_rule``.  ``support_bound`` = N promises that
+    coefficients vanish for indices above N, which is what makes exact tail
+    norms and membership checks decidable.  Sources without a bound can
+    still be solved adaptively.
     """
 
-    def __init__(self, provider: Callable[[int], float],
-                 support_bound: Optional[int] = None, *,
-                 vector: Optional[Callable] = None):
-        self._provider = provider
-        self._vector = vector
-        self._span = None  # (lo, hi) -> coefficients lo..hi, where known
+    def __init__(self, rule: Callable, support_bound: Optional[int] = None):
         if support_bound is not None and support_bound < 0:
             raise ValueError("support bound must be non-negative")
         self.support_bound = support_bound
+        # (lo, hi) -> coefficients lo..hi
+        self._read = lambda lo, hi: np.asarray(
+            rule(np.arange(lo, hi + 1, dtype=np.float64)), dtype=np.float64)
 
     @classmethod
     def from_vector(cls, values) -> "CoefficientSource":
@@ -454,58 +442,30 @@ class CoefficientSource:
         padded.flags.writeable = False
         size = padded.size - 1
 
-        def provider(i):
-            return float(padded[i - 1]) if 1 <= i <= size else 0.0
-
-        def vector(idx):
-            return padded[np.minimum(idx - 1, size)]
-
-        def span(lo, hi):
+        def read(lo, hi):
             if hi <= size:
                 return padded[lo - 1:hi]
             out = np.zeros(hi - lo + 1)
             out[:max(size - lo + 1, 0)] = padded[lo - 1:size]
             return out
 
-        source = cls(provider, support_bound=size, vector=vector)
-        source._span = span
+        source = cls(None, support_bound=size)
+        source._read = read
         return source
 
     @classmethod
     def zero(cls) -> "CoefficientSource":
         return cls.from_vector(np.zeros(0))
 
-    def coefficient(self, i: int) -> float:
-        if i < 1:
-            raise ValueError("indices are 1-based")
-        return float(self._provider(int(i)))
-
-    def coefficients(self, indices) -> np.ndarray:
-        """Coefficients at 1-based ``indices``, an index array or a step-1
-        range; a vector source answers a range with a slice of its array,
+    def coefficients(self, indices: range) -> np.ndarray:
+        """Coefficients at ``indices``, a step-1 range of 1-based indices;
+        a vector source answers with a read-only slice of its array,
         zero-filled past the support."""
-        if self._span is not None and _is_span(indices):
-            return self._span(indices.start, indices.stop - 1)
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and idx.min() < 1:
-            raise ValueError("indices are 1-based")
-        if self._vector is not None:
-            return np.asarray(self._vector(idx), dtype=np.float64)
-        return np.array([self._provider(int(i)) for i in idx], dtype=np.float64)
+        return self._read(*_bounds(indices))
 
     def dense(self, n: int) -> np.ndarray:
         """Coefficients 1..n as an array."""
         return self.coefficients(range(1, n + 1))
-
-    def scaled(self, factor: float) -> "CoefficientSource":
-        base_provider, base_vector, base_span = (self._provider, self._vector,
-                                                 self._span)
-        vector = None if base_vector is None else (lambda idx: factor * base_vector(idx))
-        source = CoefficientSource(lambda i: factor * base_provider(i),
-                                   support_bound=self.support_bound, vector=vector)
-        if base_span is not None:
-            source._span = lambda lo, hi: factor * base_span(lo, hi)
-        return source
 
     def norm(self) -> float:
         """Input-space norm, the plain l2 norm of the coefficients."""

@@ -21,6 +21,11 @@ def unit_spectrum():
         name="unit")
 
 
+def coefficient_of(f):
+    """Per-index reader of ``f``: each index is read as its own range."""
+    return lambda i: f.coefficients(range(i, i + 1))[0]
+
+
 def brute_tail(lam_of, coeff_of, n, support):
     """sqrt(sum_{i=n+1}^{support} (lam_i * fhat_i)**2) by direct summation."""
     terms = []
@@ -38,7 +43,7 @@ def brute_sigma(problem, f, j):
         hi = min(hi, length)
     terms = []
     for i in range(lo, hi + 1):
-        v = problem.spectrum.value(i) * f.coefficient(i)
+        v = problem.spectrum.value(i) * f.coefficients(range(i, i + 1))[0]
         terms.append(v * v)
     return math.sqrt(math.fsum(terms))
 
@@ -80,8 +85,8 @@ def profile_member(problem, rng, blocks, scale=1.0, head=False):
         lo, hi = problem.partition.block(j)
         direction = rng.standard_normal(hi - lo + 1)
         direction /= np.linalg.norm(direction)
-        idx = np.arange(lo, hi + 1)
-        coeffs[lo - 1:hi] = target * direction / problem.spectrum.values(idx)
+        coeffs[lo - 1:hi] = target * direction / problem.spectrum.values(
+            range(lo, hi + 1))
     if head and problem.partition.boundary(0) > 0:
         coeffs[:problem.partition.boundary(0)] = scale * rng.standard_normal(
             problem.partition.boundary(0))

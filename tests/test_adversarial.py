@@ -146,8 +146,7 @@ def test_pair_separation_at_least_twice_shift():
     separation = solution_separation(problem, pair)
     assert separation >= 2.0 * pair.shift * (1 - 1e-12)
     # and matches the direct solution-space distance of the two inputs
-    idx = np.arange(1, pair.bump.size + 1)
-    lam = problem.spectrum.values(idx)
+    lam = problem.spectrum.values(range(1, pair.bump.size + 1))
     direct = np.linalg.norm(lam * (pair.plus.dense(pair.bump.size)
                                    - pair.minus.dense(pair.bump.size)))
     assert separation == pytest.approx(float(direct), rel=1e-12)

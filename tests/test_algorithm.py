@@ -15,7 +15,8 @@ from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
                       tail_norms, true_error)
 from adaptlin.cli import _sweep
 
-from conftest import brute_tail, profile_member, unit_spectrum
+from conftest import (brute_tail, coefficient_of, profile_member,
+                      unit_spectrum)
 
 
 def geometric_coefficients(support=8):
@@ -68,8 +69,8 @@ def test_interpolate_past_the_support_has_the_bits_of_the_products(
     f = CoefficientSource.from_vector(
         np.random.default_rng(8).normal(size=support))
     approx = interpolate(harmonic_doubling, f, 9)
-    idx = np.arange(1, 10)
-    products = harmonic_doubling.spectrum.values(idx) * f.coefficients(idx)
+    span = range(1, 10)
+    products = harmonic_doubling.spectrum.values(span) * f.coefficients(span)
     assert approx.values.tobytes() == products.tobytes()  # +0.0 included
     assert approx.indices.tolist() == list(range(1, 10))
     assert not approx.indices.flags.writeable
@@ -181,11 +182,12 @@ def test_adaptive_retains_interpolation_through_boundary(unit_doubling):
 def test_adaptive_evaluates_each_coefficient_once(unit_doubling):
     calls = {}
 
-    def provider(i):
-        calls[i] = calls.get(i, 0) + 1
-        return 2.0 ** -i
+    def rule(idx):
+        for i in idx.tolist():
+            calls[i] = calls.get(i, 0) + 1
+        return 2.0 ** -idx
 
-    f = CoefficientSource(provider, support_bound=None)
+    f = CoefficientSource(rule, support_bound=None)
     approx = adaptive_algorithm(unit_doubling, f, 0.05)
     assert sorted(calls) == list(range(1, approx.cost + 1))
     assert set(calls.values()) == {1}
@@ -224,7 +226,7 @@ def test_adaptive_minimal_cost_single_leading_coefficient():
 
 def test_adaptive_guard(unit_doubling):
     # constant weights, constant coefficients: sigma_j grows, never stops
-    f = CoefficientSource(lambda i: 1.0)
+    f = CoefficientSource(np.ones_like)
     with pytest.raises(GuardExceeded):
         adaptive_algorithm(unit_doubling, f, 0.1, block_limit=8)
 
@@ -232,7 +234,7 @@ def test_adaptive_guard(unit_doubling):
 def test_adaptive_rejects_nonpositive_tolerance(unit_doubling):
     # NaN included, and before any coefficient is read
     calls = []
-    f = CoefficientSource(lambda i: calls.append(i) or 1.0)
+    f = CoefficientSource(lambda i: calls.append(i) or np.ones_like(i))
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             adaptive_algorithm(unit_doubling, f, bad)
@@ -258,7 +260,7 @@ def test_adaptive_guarantee_on_cone_members(harmonic_doubling):
         f = profile_member(harmonic_doubling, rng, blocks=8)
         eps = 10.0 ** rng.uniform(-3, 0)
         approx = adaptive_algorithm(harmonic_doubling, f, eps)
-        err = brute_tail(harmonic_doubling.spectrum.value, f.coefficient,
+        err = brute_tail(harmonic_doubling.spectrum.value, coefficient_of(f),
                          approx.cost, f.support_bound)
         assert err <= approx.error_bound * (1 + 1e-12)
         assert approx.error_bound <= eps

@@ -254,8 +254,8 @@ def test_solve_without_config_uses_defaults(tmp_path):
 def _fsum_tail(problem, f, n):
     """Solution tail norm past n by math.fsum, sharing no code with the
     library's kernel."""
-    idx = np.arange(n + 1, f.support_bound + 1)
-    prod = problem.spectrum.values(idx) * f.coefficients(idx)
+    span = range(n + 1, f.support_bound + 1)
+    prod = problem.spectrum.values(span) * f.coefficients(span)
     return math.sqrt(math.fsum((prod * prod).tolist()))
 
 

@@ -42,7 +42,7 @@ def test_block_norm_homogeneous_in_powers_of_two(coeffs, j, t):
     problem = harmonic_problem()
     f = CoefficientSource.from_vector(np.array(coeffs))
     scale = 2.0 ** t
-    scaled = f.scaled(scale)
+    scaled = CoefficientSource.from_vector(scale * np.array(coeffs))
     assert block_norm(problem, scaled, j) == scale * block_norm(problem, f, j)
 
 

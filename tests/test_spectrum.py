@@ -12,7 +12,7 @@ from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
                       tail_norm, tail_norms)
 from adaptlin.spectrum import exact_norm
 
-from conftest import brute_sigma, brute_tail, unit_spectrum
+from conftest import brute_sigma, brute_tail, coefficient_of, unit_spectrum
 
 
 # -- SingularSpectrum --------------------------------------------------------
@@ -21,7 +21,7 @@ def test_algebraic_values():
     spec = SingularSpectrum.algebraic(1.0, 2.0)
     assert spec.value(1) == 1.0
     assert spec.value(10) == pytest.approx(0.01)
-    assert np.allclose(spec.values([1, 2, 4]), [1.0, 0.25, 0.0625])
+    assert np.allclose(spec.values(range(1, 5)), [1.0, 0.25, 1.0 / 9.0, 0.0625])
 
 
 def test_algebraic_rejects_bad_parameters():
@@ -59,7 +59,7 @@ def test_enumerated_spectrum_refuses_out_of_range():
     with pytest.raises(OutOfRangeError):
         spec.value(4)
     with pytest.raises(OutOfRangeError):
-        spec.values([2, 5])
+        spec.values(range(2, 6))
 
 
 def test_indices_are_one_based():
@@ -67,7 +67,7 @@ def test_indices_are_one_based():
     with pytest.raises(ValueError):
         spec.value(0)
     with pytest.raises(ValueError):
-        spec.values([0, 1])
+        spec.values(range(0, 2))
 
 
 def test_huge_index_does_not_overflow():
@@ -76,16 +76,23 @@ def test_huge_index_does_not_overflow():
     assert spec.value(10 ** 40) == pytest.approx(1e-80)
 
 
-@pytest.mark.parametrize("spec", [
-    SingularSpectrum.algebraic(1.5, 1.3),
-    SingularSpectrum.geometric(2.0, 1.001),
-    periodic_approximation_spectrum(2.5),
-    SingularSpectrum.from_values(1.0 / np.arange(1.0, 50_001.0) ** 0.7),
+_WEIGHTS = 1.0 / np.arange(1.0, 50_001.0) ** 0.7
+
+
+@pytest.mark.parametrize("spec, weight", [
+    (SingularSpectrum.algebraic(1.5, 1.3), lambda i: 1.5 / i ** 1.3),
+    (SingularSpectrum.geometric(2.0, 1.001), lambda i: 2.0 / 1.001 ** i),
+    (periodic_approximation_spectrum(2.5),
+     lambda i: 1.0 / np.maximum(1.0, np.floor(i / 2.0)) ** 2.5),
+    (SingularSpectrum.from_values(_WEIGHTS),
+     lambda i: _WEIGHTS[i.astype(np.int64) - 1]),
 ], ids=["algebraic", "geometric", "periodic", "table"])
 @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 50_000), (7, 40_003)])
-def test_range_values_have_the_bits_of_index_values(spec, lo, hi):
+def test_range_values_have_the_bits_of_index_values(spec, weight, lo, hi):
+    # the documented weight of each index, evaluated on the index floats
     whole = spec.values(range(lo, hi + 1))
-    assert whole.tobytes() == spec.values(np.arange(lo, hi + 1)).tobytes()
+    expect = weight(np.arange(lo, hi + 1, dtype=np.float64))
+    assert whole.tobytes() == expect.tobytes()
     # the walk reads in chunks: pieces have the bits of the whole
     cut = lo + (hi - lo) // 3
     pieces = [spec.values(range(lo, cut)), spec.values(range(cut, hi + 1))]
@@ -102,7 +109,7 @@ def test_table_values_are_read_only_views():
     assert not view.flags.writeable
     with pytest.raises(ValueError):
         view[0] = 1.0
-    assert spec.values([1])[0] == 1.0
+    assert spec.values(range(1, 2))[0] == 1.0
 
 
 @pytest.mark.parametrize("span", [range(2, 5), range(4, 6), range(9, 10)])
@@ -204,24 +211,17 @@ def test_tail_factor_value():
 def test_from_vector_reads_and_pads_with_zero():
     f = CoefficientSource.from_vector([1.0, -2.0, 3.0])
     assert f.support_bound == 3
-    assert f.coefficient(2) == -2.0
-    assert f.coefficient(7) == 0.0
-    assert np.array_equal(f.coefficients([1, 3, 9]), [1.0, 3.0, 0.0])
+    assert f.coefficients(range(2, 3)).tolist() == [-2.0]
+    assert f.coefficients(range(7, 8)).tolist() == [0.0]
+    assert f.coefficients(range(3, 6)).tolist() == [3.0, 0.0, 0.0]
     assert np.array_equal(f.dense(5), [1.0, -2.0, 3.0, 0.0, 0.0])
 
 
 def test_zero_source():
     f = CoefficientSource.zero()
     assert f.support_bound == 0
-    assert f.coefficient(1) == 0.0
+    assert f.coefficients(range(1, 2)).tolist() == [0.0]
     assert f.norm() == 0.0
-
-
-def test_scaled_source():
-    f = CoefficientSource.from_vector([1.0, 2.0]).scaled(-0.5)
-    assert f.coefficient(1) == -0.5
-    assert f.coefficient(2) == -1.0
-    assert f.support_bound == 2
 
 
 def test_norm_matches_hand_value():
@@ -238,25 +238,32 @@ def test_norm_requires_support_bound():
 def test_queries_are_repeatable():
     f = CoefficientSource.from_vector(np.random.default_rng(0).normal(size=9))
     for i in (1, 5, 9):
-        assert f.coefficient(i) == f.coefficient(i)
+        span = range(i, i + 1)
+        assert f.coefficients(span).tolist() == f.coefficients(span).tolist()
 
 
 def _sources():
-    base = CoefficientSource.from_vector([1.0, -2.0, 3.0, 0.5, -0.25])
-    custom = CoefficientSource(
-        lambda i: 1.0 / i if i <= 5 else 0.0, support_bound=5,
-        vector=lambda idx: np.where(idx <= 5, 1.0 / idx, 0.0))
-    return {"vector": base, "scaled": base.scaled(-0.5), "custom": custom,
+    coeffs = np.array([1.0, -2.0, 3.0, 0.5, -0.25])
+    return {"vector": CoefficientSource.from_vector(coeffs),
+            "scaled": CoefficientSource.from_vector(-0.5 * coeffs),
+            "custom": CoefficientSource(
+                lambda i: np.where(i <= 5, 1.0 / i, 0.0), support_bound=5),
             "zero": CoefficientSource.zero(),
-            "provider": CoefficientSource(lambda i: float(i))}
+            "provider": CoefficientSource(lambda i: i)}
 
 
 @pytest.mark.parametrize("name", list(_sources()))
 @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 5), (2, 4), (4, 9), (6, 8)])
 def test_range_coefficients_match_the_index_path(name, lo, hi):
+    # a range has the bits of reading its indices one at a time
     f = _sources()[name]
     got = f.coefficients(range(lo, hi + 1))
-    assert got.tobytes() == f.coefficients(np.arange(lo, hi + 1)).tobytes()
+    one_by_one = [f.coefficients(range(i, i + 1)) for i in range(lo, hi + 1)]
+    assert got.tobytes() == np.concatenate(one_by_one).tobytes()
+    # the walk reads in chunks: pieces have the bits of the whole
+    cut = (lo + hi + 1) // 2
+    pieces = [f.coefficients(range(lo, cut)), f.coefficients(range(cut, hi + 1))]
+    assert np.concatenate(pieces).tobytes() == got.tobytes()
     if f.support_bound is not None:
         assert not got[max(f.support_bound - lo + 1, 0):].any()
 
@@ -266,6 +273,43 @@ def test_range_coefficients_of_a_vector_are_read_only_views():
     view = f.coefficients(range(2, 4))
     assert np.shares_memory(view, f.dense(3))
     assert not view.flags.writeable
+
+
+_READERS = {
+    "rule-values": lambda: SingularSpectrum.algebraic(1.0, 1.0).values,
+    "table-values": lambda: SingularSpectrum.from_values([1.0, 0.5]).values,
+    "rule-coefficients": lambda: CoefficientSource(lambda i: 1.0 / i).coefficients,
+    "vector-coefficients":
+        lambda: CoefficientSource.from_vector([1.0, -2.0]).coefficients,
+    "zero-coefficients": lambda: CoefficientSource.zero().coefficients,
+}
+
+
+@pytest.mark.parametrize("reader", list(_READERS.values()), ids=list(_READERS))
+def test_only_step_one_ranges_of_one_based_indices_are_read(reader):
+    read = reader()
+    for bad in ([1, 2], np.arange(1, 3), range(1, 9, 2), range(0, 3)):
+        with pytest.raises(ValueError, match="step-1 range"):
+            read(bad)
+    # empty anywhere, past a table's end or reversed too
+    for empty in (read(range(1, 1)), read(range(5, 5)), read(range(4, 2))):
+        assert isinstance(empty, np.ndarray)
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+
+
+def test_a_rule_reads_the_float_indices_of_a_range():
+    seen = []
+
+    def rule(i):
+        seen.append(i.copy())
+        return 1.0 / i
+
+    SingularSpectrum.from_rule(rule).values(range(3, 8))
+    CoefficientSource(rule).coefficients(range(3, 8))
+    expect = np.arange(3, 8, dtype=np.float64)
+    assert len(seen) == 2
+    for i in seen:
+        assert i.dtype == np.float64 and i.tobytes() == expect.tobytes()
 
 
 # -- block_norm --------------------------------------------------------------
@@ -310,7 +354,7 @@ def test_block_norm_matches_brute_oracle(harmonic_doubling):
 
 def test_block_norm_homogeneous(harmonic_doubling):
     f = CoefficientSource.from_vector(np.random.default_rng(5).normal(size=16))
-    g = f.scaled(8.0)  # power of two keeps the scaling exact
+    g = CoefficientSource.from_vector(8.0 * f.dense(16))  # exact: power of two
     for j in range(1, 5):
         assert block_norm(harmonic_doubling, g, j) == pytest.approx(
             8.0 * block_norm(harmonic_doubling, f, j), rel=1e-12)
@@ -367,7 +411,8 @@ def test_membership_scale_invariant(harmonic_doubling):
     f = CoefficientSource.from_vector(rng.normal(size=16))
     base = cone_membership(harmonic_doubling, f)
     for c in (0.125, -4.0, 1e6):
-        scaled = cone_membership(harmonic_doubling, f.scaled(c))
+        scaled = cone_membership(harmonic_doubling,
+                                 CoefficientSource.from_vector(c * f.dense(16)))
         assert scaled.member == base.member
         assert scaled.worst_ratio == pytest.approx(base.worst_ratio, rel=1e-9)
 
@@ -422,7 +467,7 @@ def test_tail_norm_matches_brute_oracle(harmonic_doubling):
     rng = np.random.default_rng(8)
     f = CoefficientSource.from_vector(rng.normal(size=40))
     for n in (0, 1, 7, 23, 39):
-        expect = brute_tail(harmonic_doubling.spectrum.value, f.coefficient,
+        expect = brute_tail(harmonic_doubling.spectrum.value, coefficient_of(f),
                             n, 40)
         assert tail_norm(harmonic_doubling, f, n) == pytest.approx(
             expect, rel=1e-13, abs=1e-300)
@@ -444,8 +489,8 @@ def test_tail_norms_serve_any_cut_list(harmonic_doubling):
     cuts = [4000, 0, 17, 4000, support, support + 9, 2047]
     expect = []
     for n in cuts:
-        idx = np.arange(n + 1, support + 1)
-        prod = harmonic_doubling.spectrum.values(idx) * f.coefficients(idx)
+        span = range(n + 1, support + 1)
+        prod = harmonic_doubling.spectrum.values(span) * f.coefficients(span)
         expect.append(math.sqrt(math.fsum((prod * prod).tolist())))
     assert tail_norms(harmonic_doubling, f, cuts) == expect
     assert [tail_norm(harmonic_doubling, f, n) for n in cuts] == expect
@@ -456,7 +501,7 @@ def test_tail_norms_reject_bad_cuts(harmonic_doubling):
     f = CoefficientSource.from_vector([1.0, 1.0])
     with pytest.raises(ValueError):
         tail_norms(harmonic_doubling, f, [0, -1])
-    unbounded = CoefficientSource(lambda i: 1.0)
+    unbounded = CoefficientSource(np.ones_like)
     with pytest.raises(SupportBoundRequired):
         tail_norms(harmonic_doubling, unbounded, [0])
 
