@@ -20,9 +20,11 @@ from .analysis import (BracketReport, ComparisonReport, CostCurve, RatioScan,
                        adaptive_cost_bound_curve, ball_cost_curve,
                        blocked_ball_cost_curve,
                        boundary_ratio, complexity_lower_block,
-                       cost_bracket_check, essentially_no_worse,
-                       stop_block_bound, stop_block_bound_first_term,
+                       complexity_lower_blocks, cost_bracket_check,
+                       essentially_no_worse, stop_block_bound,
+                       stop_block_bound_first_term,
                        stop_block_bound_geometric, stop_block_bound_rough,
+                       stop_block_bounds, stop_block_bounds_rough,
                        tolerance_shrink_factor)
 from .adversarial import (FoolingPair, fooling_input, fooling_pair,
                           fooling_scale, solution_separation)
@@ -47,8 +49,8 @@ __all__ = [
     "SingularSpectrum", "SupportBoundRequired", "adaptive_algorithm",
     "adaptive_cost_bound_curve", "adaptive_sweep", "ball_algorithm",
     "ball_budget", "ball_cost_curve", "block_norm", "blocked_ball_cost_curve",
-    "boundary_ratio",
-    "complexity_lower_block", "cone_membership", "cost_bracket_check",
+    "boundary_ratio", "complexity_lower_block", "complexity_lower_blocks",
+    "cone_membership", "cost_bracket_check",
     "default_gamma", "derivative_coefficients", "derivative_problem",
     "derivative_slice_grid", "derivative_weights",
     "enumerate_derivative_spectrum", "essentially_no_worse",
@@ -59,6 +61,7 @@ __all__ = [
     "random_periodic_input", "solution_separation",
     "solution_slice_grid", "stop_block_bound",
     "stop_block_bound_first_term", "stop_block_bound_geometric",
-    "stop_block_bound_rough", "stop_threshold", "tail_norm", "tail_norms",
+    "stop_block_bound_rough", "stop_block_bounds", "stop_block_bounds_rough",
+    "stop_threshold", "tail_norm", "tail_norms",
     "tolerance_shrink_factor", "true_error",
 ]

@@ -136,19 +136,20 @@ def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
     _check_ratio(problem, ratio, blocks)
     a, b = problem.cone.a, problem.cone.b
     dimension = problem.partition.boundary(blocks)
-    zeroed = {int(i) for i in zeroed_functionals if 1 <= int(i) <= dimension}
-    if len(zeroed) + 1 >= dimension:
+    zeroed = np.fromiter(zeroed_functionals, dtype=np.int64)
+    unsampled = np.ones(dimension, dtype=bool)
+    unsampled[zeroed[(zeroed >= 1) & (zeroed <= dimension)] - 1] = False
+    free = np.flatnonzero(unsampled)  # 0-based, at least two once feasible
+    constraints = dimension - free.size
+    if constraints + 1 >= dimension:
         raise ValueError(
-            f"infeasible: {len(zeroed)} zeroed functionals + 1 orthogonality "
+            f"infeasible: {constraints} zeroed functionals + 1 orthogonality "
             f"constraint must stay below the {dimension} available dimensions")
 
     c = fooling_scale(problem, ratio, rho, blocks)
     base_vec = _base_vector(problem, c, blocks)
     base = CoefficientSource.from_vector(base_vec)
 
-    unsampled = np.ones(dimension, dtype=bool)
-    unsampled[[i - 1 for i in zeroed]] = False
-    free = np.flatnonzero(unsampled)  # 0-based, at least two by feasibility
     blank = free[base_vec[free] == 0.0]
     bump = np.zeros(dimension)
     if blank.size:

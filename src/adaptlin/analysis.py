@@ -6,6 +6,9 @@ module bounds j* from above for all admissible inputs in a norm ball
 successful algorithm from below via the block index certified by the
 adversarial construction (``complexity_lower_block``), and packages the
 "essentially no worse" comparison between cost curves that links the two.
+The three block scans each have a tolerance-list form (``stop_block_bounds``,
+``stop_block_bounds_rough``, ``complexity_lower_blocks``) that serves a
+whole list from one pass with the bits of one scan per tolerance.
 """
 
 from __future__ import annotations
@@ -97,6 +100,101 @@ def tolerance_shrink_factor(cone: ConeParams, ratio: float) -> float:
     return math.sqrt(numerator / (a ** 4 * spread) / bracket)
 
 
+_UNSETTLED = {
+    "stop_block_bound": "no stopping block bound within {} blocks",
+    "stop_block_bound_rough": "no rough stopping bound within {} blocks",
+    "complexity_lower_block":
+        "lower-bound block still growing at block limit {}",
+}
+
+
+def unsettled_error(bound: str, block_limit: int) -> GuardExceeded:
+    """What the scalar scan named ``bound`` raises for a tolerance that
+    its list form leaves None."""
+    return GuardExceeded(_UNSETTLED[bound].format(block_limit))
+
+
+def _squared_ratio(rho: float, epsilon: float) -> float:
+    """(rho / epsilon) ** 2, or inf where it lies past the float range."""
+    try:
+        return (rho / epsilon) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _reciprocal(x: float) -> float:
+    """1 / x, or inf where x underflowed to zero."""
+    return 1.0 / x if x else math.inf
+
+
+def _positive(epsilons, rho: float) -> list:
+    epsilons = list(epsilons)
+    if not (rho > 0 and all(eps > 0 for eps in epsilons)):
+        raise ValueError("epsilon and rho must be positive")
+    return epsilons
+
+
+def _settle(targets: list, blocks, hit, *, descending: bool) -> list:
+    """The block at which each target settles, from one pass over ``blocks``.
+
+    ``blocks`` yields (label, v) block by block, v free of the tolerance;
+    target t settles with the label of the first block whose v has
+    ``hit(t, v)``, and a target left None never settles.  ``hit`` is
+    monotone in t, so with the targets sorted ``descending`` or ascending
+    the pending ones a v settles are always those at the end of the list:
+    they are popped as the walk passes them.  Every target thus settles
+    where its own scan would, even where rounding makes v non-monotone,
+    and no block is read once none is pending.  Unsettled targets get None.
+    """
+    settled = [None] * len(targets)
+    pending = sorted((i for i, t in enumerate(targets) if t is not None),
+                     key=targets.__getitem__, reverse=descending)
+    blocks = iter(blocks)
+    while pending:
+        step = next(blocks, None)
+        if step is None:
+            break
+        label, v = step
+        while pending and hit(targets[pending[-1]], v):
+            settled[pending.pop()] = label
+    return settled
+
+
+def _block_edges(problem: Problem, block_limit: int):
+    """(j, lam_{n_{j-1}+1}) for j = 1..block_limit, evaluated on demand."""
+    for j in range(1, block_limit + 1):
+        yield j, problem.spectrum.value(problem.partition.boundary(j - 1) + 1)
+
+
+def _stop_brackets(problem: Problem, block_limit: int):
+    """(j, lead * bracket_j) for j = 1..block_limit, as in stop_block_bound."""
+    a, b = problem.cone.a, problem.cone.b
+    lead = (1.0 - b * b) / (a * a * b * b)
+    partial = 0.0  # sum over k = 1..j-1 of b**(2(k-j)) / (a**2 lam_{n_{k-1}+1}**2)
+    for j, edge in _block_edges(problem, block_limit):
+        yield j, lead * (partial + _reciprocal(edge * edge))
+        partial = (partial + _reciprocal(a * a * edge * edge)) / (b * b)
+
+
+def stop_block_bounds(problem: Problem, epsilons, rho: float, *,
+                      block_limit: int = DEFAULT_BLOCK_LIMIT) -> list:
+    """``stop_block_bound`` of each tolerance, from one scan of the blocks.
+
+    Returns one block per tolerance in input order, None where no block
+    within ``block_limit`` qualifies.  The brackets do not depend on
+    epsilon, so each is formed once, and the scan stops at the block of
+    the tolerance that needs the most; each target (rho / epsilon)**2 is
+    compared with the same rounded bracket as in a scan of its own.  A
+    target past the float range gets None without a scan: no rounded
+    bracket can certify it.
+    """
+    epsilons = _positive(epsilons, rho)
+    targets = [_squared_ratio(rho, eps) for eps in epsilons]
+    return _settle([t if t < math.inf else None for t in targets],
+                   _stop_brackets(problem, block_limit),
+                   lambda t, v: t <= v, descending=True)
+
+
 def stop_block_bound(problem: Problem, epsilon: float, rho: float, *,
                      block_limit: int = DEFAULT_BLOCK_LIMIT) -> int:
     """Tight upper bound on the adaptive stopping block over the ball.
@@ -109,40 +207,43 @@ def stop_block_bound(problem: Problem, epsilon: float, rho: float, *,
 
     The bracket increases in j, so the first hit is the minimum.  Every
     admissible input of norm at most rho stops at or before this block.
+    A square that underflows to zero counts as an infinite reciprocal.
+    Raises GuardExceeded when no block within ``block_limit`` qualifies,
+    and when rho**2 / epsilon**2 is past the float range.
     """
-    if epsilon <= 0 or rho <= 0:
-        raise ValueError("epsilon and rho must be positive")
-    a, b = problem.cone.a, problem.cone.b
-    target = (rho / epsilon) ** 2
-    lead = (1.0 - b * b) / (a * a * b * b)
-    partial = 0.0  # sum over k = 1..j-1 of b**(2(k-j)) / (a**2 lam_{n_{k-1}+1}**2)
-    for j in range(1, block_limit + 1):
-        edge = problem.spectrum.value(problem.partition.boundary(j - 1) + 1)
-        bracket = partial + 1.0 / (edge * edge)
-        if target <= lead * bracket:
-            return j
-        partial = (partial + 1.0 / (a * a * edge * edge)) / (b * b)
-    raise GuardExceeded(f"no stopping block bound within {block_limit} blocks")
+    (j,) = stop_block_bounds(problem, [epsilon], rho, block_limit=block_limit)
+    if j is None:
+        raise unsettled_error("stop_block_bound", block_limit)
+    return j
+
+
+def stop_block_bounds_rough(problem: Problem, epsilons, rho: float, *,
+                            block_limit: int = DEFAULT_BLOCK_LIMIT) -> list:
+    """``stop_block_bound_rough`` of each tolerance, from one scan of the
+    block edges; None where no block within ``block_limit`` qualifies."""
+    epsilons = _positive(epsilons, rho)
+    return _settle([stop_threshold(problem.cone, eps) / rho
+                    for eps in epsilons],
+                   _block_edges(problem, block_limit),
+                   lambda level, edge: edge <= level, descending=False)
 
 
 def stop_block_bound_rough(problem: Problem, epsilon: float, rho: float, *,
                            block_limit: int = DEFAULT_BLOCK_LIMIT) -> int:
     """Simpler bound: first j with lam_{n_{j-1}+1} <= eps*sqrt(1-b**2)/(a*b*rho)."""
-    if epsilon <= 0 or rho <= 0:
-        raise ValueError("epsilon and rho must be positive")
-    level = stop_threshold(problem.cone, epsilon) / rho
-    for j in range(1, block_limit + 1):
-        edge = problem.spectrum.value(problem.partition.boundary(j - 1) + 1)
-        if edge <= level:
-            return j
-    raise GuardExceeded(f"no rough stopping bound within {block_limit} blocks")
+    (j,) = stop_block_bounds_rough(problem, [epsilon], rho,
+                                   block_limit=block_limit)
+    if j is None:
+        raise unsettled_error("stop_block_bound_rough", block_limit)
+    return j
 
 
 def stop_block_bound_first_term(problem: Problem, epsilon: float, rho: float) -> int:
     """Closed-form bound keeping only the first bracket term.
 
     ceil( log( rho * a**2 * lam_{n_0+1} / (epsilon * sqrt(1-b**2)) )
-          / log(1/b) ), clamped to at least 1.
+          / log(1/b) ), clamped to at least 1.  Raises GuardExceeded when
+    the argument of the log is past the float range.
     """
     if epsilon <= 0 or rho <= 0:
         raise ValueError("epsilon and rho must be positive")
@@ -151,6 +252,8 @@ def stop_block_bound_first_term(problem: Problem, epsilon: float, rho: float) ->
     argument = rho * a * a * lead / (epsilon * math.sqrt(1.0 - b * b))
     if argument <= 1.0:
         return 1
+    if argument == math.inf:
+        raise GuardExceeded("first-term bound past the float range")
     return max(1, math.ceil(math.log(argument) / math.log(1.0 / b)))
 
 
@@ -172,6 +275,39 @@ def stop_block_bound_geometric(alpha: float, beta: float, cone: ConeParams,
     return max(1, math.ceil(math.log(argument) / math.log(1.0 / beta)))
 
 
+def _lower_sums(problem: Problem, ratio: float, block_limit: int):
+    """(j - 1, bracket * tail_sum_j) for j = 1..block_limit, as in
+    complexity_lower_block."""
+    a, b = problem.cone.a, problem.cone.b
+    bracket = (a + 1.0) ** 2 * ratio * ratio / (a - 1.0) ** 2 + 1.0
+    edge0 = problem.spectrum.value(problem.partition.boundary(0))
+    tail_sum = _reciprocal(edge0 * edge0)  # sum over k = 0..j of b**(2(k-j)) / lam_{n_k}**2
+    for j in range(1, block_limit + 1):
+        edge = problem.spectrum.value(problem.partition.boundary(j))
+        tail_sum = tail_sum / (b * b) + _reciprocal(edge * edge)
+        yield j - 1, bracket * tail_sum
+
+
+def complexity_lower_blocks(problem: Problem, ratio: float, epsilons,
+                            rho: float, *,
+                            block_limit: int = DEFAULT_BLOCK_LIMIT) -> list:
+    """``complexity_lower_block`` of each tolerance, from one scan of the
+    blocks; None where the condition still holds at ``block_limit``.
+
+    The sums do not depend on epsilon, so each is formed once, and the
+    scan stops at the first failure of the tolerance that needs the most
+    blocks; a target (rho / epsilon)**2 past the float range counts as inf.
+    """
+    epsilons = _positive(epsilons, rho)
+    if ratio < 1.0:
+        raise ValueError("ratio must be at least 1")
+    if problem.partition.boundary(0) < 1:
+        raise ValueError("the lower bound construction needs n_0 >= 1")
+    return _settle([_squared_ratio(rho, eps) for eps in epsilons],
+                   _lower_sums(problem, ratio, block_limit),
+                   lambda t, v: not v < t, descending=True)
+
+
 def complexity_lower_block(problem: Problem, ratio: float, epsilon: float,
                            rho: float, *,
                            block_limit: int = DEFAULT_BLOCK_LIMIT) -> int:
@@ -189,27 +325,11 @@ def complexity_lower_block(problem: Problem, ratio: float, epsilon: float,
     failure; reaching ``block_limit`` with the condition still holding
     raises GuardExceeded since the true maximum lies beyond the scan.
     """
-    if epsilon <= 0 or rho <= 0:
-        raise ValueError("epsilon and rho must be positive")
-    if ratio < 1.0:
-        raise ValueError("ratio must be at least 1")
-    if problem.partition.boundary(0) < 1:
-        raise ValueError("the lower bound construction needs n_0 >= 1")
-    a, b = problem.cone.a, problem.cone.b
-    target = (rho / epsilon) ** 2
-    bracket = (a + 1.0) ** 2 * ratio * ratio / (a - 1.0) ** 2 + 1.0
-    edge0 = problem.spectrum.value(problem.partition.boundary(0))
-    tail_sum = 1.0 / (edge0 * edge0)  # sum over k = 0..j of b**(2(k-j)) / lam_{n_k}**2
-    best = 0
-    for j in range(1, block_limit + 1):
-        edge = problem.spectrum.value(problem.partition.boundary(j))
-        tail_sum = tail_sum / (b * b) + 1.0 / (edge * edge)
-        if bracket * tail_sum < target:
-            best = j
-        else:
-            return best
-    raise GuardExceeded(
-        f"lower-bound block still growing at block limit {block_limit}")
+    (j,) = complexity_lower_blocks(problem, ratio, [epsilon], rho,
+                                   block_limit=block_limit)
+    if j is None:
+        raise unsettled_error("complexity_lower_block", block_limit)
+    return j
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,10 @@ import numpy as np
 from . import __version__
 from .adversarial import fooling_input, fooling_pair, solution_separation
 from .algorithm import _walk, adaptive_algorithm, ball_budget, no_stop_error
-from .analysis import (boundary_ratio, complexity_lower_block,
-                       stop_block_bound, stop_block_bound_first_term,
-                       stop_block_bound_rough, tolerance_shrink_factor)
+from .analysis import (boundary_ratio, complexity_lower_blocks,
+                       stop_block_bound_first_term, stop_block_bounds,
+                       stop_block_bounds_rough, tolerance_shrink_factor,
+                       unsettled_error)
 from .problems import (default_gamma, derivative_coefficients,
                        derivative_slice_grid, enumerate_derivative_spectrum,
                        input_slice_grid, periodic_approximation_cost,
@@ -464,7 +465,6 @@ def cmd_bounds(merged, quiet):
     else:
         omega = tolerance_shrink_factor(problem.cone, scan.value)
 
-    rows = []
     violations = 0
     failures = 0
     lower_bound_usable = problem.partition.boundary(0) >= 1
@@ -472,35 +472,58 @@ def cmd_bounds(merged, quiet):
         print("bounds: partition starts at n_0 = 0, where the lower-bound "
               "construction is undefined; column left empty",
               file=sys.stderr)
-    for eps in epsilons:
+    # One scan per bound serves the whole list.  Each later bound is
+    # computed only for the tolerances every earlier one settled, as a
+    # loop over the tolerances would, so no scan reads a block that loop
+    # would not; messages are then printed in tolerance order.
+    columns = {eps: [] for eps in epsilons}
+    errors = {}
+    live = epsilons
+    for bounds_of, name in ((stop_block_bounds, "stop_block_bound"),
+                            (stop_block_bounds_rough,
+                             "stop_block_bound_rough")):
+        for eps, j in zip(live, bounds_of(problem, live, rho,
+                                          block_limit=j_max)):
+            if j is None:
+                errors[eps] = unsettled_error(name, j_max)
+            else:
+                columns[eps].append(j)
+        live = [eps for eps in live if eps not in errors]
+    for eps in live:
         try:
-            j_dagger = stop_block_bound(problem, eps, rho, block_limit=j_max)
-            j_rough = stop_block_bound_rough(problem, eps, rho,
-                                             block_limit=j_max)
-            j_first = stop_block_bound_first_term(problem, eps, rho)
+            columns[eps].append(stop_block_bound_first_term(problem, eps, rho))
         except GuardExceeded as exc:
-            print(f"bounds: guard exceeded at epsilon={eps!r}: {exc}",
-                  file=sys.stderr)
+            errors[eps] = exc
+    live = [eps for eps in live if eps not in errors]
+    lower = {}
+    if omega is not None and lower_bound_usable:
+        lower = dict(zip(live, complexity_lower_blocks(
+            problem, scan.value, [omega * eps for eps in live], rho,
+            block_limit=j_max)))
+
+    rows = []
+    for eps in epsilons:
+        if eps in errors:
+            print(f"bounds: guard exceeded at epsilon={eps!r}: "
+                  f"{errors[eps]}", file=sys.stderr)
             failures += 1
             continue
-        j_lower = None
-        if omega is not None and lower_bound_usable:
-            try:
-                j_lower = complexity_lower_block(problem, scan.value,
-                                                 omega * eps, rho,
-                                                 block_limit=j_max)
-            except GuardExceeded as exc:
-                print(f"bounds: guard exceeded in lower bound at "
-                      f"epsilon={eps!r}: {exc}", file=sys.stderr)
-                failures += 1
-            else:
-                n_dagger, n_lower = map(problem.partition.boundary,
-                                        (j_dagger, j_lower))
-                if n_dagger > n_lower:
-                    print(f"bounds: chain violated at epsilon={eps!r}: "
-                          f"n_(j_dagger)={n_dagger} > n_(j_lower)={n_lower}",
-                          file=sys.stderr)
-                    violations += 1
+        j_dagger, j_rough, j_first = columns[eps]
+        j_lower = lower.get(eps)
+        if eps in lower and j_lower is None:
+            print(f"bounds: guard exceeded in lower bound at "
+                  f"epsilon={eps!r}: "
+                  f"{unsettled_error('complexity_lower_block', j_max)}",
+                  file=sys.stderr)
+            failures += 1
+        elif j_lower is not None:
+            n_dagger, n_lower = map(problem.partition.boundary,
+                                    (j_dagger, j_lower))
+            if n_dagger > n_lower:
+                print(f"bounds: chain violated at epsilon={eps!r}: "
+                      f"n_(j_dagger)={n_dagger} > n_(j_lower)={n_lower}",
+                      file=sys.stderr)
+                violations += 1
         rows.append((eps, rho, j_dagger, j_rough, j_first, j_lower, omega,
                      scan.value))
 
@@ -511,6 +534,46 @@ def cmd_bounds(merged, quiet):
         print(f"bounds: {len(rows)} rows, {violations} chain violations "
               f"-> {out / 'bounds.csv'}")
     return 1 if violations or failures else 0
+
+
+def _fooling_entry(problem, eps, rho, j_max, ratio, depth, cost):
+    """The checked fooling pair of a probe of ``depth`` blocks whose run at
+    tolerance ``eps`` sampled indices 1..cost, as an adversarial.json entry."""
+    pair = fooling_pair(problem, ratio, rho, depth, range(1, cost + 1))
+    run_plus = adaptive_algorithm(problem, pair.plus, eps, block_limit=j_max)
+    run_minus = adaptive_algorithm(problem, pair.minus, eps,
+                                   block_limit=j_max)
+    # runs are prefixes: equal values mean equal samples
+    indistinguishable = np.array_equal(run_plus.values, run_minus.values)
+    separation = solution_separation(problem, pair)
+    sources = {"base": pair.base, "plus": pair.plus, "minus": pair.minus}
+    memberships = {name: cone_membership(problem, source)
+                   for name, source in sources.items()}
+    norms = {name: source.norm() for name, source in sources.items()}
+    c, eta = pair.amplitude, pair.shift
+    identity_gap = abs(problem.cone.a * (c - eta * pair.ratio)
+                       - (c + eta * pair.ratio))
+    norm_tol = rho * (1.0 + 1e-10)
+    ok = (indistinguishable
+          and all(m.member for m in memberships.values())
+          and all(v <= norm_tol for v in norms.values())
+          and separation >= 2.0 * eta
+          and identity_gap <= 1e-12 * max(1.0, c))
+    return {
+        "epsilon": eps,
+        "blocks": pair.blocks,
+        "ratio": pair.ratio,
+        "amplitude": c,
+        "shift": eta,
+        "zeroed_count": int(cost),
+        "membership": {k: {"member": m.member, "worst_ratio": m.worst_ratio}
+                       for k, m in memberships.items()},
+        "norms": norms,
+        "separation": separation,
+        "identity_gap": identity_gap,
+        "indistinguishable": indistinguishable,
+        "ok": ok,
+    }
 
 
 def cmd_adversarial(merged, quiet):
@@ -528,73 +591,49 @@ def cmd_adversarial(merged, quiet):
     entries = []
     failures = 0
     start = time.perf_counter()
+    # The probe of a depth does not depend on epsilon, so each depth's ratio
+    # and base probe are built once.  The tolerances run in decreasing
+    # order, and on a fixed input a smaller tolerance never stops at an
+    # earlier block, so a depth whose run read too much for one tolerance
+    # reads too much for every later one, and a run that hit the j_max
+    # guard hits it again.  Each depth search therefore starts where the
+    # previous one ended; a depth that failed _check_ratio or the n_max
+    # budget fails again there, with the same message.
+    probes = {}
+    depth = adv_cfg.get("blocks", 4)
     for eps in epsilons:
         # The sampled indices of a run on the base input become the zeroed
         # functionals; the bump then hides in coordinates the run never saw.
-        probe_blocks = adv_cfg.get("blocks", 4)
         try:
             while True:
-                ratio = (adv_cfg["ratio"] if "ratio" in adv_cfg
-                         else boundary_ratio(problem, probe_blocks).value)
-                base_probe = fooling_input(problem, ratio, rho, probe_blocks)
+                if depth not in probes:
+                    ratio = (adv_cfg["ratio"] if "ratio" in adv_cfg
+                             else boundary_ratio(problem, depth).value)
+                    probes[depth] = (ratio, fooling_input(problem, ratio,
+                                                          rho, depth))
+                ratio, base_probe = probes[depth]
                 run = adaptive_algorithm(problem, base_probe, eps,
                                          block_limit=j_max)
-                if run.cost + 1 < problem.partition.boundary(probe_blocks):
+                if run.cost + 1 < problem.partition.boundary(depth):
                     break
                 if "blocks" in adv_cfg:
                     raise ValueError(
                         "configured block count leaves no free coordinate "
                         "for the bump; increase adversarial.blocks")
-                probe_blocks += 1
-                _index_budget(problem, probe_blocks, n_max, "the probe depth")
-            pair = fooling_pair(problem, ratio, rho, probe_blocks,
-                                range(1, run.cost + 1))
+                _index_budget(problem, depth + 1, n_max, "the probe depth")
+                depth += 1
         except (ValueError, GuardExceeded) as exc:
             print(f"adversarial: construction failed at epsilon={eps!r}: "
                   f"{exc}", file=sys.stderr)
             failures += 1
             continue
-
-        run_plus = adaptive_algorithm(problem, pair.plus, eps,
-                                      block_limit=j_max)
-        run_minus = adaptive_algorithm(problem, pair.minus, eps,
-                                       block_limit=j_max)
-        # runs are prefixes: equal values mean equal samples
-        indistinguishable = np.array_equal(run_plus.values, run_minus.values)
-        separation = solution_separation(problem, pair)
-        sources = {"base": pair.base, "plus": pair.plus, "minus": pair.minus}
-        memberships = {name: cone_membership(problem, source)
-                       for name, source in sources.items()}
-        norms = {name: source.norm() for name, source in sources.items()}
-        c, eta = pair.amplitude, pair.shift
-        identity_gap = abs(problem.cone.a * (c - eta * pair.ratio)
-                           - (c + eta * pair.ratio))
-        norm_tol = rho * (1.0 + 1e-10)
-        entry_ok = (indistinguishable
-                    and all(m.member for m in memberships.values())
-                    and all(v <= norm_tol for v in norms.values())
-                    and separation >= 2.0 * eta
-                    and identity_gap <= 1e-12 * max(1.0, c))
-        if not entry_ok:
+        entry = _fooling_entry(problem, eps, rho, j_max, ratio, depth,
+                               run.cost)
+        if not entry["ok"]:
             failures += 1
             print(f"adversarial: checks failed at epsilon={eps!r}",
                   file=sys.stderr)
-        entries.append({
-            "epsilon": eps,
-            "blocks": pair.blocks,
-            "ratio": pair.ratio,
-            "amplitude": c,
-            "shift": eta,
-            "zeroed_count": int(run.cost),
-            "membership": {k: {"member": m.member,
-                               "worst_ratio": m.worst_ratio}
-                           for k, m in memberships.items()},
-            "norms": norms,
-            "separation": separation,
-            "identity_gap": identity_gap,
-            "indistinguishable": indistinguishable,
-            "ok": entry_ok,
-        })
+        entries.append(entry)
     elapsed = time.perf_counter() - start
 
     _write_record(out / "adversarial.json", merged, "entries", entries,

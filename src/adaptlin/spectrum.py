@@ -182,8 +182,10 @@ class SingularSpectrum:
         """lam_i = scale / i**power with scale > 0, power > 0."""
         if scale <= 0 or power <= 0:
             raise ValueError("scale and power must be positive")
-        return cls(lambda i: scale / i ** power,
-                   name=f"algebraic(scale={scale}, power={power})")
+        name = f"algebraic(scale={scale}, power={power})"
+        if power == 1.0:  # i ** 1.0 is i, bit for bit, and far slower
+            return cls(lambda i: scale / i, name=name)
+        return cls(lambda i: scale / i ** power, name=name)
 
     @classmethod
     def geometric(cls, scale: float, base: float) -> "SingularSpectrum":

@@ -2,7 +2,8 @@
 
 The oracles here recompute norms with plain Python loops and exact
 summation, so library results are checked against code that shares no
-implementation path with them.
+implementation path with them.  The scan oracles rerun, one tolerance at
+a time, the searches the library serves for a whole tolerance list.
 """
 
 import math
@@ -10,8 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from adaptlin import (CoefficientSource, ConeParams, Partition, Problem,
-                      SingularSpectrum)
+from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
+                      Partition, Problem, SingularSpectrum, adaptive_algorithm,
+                      boundary_ratio, fooling_input, stop_threshold)
 
 
 def unit_spectrum():
@@ -104,3 +106,80 @@ def harmonic_doubling():
     """lam_i = 1/i, n = (1, 2, 4, 8, ...), a = 2, b = 1/2."""
     return Problem(SingularSpectrum.algebraic(1.0, 1.0), Partition.doubling(1),
                    ConeParams(2.0, 0.5))
+
+
+# -- one scan per tolerance ----------------------------------------------------
+# The block scans of the bounds as they ran before the tolerance-list forms:
+# each walks the blocks from j = 1 for its own tolerance.
+
+def scan_stop_block_bound(problem, epsilon, rho, block_limit):
+    """The tight stopping-block bound, one tolerance at a time."""
+    a, b = problem.cone.a, problem.cone.b
+    target = (rho / epsilon) ** 2
+    lead = (1.0 - b * b) / (a * a * b * b)
+    partial = 0.0
+    for j in range(1, block_limit + 1):
+        edge = problem.spectrum.value(problem.partition.boundary(j - 1) + 1)
+        bracket = partial + 1.0 / (edge * edge)
+        if target <= lead * bracket:
+            return j
+        partial = (partial + 1.0 / (a * a * edge * edge)) / (b * b)
+    raise GuardExceeded(f"no stopping block bound within {block_limit} blocks")
+
+
+def scan_stop_block_bound_rough(problem, epsilon, rho, block_limit):
+    """The rough stopping-block bound, one tolerance at a time."""
+    level = stop_threshold(problem.cone, epsilon) / rho
+    for j in range(1, block_limit + 1):
+        edge = problem.spectrum.value(problem.partition.boundary(j - 1) + 1)
+        if edge <= level:
+            return j
+    raise GuardExceeded(f"no rough stopping bound within {block_limit} blocks")
+
+
+def scan_complexity_lower_block(problem, ratio, epsilon, rho, block_limit):
+    """The lower-bound block, one tolerance at a time."""
+    a, b = problem.cone.a, problem.cone.b
+    target = (rho / epsilon) ** 2
+    bracket = (a + 1.0) ** 2 * ratio * ratio / (a - 1.0) ** 2 + 1.0
+    edge0 = problem.spectrum.value(problem.partition.boundary(0))
+    tail_sum = 1.0 / (edge0 * edge0)
+    best = 0
+    for j in range(1, block_limit + 1):
+        edge = problem.spectrum.value(problem.partition.boundary(j))
+        tail_sum = tail_sum / (b * b) + 1.0 / (edge * edge)
+        if bracket * tail_sum < target:
+            best = j
+        else:
+            return best
+    raise GuardExceeded(
+        f"lower-bound block still growing at block limit {block_limit}")
+
+
+def fresh_probe_search(problem, epsilon, rho, j_max, n_max, blocks=None,
+                       ratio=None):
+    """The ``adversarial`` probe search of one tolerance, started afresh.
+
+    Grows the probe from ``blocks`` (default 4) until a run at epsilon
+    leaves a free coordinate; returns (ratio, depth, cost of that run).
+    A configured ``blocks`` is never grown.  Raises what the search raises:
+    ValueError from the ratio check, GuardExceeded from a run, and
+    ValueError when the next depth spans more than ``n_max`` indices.
+    """
+    depth = 4 if blocks is None else blocks
+    while True:
+        r = boundary_ratio(problem, depth).value if ratio is None else ratio
+        probe = fooling_input(problem, r, rho, depth)
+        run = adaptive_algorithm(problem, probe, epsilon, block_limit=j_max)
+        if run.cost + 1 < problem.partition.boundary(depth):
+            return r, depth, run.cost
+        if blocks is not None:
+            raise ValueError(
+                "configured block count leaves no free coordinate for the "
+                "bump; increase adversarial.blocks")
+        depth += 1
+        size = problem.partition.boundary(depth)
+        if size > n_max:
+            raise ValueError(
+                f"the probe depth = {depth} spans {size} indices, over the "
+                f"index budget guards.n_max = {n_max}")

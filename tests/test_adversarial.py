@@ -176,6 +176,19 @@ def test_pair_infeasible_when_constraints_fill_dimension():
         fooling_pair(problem, 1.0, 1.0, 2, (1, 2, 3))
 
 
+def test_pair_ignores_repeated_and_out_of_range_zeroed_indices():
+    # six blocks span 64 coordinates; 0, -3 and 65 are outside, and the
+    # repeats count once, so 62 distinct constraints + 1 still fit
+    problem = harmonic_problem()
+    inside = list(range(1, 63))
+    noisy = inside + [0, -3, 65, 10 ** 6] + inside[::7]
+    pair = fooling_pair(problem, 2.0, 1.0, 6, noisy)
+    assert np.array_equal(pair.bump,
+                          fooling_pair(problem, 2.0, 1.0, 6, inside).bump)
+    with pytest.raises(ValueError, match="63 zeroed functionals"):
+        fooling_pair(problem, 2.0, 1.0, 6, noisy + [63])
+
+
 def test_pair_deterministic():
     problem = harmonic_problem()
     first = make_pair(problem, 2.0)

@@ -9,12 +9,16 @@ from adaptlin import (ConeParams, GuardExceeded, Partition, Problem,
                       SingularSpectrum, adaptive_algorithm, adaptive_cost_bound_curve,
                       ball_cost_curve, blocked_ball_cost_curve,
                       boundary_ratio, complexity_lower_block,
-                      cost_bracket_check, essentially_no_worse,
-                      stop_block_bound, stop_block_bound_first_term,
+                      complexity_lower_blocks, cost_bracket_check,
+                      essentially_no_worse, stop_block_bound,
+                      stop_block_bound_first_term,
                       stop_block_bound_geometric, stop_block_bound_rough,
+                      stop_block_bounds, stop_block_bounds_rough,
                       tolerance_shrink_factor)
 
-from conftest import profile_member, unit_spectrum
+from conftest import (profile_member, scan_complexity_lower_block,
+                      scan_stop_block_bound, scan_stop_block_bound_rough,
+                      unit_spectrum)
 
 CONE = ConeParams(2.0, 0.5)
 
@@ -214,6 +218,85 @@ def test_lower_block_guard():
     problem = harmonic_problem()
     with pytest.raises(GuardExceeded):
         complexity_lower_block(problem, 2.0, 1e-30, 1.0, block_limit=8)
+
+
+# -- tolerance lists ---------------------------------------------------------
+
+def test_targets_past_the_float_range_are_guards():
+    # (1 / 1e-200)**2 and the first-term argument at 1e-310 overflow
+    problem = harmonic_problem()
+    for eps in (1e-200, 1e-310):
+        with pytest.raises(GuardExceeded):
+            stop_block_bound(problem, eps, 1.0)
+        with pytest.raises(GuardExceeded):
+            complexity_lower_block(problem, 2.0, eps, 1.0)
+    with pytest.raises(GuardExceeded, match="float range"):
+        stop_block_bound_first_term(problem, 1e-310, 1.0)
+    assert stop_block_bounds(problem, [1e-1, 1e-200], 1.0) == [4, None]
+
+
+def test_a_square_that_underflows_counts_as_an_infinite_reciprocal():
+    # lam_257 = 1e-257 squares to zero, where one scan per tolerance
+    # divided by it; the infinite bracket certifies any finite target
+    problem = Problem(SingularSpectrum.geometric(1.0, 10.0),
+                      Partition.doubling(1), CONE)
+    with pytest.raises(ZeroDivisionError):
+        scan_stop_block_bound(problem, 1e-130, 1.0, 64)
+    assert stop_block_bound(problem, 1e-130, 1.0) == 9
+    with pytest.raises(ZeroDivisionError):
+        scan_complexity_lower_block(problem, 2.0, 1e-130, 1.0, 64)
+    assert complexity_lower_block(problem, 2.0, 1e-130, 1.0) == 7
+
+
+def recording_problem(read):
+    """Harmonic doubling problem whose spectrum records each index read
+    after it is built."""
+    def rule(i):
+        read.extend(np.atleast_1d(i).tolist())
+        return 1.0 / i
+    problem = Problem(SingularSpectrum.from_rule(rule), Partition.doubling(1),
+                      CONE)
+    read.clear()
+    return problem
+
+
+@pytest.mark.parametrize("list_form, scan", [
+    (lambda p, eps: stop_block_bounds(p, eps, 1.0, block_limit=20),
+     lambda p, eps: scan_stop_block_bound(p, eps, 1.0, 20)),
+    (lambda p, eps: stop_block_bounds_rough(p, eps, 1.0, block_limit=20),
+     lambda p, eps: scan_stop_block_bound_rough(p, eps, 1.0, 20)),
+    (lambda p, eps: complexity_lower_blocks(p, 2.0, eps, 1.0,
+                                            block_limit=20),
+     lambda p, eps: scan_complexity_lower_block(p, 2.0, eps, 1.0, 20)),
+], ids=["tight", "rough", "lower"])
+def test_a_list_scan_reads_no_deeper_than_the_deepest_own_scan(list_form,
+                                                                scan):
+    for epsilons in ([0.5], [0.5, 1e-3, 0.01, 1e-3], [1e-30, 0.1], []):
+        read = []
+        settled = list_form(recording_problem(read), epsilons)
+        deepest = 0
+        for eps in epsilons:
+            own = []
+            try:
+                scan(recording_problem(own), eps)
+            except GuardExceeded:
+                pass
+            deepest = max([deepest] + own)
+        assert max(read, default=0) == deepest
+        # each block's index is read once
+        assert len(read) == len(set(read))
+        assert len(settled) == len(epsilons)
+
+
+def test_list_forms_reject_non_positive_tolerances():
+    problem = harmonic_problem()
+    for bad in ([0.1, 0.0], [math.nan], [-1.0]):
+        with pytest.raises(ValueError, match="positive"):
+            stop_block_bounds(problem, bad, 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            stop_block_bounds_rough(problem, bad, 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            complexity_lower_blocks(problem, 2.0, bad, 1.0)
 
 
 # -- essentially_no_worse ----------------------------------------------------

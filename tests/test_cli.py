@@ -14,7 +14,7 @@ import pytest
 
 from adaptlin import GuardExceeded, adaptive_algorithm, block_norm, cli
 
-from conftest import brute_worst_ratio
+from conftest import brute_worst_ratio, fresh_probe_search
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -386,7 +386,72 @@ def test_bounds_geometric_spectrum_omits_omega(tmp_path, capsys):
     assert int(rows[0][2]) >= 1
 
 
+def test_bounds_guard_past_the_float_range(tmp_path, capsys):
+    # (rho / epsilon)**2 overflows at 1e-200 and 1e-310, and the first-term
+    # argument at 1e-310: each is a guard message, not a traceback
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "problem": ALGEBRAIC, "epsilons": [1e-150, 1e-200, 1e-310],
+        "output": str(out)})
+    assert cli.main(["bounds", "--config", cfg, "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"bounds: guard exceeded at epsilon={eps!r}: no stopping "
+                   "block bound within 64 blocks"
+                   for eps in (1e-150, 1e-200, 1e-310)]
+    assert read_csv(out / "bounds.csv")[1] == []
+
+
 # -- adversarial ---------------------------------------------------------------
+
+GEOMETRIC_SLOW = {"spectrum": {"family": "geometric", "base": 1.01}}
+
+
+@pytest.mark.parametrize("problem_cfg, sections", [
+    (ALGEBRAIC, {}),
+    # each depth has its own boundary ratio, 1.01**(2**(depth - 1))
+    (GEOMETRIC_SLOW, {}),
+    # the boundary drop of base 1.01 passes 2.0 at block 8
+    (GEOMETRIC_SLOW, {"adversarial": {"ratio": 2.0}}),
+    # the runs on deeper probes need more than 7 blocks
+    (ALGEBRAIC, {"guards": {"j_max": 7}}),
+    # depth 10 spans 1024 indices
+    (ALGEBRAIC, {"guards": {"n_max": 1000}}),
+    (ALGEBRAIC, {"adversarial": {"blocks": 6}}),
+], ids=["default", "growing-ratio", "ratio-check", "j_max", "n_max",
+        "configured-blocks"])
+def test_adversarial_entries_match_a_fresh_search_per_tolerance(
+        tmp_path, capsys, problem_cfg, sections):
+    out = tmp_path / "out"
+    epsilons = [0.3, 0.1, 3e-2, 1e-2, 3e-3, 1e-3, 1e-4]
+    config = dict({"problem": problem_cfg, "epsilons": epsilons,
+                   "output": str(out)}, **sections)
+    argv = ["adversarial", "--config", write_config(tmp_path, config),
+            "--quiet"]
+    status = cli.main(argv)
+    merged = cli._effective(cli._build_parser().parse_args(argv), config)
+    j_max, n_max = merged["guards"]["j_max"], merged["guards"]["n_max"]
+    problem, _ = cli.build_problem(merged["problem"], n_max)
+    adv = merged.get("adversarial", {})
+    entries, messages = [], []
+    for eps in sorted(epsilons, reverse=True):
+        try:
+            ratio, depth, cost = fresh_probe_search(
+                problem, eps, 1.0, j_max, n_max, blocks=adv.get("blocks"),
+                ratio=adv.get("ratio"))
+        except (ValueError, GuardExceeded) as exc:
+            messages.append(f"adversarial: construction failed at "
+                            f"epsilon={eps!r}: {exc}")
+            continue
+        entries.append(cli._fooling_entry(problem, eps, 1.0, j_max, ratio,
+                                          depth, cost))
+        if not entries[-1]["ok"]:
+            messages.append(f"adversarial: checks failed at epsilon={eps!r}")
+    record = json.loads((out / "adversarial.json").read_text(encoding="utf-8"))
+    assert record["entries"] == json.loads(json.dumps(entries))
+    assert capsys.readouterr().err.splitlines() == messages
+    assert status == (1 if messages else 0)
+    # every case fools some tolerances, and each guard case fails others
+    assert entries and (messages or not sections)
 
 def test_adversarial_fools_the_run(tmp_path):
     out = tmp_path / "out"

@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adaptlin import (CoefficientSource, ConeParams, Partition, Problem,
-                      SingularSpectrum, adaptive_algorithm, ball_algorithm,
-                      block_norm, cli, cone_membership, random_cone_member,
-                      tail_norm, tail_norms, true_error)
+from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
+                      OutOfRangeError, Partition, Problem, SingularSpectrum,
+                      adaptive_algorithm, ball_algorithm, block_norm, cli,
+                      complexity_lower_blocks, cone_membership,
+                      random_cone_member, stop_block_bounds,
+                      stop_block_bounds_rough, tail_norm, tail_norms,
+                      true_error)
 from adaptlin.spectrum import block_decay_ratios, exact_norm
 from conftest import (brute_sigma, brute_worst_ratio, pair_ratio,
-                      profile_member, unit_spectrum)
+                      profile_member, scan_complexity_lower_block,
+                      scan_stop_block_bound, scan_stop_block_bound_rough,
+                      unit_spectrum)
 
 # magnitudes below 1e-100 flush to zero: their squares would land in the
 # denormal range where even scaling by 2 stops being exact
@@ -236,3 +241,76 @@ def test_block_decay_ratios_match_the_pair_scan(norms, a, b):
         assert j + r == first and j == binders[first - 1]
         violation = pair_ratio(cone, norms, j, r)
         assert violation > (1.0 + 1e-9) * (1.0 if exact else 1.0 - 1e-12)
+
+
+spectra = st.one_of(
+    st.builds(SingularSpectrum.algebraic, st.floats(0.1, 10.0),
+              st.one_of(st.just(1.0), st.floats(0.25, 4.0))),
+    st.builds(SingularSpectrum.geometric, st.floats(0.1, 10.0),
+              st.floats(1.01, 4.0)))
+partitions = st.one_of(
+    st.builds(Partition.doubling, st.integers(1, 8)),
+    st.builds(Partition.arithmetic, st.integers(1, 8), st.integers(1, 20)),
+    st.lists(st.integers(1, 5000), min_size=2, max_size=30, unique=True).map(
+        lambda bs: Partition.from_boundaries(sorted(bs))))
+cones = st.builds(ConeParams, st.floats(1.1, 8.0), st.floats(0.05, 0.95))
+
+
+@st.composite
+def tolerance_lists(draw):
+    """1 to 120 tolerances 10**e, e in [-14, 1], drawn from a pool of half
+    as many, so most lists repeat some; the smallest exhaust most limits."""
+    count = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = rng.uniform(-14.0, 1.0, size=count // 2 + 1)
+    return [10.0 ** e for e in rng.choice(pool, size=count)]
+
+
+def _scan_each(scan, epsilons):
+    """Each tolerance's own scan: its block, None on the guard, or the
+    type of anything else it raised."""
+    outcomes = []
+    for eps in epsilons:
+        try:
+            outcomes.append(scan(eps))
+        except GuardExceeded:
+            outcomes.append(None)
+        except (OutOfRangeError, ZeroDivisionError) as exc:
+            outcomes.append(type(exc))
+    return outcomes
+
+
+def _assert_list_form_matches(list_form, outcomes):
+    """A walk past an explicit partition raises as the scan that got there
+    did.  A scan that divided by an underflowed square has no counterpart:
+    the list form counts that reciprocal as inf."""
+    if OutOfRangeError in outcomes:
+        with pytest.raises(OutOfRangeError):
+            list_form()
+        return
+    for got, want in zip(list_form(), outcomes):
+        if want is not ZeroDivisionError:
+            assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectra, partitions, cones, tolerance_lists(),
+       st.floats(0.1, 10.0), st.floats(1.0, 20.0), st.integers(1, 40))
+def test_tolerance_list_scans_settle_where_each_own_scan_does(
+        spectrum, partition, cone, epsilons, rho, ratio, block_limit):
+    problem = Problem(spectrum, partition, cone)
+    _assert_list_form_matches(
+        lambda: stop_block_bounds(problem, epsilons, rho,
+                                  block_limit=block_limit),
+        _scan_each(lambda eps: scan_stop_block_bound(
+            problem, eps, rho, block_limit), epsilons))
+    _assert_list_form_matches(
+        lambda: stop_block_bounds_rough(problem, epsilons, rho,
+                                        block_limit=block_limit),
+        _scan_each(lambda eps: scan_stop_block_bound_rough(
+            problem, eps, rho, block_limit), epsilons))
+    _assert_list_form_matches(
+        lambda: complexity_lower_blocks(problem, ratio, epsilons, rho,
+                                        block_limit=block_limit),
+        _scan_each(lambda eps: scan_complexity_lower_block(
+            problem, ratio, eps, rho, block_limit), epsilons))

@@ -24,6 +24,14 @@ def test_algebraic_values():
     assert np.allclose(spec.values(range(1, 5)), [1.0, 0.25, 1.0 / 9.0, 0.0625])
 
 
+def test_harmonic_value_has_the_bits_of_the_power_formula():
+    # power 1 divides without the power, which changes no bit; ranges are
+    # checked with the other families below
+    spec = SingularSpectrum.algebraic(3.7, 1.0)
+    for i in (1, 3, 2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1, 10 ** 9 + 7, 2 ** 53):
+        assert spec.value(i) == float(3.7 / np.float64(i) ** 1.0)
+
+
 def test_algebraic_rejects_bad_parameters():
     with pytest.raises(ValueError):
         SingularSpectrum.algebraic(0.0, 1.0)
@@ -81,12 +89,13 @@ _WEIGHTS = 1.0 / np.arange(1.0, 50_001.0) ** 0.7
 
 @pytest.mark.parametrize("spec, weight", [
     (SingularSpectrum.algebraic(1.5, 1.3), lambda i: 1.5 / i ** 1.3),
+    (SingularSpectrum.algebraic(3.7, 1.0), lambda i: 3.7 / i ** 1.0),
     (SingularSpectrum.geometric(2.0, 1.001), lambda i: 2.0 / 1.001 ** i),
     (periodic_approximation_spectrum(2.5),
      lambda i: 1.0 / np.maximum(1.0, np.floor(i / 2.0)) ** 2.5),
     (SingularSpectrum.from_values(_WEIGHTS),
      lambda i: _WEIGHTS[i.astype(np.int64) - 1]),
-], ids=["algebraic", "geometric", "periodic", "table"])
+], ids=["algebraic", "harmonic", "geometric", "periodic", "table"])
 @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 50_000), (7, 40_003)])
 def test_range_values_have_the_bits_of_index_values(spec, weight, lo, hi):
     # the documented weight of each index, evaluated on the index floats
