@@ -13,9 +13,10 @@ from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        SingularSpectrum, SupportBoundRequired, block_norm,
                        cone_membership, random_cone_member, tail_norm,
                        tail_norms)
-from .algorithm import (Approximation, adaptive_algorithm, adaptive_sweep,
-                        ball_algorithm, ball_budget, interpolate,
-                        stop_threshold, true_error, DEFAULT_BLOCK_LIMIT)
+from .algorithm import (Approximation, Walk, adaptive_algorithm,
+                        adaptive_sweep, ball_algorithm, ball_budget,
+                        interpolate, stop_threshold, true_error,
+                        DEFAULT_BLOCK_LIMIT)
 from .analysis import (BracketReport, ComparisonReport, CostCurve, RatioScan,
                        adaptive_cost_bound_curve, ball_cost_curve,
                        blocked_ball_cost_curve,
@@ -46,7 +47,7 @@ __all__ = [
     "DEFAULT_BLOCK_LIMIT", "FoolingPair", "GuardExceeded", "MembershipReport",
     "MultiIndexSpectrum", "OutOfRangeError", "Partition",
     "PeriodicApproximation", "Problem", "RandomPeriodicInput", "RatioScan",
-    "SingularSpectrum", "SupportBoundRequired", "adaptive_algorithm",
+    "SingularSpectrum", "SupportBoundRequired", "Walk", "adaptive_algorithm",
     "adaptive_cost_bound_curve", "adaptive_sweep", "ball_algorithm",
     "ball_budget", "ball_cost_curve", "block_norm", "blocked_ball_cost_curve",
     "boundary_ratio", "complexity_lower_block", "complexity_lower_blocks",

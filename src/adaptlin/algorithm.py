@@ -20,9 +20,8 @@ import numpy as np
 
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        OutOfRangeError, Partition, Problem, SingularSpectrum,
-                       DEFAULT_SCAN_LIMIT, _FSUM_BELOW, _bin_products,
-                       _bin_squares, _chunks, _exact_sum, _new_bins,
-                       _rounded, exact_norm, tail_norm)
+                       DEFAULT_SCAN_LIMIT, block_tails, read_blocks,
+                       tail_norm)
 
 DEFAULT_BLOCK_LIMIT = 64
 
@@ -33,10 +32,9 @@ class Approximation:
 
     Every solver keeps a prefix: ``values`` holds lam_i * fhat_i for
     i = 1..cost, so ``cost``, the number of coefficient evaluations, is its
-    length and ``indices`` is the read-only range 1..cost.
-    Tolerance-driven runs also record the target tolerance, and adaptive
-    runs record the stopping block and the data-driven error bound
-    certified at termination.
+    length.  Tolerance-driven runs also record the target tolerance, and
+    adaptive runs record the stopping block and the data-driven error
+    bound certified at termination.
     """
 
     values: np.ndarray
@@ -48,11 +46,37 @@ class Approximation:
     def cost(self) -> int:
         return len(self.values)
 
-    @property
-    def indices(self) -> np.ndarray:
-        idx = np.arange(1, self.cost + 1, dtype=np.int64)
-        idx.flags.writeable = False
-        return idx
+
+@dataclass(frozen=True, eq=False)
+class Walk:
+    """What the block walk of ``adaptive_sweep`` read, and where it stopped.
+
+    ``values`` holds lam_i * fhat_i for i = 1..ends[-1], read-only.  Block
+    j (0 is indices 1..n_0) ends at ``ends[j]`` with the ``read_blocks``
+    total ``sums[j]``; block j >= 1 has norm ``norms[j - 1]``.  ``stops``
+    and ``runs`` hold each tolerance's stop block and run (prefix views of
+    ``values``), None where no block read qualified.
+    """
+
+    problem: Problem
+    f: CoefficientSource
+    values: np.ndarray
+    ends: tuple
+    sums: tuple
+    norms: tuple
+    stops: tuple
+    runs: tuple
+
+    def true_errors(self) -> list:
+        """Each run's ``true_error``, bit for bit, from ``block_tails``;
+        None for a None run, and for every run without a support bound."""
+        settled = [j for j in self.stops if j is not None]
+        if self.f.support_bound is None or not settled:
+            return [None] * len(self.stops)
+        first = min(settled)
+        tails = block_tails(self.problem, self.f, self.values,
+                            self.ends[first:], self.sums[first:])
+        return [None if j is None else tails[j - first] for j in self.stops]
 
 
 def stop_threshold(cone: ConeParams, epsilon: float) -> float:
@@ -127,150 +151,49 @@ def ball_algorithm(problem: Problem, f: CoefficientSource, epsilon: float,
 
 
 def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
-                   *, block_limit: int = DEFAULT_BLOCK_LIMIT) -> tuple:
-    """One block walk serving a whole tolerance list.
+                   *, block_limit: int = DEFAULT_BLOCK_LIMIT) -> Walk:
+    """One block walk serving a whole tolerance list, as a :class:`Walk`.
 
-    Walks the blocks in order, computing each block norm s_j once, and
-    settles every tolerance epsilon at the first block j with
-    s_j <= epsilon * sqrt(1-b**2)/(a*b).  The level grows with epsilon, so
-    the walk stops at the stop block of the smallest tolerance, or at
-    ``block_limit`` or the last block of an explicit partition, whichever
-    comes first.  For inputs satisfying the cone decay the remaining tail
-    is then at most a*b*s_j/sqrt(1-b**2) <= epsilon, which is recorded as
-    ``error_bound``.  The comparison is a plain floating-point
-    <=, and each s_j is the exact-summation norm that ``block_norm``
-    computes.
-
-    Returns ``(runs, norms)``: one Approximation per tolerance in input
-    order, or None where no block within that walk qualifies, and
-    the block norms s_1..s_J read.  Each run is the interpolation through
-    its boundary n_j (clipped to the table length when the spectrum is a
-    finite table, since no modes exist past it); its ``values`` are prefix
-    views of one read-only array, and every coefficient is evaluated
-    exactly once.  Blocks are read as index ranges, 2**14 entries at a
-    time, and no product is formed past the input's support bound.
-
-    Raises ValueError unless every tolerance is positive (NaN included),
-    when a solution coefficient read is not finite or its square overflows
-    (so no certificate rests on one), or when a rule-based spectrum is not
-    positive and non-increasing on the indices read.
-    """
-    runs, norms, _ = _walk(problem, f, epsilons, block_limit)
-    return runs, norms
-
-
-def _walk(problem: Problem, f: CoefficientSource, epsilons, block_limit: int,
-          *, true_errors: bool = False) -> tuple:
-    """The walk of ``adaptive_sweep``; returns ``(runs, norms, errors)``.
-
-    ``errors`` is None unless ``true_errors`` is set; then it holds each
-    run's error from ``_true_errors``, which reads no coefficient the walk
-    read.
+    Reads the blocks through ``read_blocks`` and settles each tolerance
+    epsilon at the first block j with s_j <= epsilon*sqrt(1-b**2)/(a*b), a
+    plain floating-point <=.  The level grows with epsilon, so the walk
+    stops at the smallest tolerance's stop block, at ``block_limit`` or at
+    the end of an explicit partition.  For a cone member the tail is then
+    at most a*b*s_j/sqrt(1-b**2) <= epsilon, the run's ``error_bound``.
+    Each run, None where no block read qualifies, is the interpolation
+    through its boundary n_j (clipped to a finite table), and every
+    coefficient is evaluated once.  Raises ValueError for a tolerance that
+    is not positive (NaN included), and passes on that of ``read_blocks``.
     """
     epsilons = list(epsilons)
     if not all(eps > 0 for eps in epsilons):
         raise ValueError("epsilon must be positive")
-    spectrum, partition = problem.spectrum, problem.partition
     levels = [stop_threshold(problem.cone, eps) for eps in epsilons]
     pending = sorted(range(len(epsilons)), key=levels.__getitem__)
     stops = [None] * len(epsilons)
-    length = spectrum.enumerated_length
-    support = f.support_bound
-    # per block j = 0, 1, ...: products, last index, exact sum of squares
-    products, ends, sums, norms = [], [], [], []
-    previous = math.inf
-    for j in range(_blocks_walked(partition, block_limit) + 1):
-        # block 0 holds indices 1..n_0, sampled but never tested
-        start = ends[-1] + 1 if j else 1
-        end = partition.block(j)[1] if j else partition.boundary(0)
-        if length is not None:
-            end = min(end, length)  # finite table: no modes past the end
-        prod = np.zeros(end - start + 1)
-        bins = _new_bins() if prod.size >= _FSUM_BELOW else None
-        for span in _chunks(start, end):
-            lam = spectrum.values(span)
-            if length is None:
-                spectrum.check_run(lam, previous)
-                previous = lam[-1]
-            piece = prod[span.start - start:span.stop - start]
-            if (support is not None and span.start > support
-                    and lam[0] < math.inf):
-                continue  # the zeros lam * 0 gives for every finite lam
-            np.multiply(lam, f.coefficients(span), out=piece)
-            if bins is not None:
-                _bin_squares(piece, bins)
-        if bins is None:
-            total, s = None, exact_norm(prod)
-        else:
-            total = _exact_sum(bins)
-            s = math.sqrt(_rounded(total))
-        if not math.isfinite(s):
-            raise ValueError(
-                f"non-finite norm over indices {start}..{end}: "
-                "a solution coefficient is not finite or its square overflows")
-        products.append(prod)
-        ends.append(end)
-        sums.append(total)
-        if j:
-            norms.append(s)
-            while pending and s <= levels[pending[-1]]:
-                stops[pending.pop()] = j
+    blocks = []
+    last = _blocks_walked(problem.partition, block_limit)
+    for j, (end, prod, total, s) in enumerate(read_blocks(problem, f, last)):
+        blocks.append((end, prod, total, s))
+        while j and pending and s <= levels[pending[-1]]:
+            stops[pending.pop()] = j
         if not pending:
             break
-    last = max((j for j in stops if j is not None), default=0)
-    values = np.concatenate(products[:last + 1])
+    ends, products, sums, norms = zip(*blocks)
+    values = np.concatenate(products)
     values.flags.writeable = False
-    runs = [None if j is None else
-            Approximation(values=values[:ends[j]], stop_block=j,
-                          error_bound=problem.cone.tail_factor * norms[j - 1],
-                          tolerance=eps)
-            for eps, j in zip(epsilons, stops)]
-    if not true_errors:
-        return runs, norms, None
-    return runs, norms, _true_errors(problem, f, stops, ends, products, sums)
-
-
-def _true_errors(problem: Problem, f: CoefficientSource, stops: list,
-                 ends: list, products: list, sums: list) -> list:
-    """The ``tail_norms`` error of each stop block of a walk, bit for bit.
-
-    The tail past block k's end is the exact sum of squares of blocks k+1
-    onwards plus that of the support past the walk, rounded once.  Blocks
-    the walk binned left their sums in ``sums``; one past the first stop
-    that took the fsum path (a None sum) is binned from its products, and
-    the support past the walk is read and binned once.  Returns None for
-    a stop that is None, and for every stop without a support bound.
-    """
-    if f.support_bound is None:
-        return [None] * len(stops)
-    length = problem.spectrum.enumerated_length
-    top = f.support_bound if length is None else min(f.support_bound, length)
-    total = 0  # the exact sum of squares past the walk, up to the support
-    if top > ends[-1]:
-        bins = _new_bins()
-        _bin_products(problem, f, ends[-1] + 1, top, bins)
-        total = _exact_sum(bins)
-    if isinstance(total, float):  # an inf or NaN square past the walk
-        return [None if j is None else math.sqrt(total) for j in stops]
-    walked = len(ends) - 1
-    first = min((j for j in stops if j is not None), default=walked)
-    tails = {walked: math.sqrt(_rounded(total))}
-    for k in range(walked, first, -1):
-        if sums[k] is None:
-            bins = _new_bins()
-            _bin_squares(products[k], bins)
-            sums[k] = _exact_sum(bins)
-        total += sums[k]
-        tails[k - 1] = math.sqrt(_rounded(total))
-    return [None if j is None else tails[j] for j in stops]
+    runs = tuple(None if j is None else
+                 Approximation(values=values[:ends[j]], stop_block=j,
+                               error_bound=problem.cone.tail_factor
+                               * norms[j], tolerance=eps)
+                 for eps, j in zip(epsilons, stops))
+    return Walk(problem, f, values, ends, sums, norms[1:], tuple(stops), runs)
 
 
 def _blocks_walked(partition: Partition, block_limit: int) -> int:
     """Blocks a walk may read: ``block_limit``, or fewer where an explicit
     partition ends first."""
-    if partition.block_count is None:
-        return block_limit
-    return min(block_limit, partition.block_count)
+    return min(block_limit, partition.block_count or block_limit)
 
 
 def no_stop_error(problem: Problem, block_limit: int) -> GuardExceeded:
@@ -295,7 +218,8 @@ def adaptive_algorithm(problem: Problem, f: CoefficientSource, epsilon: float,
     certified ``error_bound``.  Raises GuardExceeded when no block within
     ``block_limit`` satisfies the stopping rule.
     """
-    (run,), _ = adaptive_sweep(problem, f, [epsilon], block_limit=block_limit)
+    (run,) = adaptive_sweep(problem, f, [epsilon],
+                            block_limit=block_limit).runs
     if run is None:
         raise no_stop_error(problem, block_limit)
     return run
@@ -305,9 +229,7 @@ def true_error(problem: Problem, f: CoefficientSource, approx: Approximation) ->
     """Reference error of an approximation for a finite-support input.
 
     The retained pairs reproduce the solution coefficients exactly, so the
-    error is the norm of the coefficient tail past index ``approx.cost``:
-    ``tail_norm``, correctly rounded with the bits of ``math.fsum``, and
-    inf where the exact sum of squares exceeds the float range.  For many
-    runs of one input, ``tail_norms`` gives every error from one pass.
+    error is ``tail_norm`` past index ``approx.cost``.  For many runs of
+    one input, ``tail_norms`` gives every error from one pass.
     """
     return tail_norm(problem, f, approx.cost)

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import __version__
 from .adversarial import fooling_input, fooling_pair, solution_separation
-from .algorithm import _walk, adaptive_algorithm, ball_budget, no_stop_error
+from .algorithm import (adaptive_algorithm, adaptive_sweep, ball_budget,
+                        no_stop_error)
 from .analysis import (boundary_ratio, complexity_lower_blocks,
                        stop_block_bound_first_term, stop_block_bounds,
                        stop_block_bounds_rough, tolerance_shrink_factor,
@@ -336,16 +337,15 @@ def observed_cone_ratio(cone, norms):
 
 
 def _sweep(problem, f, epsilons, j_max):
-    """One block walk over ``epsilons``; returns the runs and run.json rows.
+    """One block walk over ``epsilons``; returns the walk and run.json rows.
 
-    A guard diagnostic stands in for each tolerance no block settled; the
-    true errors of all runs are suffix sums of the walk's exact block sums,
-    None without a support bound.
+    A guard diagnostic stands in for each tolerance no block settled, and
+    ``bound_holds`` checks each certificate, true_error <= error_bound.
     """
-    runs, norms, errors = _walk(problem, f, epsilons, j_max, true_errors=True)
-    worst = observed_cone_ratio(problem.cone, norms)
+    walk = adaptive_sweep(problem, f, epsilons, block_limit=j_max)
+    worst = observed_cone_ratio(problem.cone, walk.norms)
     rows = []
-    for eps, run, error in zip(epsilons, runs, errors):
+    for eps, run, error in zip(epsilons, walk.runs, walk.true_errors()):
         if run is None:
             rows.append({"epsilon": eps,
                          "diagnostic": str(no_stop_error(problem, j_max))})
@@ -357,8 +357,9 @@ def _sweep(problem, f, epsilons, j_max):
             "error_bound": run.error_bound,
             "true_error": error,
             "worst_cone_ratio": worst[run.stop_block - 1],
+            "bound_holds": None if error is None else error <= run.error_bound,
         })
-    return runs, rows
+    return walk, rows
 
 
 def _parse_epsilons(text):
@@ -434,6 +435,11 @@ def cmd_solve(merged, quiet):
         elif row["error_bound"] > eps:
             print(f"solve: error bound {row['error_bound']!r} exceeds "
                   f"tolerance {eps!r}", file=sys.stderr)
+            failures += 1
+        if row.get("bound_holds") is False:
+            print(f"solve: true error {t_err!r} exceeds error bound "
+                  f"{row['error_bound']!r} at epsilon={eps!r}",
+                  file=sys.stderr)
             failures += 1
         table.append((eps, row.get("j_star"), row.get("cost"),
                       row.get("error_bound"), t_err,
@@ -660,10 +666,10 @@ def cmd_demo_derivative(merged, quiet):
 
     # the figure run at epsilon = 0.1 joins the same walk
     swept = epsilons if 0.1 in epsilons else epsilons + [0.1]
-    runs, rows = _sweep(problem, f, swept, j_max)
-    if any(run is None for run in runs):
+    walk, rows = _sweep(problem, f, swept, j_max)
+    if None in walk.stops:
         raise no_stop_error(problem, j_max)
-    figure_run = runs[swept.index(0.1)]
+    figure_run = walk.runs[swept.index(0.1)]
     rows = rows[:len(epsilons)]
     table = []
     failures = 0

@@ -40,6 +40,7 @@ _FIELDS = 2048  # values of the 11-bit IEEE exponent field
 _FRACTION = (1 << 52) - 1
 _LOW = (1 << 26) - 1
 _ULP_SCALE = 1 << 1074  # times the smallest subnormal gives 1
+_MEMBER_SLACK = 1e-9  # relative slack of a membership verdict on the ratio
 
 
 # an overflowing square is inf, and so is the sum; as a decorator errstate
@@ -108,6 +109,27 @@ def _rounded(total) -> float:
         return math.inf
 
 
+def _square_sum(x: np.ndarray):
+    """The ``_exact_sum`` of the squares of ``x``."""
+    bins = _new_bins()
+    _bin_squares(x, bins)
+    return _exact_sum(bins)
+
+
+def _suffix_norms(sums) -> list:
+    """Entry k is the root of the ``_exact_sum`` values sums[k] + sums[k+1]
+    + ..., added exactly and rounded once; an inf or NaN sum carries to
+    every earlier entry, NaN over inf."""
+    total, norms = 0, []
+    for s in reversed(sums):
+        if isinstance(s, float) or isinstance(total, float):
+            total = sum(v for v in (s, total) if isinstance(v, float))
+        else:
+            total += s
+        norms.append(math.sqrt(_rounded(total)))
+    return norms[::-1]
+
+
 def exact_norm(x: np.ndarray) -> float:
     """Euclidean norm of ``x`` from the correctly rounded sum of its squares.
 
@@ -121,9 +143,7 @@ def exact_norm(x: np.ndarray) -> float:
     block, tail, input and solution norm goes through this one kernel.
     """
     if x.size >= _FSUM_BELOW:
-        bins = _new_bins()
-        _bin_squares(x, bins)
-        return math.sqrt(_rounded(_exact_sum(bins)))
+        return math.sqrt(_rounded(_square_sum(x)))
     if x.size < _NUMPY_FROM:
         values = x.tolist()
         squares = map(operator.mul, values, values)
@@ -520,17 +540,18 @@ def block_norm(problem: Problem, f: CoefficientSource, j: int) -> float:
     return exact_norm(problem.spectrum.values(span) * f.coefficients(span))
 
 
-def cone_membership(problem: Problem, f: CoefficientSource, *,
-                    slack: float = 1e-9) -> MembershipReport:
+def cone_membership(problem: Problem,
+                    f: CoefficientSource) -> MembershipReport:
     """Decide whether a finite-support input satisfies the cone decay.
 
     Checks s_{j+r} <= a * b**r * s_j for all pairs with 1 <= j < j+r <= J,
     where J is the first block whose boundary covers the support.  Blocks
-    past J vanish, so those pairs hold vacuously.  The verdict allows a
-    relative slack of 1e-9 on the ratio; a zero allowance with a positive
-    later block norm counts as an infinite ratio.  The witness is the pair
-    (j, k - j) of the first block k over 1 + slack, where j is the block
-    that binds k (see ``block_decay_ratios``), or None.
+    past J vanish, so those pairs hold vacuously.  The norms come from
+    ``read_blocks``, whose ValueError a non-finite one raises.  The verdict
+    allows a relative slack of 1e-9 on the ratio; a zero allowance with a
+    positive later block norm counts as an infinite ratio.  The witness is
+    the pair (j, k - j) of the first block k over 1 + slack, where j is the
+    block that binds k (see ``block_decay_ratios``), or None.
     """
     bound = f.support_bound
     if bound is None:
@@ -539,14 +560,14 @@ def cone_membership(problem: Problem, f: CoefficientSource, *,
     last = 0
     while problem.partition.boundary(last) < bound:
         last += 1
-    norms = [block_norm(problem, f, j) for j in range(1, last + 1)]
+    norms = [norm for _, _, _, norm in read_blocks(problem, f, last)][1:]
     ratios, binders = block_decay_ratios(problem.cone, norms)
-    worst = max([0.0] + ratios)  # a NaN ratio never becomes the worst
+    worst = max([0.0] + ratios)
     witness = next(((j, k - j) for k, (ratio, j)
                     in enumerate(zip(ratios, binders), start=1)
-                    if ratio > 1.0 + slack), None)
-    return MembershipReport(member=worst <= 1.0 + slack, worst_ratio=worst,
-                            witness=witness, blocks=last)
+                    if ratio > 1.0 + _MEMBER_SLACK), None)
+    return MembershipReport(member=worst <= 1.0 + _MEMBER_SLACK,
+                            worst_ratio=worst, witness=witness, blocks=last)
 
 
 def block_decay_ratios(cone: ConeParams, norms: Sequence[float]) -> tuple:
@@ -576,6 +597,63 @@ def block_decay_ratios(cone: ConeParams, norms: Sequence[float]) -> tuple:
     return ratios, binders
 
 
+def read_blocks(problem: Problem, f: CoefficientSource, last: int):
+    """Yield ``(end, products, total, norm)`` for blocks 0, 1, ..., ``last``.
+
+    Block 0 is indices 1..n_0, sampled but never tested; each block is
+    clipped to a finite table.  ``products`` are its lam_i * fhat_i,
+    ``total`` their exact sum of squares for ``block_tails`` (None under
+    2**11 entries, summed by ``math.fsum``), ``norm`` has the bits of
+    ``block_norm``.  Ranges of 2**14 indices are binned while in cache, no
+    product is formed past the support, and a rule spectrum is checked on
+    every index read.  A non-finite norm raises ValueError, so no
+    certificate rests on it.
+    """
+    spectrum, partition = problem.spectrum, problem.partition
+    length, support = spectrum.enumerated_length, f.support_bound
+    start, previous = 1, math.inf
+    for j in range(last + 1):
+        end = partition.block(j)[1] if j else partition.boundary(0)
+        if length is not None:
+            end = min(end, length)  # finite table: no modes past the end
+        prod = np.zeros(end - start + 1)
+        bins = _new_bins() if prod.size >= _FSUM_BELOW else None
+        for span in _chunks(start, end):
+            lam = spectrum.values(span)
+            if length is None:
+                spectrum.check_run(lam, previous)
+                previous = lam[-1]
+            if (support is not None and span.start > support
+                    and lam[0] < math.inf):
+                continue  # the zeros lam * 0 gives for every finite lam
+            piece = prod[span.start - start:span.stop - start]
+            np.multiply(lam, f.coefficients(span), out=piece)
+            if bins is not None:
+                _bin_squares(piece, bins)
+        total = None if bins is None else _exact_sum(bins)
+        norm = exact_norm(prod) if bins is None else math.sqrt(_rounded(total))
+        if not math.isfinite(norm):
+            raise ValueError(
+                f"non-finite norm over indices {start}..{end}: "
+                "a solution coefficient is not finite or its square overflows")
+        yield end, prod, total, norm
+        start = end + 1
+
+
+def block_tails(problem: Problem, f: CoefficientSource, values: np.ndarray,
+                ends: Sequence[int], totals: Sequence) -> list:
+    """``tail_norms`` at the ends of consecutive blocks, bit for bit.
+
+    ``ends`` and ``totals`` are what ``read_blocks`` yielded for the
+    blocks and ``values`` the products at 1..ends[-1], binned where a
+    total is None; only the support past ends[-1] is read, once.
+    """
+    sums = [_square_sum(values[lo:hi]) if total is None else total
+            for lo, hi, total in zip(ends, ends[1:], totals[1:])]
+    rest = _product_sum(problem, f, ends[-1] + 1, _solution_end(problem, f))
+    return _suffix_norms(sums + [rest])
+
+
 def tail_norms(problem: Problem, f: CoefficientSource, cuts) -> list:
     """Exact norms of the solution tails past each index n in ``cuts``.
 
@@ -584,49 +662,44 @@ def tail_norms(problem: Problem, f: CoefficientSource, cuts) -> list:
     table length when the spectrum is a finite table).  These are the
     reference errors of keeping only the first n solution coefficients; no
     quadrature enters.  One pass gathers the products past the smallest
-    cut, bins each segment between two cuts exactly, and adds the segments
+    cut, sums each segment between two cuts exactly, and adds the segments
     from the last backwards, so every tail is the correctly rounded sum of
     its squares (the bits of ``math.fsum``) and each product is read once.
     """
     cuts = list(cuts)
     if any(n < 0 for n in cuts):
         raise ValueError("n must be non-negative")
-    bound = f.support_bound
-    if bound is None:
-        raise SupportBoundRequired(
-            "exact tail norms need a finite support bound")
-    top = bound
-    length = problem.spectrum.enumerated_length
-    if length is not None:
-        top = min(top, length)
+    top = _solution_end(problem, f)
     # segment k covers indices edges[k]+1 .. edges[k+1]; past top it is empty
     edges = sorted({min(n, top) for n in cuts}) + [top]
-    bins = np.zeros((len(edges) - 1, 3, _FIELDS), dtype=np.int64)
-    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        _bin_products(problem, f, lo + 1, hi, bins[k])
-    # each index adds under 2**26 to a bin: int64 holds any support < 2**37
-    suffix = np.cumsum(bins[::-1], axis=0)[::-1]
-    tails = {n: math.sqrt(_rounded(_exact_sum(b)))
-             for n, b in zip(edges, suffix)}
+    sums = [_product_sum(problem, f, lo + 1, hi)
+            for lo, hi in zip(edges, edges[1:])]
+    tails = dict(zip(edges, _suffix_norms(sums + [0])))
     return [tails[min(n, top)] for n in cuts]
 
 
-def _bin_products(problem: Problem, f: CoefficientSource, lo: int, hi: int,
-                  bins: np.ndarray) -> None:
-    """Bin the squares of lam_i * fhat_i for i = lo..hi, _CHUNK at a time."""
+def _solution_end(problem: Problem, f: CoefficientSource) -> int:
+    """The input's support bound, clipped to a finite table."""
+    if f.support_bound is None:
+        raise SupportBoundRequired(
+            "exact tail norms need a finite support bound")
+    length = problem.spectrum.enumerated_length
+    return f.support_bound if length is None else min(f.support_bound, length)
+
+
+def _product_sum(problem: Problem, f: CoefficientSource, lo: int, hi: int):
+    """The ``_exact_sum`` of the (lam_i * fhat_i)**2, i = lo..hi."""
+    bins = _new_bins()
     for span in _chunks(lo, hi):
         _bin_squares(problem.spectrum.values(span) * f.coefficients(span),
                      bins)
+    return _exact_sum(bins)
 
 
 def tail_norm(problem: Problem, f: CoefficientSource, n: int) -> float:
-    """Exact norm of the solution tail past index n for finite-support input.
-
-    The one-cut case of ``tail_norms``: the correctly rounded
-    sqrt(sum((lam_i * fhat_i)**2 for i > n)) over the declared support,
-    0.0 at or past its end, and inf where the exact sum of squares exceeds
-    the float range.
-    """
+    """Exact norm of the solution tail past index n, the one-cut case of
+    ``tail_norms``: 0.0 at or past the support's end, and inf where the
+    exact sum of squares exceeds the float range."""
     return tail_norms(problem, f, [n])[0]
 
 

@@ -1,5 +1,6 @@
 """Solvers: interpolation, ball algorithm, adaptive algorithm."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
                       OutOfRangeError, Partition, Problem, SingularSpectrum,
-                      adaptive_algorithm, adaptive_sweep, ball_algorithm,
+                      Walk, adaptive_algorithm, adaptive_sweep, ball_algorithm,
                       block_norm, derivative_coefficients, derivative_problem,
                       enumerate_derivative_spectrum, interpolate,
                       periodic_approximation_spectrum, random_periodic_input,
@@ -47,7 +48,6 @@ def test_interpolate_empty_budget(harmonic_doubling):
 def test_interpolate_products(harmonic_doubling):
     f = CoefficientSource.from_vector([1.0, 1.0, 1.0])
     approx = interpolate(harmonic_doubling, f, 2)
-    assert approx.indices.tolist() == [1, 2]
     assert approx.values.tolist() == [1.0, 0.5]
     assert approx.cost == 2
 
@@ -72,8 +72,7 @@ def test_interpolate_past_the_support_has_the_bits_of_the_products(
     span = range(1, 10)
     products = harmonic_doubling.spectrum.values(span) * f.coefficients(span)
     assert approx.values.tobytes() == products.tobytes()  # +0.0 included
-    assert approx.indices.tolist() == list(range(1, 10))
-    assert not approx.indices.flags.writeable
+    assert approx.cost == 9
 
 
 def test_interpolate_past_a_finite_table_raises():
@@ -175,7 +174,7 @@ def test_adaptive_worked_example(unit_doubling):
 def test_adaptive_retains_interpolation_through_boundary(unit_doubling):
     f = geometric_coefficients(8)
     approx = adaptive_algorithm(unit_doubling, f, 0.05)
-    assert list(approx.indices) == list(range(1, 9))
+    assert approx.cost == 8
     assert np.allclose(approx.values, f.dense(8))
 
 
@@ -298,7 +297,8 @@ def guarded_sweep():
                               "block-limit"])
 def test_sweep_matches_one_run_per_tolerance(case):
     problem, f, epsilons, limit = case()
-    runs, norms = adaptive_sweep(problem, f, epsilons, block_limit=limit)
+    walk = adaptive_sweep(problem, f, epsilons, block_limit=limit)
+    runs, norms = walk.runs, list(walk.norms)
     assert len(runs) == len(epsilons)
     for eps, run in zip(epsilons, runs):
         try:
@@ -310,7 +310,6 @@ def test_sweep_matches_one_run_per_tolerance(case):
         assert run.stop_block == single.stop_block
         assert run.cost == single.cost
         assert run.error_bound.hex() == single.error_bound.hex()
-        assert np.array_equal(run.indices, single.indices)
         assert np.array_equal(run.values, single.values)
     settled = [run.stop_block for run in runs if run is not None]
     assert settled
@@ -321,12 +320,12 @@ def test_sweep_matches_one_run_per_tolerance(case):
 
 
 def test_sweep_cases_cover_guard_and_clipping():
-    runs, _ = adaptive_sweep(*guarded_sweep()[:3], block_limit=4)
-    assert [run is None for run in runs] == [True, False, False, True]
+    walk = adaptive_sweep(*guarded_sweep()[:3], block_limit=4)
+    assert [run is None for run in walk.runs] == [True, False, False, True]
     problem, f, epsilons, _ = derivative_sweep()
-    runs, norms = adaptive_sweep(problem, f, epsilons)
-    assert runs[-1].cost == problem.spectrum.enumerated_length == 156
-    assert norms[-1] == 0.0
+    walk = adaptive_sweep(problem, f, epsilons)
+    assert walk.runs[-1].cost == problem.spectrum.enumerated_length == 156
+    assert walk.norms[-1] == 0.0
 
 
 def test_sweep_stops_on_a_norm_equal_to_the_level(harmonic_doubling):
@@ -338,21 +337,44 @@ def test_sweep_stops_on_a_norm_equal_to_the_level(harmonic_doubling):
     while stop_threshold(harmonic_doubling.cone, eps) > sigma:
         eps = math.nextafter(eps, 0.0)
     assert stop_threshold(harmonic_doubling.cone, eps) == sigma
-    (run,), norms = adaptive_sweep(harmonic_doubling, f, [eps])
-    assert all(s > sigma for s in norms[:3])
+    walk = adaptive_sweep(harmonic_doubling, f, [eps])
+    (run,) = walk.runs
+    assert all(s > sigma for s in walk.norms[:3])
     assert run.stop_block == 4
 
 
 def test_sweep_runs_share_one_read_only_array(harmonic_doubling):
     f = profile_member(harmonic_doubling, np.random.default_rng(32), 10)
-    (loose, tight), _ = adaptive_sweep(harmonic_doubling, f, [0.5, 0.01])
+    loose, tight = adaptive_sweep(harmonic_doubling, f, [0.5, 0.01]).runs
     assert loose.cost < tight.cost
     for run in (loose, tight):
-        assert not run.indices.flags.writeable
         assert not run.values.flags.writeable
     assert np.shares_memory(loose.values, tight.values)
     with pytest.raises(ValueError):
         tight.values[0] = 1.0
+
+
+def test_sweep_returns_one_frozen_walk_record(harmonic_doubling):
+    f = profile_member(harmonic_doubling, np.random.default_rng(34), 14)
+    walk = adaptive_sweep(harmonic_doubling, f, [1e-4, 0.1])
+    assert isinstance(walk, Walk)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        walk.norms = ()
+    blocks = len(walk.norms)
+    assert walk.stops == tuple(run.stop_block for run in walk.runs)
+    assert max(walk.stops) == blocks >= 12
+    assert walk.ends == tuple(harmonic_doubling.partition.boundary(j)
+                              for j in range(blocks + 1))
+    assert walk.values.size == walk.ends[-1]
+    assert not walk.values.flags.writeable
+    # blocks of 2**11 entries or more keep an exact sum; fsum summed the rest
+    sizes = np.diff((0,) + walk.ends)
+    assert [total is None for total in walk.sums] == list(sizes < 2 ** 11)
+    assert walk.true_errors() == tail_norms(
+        harmonic_doubling, f, [run.cost for run in walk.runs])
+    unbounded = CoefficientSource(lambda i: 2.0 ** -i)
+    assert adaptive_sweep(harmonic_doubling, unbounded,
+                          [0.1, 0.01]).true_errors() == [None, None]
 
 
 @pytest.mark.parametrize("coeffs", [[1.0, math.nan, 0.1],
@@ -385,7 +407,7 @@ def test_sweep_checks_spectrum_on_every_block_read(rule):
     problem = Problem(SingularSpectrum.from_rule(rule, name="bad"),
                       Partition.doubling(1), ConeParams(2.0, 0.5))
     f = CoefficientSource.from_vector(np.ones(64))
-    assert adaptive_sweep(problem, f, [10.0])[0][0].stop_block == 1
+    assert adaptive_sweep(problem, f, [10.0]).runs[0].stop_block == 1
     with pytest.raises(ValueError, match="bad: singular values"):
         adaptive_sweep(problem, f, [10.0, 1e-6])
 
@@ -429,7 +451,8 @@ def test_sweep_reads_each_weight_once():
     # the tightest tolerance stops on block 16, 32769..65536, past the
     # support of 2**15: the walk reads every weight through 65536 once and
     # the true errors read none again
-    runs, rows = _sweep(problem, f, [0.3, 0.02, 1e-3, 1e-12], 64)
+    walk, rows = _sweep(problem, f, [0.3, 0.02, 1e-3, 1e-12], 64)
+    runs = walk.runs
     assert [run.cost for run in runs][-1] == 2 ** 16
     counts = np.bincount(np.concatenate(reads).astype(np.int64))
     assert counts.size == 2 ** 16 + 1
@@ -479,21 +502,33 @@ def explicit_sweep():
                               "explicit", "block-limit"])
 def test_sweep_true_errors_have_the_bits_of_tail_norms(case):
     problem, f, epsilons, limit = case()
-    runs, rows = _sweep(problem, f, epsilons, limit)
-    costs = [run.cost for run in runs if run is not None]
+    walk, rows = _sweep(problem, f, epsilons, limit)
+    costs = [run.cost for run in walk.runs if run is not None]
     errors = [row["true_error"] for row in rows if "true_error" in row]
     assert len(errors) == len(costs) >= 2
     assert [e.hex() for e in errors] \
         == [t.hex() for t in tail_norms(problem, f, costs)]
 
 
+def test_sweep_rows_check_each_certificate(harmonic_doubling):
+    # sigma = (1, 1.5): no cone member, so the stop at block 1 certifies
+    # 2/sqrt(3) = 1.1547 while the tail past index 2 is 1.5
+    f = CoefficientSource.from_vector([0.0, 2.0, 4.5])
+    _, (row,) = _sweep(harmonic_doubling, f, [1.2], 64)
+    assert (row["j_star"], row["true_error"]) == (1, 1.5)
+    assert row["error_bound"] == pytest.approx(2 / math.sqrt(3), rel=1e-15)
+    assert row["bound_holds"] is False
+    _, (row,) = _sweep(harmonic_doubling, f, [0.5], 64)
+    assert (row["true_error"], row["bound_holds"]) == (0.0, True)
+
+
 def test_sweep_true_error_cases_cover_their_paths():
     problem, f, epsilons, limit = remainder_sweep()
-    runs, _ = _sweep(problem, f, epsilons, limit)
-    assert max(run.cost for run in runs) < f.support_bound
+    walk, _ = _sweep(problem, f, epsilons, limit)
+    assert max(run.cost for run in walk.runs) < f.support_bound
     problem, f, epsilons, limit = explicit_sweep()
-    runs, _ = _sweep(problem, f, epsilons, limit)
-    assert sorted({run.stop_block for run in runs}) == [1, 3, 4, 5]
+    walk, _ = _sweep(problem, f, epsilons, limit)
+    assert sorted({run.stop_block for run in walk.runs}) == [1, 3, 4, 5]
 
 
 # -- true_error --------------------------------------------------------------

@@ -299,6 +299,31 @@ def test_solve_csv_matches_one_run_per_tolerance(tmp_path, blocks, j_max,
         == (tmp_path / "expected.csv").read_bytes()
     record = json.loads((out / "run.json").read_text(encoding="utf-8"))
     assert [r.get("worst_cone_ratio") for r in record["rows"]] == ratios
+    # every input is a cone member, so each settled row's bound holds
+    assert [r.get("bound_holds") for r in record["rows"]] \
+        == [None if j is None else True for j in stops]
+
+
+def test_solve_fails_a_refuted_error_bound(tmp_path, capsys):
+    # a random derivative input is no member of this tight cone: each run
+    # stops early and its certified bound is below the true error
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "problem": {"spectrum": {"family": "derivative", "dimension": 2,
+                                 "k_max": 6},
+                    "cone": {"a": 1.01, "b": 0.01}},
+        "input": {"kind": "derivative-random"}, "epsilons": [1.0, 0.1],
+        "seed": 3, "output": str(out)})
+    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    record = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    assert [row["bound_holds"] for row in record["rows"]] == [False, False]
+    assert err == [f"solve: true error {row['true_error']!r} exceeds error "
+                   f"bound {row['error_bound']!r} at "
+                   f"epsilon={row['epsilon']!r}" for row in record["rows"]]
+    header, rows = read_csv(out / "run.csv")
+    assert header[-2:] == ["true_error", "ratio_true_over_eps"]
+    assert all(float(r[4]) > float(r[3]) for r in rows)
 
 
 def test_solve_rejects_nan_tolerance(tmp_path, capsys):

@@ -381,7 +381,7 @@ def test_solution_slice_grid_matches_pointwise_evaluation(d, rest):
 
 def _einsum_solution_grid(approx, mis, first, second, rest=0.0):
     """One three-operand einsum over every retained term."""
-    ks = mis.indices[approx.indices - 1].astype(np.float64)
+    ks = mis.indices[:approx.cost].astype(np.float64)
     term = approx.values.copy()
     for j in range(2, mis.dimension):
         phase = np.where(ks[:, j] < 0, 0.5 * math.pi, 0.0)

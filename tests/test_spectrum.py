@@ -404,6 +404,18 @@ def test_membership_violator_with_witness():
     assert math.isinf(report.worst_ratio)  # block 2 is zero, block 3 is not
 
 
+def test_membership_allows_a_relative_slack_of_1e_9():
+    # a * b = 1, so block 2's ratio is its norm over block 1's
+    problem = Problem(unit_spectrum(), Partition.arithmetic(0, 1),
+                      ConeParams(2.0, 0.5))
+    for excess, member in ((5e-10, True), (2e-9, False)):
+        f = CoefficientSource.from_vector([1.0, 1.0 + excess])
+        report = cone_membership(problem, f)
+        assert report.member is member
+        assert report.witness == (None if member else (1, 1))
+        assert report.worst_ratio == 1.0 + excess
+
+
 def test_membership_accepts_exact_profile(unit_doubling):
     # sigma_j = b**j satisfies every pair with ratio 1/a < 1
     b = unit_doubling.cone.b
@@ -430,6 +442,22 @@ def test_membership_requires_support_bound(unit_doubling):
     f = CoefficientSource(lambda i: 2.0 ** -i)
     with pytest.raises(SupportBoundRequired):
         cone_membership(unit_doubling, f)
+
+
+@pytest.mark.parametrize("index, value", [
+    (6, math.nan), (11, math.nan), (21, math.nan), (41, math.nan),
+    (6, math.inf)])
+def test_membership_refuses_non_finite_input(index, value):
+    # a NaN ratio never became the worst, and a NaN or inf block norm left
+    # the allowance at inf, so each of these inputs was certified a member
+    problem = Problem(SingularSpectrum.algebraic(1.0, 1.0),
+                      Partition.doubling(4), ConeParams(2.0, 0.5))
+    f = random_cone_member(problem, np.random.default_rng(1), 4)
+    assert cone_membership(problem, f).member
+    coeffs = f.dense(f.support_bound).copy()
+    coeffs[index - 1] = value
+    with pytest.raises(ValueError, match="non-finite norm over indices"):
+        cone_membership(problem, CoefficientSource.from_vector(coeffs))
 
 
 # -- exact_norm --------------------------------------------------------------
@@ -504,6 +532,15 @@ def test_tail_norms_serve_any_cut_list(harmonic_doubling):
     assert tail_norms(harmonic_doubling, f, cuts) == expect
     assert [tail_norm(harmonic_doubling, f, n) for n in cuts] == expect
     assert tail_norms(harmonic_doubling, f, []) == []
+
+
+def test_tail_norms_carry_inf_and_nan_to_earlier_cuts(harmonic_doubling):
+    # a NaN in segment 1..2 and an inf in 3..4: NaN wins over inf
+    f = CoefficientSource.from_vector([1.0, math.nan, math.inf, 1.0, 0.5])
+    tails = tail_norms(harmonic_doubling, f, [4, 0, 2, 1, 5])
+    assert tails[0] == 0.1 and tails[4] == 0.0
+    assert math.isnan(tails[1]) and math.isnan(tails[3])
+    assert tails[2] == math.inf
 
 
 def test_tail_norms_reject_bad_cuts(harmonic_doubling):
