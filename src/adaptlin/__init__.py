@@ -17,7 +17,7 @@ from .algorithm import (Approximation, Walk, adaptive_algorithm,
                         adaptive_sweep, ball_algorithm, ball_budget,
                         interpolate, stop_threshold, true_error,
                         DEFAULT_BLOCK_LIMIT)
-from .analysis import (BracketReport, ComparisonReport, CostCurve, RatioScan,
+from .analysis import (BracketReport, ComparisonReport, RatioScan,
                        adaptive_cost_bound_curve, ball_cost_curve,
                        blocked_ball_cost_curve,
                        boundary_ratio, complexity_lower_block,
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Approximation", "BracketReport", "CoefficientSource",
-    "ComparisonReport", "ConeParams", "CostCurve",
+    "ComparisonReport", "ConeParams",
     "DEFAULT_BLOCK_LIMIT", "FoolingPair", "GuardExceeded", "MembershipReport",
     "MultiIndexSpectrum", "OutOfRangeError", "Partition",
     "PeriodicApproximation", "Problem", "RandomPeriodicInput", "RatioScan",

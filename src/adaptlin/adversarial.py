@@ -12,16 +12,23 @@ The two perturbed inputs are indistinguishable from the base input
 through the samples, both stay admissible and inside the norm ball, yet
 their solutions differ by a computable separation.  Any algorithm
 sampling too few coefficients must therefore err on one of them.
+
+Each construction reads lam_{n_0}..lam_{n_blocks} once, through
+``analysis.lower_sums``, which also serves ``complexity_lower_block``: the
+same drops check the ratio and the same S_blocks sizes the amplitude.  A
+depth whose S_blocks is past the float range fails with ValueError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice, pairwise
 from typing import Sequence
 
 import numpy as np
 
+from .analysis import boundary_drops, lower_sums
 from .spectrum import CoefficientSource, Problem, exact_norm
 
 
@@ -45,27 +52,27 @@ class FoolingPair:
     blocks: int
 
 
-def _block_ranges(problem: Problem, blocks: int):
-    """Index ranges [(lo, hi)] for the head 1..n_0 and blocks 1..blocks."""
-    head = problem.partition.boundary(0)
-    ranges = [(1, head)]
-    for k in range(1, blocks + 1):
-        ranges.append(problem.partition.block(k))
-    return ranges
-
-
-def _check_ratio(problem: Problem, ratio: float, blocks: int) -> None:
-    if problem.partition.boundary(0) < 1:
-        raise ValueError("the construction needs n_0 >= 1")
+def _profile(problem: Problem, ratio: float, rho: float, blocks: int) -> tuple:
+    """lam_{n_0}..lam_{n_blocks} and the amplitude c of ``fooling_scale``,
+    from one read of each value."""
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    if blocks < 1:
+        raise ValueError("need at least one block")
     if ratio < 1.0:
         raise ValueError("ratio must be at least 1")
-    for k in range(1, blocks + 1):
-        prev_boundary = problem.partition.boundary(k - 1)
-        drop = (problem.spectrum.value(prev_boundary)
-                / problem.spectrum.value(problem.partition.boundary(k)))
+    lams, sums = zip(*islice(lower_sums(problem), blocks + 1))
+    for k, drop in enumerate(boundary_drops(lams), start=1):
         if drop > ratio * (1.0 + 1e-12):
             raise ValueError(
                 f"ratio {ratio} is below the actual boundary drop {drop} at block {k}")
+    a = problem.cone.a
+    inflation = 1.0 + (a - 1.0) ** 2 / ((a + 1.0) ** 2 * ratio * ratio)
+    scale = inflation * sums[-1]
+    if scale == math.inf:
+        raise ValueError(f"the profile sum S_{blocks} is past the float range "
+                         f"at depth {blocks}")
+    return lams, rho / math.sqrt(scale)
 
 
 def fooling_scale(problem: Problem, ratio: float, rho: float, blocks: int) -> float:
@@ -75,31 +82,20 @@ def fooling_scale(problem: Problem, ratio: float, rho: float, blocks: int) -> fl
                       * sum_{k=0}^{blocks} b**(2(k-blocks)) / lam_{n_k}**2 ),
 
     sized so the base input plus a unit-blockwise bump still fits in the
-    ball of radius rho.
+    ball of radius rho.  Raises ValueError when ``ratio`` is below a
+    boundary drop up to block ``blocks``, and when the sum is past the
+    float range.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if blocks < 1:
-        raise ValueError("need at least one block")
-    if problem.partition.boundary(0) < 1:
-        raise ValueError("the construction needs n_0 >= 1")
-    a, b = problem.cone.a, problem.cone.b
-    total = 0.0
-    for k in range(0, blocks + 1):
-        lam = problem.spectrum.value(problem.partition.boundary(k))
-        total += b ** (2 * (k - blocks)) / (lam * lam)
-    inflation = 1.0 + (a - 1.0) ** 2 / ((a + 1.0) ** 2 * ratio * ratio)
-    return rho / math.sqrt(inflation * total)
+    return _profile(problem, ratio, rho, blocks)[1]
 
 
-def _base_vector(problem: Problem, c: float, blocks: int) -> np.ndarray:
+def _base_vector(problem: Problem, lams: Sequence, c: float) -> np.ndarray:
     """Coefficients 1..n_blocks of the base input of amplitude c."""
     b = problem.cone.b
+    blocks = len(lams) - 1
     coeffs = np.zeros(problem.partition.boundary(blocks))
     for k in range(1, blocks + 1):
-        boundary = problem.partition.boundary(k)
-        lam = problem.spectrum.value(boundary)
-        coeffs[boundary - 1] = c * b ** (k - blocks) / lam
+        coeffs[problem.partition.boundary(k) - 1] = c * b ** (k - blocks) / lams[k]
     return coeffs
 
 
@@ -110,9 +106,8 @@ def fooling_input(problem: Problem, ratio: float, rho: float, blocks: int) -> Co
     for k = 1..blocks and zero elsewhere, so block k has norm c * b**(k-blocks)
     and the decay constraint holds with equality at r = 1 steps.
     """
-    _check_ratio(problem, ratio, blocks)
-    c = fooling_scale(problem, ratio, rho, blocks)
-    return CoefficientSource.from_vector(_base_vector(problem, c, blocks))
+    lams, c = _profile(problem, ratio, rho, blocks)
+    return CoefficientSource.from_vector(_base_vector(problem, lams, c))
 
 
 def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
@@ -133,7 +128,7 @@ def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
     Feasibility requires strictly fewer constraints than dimensions:
     |zeroed inside 1..n_blocks| + 1 < n_blocks.
     """
-    _check_ratio(problem, ratio, blocks)
+    lams, c = _profile(problem, ratio, rho, blocks)
     a, b = problem.cone.a, problem.cone.b
     dimension = problem.partition.boundary(blocks)
     zeroed = np.fromiter(zeroed_functionals, dtype=np.int64)
@@ -146,8 +141,7 @@ def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
             f"infeasible: {constraints} zeroed functionals + 1 orthogonality "
             f"constraint must stay below the {dimension} available dimensions")
 
-    c = fooling_scale(problem, ratio, rho, blocks)
-    base_vec = _base_vector(problem, c, blocks)
+    base_vec = _base_vector(problem, lams, c)
     base = CoefficientSource.from_vector(base_vec)
 
     blank = free[base_vec[free] == 0.0]
@@ -158,13 +152,12 @@ def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
         p, q = free[:2]
         bump[p], bump[q] = base_vec[q], -base_vec[p]
 
-    # u restricted to block k is weight_k * u_k, so u_k = u[block] / weight_k
-    weights = [b ** (k - blocks)
-               / problem.spectrum.value(problem.partition.boundary(k))
-               for k in range(0, blocks + 1)]
-    bump /= max(exact_norm(bump[lo - 1:hi]) / weight
-                for (lo, hi), weight in zip(_block_ranges(problem, blocks),
-                                            weights))
+    # u restricted to block k is weight_k * u_k, so u_k = u[block] / weight_k;
+    # piece 0 is the head 1..n_0
+    ends = [0] + [problem.partition.boundary(k) for k in range(blocks + 1)]
+    weights = [b ** (k - blocks) / lam for k, lam in enumerate(lams)]
+    bump /= max(exact_norm(bump[lo:hi]) / weight
+                for (lo, hi), weight in zip(pairwise(ends), weights))
 
     shift = (a - 1.0) * c / ((a + 1.0) * ratio)
     plus = CoefficientSource.from_vector(base_vec + shift * bump)

@@ -9,28 +9,64 @@ adversarial construction (``complexity_lower_block``), and packages the
 The three block scans each have a tolerance-list form (``stop_block_bounds``,
 ``stop_block_bounds_rough``, ``complexity_lower_blocks``) that serves a
 whole list from one pass with the bits of one scan per tolerance.
+
+The bounds and the fooling construction in ``adversarial`` read lam at
+the partition boundaries through one lazy ladder, ``boundary_values``, and
+share its drops lam_{n_{k-1}} / lam_{n_k} (``boundary_drops``) and sums S_j
+(``lower_sums``) bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import count, islice, pairwise, takewhile
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algorithm import DEFAULT_BLOCK_LIMIT, ball_budget, stop_threshold
 from .spectrum import (ConeParams, GuardExceeded, Problem, SingularSpectrum,
                        DEFAULT_SCAN_LIMIT, Partition)
 
 
-@dataclass(frozen=True)
-class CostCurve:
-    """Cost of an algorithm family as a function of (epsilon, rho)."""
+def boundary_values(spectrum: SingularSpectrum, partition: Partition,
+                    offset: int = 0, first: int = 0) -> Iterator[float]:
+    """lam_{n_k + offset} for k = first, first + 1, ..., read on demand: the
+    one place the bounds and the fooling construction read the spectrum.
+    Offset 1 gives the block edges lam_{n_{j-1}+1}.  Nothing is kept."""
+    for k in count(first):
+        yield spectrum.value(partition.boundary(k) + offset)
 
-    evaluator: Callable[[float, float], int]
-    label: str
 
-    def cost(self, epsilon: float, rho: float) -> int:
-        return int(self.evaluator(epsilon, rho))
+def boundary_drops(lams: Iterable[float]) -> Iterator[float]:
+    """lam_{n_{k-1}} / lam_{n_k} over consecutive boundary values ``lams``;
+    inf past the float range, as where lam_{n_k} underflowed to zero."""
+    return (high / low if low else math.inf for high, low in pairwise(lams))
+
+
+def _reciprocal(x: float) -> float:
+    """1 / x, or inf where x underflowed to zero."""
+    return 1.0 / x if x else math.inf
+
+
+def lower_sums(problem: Problem) -> Iterator[tuple]:
+    """(lam_{n_j}, S_j) for j = 0, 1, 2, ..., read on demand, where
+    S_j = sum_{k=0}^{j} b**(2(k-j)) / lam_{n_k}**2
+        = S_{j-1} / b**2 + 1 / lam_{n_j}**2.
+
+    A square that underflows to zero counts as an infinite reciprocal and a
+    sum past the float range is inf.  Raises ValueError before any read
+    when n_0 < 1."""
+    if problem.partition.boundary(0) < 1:
+        raise ValueError("the lower bound construction needs n_0 >= 1")
+    b2 = problem.cone.b * problem.cone.b
+
+    def sums():
+        total = 0.0
+        for lam in boundary_values(problem.spectrum, problem.partition):
+            total = total / b2 + _reciprocal(lam * lam)
+            yield lam, total
+
+    return sums()
 
 
 @dataclass(frozen=True)
@@ -56,29 +92,26 @@ def boundary_ratio(problem: Problem, k_max: int) -> RatioScan:
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    best = 0.0
-    attained = 0
-    terms = []
-    for k in range(1, k_max + 1):
-        prev_boundary = problem.partition.boundary(k - 1)
-        if prev_boundary < 1:
-            continue
-        lam_high = problem.spectrum.value(prev_boundary)
-        lam_low = problem.spectrum.value(problem.partition.boundary(k))
-        if lam_low == 0.0:
-            # The drop across this block underflows the float range, so the
-            # supremum certainly keeps growing past anything representable.
-            return RatioScan(value=best if terms else math.inf,
-                             attained_at=attained, still_growing=True)
-        term = lam_high / lam_low
-        terms.append(term)
-        if term > best:
-            best = term
-            attained = k
-    if not terms:
+    first = 0 if problem.partition.boundary(0) >= 1 else 1
+    lams = boundary_values(problem.spectrum, problem.partition, first=first)
+    # a drop past the float range ends the scan: the supremum certainly
+    # keeps growing past anything representable
+    terms = list(takewhile(lambda term: term != math.inf,
+                           boundary_drops(islice(lams, k_max + 1 - first))))
+    past_range = len(terms) < k_max - first
+    if not (terms or past_range):
         raise ValueError("no block with positive lower boundary up to k_max")
-    growing = len(terms) >= 2 and terms[-1] > max(terms[:-1])
-    return RatioScan(value=best, attained_at=attained, still_growing=growing)
+    best = max(terms, default=math.inf)
+    growing = past_range or (len(terms) >= 2 and terms[-1] > max(terms[:-1]))
+    return RatioScan(value=best, still_growing=growing,
+                     attained_at=first + 1 + terms.index(best) if terms else 0)
+
+
+def _bracket(cone: ConeParams, ratio: float) -> float:
+    """(a+1)**2 ratio**2 / (a-1)**2 + 1, for a boundary ratio bound >= 1."""
+    if ratio < 1.0:
+        raise ValueError("ratio must be at least 1")
+    return (cone.a + 1.0) ** 2 * ratio * ratio / (cone.a - 1.0) ** 2 + 1.0
 
 
 def tolerance_shrink_factor(cone: ConeParams, ratio: float) -> float:
@@ -91,12 +124,10 @@ def tolerance_shrink_factor(cone: ConeParams, ratio: float) -> float:
 
     which always lies strictly between 0 and 1.
     """
-    if ratio < 1.0:
-        raise ValueError("ratio must be at least 1")
+    bracket = _bracket(cone, ratio)
     a, b = cone.a, cone.b
     numerator = 1.0 - b * b
     spread = 1.0 + (b * ratio) ** 2 + (b * ratio) ** 4
-    bracket = (a + 1.0) ** 2 * ratio * ratio / (a - 1.0) ** 2 + 1.0
     return math.sqrt(numerator / (a ** 4 * spread) / bracket)
 
 
@@ -120,11 +151,6 @@ def _squared_ratio(rho: float, epsilon: float) -> float:
         return (rho / epsilon) ** 2
     except OverflowError:
         return math.inf
-
-
-def _reciprocal(x: float) -> float:
-    """1 / x, or inf where x underflowed to zero."""
-    return 1.0 / x if x else math.inf
 
 
 def _positive(epsilons, rho: float) -> list:
@@ -162,8 +188,8 @@ def _settle(targets: list, blocks, hit, *, descending: bool) -> list:
 
 def _block_edges(problem: Problem, block_limit: int):
     """(j, lam_{n_{j-1}+1}) for j = 1..block_limit, evaluated on demand."""
-    for j in range(1, block_limit + 1):
-        yield j, problem.spectrum.value(problem.partition.boundary(j - 1) + 1)
+    edges = boundary_values(problem.spectrum, problem.partition, 1)
+    return enumerate(islice(edges, block_limit), start=1)
 
 
 def _stop_brackets(problem: Problem, block_limit: int):
@@ -248,7 +274,7 @@ def stop_block_bound_first_term(problem: Problem, epsilon: float, rho: float) ->
     if epsilon <= 0 or rho <= 0:
         raise ValueError("epsilon and rho must be positive")
     a, b = problem.cone.a, problem.cone.b
-    lead = problem.spectrum.value(problem.partition.boundary(0) + 1)
+    lead = next(boundary_values(problem.spectrum, problem.partition, 1))
     argument = rho * a * a * lead / (epsilon * math.sqrt(1.0 - b * b))
     if argument <= 1.0:
         return 1
@@ -275,19 +301,6 @@ def stop_block_bound_geometric(alpha: float, beta: float, cone: ConeParams,
     return max(1, math.ceil(math.log(argument) / math.log(1.0 / beta)))
 
 
-def _lower_sums(problem: Problem, ratio: float, block_limit: int):
-    """(j - 1, bracket * tail_sum_j) for j = 1..block_limit, as in
-    complexity_lower_block."""
-    a, b = problem.cone.a, problem.cone.b
-    bracket = (a + 1.0) ** 2 * ratio * ratio / (a - 1.0) ** 2 + 1.0
-    edge0 = problem.spectrum.value(problem.partition.boundary(0))
-    tail_sum = _reciprocal(edge0 * edge0)  # sum over k = 0..j of b**(2(k-j)) / lam_{n_k}**2
-    for j in range(1, block_limit + 1):
-        edge = problem.spectrum.value(problem.partition.boundary(j))
-        tail_sum = tail_sum / (b * b) + _reciprocal(edge * edge)
-        yield j - 1, bracket * tail_sum
-
-
 def complexity_lower_blocks(problem: Problem, ratio: float, epsilons,
                             rho: float, *,
                             block_limit: int = DEFAULT_BLOCK_LIMIT) -> list:
@@ -299,12 +312,13 @@ def complexity_lower_blocks(problem: Problem, ratio: float, epsilons,
     blocks; a target (rho / epsilon)**2 past the float range counts as inf.
     """
     epsilons = _positive(epsilons, rho)
-    if ratio < 1.0:
-        raise ValueError("ratio must be at least 1")
-    if problem.partition.boundary(0) < 1:
-        raise ValueError("the lower bound construction needs n_0 >= 1")
-    return _settle([_squared_ratio(rho, eps) for eps in epsilons],
-                   _lower_sums(problem, ratio, block_limit),
+    bracket = _bracket(problem.cone, ratio)
+    sums = lower_sums(problem)
+    # S_j for j = 1..block_limit, labelled j - 1: the deepest block that
+    # still passes is the one before the first failure
+    blocks = ((j, bracket * total)
+              for j, (_, total) in enumerate(islice(sums, 1, block_limit + 1)))
+    return _settle([_squared_ratio(rho, eps) for eps in epsilons], blocks,
                    lambda t, v: not v < t, descending=True)
 
 
@@ -340,23 +354,24 @@ class ComparisonReport:
     grid: tuple
 
 
-def essentially_no_worse(candidate: CostCurve, reference: CostCurve,
+def essentially_no_worse(candidate: Callable, reference: Callable,
                          tolerance_factor: float,
                          grid: Sequence) -> ComparisonReport:
-    """Certify candidate_cost(eps, rho) <= reference_cost(factor*eps, rho) on a grid.
+    """Certify candidate(eps, rho) <= reference(factor*eps, rho) on a grid.
 
-    The grid is a sequence of (epsilon, rho) pairs.  Violating points are
-    returned as (epsilon, rho, candidate_cost, reference_cost) tuples; the
-    certificate holds when there are none.  A factor of exactly 1 turns the
-    check into plain cost domination.
+    Each cost curve maps (epsilon, rho) to a cost, and the grid is a
+    sequence of (epsilon, rho) pairs.  Violating points are returned as
+    (epsilon, rho, candidate_cost, reference_cost) tuples; the certificate
+    holds when there are none.  A factor of exactly 1 turns the check into
+    plain cost domination.
     """
     if not (0.0 < tolerance_factor <= 1.0):
         raise ValueError("tolerance factor lies in (0, 1]")
     violations = []
     points = tuple((float(e), float(r)) for e, r in grid)
     for eps, rho in points:
-        cand = candidate.cost(eps, rho)
-        ref = reference.cost(tolerance_factor * eps, rho)
+        cand = candidate(eps, rho)
+        ref = reference(tolerance_factor * eps, rho)
         if cand > ref:
             violations.append((eps, rho, cand, ref))
     return ComparisonReport(holds=not violations, violations=tuple(violations),
@@ -416,39 +431,38 @@ def cost_bracket_check(family: str, scale: float, base: float, epsilon: float,
                          applicable=applicable, ok=ok)
 
 
-def ball_cost_curve(spectrum: SingularSpectrum, *, label: str = "ball",
-                    scan_limit: int = DEFAULT_SCAN_LIMIT) -> CostCurve:
+def ball_cost_curve(spectrum: SingularSpectrum, *,
+                    scan_limit: int = DEFAULT_SCAN_LIMIT) -> Callable:
     """Cost curve of the ball solver: min{n >= 0 : lam_{n+1} * rho <= eps}."""
 
-    def evaluator(epsilon, rho):
+    def cost(epsilon, rho):
         return ball_budget(spectrum, epsilon, rho, scan_limit=scan_limit)
 
-    return CostCurve(evaluator=evaluator, label=label)
+    return cost
 
 
 def blocked_ball_cost_curve(spectrum: SingularSpectrum, partition: Partition, *,
-                            label: str = "blocked ball",
-                            block_limit: int = DEFAULT_BLOCK_LIMIT) -> CostCurve:
+                            block_limit: int = DEFAULT_BLOCK_LIMIT) -> Callable:
     """Ball solver restricted to partition boundaries: cost n_j at the first
     j >= 0 with lam_{n_j + 1} * rho <= eps."""
 
-    def evaluator(epsilon, rho):
-        for j in range(0, block_limit + 1):
-            n_j = partition.boundary(j)
-            if spectrum.value(n_j + 1) * rho <= epsilon:
-                return n_j
+    def cost(epsilon, rho):
+        edges = boundary_values(spectrum, partition, 1)
+        for j, edge in enumerate(islice(edges, block_limit + 1)):
+            if edge * rho <= epsilon:
+                return partition.boundary(j)
         raise GuardExceeded(f"no boundary within {block_limit} blocks")
 
-    return CostCurve(evaluator=evaluator, label=label)
+    return cost
 
 
-def adaptive_cost_bound_curve(problem: Problem, *, label: str = "adaptive bound",
-                              block_limit: int = DEFAULT_BLOCK_LIMIT) -> CostCurve:
+def adaptive_cost_bound_curve(problem: Problem, *,
+                              block_limit: int = DEFAULT_BLOCK_LIMIT) -> Callable:
     """Upper cost curve of the adaptive solver over admissible inputs:
     the boundary of the stopping block bound."""
 
-    def evaluator(epsilon, rho):
+    def cost(epsilon, rho):
         j = stop_block_bound(problem, epsilon, rho, block_limit=block_limit)
         return problem.partition.boundary(j)
 
-    return CostCurve(evaluator=evaluator, label=label)
+    return cost

@@ -603,8 +603,8 @@ def cmd_adversarial(merged, quiet):
     # earlier block, so a depth whose run read too much for one tolerance
     # reads too much for every later one, and a run that hit the j_max
     # guard hits it again.  Each depth search therefore starts where the
-    # previous one ended; a depth that failed _check_ratio or the n_max
-    # budget fails again there, with the same message.
+    # previous one ended; a depth that failed its ratio check, its profile
+    # sum or the n_max budget fails again there, with the same message.
     probes = {}
     depth = adv_cfg.get("blocks", 4)
     for eps in epsilons:

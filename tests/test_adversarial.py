@@ -189,6 +189,23 @@ def test_pair_ignores_repeated_and_out_of_range_zeroed_indices():
         fooling_pair(problem, 2.0, 1.0, 6, noisy + [63])
 
 
+def test_pair_reads_each_boundary_value_once(monkeypatch):
+    # the ratio check, the amplitude, the base input and the bump weights
+    # share one read of lam_{n_0}..lam_{n_depth}
+    problem = harmonic_problem()
+    depth = 11
+    calls = []
+    value = SingularSpectrum.value
+
+    def counted(self, i):
+        calls.append(i)
+        return value(self, i)
+
+    monkeypatch.setattr(SingularSpectrum, "value", counted)
+    fooling_pair(problem, 2.0, 1.0, depth, range(1, 100))
+    assert len(calls) <= 2 * (depth + 1)
+
+
 def test_pair_deterministic():
     problem = harmonic_problem()
     first = make_pair(problem, 2.0)

@@ -378,18 +378,19 @@ def test_bracket_unknown_family():
 def test_cost_curves_monotone_on_grid():
     spectrum = SingularSpectrum.algebraic(1.0, 2.0)
     problem = Problem(spectrum, Partition.doubling(1), CONE)
-    curves = (ball_cost_curve(spectrum),
-              blocked_ball_cost_curve(spectrum, problem.partition),
-              adaptive_cost_bound_curve(problem))
+    curves = {"ball": ball_cost_curve(spectrum),
+              "blocked ball": blocked_ball_cost_curve(spectrum,
+                                                      problem.partition),
+              "adaptive bound": adaptive_cost_bound_curve(problem)}
     epsilons = np.logspace(-4, 0, 9)
     rhos = np.logspace(0, 2, 5)
-    for curve in curves:
+    for name, curve in curves.items():
         for rho in rhos:
-            costs = [curve.cost(e, rho) for e in epsilons]
-            assert costs == sorted(costs, reverse=True), curve.label
+            costs = [curve(e, rho) for e in epsilons]
+            assert costs == sorted(costs, reverse=True), name
         for eps in epsilons:
-            costs = [curve.cost(eps, r) for r in rhos]
-            assert costs == sorted(costs), curve.label
+            costs = [curve(eps, r) for r in rhos]
+            assert costs == sorted(costs), name
 
 
 def test_adaptive_cost_never_exceeds_bound_curve():
@@ -401,7 +402,7 @@ def test_adaptive_cost_never_exceeds_bound_curve():
         rho = f.norm()
         for eps in (0.5, 0.1, 0.02):
             run = adaptive_algorithm(problem, f, eps)
-            assert run.cost <= bound.cost(eps, rho)
+            assert run.cost <= bound(eps, rho)
 
 
 def test_shrunken_ball_dominates_rough_bound():
@@ -417,7 +418,7 @@ def test_shrunken_ball_dominates_rough_bound():
             eps = rho / quotient
             n_rough = problem.partition.boundary(
                 stop_block_bound_rough(problem, eps, rho))
-            assert n_rough < ball.cost(eps * shrink, rho)
+            assert n_rough < ball(eps * shrink, rho)
 
 
 def test_tight_chain_boundaries_dominated_by_lower_bound():

@@ -504,6 +504,36 @@ def test_adversarial_rejects_headless_partition(tmp_path):
     assert cli.main(["adversarial", "--config", cfg, "--quiet"]) == 2
 
 
+GEOMETRIC_2 = {"spectrum": {"family": "geometric", "base": 2.0}}
+
+
+@pytest.mark.parametrize("problem_cfg, adversarial, reason", [
+    # lam_1024 = 2**-1024 rounds to zero: the drop at block 10 is inf
+    (GEOMETRIC_2, {"blocks": 10, "ratio": 1e300},
+     "boundary drop inf at block 10"),
+    (GEOMETRIC_2, {"blocks": 11}, "boundary drop inf at block 10"),
+    # lam_512 = 3**-512 squares to zero: S_9 is inf
+    ({"spectrum": {"family": "geometric", "base": 3.0}},
+     {"blocks": 9, "ratio": 1e300}, "past the float range at depth 9"),
+    # S_130 grows by 1 / 0.05**2 a block, past the float range
+    ({"spectrum": {"family": "algebraic", "power": 1.0},
+      "partition": {"kind": "arithmetic", "start": 1, "step": 1},
+      "cone": {"a": 2.0, "b": 0.05}},
+     {"blocks": 130, "ratio": 2.0}, "past the float range at depth 130"),
+], ids=["underflowed-drop", "underflowed-drop-scanned-ratio",
+        "underflowed-square", "overflowed-sum"])
+def test_a_profile_past_the_float_range_fails_the_tolerance(
+        tmp_path, capsys, problem_cfg, adversarial, reason):
+    cfg = write_config(tmp_path, {
+        "problem": problem_cfg, "epsilons": [1e-2],
+        "adversarial": adversarial, "output": str(tmp_path / "out")})
+    assert cli.main(["adversarial", "--config", cfg, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("adversarial: construction failed at epsilon=0.01: ")
+    assert reason in err
+    assert "Traceback" not in err
+
+
 # -- example1 ------------------------------------------------------------------
 
 def test_example1_default_grid_all_match(tmp_path):
