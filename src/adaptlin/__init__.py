@@ -22,13 +22,14 @@ from .analysis import (BracketReport, ComparisonReport, RatioScan,
                        blocked_ball_cost_curve,
                        boundary_ratio, complexity_lower_block,
                        complexity_lower_blocks, cost_bracket_check,
-                       essentially_no_worse, stop_block_bound,
-                       stop_block_bound_first_term,
+                       essentially_no_worse,
+                       stop_block_bound, stop_block_bound_first_term,
+                       stop_block_bound_first_terms,
                        stop_block_bound_geometric, stop_block_bound_rough,
                        stop_block_bounds, stop_block_bounds_rough,
                        tolerance_shrink_factor)
-from .adversarial import (FoolingPair, fooling_input, fooling_pair,
-                          fooling_scale, solution_separation)
+from .adversarial import (FoolingPair, fooling_input, fooling_inputs,
+                          fooling_pair, fooling_scale, solution_separation)
 from .problems import (MultiIndexSpectrum, PeriodicApproximation,
                        RandomPeriodicInput, default_gamma,
                        derivative_coefficients, derivative_problem,
@@ -55,13 +56,15 @@ __all__ = [
     "default_gamma", "derivative_coefficients", "derivative_problem",
     "derivative_slice_grid", "derivative_weights",
     "enumerate_derivative_spectrum", "essentially_no_worse",
-    "evaluate_input", "evaluate_solution", "fooling_input", "fooling_pair",
+    "evaluate_input", "evaluate_solution", "fooling_input", "fooling_inputs",
+    "fooling_pair",
     "fooling_scale", "input_slice_grid", "interpolate",
     "periodic_approximation_cost",
     "periodic_approximation_spectrum", "random_cone_member",
     "random_periodic_input", "solution_separation",
     "solution_slice_grid", "stop_block_bound",
-    "stop_block_bound_first_term", "stop_block_bound_geometric",
+    "stop_block_bound_first_term", "stop_block_bound_first_terms",
+    "stop_block_bound_geometric",
     "stop_block_bound_rough", "stop_block_bounds", "stop_block_bounds_rough",
     "stop_threshold", "tail_norm", "tail_norms",
     "tolerance_shrink_factor", "true_error",

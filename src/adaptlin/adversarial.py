@@ -17,18 +17,20 @@ Each construction reads lam_{n_0}..lam_{n_blocks} once, through
 ``analysis.lower_sums``, which also serves ``complexity_lower_block``: the
 same drops check the ratio and the same S_blocks sizes the amplitude.  A
 depth whose S_blocks is past the float range fails with ValueError.
+``fooling_inputs`` grows a probe depth by depth from that one read, with
+the running boundary ratio where none is given.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, pairwise
-from typing import Sequence
+from itertools import chain, pairwise, repeat, tee
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .analysis import boundary_drops, lower_sums
+from .analysis import boundary_drops, lower_sums, running_ratios
 from .spectrum import CoefficientSource, Problem, exact_norm
 
 
@@ -52,27 +54,46 @@ class FoolingPair:
     blocks: int
 
 
-def _profile(problem: Problem, ratio: float, rho: float, blocks: int) -> tuple:
-    """lam_{n_0}..lam_{n_blocks} and the amplitude c of ``fooling_scale``,
-    from one read of each value."""
+def _profiles(problem: Problem, rho: float, first: int,
+              ratio: Optional[float] = None) -> Iterator[tuple]:
+    """(r, lams, c) at depths d = first, first + 1, ...: the ratio bound r,
+    lam_{n_0}..lam_{n_d} and the amplitude c of ``fooling_scale``, from one
+    read of each boundary value.  r is ``ratio``, or
+    ``boundary_ratio(problem, d).value`` where ``ratio`` is None.  Raises
+    ValueError at the first depth whose ratio is below 1 or below a
+    boundary drop, or whose S_d is past the float range."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if blocks < 1:
+    if first < 1:
         raise ValueError("need at least one block")
-    if ratio < 1.0:
+    if ratio is not None and ratio < 1.0:
         raise ValueError("ratio must be at least 1")
-    lams, sums = zip(*islice(lower_sums(problem), blocks + 1))
-    for k, drop in enumerate(boundary_drops(lams), start=1):
-        if drop > ratio * (1.0 + 1e-12):
-            raise ValueError(
-                f"ratio {ratio} is below the actual boundary drop {drop} at block {k}")
     a = problem.cone.a
-    inflation = 1.0 + (a - 1.0) ** 2 / ((a + 1.0) ** 2 * ratio * ratio)
-    scale = inflation * sums[-1]
-    if scale == math.inf:
-        raise ValueError(f"the profile sum S_{blocks} is past the float range "
-                         f"at depth {blocks}")
-    return lams, rho / math.sqrt(scale)
+    ladder, again = tee(lower_sums(problem))
+    ratios = (repeat(ratio) if ratio is not None
+              else running_ratios(lam for lam, _ in again))
+    lams = []
+    # depth d pairs (lam_{n_d}, S_d) with the d-th ratio; depth 0 has none
+    for depth, ((lam, total), r) in enumerate(zip(ladder,
+                                                  chain([None], ratios))):
+        lams.append(lam)
+        if depth < first:
+            continue
+        if r < 1.0:
+            raise ValueError("ratio must be at least 1")
+        # the drops of a shallower depth passed a ratio no larger than r
+        new = first if depth == first else 1
+        for k, drop in enumerate(boundary_drops(lams[-new - 1:]),
+                                 start=depth - new + 1):
+            if drop > r * (1.0 + 1e-12):
+                raise ValueError(
+                    f"ratio {r} is below the actual boundary drop {drop} at block {k}")
+        inflation = 1.0 + (a - 1.0) ** 2 / ((a + 1.0) ** 2 * r * r)
+        scale = inflation * total
+        if scale == math.inf:
+            raise ValueError(f"the profile sum S_{depth} is past the float "
+                             f"range at depth {depth}")
+        yield r, tuple(lams), rho / math.sqrt(scale)
 
 
 def fooling_scale(problem: Problem, ratio: float, rho: float, blocks: int) -> float:
@@ -86,7 +107,7 @@ def fooling_scale(problem: Problem, ratio: float, rho: float, blocks: int) -> fl
     boundary drop up to block ``blocks``, and when the sum is past the
     float range.
     """
-    return _profile(problem, ratio, rho, blocks)[1]
+    return next(_profiles(problem, rho, blocks, ratio))[2]
 
 
 def _base_vector(problem: Problem, lams: Sequence, c: float) -> np.ndarray:
@@ -106,8 +127,18 @@ def fooling_input(problem: Problem, ratio: float, rho: float, blocks: int) -> Co
     for k = 1..blocks and zero elsewhere, so block k has norm c * b**(k-blocks)
     and the decay constraint holds with equality at r = 1 steps.
     """
-    lams, c = _profile(problem, ratio, rho, blocks)
-    return CoefficientSource.from_vector(_base_vector(problem, lams, c))
+    return next(fooling_inputs(problem, rho, blocks, ratio))[1]
+
+
+def fooling_inputs(problem: Problem, rho: float, first: int,
+                   ratio: Optional[float] = None) -> Iterator[tuple]:
+    """(r, ``fooling_input(problem, r, rho, d)``) for d = first, first + 1,
+    ..., bit for bit, from one read of each boundary value, where r is
+    ``ratio``, or ``boundary_ratio(problem, d).value`` where ``ratio`` is
+    None.  Raises at the first depth whose ``fooling_input`` raises, with
+    its message, and yields nothing after."""
+    for r, lams, c in _profiles(problem, rho, first, ratio):
+        yield r, CoefficientSource.from_vector(_base_vector(problem, lams, c))
 
 
 def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
@@ -128,7 +159,7 @@ def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
     Feasibility requires strictly fewer constraints than dimensions:
     |zeroed inside 1..n_blocks| + 1 < n_blocks.
     """
-    lams, c = _profile(problem, ratio, rho, blocks)
+    _, lams, c = next(_profiles(problem, rho, blocks, ratio))
     a, b = problem.cone.a, problem.cone.b
     dimension = problem.partition.boundary(blocks)
     zeroed = np.fromiter(zeroed_functionals, dtype=np.int64)

@@ -6,9 +6,12 @@ module bounds j* from above for all admissible inputs in a norm ball
 successful algorithm from below via the block index certified by the
 adversarial construction (``complexity_lower_block``), and packages the
 "essentially no worse" comparison between cost curves that links the two.
-The three block scans each have a tolerance-list form (``stop_block_bounds``,
-``stop_block_bounds_rough``, ``complexity_lower_blocks``) that serves a
-whole list from one pass with the bits of one scan per tolerance.
+The three block scans and the first-term bound each have a tolerance-list
+form (``stop_block_bounds``, ``stop_block_bounds_rough``,
+``complexity_lower_blocks``, ``stop_block_bound_first_terms``) that serves
+a whole list from one pass with the bits of one call per tolerance, and
+``running_ratios`` gives ``boundary_ratio``'s value at every depth from
+one pass.
 
 The bounds and the fooling construction in ``adversarial`` read lam at
 the partition boundaries through one lazy ladder, ``boundary_values``, and
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, islice, pairwise, takewhile
+from itertools import count, islice, pairwise, repeat, takewhile
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algorithm import DEFAULT_BLOCK_LIMIT, ball_budget, stop_threshold
@@ -107,6 +110,22 @@ def boundary_ratio(problem: Problem, k_max: int) -> RatioScan:
                      attained_at=first + 1 + terms.index(best) if terms else 0)
 
 
+def running_ratios(lams: Iterable[float]) -> Iterator[float]:
+    """``boundary_ratio(problem, k).value`` for k = 1, 2, ..., bit for bit,
+    over the boundary values ``lams`` = lam_{n_0}, lam_{n_1}, ... of a
+    problem with n_0 >= 1: the running maximum of the drops, from one pass.
+    From the first infinite drop on, every value is the maximum of the
+    drops before it, or inf where there is none."""
+    best = None
+    for drop in boundary_drops(lams):
+        if drop == math.inf:
+            break
+        if best is None or drop > best:  # how max() keeps a maximum
+            best = drop
+        yield best
+    yield from repeat(math.inf if best is None else best)
+
+
 def _bracket(cone: ConeParams, ratio: float) -> float:
     """(a+1)**2 ratio**2 / (a-1)**2 + 1, for a boundary ratio bound >= 1."""
     if ratio < 1.0:
@@ -136,12 +155,14 @@ _UNSETTLED = {
     "stop_block_bound_rough": "no rough stopping bound within {} blocks",
     "complexity_lower_block":
         "lower-bound block still growing at block limit {}",
+    "stop_block_bound_first_term": "first-term bound past the float range",
 }
 
 
-def unsettled_error(bound: str, block_limit: int) -> GuardExceeded:
-    """What the scalar scan named ``bound`` raises for a tolerance that
-    its list form leaves None."""
+def unsettled_error(bound: str,
+                    block_limit: int = DEFAULT_BLOCK_LIMIT) -> GuardExceeded:
+    """What the scalar bound named ``bound`` raises for a tolerance that
+    its list form leaves None; the first-term message names no limit."""
     return GuardExceeded(_UNSETTLED[bound].format(block_limit))
 
 
@@ -264,6 +285,29 @@ def stop_block_bound_rough(problem: Problem, epsilon: float, rho: float, *,
     return j
 
 
+def stop_block_bound_first_terms(problem: Problem, epsilons,
+                                 rho: float) -> list:
+    """``stop_block_bound_first_term`` of each tolerance, from one read of
+    lam_{n_0+1}; None where the argument of the log is past the float
+    range."""
+    epsilons = _positive(epsilons, rho)
+    if not epsilons:
+        return []
+    a, b = problem.cone.a, problem.cone.b
+    lead = next(boundary_values(problem.spectrum, problem.partition, 1))
+    blocks = []
+    for eps in epsilons:
+        argument = rho * a * a * lead / (eps * math.sqrt(1.0 - b * b))
+        if argument <= 1.0:
+            blocks.append(1)
+        elif argument == math.inf:
+            blocks.append(None)
+        else:
+            blocks.append(
+                max(1, math.ceil(math.log(argument) / math.log(1.0 / b))))
+    return blocks
+
+
 def stop_block_bound_first_term(problem: Problem, epsilon: float, rho: float) -> int:
     """Closed-form bound keeping only the first bracket term.
 
@@ -271,16 +315,10 @@ def stop_block_bound_first_term(problem: Problem, epsilon: float, rho: float) ->
           / log(1/b) ), clamped to at least 1.  Raises GuardExceeded when
     the argument of the log is past the float range.
     """
-    if epsilon <= 0 or rho <= 0:
-        raise ValueError("epsilon and rho must be positive")
-    a, b = problem.cone.a, problem.cone.b
-    lead = next(boundary_values(problem.spectrum, problem.partition, 1))
-    argument = rho * a * a * lead / (epsilon * math.sqrt(1.0 - b * b))
-    if argument <= 1.0:
-        return 1
-    if argument == math.inf:
-        raise GuardExceeded("first-term bound past the float range")
-    return max(1, math.ceil(math.log(argument) / math.log(1.0 / b)))
+    (j,) = stop_block_bound_first_terms(problem, [epsilon], rho)
+    if j is None:
+        raise unsettled_error("stop_block_bound_first_term")
+    return j
 
 
 def stop_block_bound_geometric(alpha: float, beta: float, cone: ConeParams,

@@ -30,11 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adversarial import fooling_input, fooling_pair, solution_separation
+from .adversarial import fooling_inputs, fooling_pair, solution_separation
 from .algorithm import (adaptive_algorithm, adaptive_sweep, ball_budget,
                         no_stop_error)
 from .analysis import (boundary_ratio, complexity_lower_blocks,
-                       stop_block_bound_first_term, stop_block_bounds,
+                       stop_block_bound_first_terms, stop_block_bounds,
                        stop_block_bounds_rough, tolerance_shrink_factor,
                        unsettled_error)
 from .problems import (default_gamma, derivative_coefficients,
@@ -485,22 +485,18 @@ def cmd_bounds(merged, quiet):
     columns = {eps: [] for eps in epsilons}
     errors = {}
     live = epsilons
-    for bounds_of, name in ((stop_block_bounds, "stop_block_bound"),
-                            (stop_block_bounds_rough,
-                             "stop_block_bound_rough")):
-        for eps, j in zip(live, bounds_of(problem, live, rho,
-                                          block_limit=j_max)):
+    for bounds_of, name in (
+            (functools.partial(stop_block_bounds, block_limit=j_max),
+             "stop_block_bound"),
+            (functools.partial(stop_block_bounds_rough, block_limit=j_max),
+             "stop_block_bound_rough"),
+            (stop_block_bound_first_terms, "stop_block_bound_first_term")):
+        for eps, j in zip(live, bounds_of(problem, live, rho)):
             if j is None:
                 errors[eps] = unsettled_error(name, j_max)
             else:
                 columns[eps].append(j)
         live = [eps for eps in live if eps not in errors]
-    for eps in live:
-        try:
-            columns[eps].append(stop_block_bound_first_term(problem, eps, rho))
-        except GuardExceeded as exc:
-            errors[eps] = exc
-    live = [eps for eps in live if eps not in errors]
     lower = {}
     if omega is not None and lower_bound_usable:
         lower = dict(zip(live, complexity_lower_blocks(
@@ -598,25 +594,30 @@ def cmd_adversarial(merged, quiet):
     failures = 0
     start = time.perf_counter()
     # The probe of a depth does not depend on epsilon, so each depth's ratio
-    # and base probe are built once.  The tolerances run in decreasing
-    # order, and on a fixed input a smaller tolerance never stops at an
-    # earlier block, so a depth whose run read too much for one tolerance
-    # reads too much for every later one, and a run that hit the j_max
-    # guard hits it again.  Each depth search therefore starts where the
-    # previous one ended; a depth that failed its ratio check, its profile
-    # sum or the n_max budget fails again there, with the same message.
-    probes = {}
+    # and base probe are built once, from one read of the boundaries that
+    # grows a depth at a time (``fooling_inputs``).  The tolerances run in
+    # decreasing order, and on a fixed input a smaller tolerance never
+    # stops at an earlier block, so a depth whose run read too much for one
+    # tolerance reads too much for every later one, and a run that hit the
+    # j_max guard hits it again.  Each depth search therefore starts where
+    # the previous one ended; a depth that failed its ratio check, its
+    # profile sum or the n_max budget fails again there, with the same
+    # message, so a failed depth keeps its error.
     depth = adv_cfg.get("blocks", 4)
+    ladder = fooling_inputs(problem, rho, depth, adv_cfg.get("ratio"))
+    probes = {}
     for eps in epsilons:
         # The sampled indices of a run on the base input become the zeroed
         # functionals; the bump then hides in coordinates the run never saw.
         try:
             while True:
                 if depth not in probes:
-                    ratio = (adv_cfg["ratio"] if "ratio" in adv_cfg
-                             else boundary_ratio(problem, depth).value)
-                    probes[depth] = (ratio, fooling_input(problem, ratio,
-                                                          rho, depth))
+                    try:
+                        probes[depth] = next(ladder)
+                    except ValueError as exc:
+                        probes[depth] = exc
+                if isinstance(probes[depth], ValueError):
+                    raise probes[depth]
                 ratio, base_probe = probes[depth]
                 run = adaptive_algorithm(problem, base_probe, eps,
                                          block_limit=j_max)

@@ -139,9 +139,16 @@ def exact_norm(x: np.ndarray) -> float:
     norm is inf, and a NaN entry gives NaN.  Short vectors go through
     ``math.fsum`` (squared as Python floats below 32 entries, which skips
     numpy's per-call cost) and long ones through exponent bins
-    (``_bin_squares``); both round the same exact sum to nearest.  Every
+    (``_bin_squares``); both round the same exact sum to nearest.  From 32
+    entries on, the zeros are dropped first, since a zero square adds
+    nothing (NaN and inf stay), and the path is chosen by the entries
+    left; below 32, adding the zeros costs less than finding them.  Every
     block, tail, input and solution norm goes through this one kernel.
     """
+    if x.size >= _NUMPY_FROM:
+        nonzero = x != 0.0
+        if not nonzero.all():  # a copy only where there is a zero to drop
+            x = x[nonzero]
     if x.size >= _FSUM_BELOW:
         return math.sqrt(_rounded(_square_sum(x)))
     if x.size < _NUMPY_FROM:
@@ -156,9 +163,13 @@ def exact_norm(x: np.ndarray) -> float:
 
 
 def _chunks(lo: int, hi: int):
-    """Step-1 ranges of at most _CHUNK indices that cover lo..hi in order."""
-    return (range(first, min(first + _CHUNK, hi + 1))
-            for first in range(lo, hi + 1, _CHUNK))
+    """Step-1 ranges that cover lo..hi in order, each within one chunk
+    k*_CHUNK+1 .. (k+1)*_CHUNK, so indices 1.._CHUNK share none with
+    deeper ones."""
+    while lo <= hi:
+        last = min(-(-lo // _CHUNK) * _CHUNK, hi)
+        yield range(lo, last + 1)
+        lo = last + 1
 
 
 def _bounds(indices) -> tuple:
@@ -181,12 +192,19 @@ class SingularSpectrum:
     the call so integer powers cannot overflow).  Explicitly enumerated
     spectra keep their values in a read-only copy, have no rule, and refuse
     queries past the end.
+
+    A rule spectrum also keeps a checked head lam_1..lam_m for
+    ``read_blocks``: m is the deepest index a walk has asked for, capped at
+    _CHUNK (2**14 weights, 128 KiB).  Each index of the head is evaluated
+    and checked once, when a walk first reaches it, and never before, so a
+    rule that fails deep down fails only the walks that get there.
     """
 
     def __init__(self, rule: Optional[Callable], *, name: str = "spectrum",
                  table: Optional[np.ndarray] = None):
         self._rule = rule
         self._table = None
+        self._head = np.empty(0)
         self.name = name
         if table is not None:
             self._table = np.array(table, dtype=np.float64)
@@ -312,6 +330,22 @@ class SingularSpectrum:
         if not (vals > 0.0).all():
             raise ValueError(f"{self.name}: singular values must be positive")
         raise ValueError(f"{self.name}: singular values must be non-increasing")
+
+    def _checked_head(self, hi: int) -> np.ndarray:
+        """The read-only head lam_1..lam_m of a rule, with m at least
+        min(hi, _CHUNK).  Only the new indices are evaluated, through
+        ``values``, and checked against the last old one; a failed check
+        raises and leaves the head as it was, so every later walk fails
+        the same way."""
+        head = self._head
+        top = min(hi, _CHUNK)
+        if top > head.size:
+            new = self.values(range(head.size + 1, top + 1))
+            self.check_run(new, head[-1] if head.size else math.inf)
+            head = np.concatenate((head, new))
+            head.flags.writeable = False
+            self._head = head
+        return head
 
     def validate_prefix(self, count: int = 32) -> None:
         """Check positivity and monotonicity on the first ``count`` indices."""
@@ -604,9 +638,12 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     clipped to a finite table.  ``products`` are its lam_i * fhat_i,
     ``total`` their exact sum of squares for ``block_tails`` (None under
     2**11 entries, summed by ``math.fsum``), ``norm`` has the bits of
-    ``block_norm``.  Ranges of 2**14 indices are binned while in cache, no
-    product is formed past the support, and a rule spectrum is checked on
-    every index read.  A non-finite norm raises ValueError, so no
+    ``block_norm``.  A block within one chunk of 2**14 indices is one
+    product; a longer one is formed chunk by chunk into one array and
+    binned while in cache.  No product is formed past the support.  A rule
+    spectrum's weights up to 2**14 come from its checked head, so each is
+    evaluated and checked once per spectrum; deeper ones are evaluated and
+    checked on every walk.  A non-finite norm raises ValueError, so no
     certificate rests on it.
     """
     spectrum, partition = problem.spectrum, problem.partition
@@ -616,20 +653,32 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
         end = partition.block(j)[1] if j else partition.boundary(0)
         if length is not None:
             end = min(end, length)  # finite table: no modes past the end
-        prod = np.zeros(end - start + 1)
-        bins = _new_bins() if prod.size >= _FSUM_BELOW else None
-        for span in _chunks(start, end):
-            lam = spectrum.values(span)
-            if length is None:
-                spectrum.check_run(lam, previous)
-                previous = lam[-1]
+        if end > -(-start // _CHUNK) * _CHUNK:  # past the chunk of start
+            spans, prod = _chunks(start, end), np.zeros(end - start + 1)
+        else:
+            spans, prod = [range(start, end + 1)] if start <= end else [], None
+        bins = _new_bins() if end - start + 1 >= _FSUM_BELOW else None
+        for span in spans:
+            if length is None and span.start <= _CHUNK:
+                lam = spectrum._checked_head(span.stop - 1)[
+                    span.start - 1:span.stop - 1]
+            else:
+                lam = spectrum.values(span)
+                if length is None:
+                    spectrum.check_run(lam, previous)
+            previous = lam[-1]
             if (support is not None and span.start > support
                     and lam[0] < math.inf):
                 continue  # the zeros lam * 0 gives for every finite lam
-            piece = prod[span.start - start:span.stop - start]
-            np.multiply(lam, f.coefficients(span), out=piece)
+            if prod is None:
+                piece = prod = lam * f.coefficients(span)
+            else:
+                piece = prod[span.start - start:span.stop - start]
+                np.multiply(lam, f.coefficients(span), out=piece)
             if bins is not None:
                 _bin_squares(piece, bins)
+        if prod is None:
+            prod = np.zeros(end - start + 1)
         total = None if bins is None else _exact_sum(bins)
         norm = exact_norm(prod) if bins is None else math.sqrt(_rounded(total))
         if not math.isfinite(norm):

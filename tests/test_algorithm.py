@@ -9,7 +9,8 @@ import pytest
 from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
                       OutOfRangeError, Partition, Problem, SingularSpectrum,
                       Walk, adaptive_algorithm, adaptive_sweep, ball_algorithm,
-                      block_norm, derivative_coefficients, derivative_problem,
+                      block_norm, cone_membership, derivative_coefficients,
+                      derivative_problem,
                       enumerate_derivative_spectrum, interpolate,
                       periodic_approximation_spectrum, random_periodic_input,
                       random_cone_member, stop_threshold, tail_norm,
@@ -459,6 +460,62 @@ def test_sweep_reads_each_weight_once():
     assert counts[0] == 0 and (counts[1:] == 1).all()
     assert [row["true_error"] for row in rows] \
         == tail_norms(problem, f, [run.cost for run in runs])
+
+
+def counted_harmonic(reads):
+    """Harmonic doubling problem whose rule records every index it is
+    asked for in ``reads``."""
+    def harmonic(i):
+        reads.append(np.array(i))
+        return 1.0 / i
+
+    return Problem(SingularSpectrum.from_rule(harmonic, name="counted"),
+                   Partition.doubling(1), ConeParams(2.0, 0.5))
+
+
+def test_walks_on_one_problem_read_each_weight_of_the_head_once():
+    reads = []
+    problem = counted_harmonic(reads)
+    f = random_cone_member(problem, np.random.default_rng(42), 12)
+    reads.clear()
+    # the tightest tolerance stops on block 13, 4097..8192, past the
+    # support of 2**12, so the true errors read nothing past the walk; the
+    # membership test and the later runs read inside the walk's reach
+    walk, _ = _sweep(problem, f, [0.3, 1e-3, 1e-12], 64)
+    assert walk.stops[-1] == 13
+    assert cone_membership(problem, f).member
+    for eps in (1e-12, 0.3):
+        adaptive_algorithm(problem, f, eps)
+    counts = np.bincount(np.concatenate(reads).astype(np.int64))
+    assert counts.size == 2 ** 13 + 1
+    assert counts[0] == 0 and (counts[1:] == 1).all()
+
+
+def test_a_rule_that_fails_deep_down_fails_only_the_walks_that_get_there():
+    # lam_i = 2 / 2**i underflows to zero at i = 1076, in block 11,
+    # 1025..2048, of the doubling partition
+    reads = []
+
+    def halving(i):
+        reads.append(np.array(i))
+        with np.errstate(over="ignore"):
+            return 2.0 / 2.0 ** i
+
+    problem = Problem(SingularSpectrum.from_rule(halving, name="halving"),
+                      Partition.doubling(1), ConeParams(2.0, 0.5))
+    f = CoefficientSource.from_vector(np.ones(2048))
+    reads.clear()
+    shallow = adaptive_algorithm(problem, f, 0.5)
+    # nothing past the walk's stop block is evaluated
+    assert shallow.cost == 4 and max(np.concatenate(reads)) == 4
+    for _ in range(2):
+        with pytest.raises(ValueError,
+                           match="halving: singular values must be positive"):
+            adaptive_algorithm(problem, f, 1e-300)
+    with pytest.raises(ValueError, match="must be positive"):
+        cone_membership(problem, f)
+    again = adaptive_algorithm(problem, f, 0.5)
+    assert np.array_equal(again.values, shallow.values)
 
 
 def remainder_sweep():

@@ -167,6 +167,13 @@ def same_float(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
+def mostly(fill, size, entries):
+    """``size`` copies of ``fill`` but for the ``entries`` {index: value}."""
+    x = np.full(size, fill)
+    x[list(entries)] = list(entries.values())
+    return x
+
+
 @settings(max_examples=60, deadline=None)
 @given(wide_vectors())
 # squares that overflow; finite squares whose sum overflows (the products
@@ -175,6 +182,17 @@ def same_float(a, b):
 @example((np.array([0.0, 1e154, 1.3e154, 1.3e154]), [0, 1, 2]))
 @example((np.array([1.0, math.nan, 3.0] * 1000), [0, 2, 2999]))
 @example((np.zeros(3000), [0, 2999, 3000]))
+# mostly zeros on both sides of the 32- and 2048-entry cutoffs, with -0.0,
+# subnormal entries and squares, NaN and inf
+@example((mostly(0.0, 31, {3: -0.0, 7: 1e-160, 11: 5e-324, 20: 3.0}),
+          [0, 8, 31]))
+@example((mostly(0.0, 32, {0: 2.5e-310, 5: math.nan, 9: -0.0, 31: 1e150}),
+          [0, 6, 32]))
+@example((mostly(-0.0, 2047, {0: math.inf, 1500: 1e-300, 2046: 5e-324}),
+          [0, 1, 2046]))
+@example((mostly(0.0, 2048, {10: -math.inf, 11: math.nan, 700: 1e-160,
+                             2047: 2.5e-310}), [0, 11, 12, 2047]))
+@example((mostly(-0.0, 2048, {}), [0, 2048]))
 def test_exact_norm_has_the_bits_of_fsum(case):
     x, cuts = case
     assert same_float(exact_norm(x), fsum_norm(x))

@@ -1,6 +1,7 @@
 """Module structure: no adaptlin module imports another's private names,
-and the bounds and the fooling construction read the spectrum at the
-partition boundaries through one ladder."""
+the bounds and the fooling construction read the spectrum at the partition
+boundaries through one ladder, and the spectrum is checked only where it
+is first read."""
 
 import ast
 from pathlib import Path
@@ -32,23 +33,35 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
-LADDER = "boundary_values"
+def attribute_calls(path, attr):
+    """(function, line) for each ``.attr(`` call in ``path``, with the name
+    of the innermost function around the call (None at module level)."""
+    found = []
 
-
-def value_calls(path):
-    """(line, inside the ladder) for each ``.value(`` call in ``path``."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    ladder = {id(node) for fn in ast.walk(tree)
-              if isinstance(fn, ast.FunctionDef) and fn.name == LADDER
-              for node in ast.walk(fn)}
-    for node in ast.walk(tree):
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "value"):
-            yield f"{path.name}:{node.lineno}", id(node) in ladder
+                and node.func.attr == attr):
+            found.append((owner, f"{path.name}:{node.lineno}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
 
 
 def test_the_bounds_and_the_construction_read_lam_only_in_the_ladder():
     calls = [call for name in ("analysis.py", "adversarial.py")
-             for call in value_calls(PACKAGE / name)]
-    assert [line for line, inside in calls if not inside] == []
-    assert any(inside for _, inside in calls)
+             for call in attribute_calls(PACKAGE / name, "value")]
+    assert [line for owner, line in calls if owner != "boundary_values"] == []
+    assert calls
+
+
+def test_the_spectrum_is_checked_only_where_it_is_first_read():
+    # the table constructor, validate_prefix, the checked head of a rule,
+    # and read_blocks past the head; nothing else checks lam again
+    owners = sorted(owner for path in sorted(PACKAGE.glob("*.py"))
+                    for owner, _ in attribute_calls(path, "check_run"))
+    assert owners == ["__init__", "_checked_head", "read_blocks",
+                      "validate_prefix"]
