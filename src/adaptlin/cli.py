@@ -201,9 +201,12 @@ def build_input(cfg, problem, extras, seed, n_max=DEFAULT_NMAX):
     if kind == "random-cone":
         blocks = cfg.get("blocks", 8)
         _index_budget(problem, blocks, n_max, "input.blocks")
-        return random_cone_member(problem, np.random.default_rng(seed),
-                                  blocks, scale=cfg.get("scale", 1.0),
-                                  head=cfg.get("head", True))
+        try:
+            return random_cone_member(problem, np.random.default_rng(seed),
+                                      blocks, scale=cfg.get("scale", 1.0),
+                                      head=cfg.get("head", True))
+        except ValueError as exc:  # e.g. lam underflows inside the blocks
+            raise ConfigError(f"input rejected: {exc}") from exc
     if kind == "derivative-random":
         if "mis" not in extras:
             raise ConfigError(
@@ -222,11 +225,20 @@ def _fmt(value):
 
 
 def _float_column(cells):
-    """A float64 column as text: one repr per distinct bit pattern."""
-    bits, inverse = np.unique(cells.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())),
+    """A float64 column as text.  A column of few distinct bit patterns
+    takes one repr per pattern; in a column of mostly distinct ones the
+    gather would cost more than the repr calls it saves, so each cell
+    takes its own."""
+    bits = cells.view(np.int64)
+    ordered = np.sort(bits)
+    first = np.ones(bits.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    if 2 * distinct.size > bits.size:
+        return list(map(repr, cells.tolist()))
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())),
                     dtype=object)
-    return text[inverse].tolist()
+    return text[np.searchsorted(distinct, bits)].tolist()
 
 
 def write_csv(path, header, rows):
@@ -244,9 +256,9 @@ def write_csv(path, header, rows):
         if any(len(row) != width for row in rows):
             raise ValueError(f"every row must hold {width} cells")
         columns = [list(map(_fmt, c)) for c in zip(*rows)]
-    body = "".join(line + "\n" for line in map(",".join, zip(*columns)))
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + body)
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_json(path, payload):
@@ -710,7 +722,7 @@ def cmd_demo_derivative(merged, quiet):
 
     _write_record(out / "run.json", merged, "rows", rows, elapsed)
     if not quiet:
-        print(f"demo-derivative: {mis.indices.shape[0]} modes, "
+        print(f"demo-derivative: {len(mis)} modes, "
               f"{len(rows)} tolerances in {elapsed:.2f} s -> {out}")
     return 1 if failures else 0
 

@@ -107,14 +107,18 @@ class MultiIndexSpectrum:
     are sorted by decreasing weight; exact ties are broken by the
     lexicographic key (|k_1|, sign k_1, |k_2|, sign k_2, ...) with positive
     sign first, so the enumeration is a reproducible permutation of the box.
+    Each mode is stored as its C-order position in the box
+    {-k_max..k_max}**d; wave vectors are decoded from the positions when
+    read.
     """
 
     def __init__(self, dimension: int, k_max: int, gamma: np.ndarray,
-                 indices: np.ndarray, weights: np.ndarray):
+                 positions: np.ndarray, weights: np.ndarray):
         self.dimension = dimension
         self.k_max = k_max
         self.gamma = gamma
-        self.indices = indices       # (N, d) wave vectors, sorted
+        self.positions = positions   # (N,) int64 box positions, sorted
+        self.positions.flags.writeable = False
         self._spectrum = SingularSpectrum.from_values(
             weights, name=f"derivative(d={dimension}, k_max={k_max})")
         # (N,) matching singular values: the spectrum's read-only table
@@ -126,9 +130,40 @@ class MultiIndexSpectrum:
     def spectrum(self) -> SingularSpectrum:
         return self._spectrum
 
+    def _decode(self, positions: np.ndarray) -> np.ndarray:
+        """Wave vectors at box ``positions``, one per row."""
+        box = (2 * self.k_max + 1,) * self.dimension
+        return np.stack(np.unravel_index(positions, box), axis=-1) - self.k_max
+
+    @property
+    def indices(self) -> np.ndarray:
+        """(N, d) int64 wave vectors in enumeration order, decoded anew."""
+        return self.head(len(self))
+
+    def head(self, count: int) -> np.ndarray:
+        """Wave vectors of the first ``count`` enumerated modes."""
+        return self._decode(self.positions[:count])
+
     def mode(self, i: int) -> np.ndarray:
         """Wave vector of the i-th (1-based) enumerated mode."""
-        return self.indices[i - 1]
+        return self._decode(self.positions[i - 1])
+
+
+def _axis_grid(j: int, d: int, values: np.ndarray) -> np.ndarray:
+    """``values`` laid along axis j of a d-axis broadcast."""
+    return values.reshape((-1,) + (1,) * (d - 1 - j))
+
+
+def _box_positions(axes: Sequence[np.ndarray], k_max: int) -> np.ndarray:
+    """C-order position in the box {-k_max..k_max}**d of each mode of the
+    grid whose axis j runs over the wave numbers ``axes[j]``, flattened in
+    the grid's own C order."""
+    d, side = len(axes), 2 * k_max + 1
+    positions = 0
+    for j, a in enumerate(axes):
+        positions = positions + _axis_grid(j, d,
+                                           (a + k_max) * side ** (d - 1 - j))
+    return positions.ravel()
 
 
 def enumerate_derivative_spectrum(d: int, k_max: int,
@@ -143,32 +178,34 @@ def enumerate_derivative_spectrum(d: int, k_max: int,
     total = (2 * k_max + 1) ** d
     if total > cap:
         raise ValueError(f"enumeration of {total} modes exceeds the cap {cap}")
-    # The weights depend on |k| only: compute them once on the orthant and
+    # The weights depend on |k| only: compute them once on the orthant, from
+    # per-axis factors multiplied in the order of derivative_weights, and
     # rank the distinct values, largest first.
     mags = np.arange(k_max + 1, dtype=np.int64)
-    orthant = np.meshgrid(mags[1:], *[mags] * (d - 1), indexing="ij")
-    neg_lam, rank = np.unique(
-        -derivative_weights(np.stack([m.ravel() for m in orthant], axis=1),
-                            gamma),
-        return_inverse=True)
-    rank = rank.reshape(orthant[0].shape)
+    absk = [mags[1:]] + [mags] * (d - 1)
+    pairs = damping = 1.0
+    for j, m in enumerate(absk):
+        pairs = pairs * _axis_grid(j, d, 2.0 ** (0.5 * (m != 0)))
+        damping = damping * _axis_grid(
+            j, d, np.maximum(1.0, gamma[j] * m.astype(np.float64)) ** 4)
+    lam = TWO_PI * _axis_grid(0, d, absk[0].astype(np.float64)) * pairs / damping
+    neg_lam, rank = np.unique(-lam, return_inverse=True)
+    rank = rank.reshape(lam.shape)
     # Lay each axis out in tie order, 1, -1, 2, -2, ... (with 0 first past
     # the first axis), so that the C order of the box is the tie-break
     # order and one stable sort by rank finishes the enumeration.
     signed = np.stack([mags, -mags], axis=1).ravel()[1:]
     axes = [signed[1:]] + [signed] * (d - 1)
-    shape = tuple(a.size for a in axes)
-    ranks = rank[np.ix_(np.abs(axes[0]) - 1, *[np.abs(a) for a in axes[1:]])]
     # ranks of at most 16 bits sort stably by radix
-    ranks = ranks.ravel().astype(np.min_scalar_type(neg_lam.size - 1))
-    order = np.argsort(ranks, kind="stable")
-    modes = np.empty(shape + (d,), dtype=np.int64)
-    for j, a in enumerate(axes):
-        modes[..., j] = a.reshape((-1,) + (1,) * (d - 1 - j))
+    ranks = rank.astype(np.min_scalar_type(neg_lam.size - 1))
+    for j, a in enumerate(axes):  # the orthant's first axis starts at 1
+        ranks = ranks.take(np.abs(a) - (1 if j == 0 else 0), axis=j)
+    ranks = ranks.ravel()
+    positions = _box_positions(axes, k_max)[np.argsort(ranks, kind="stable")]
+    # sorted ranks run 0, 0, ..., 1, 1, ...: each weight repeats its count
+    weights = np.repeat(-neg_lam, np.bincount(ranks, minlength=neg_lam.size))
     return MultiIndexSpectrum(dimension=d, k_max=k_max, gamma=gamma,
-                              indices=np.take(modes.reshape(-1, d), order,
-                                              axis=0),
-                              weights=-neg_lam[ranks[order]])
+                              positions=positions, weights=weights)
 
 
 class RandomPeriodicInput:
@@ -207,31 +244,37 @@ def derivative_coefficients(mis: MultiIndexSpectrum,
     if inp.dimension != mis.dimension:
         raise ValueError("dimension mismatch between spectrum and input")
     if inp.k_max >= mis.k_max:  # the box covers every enumerated mode
-        flat = np.ravel_multi_index((mis.indices + inp.k_max).T,
-                                    inp.box.shape)
-        return CoefficientSource.from_vector(inp.box.ravel()[flat])
-    inside = np.all(np.abs(mis.indices) <= inp.k_max, axis=1)
+        # its centre is the enumeration's box: gather at the positions
+        o = inp.k_max - mis.k_max
+        centre = inp.box[(slice(o, o + 2 * mis.k_max + 1),) * mis.dimension]
+        return CoefficientSource.from_vector(centre.ravel()[mis.positions])
+    ks = mis.indices
+    inside = np.all(np.abs(ks) <= inp.k_max, axis=1)
     hits = np.nonzero(inside)[0]
     if hits.size == 0:
         return CoefficientSource.zero()
     support = int(hits[-1]) + 1
     values = np.zeros(support)
-    rows = mis.indices[hits] + inp.k_max
+    rows = ks[hits] + inp.k_max
     values[hits] = inp.box[tuple(rows.T)]
     return CoefficientSource.from_vector(values)
 
 
-def _input_axis_factor(k_max: int, gamma_j: float, x_j: float) -> np.ndarray:
-    """Axis factor of the input basis at one coordinate, over k = -k_max..k_max."""
+def _input_axis_factor(k_max: int, gamma_j: float, x_j) -> np.ndarray:
+    """Axis factor of the input basis over k = -k_max..k_max, along a new
+    last axis: shape x_j.shape + (2 k_max + 1,) for a scalar or an array."""
     k = np.arange(-k_max, k_max + 1, dtype=np.float64)
+    x_j = np.asarray(x_j, dtype=np.float64)[..., None]
     phase = np.where(k < 0, 0.5 * math.pi, 0.0)
     return (2.0 ** (0.5 * (k != 0)) * np.cos(TWO_PI * k * x_j + phase)
             / np.maximum(1.0, gamma_j * np.abs(k)) ** 4)
 
 
-def _derivative_axis_factor(k_max: int, gamma_j: float, x_j: float) -> np.ndarray:
-    """First-coordinate axis factor differentiated in x_j."""
+def _derivative_axis_factor(k_max: int, gamma_j: float, x_j) -> np.ndarray:
+    """First-coordinate axis factor differentiated in x_j, shaped as
+    ``_input_axis_factor``."""
     k = np.arange(-k_max, k_max + 1, dtype=np.float64)
+    x_j = np.asarray(x_j, dtype=np.float64)[..., None]
     phase = np.where(k < 0, 0.5 * math.pi, 0.0)
     return (2.0 ** (0.5 * (k != 0)) * (-TWO_PI * k) * np.sin(TWO_PI * k * x_j + phase)
             / np.maximum(1.0, gamma_j * np.abs(k)) ** 4)
@@ -269,7 +312,7 @@ def evaluate_solution(approx: Approximation, mis: MultiIndexSpectrum,
         raise ValueError("point dimension mismatch")
     if approx.cost == 0:
         return 0.0
-    ks = mis.indices[:approx.cost]
+    ks = mis.head(approx.cost)
     k1 = ks[:, 0].astype(np.float64)
     phase = np.where(k1 < 0, 0.5 * math.pi, 0.0)
     basis = -np.sign(k1) * np.sin(TWO_PI * k1 * x[0] + phase)
@@ -294,10 +337,8 @@ def _exact_slice_grid(inp: RandomPeriodicInput, gamma: np.ndarray,
     for j in range(2, inp.dimension):
         factor = _input_axis_factor(inp.k_max, float(gamma[j]), rest)
         running = np.tensordot(running, factor, axes=([2], [0]))
-    rows = np.stack([first_factor(inp.k_max, float(gamma[0]), float(v))
-                     for v in first])
-    cols = np.stack([_input_axis_factor(inp.k_max, float(gamma[1]), float(v))
-                     for v in second])
+    rows = first_factor(inp.k_max, float(gamma[0]), first)
+    cols = _input_axis_factor(inp.k_max, float(gamma[1]), second)
     return rows @ running @ cols.T
 
 
@@ -337,7 +378,7 @@ def solution_slice_grid(approx: Approximation, mis: MultiIndexSpectrum,
         raise ValueError("slice grids need at least two coordinates")
     if approx.cost == 0:
         return np.zeros((len(first), len(second)))
-    ks = mis.indices[:approx.cost]
+    ks = mis.head(approx.cost)
     term = approx.values.copy()
     for j in range(2, mis.dimension):
         kj = ks[:, j].astype(np.float64)

@@ -762,7 +762,9 @@ def random_cone_member(problem: Problem, rng: np.random.Generator,
     pair.  Mass inside each block is spread along a random direction,
     normalised with ``exact_norm`` so no BLAS thread count enters.  With
     ``head`` set, indices 1..n_0 also receive Gaussian mass, which changes
-    the input norm but no block norm.
+    the input norm but no block norm.  Each run of lam is checked before
+    it divides, so a spectrum that underflows to zero or rises raises
+    ValueError instead of giving infinite coefficients.
     """
     if blocks < 1:
         raise ValueError("need at least one block")
@@ -771,6 +773,7 @@ def random_cone_member(problem: Problem, rng: np.random.Generator,
     profile = scale * factors * b ** np.arange(1, blocks + 1, dtype=np.float64)
     # the trailing zero lets the source read this array without a copy
     padded = np.zeros(problem.partition.boundary(blocks) + 1)
+    previous = math.inf
     for j in range(1, blocks + 1):
         lo, hi = problem.partition.block(j)
         weights = padded[lo - 1:hi]
@@ -781,8 +784,10 @@ def random_cone_member(problem: Problem, rng: np.random.Generator,
         weights *= profile[j - 1]
         weights /= norm
         for span in _chunks(lo, hi):
-            weights[span.start - lo:span.stop - lo] /= \
-                problem.spectrum.values(span)
+            lam = problem.spectrum.values(span)
+            problem.spectrum.check_run(lam, previous)
+            previous = lam[-1]
+            weights[span.start - lo:span.stop - lo] /= lam
     head_len = problem.partition.boundary(0)
     if head and head_len > 0:
         padded[:head_len] = scale * rng.standard_normal(head_len)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adaptlin import GuardExceeded, adaptive_algorithm, block_norm, cli
 
@@ -357,6 +358,24 @@ def test_solve_rejects_non_finite_input_data(tmp_path, capsys):
     assert "input rejected: non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_solve_rejects_a_cone_member_past_an_underflowed_lam(tmp_path,
+                                                             capsys):
+    # 1 / 2**i is zero from i = 1024 on, where 2**i overflows: block 10 of
+    # 15 would divide by zero and the true error would read NaN
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "problem": {"spectrum": {"family": "geometric", "base": 2.0}},
+        "input": {"kind": "random-cone", "blocks": 15},
+        "epsilons": [0.01], "output": str(out)})
+    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: input rejected: ")
+    assert "singular values must be positive" in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert not (out / "run.json").exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "bounds", "adversarial"])
 def test_explicit_partition_that_runs_out_is_a_guard(tmp_path, capsys,
                                                      command):
@@ -610,6 +629,37 @@ def test_write_csv_of_a_float_array_matches_per_cell_writer(tmp_path):
     array[3, 2], array[7, 2] = float("inf"), -float("inf")
     cli.write_csv(tmp_path / "new.csv", ("x1", "x2", "value"), array)
     _per_cell_csv(tmp_path / "old.csv", ("x1", "x2", "value"), array)
+    assert (tmp_path / "new.csv").read_bytes() \
+        == (tmp_path / "old.csv").read_bytes()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def float_tables(draw):
+    """0-60 rows of 1-4 columns; each column repeats a pool of at most four
+    values, so the writer formats it once per value, or holds arbitrary
+    floats, which it formats cell by cell."""
+    n, width = draw(st.integers(0, 60)), draw(st.integers(1, 4))
+    columns = []
+    for _ in range(width):
+        cells = st.floats()
+        if draw(st.booleans()):
+            pool = draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+                                 min_size=1, max_size=4))
+            cells = st.sampled_from(pool)
+        columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    return np.array(columns, dtype=np.float64).T.reshape(n, width)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(float_tables())
+def test_write_csv_of_any_float_array_matches_per_cell_writer(tmp_path, array):
+    header = tuple("abcd"[:array.shape[1]])
+    cli.write_csv(tmp_path / "new.csv", header, array)
+    _per_cell_csv(tmp_path / "old.csv", header, array)
     assert (tmp_path / "new.csv").read_bytes() \
         == (tmp_path / "old.csv").read_bytes()
 

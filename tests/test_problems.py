@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adaptlin import (CoefficientSource, Partition, PeriodicApproximation,
-                      adaptive_algorithm, cli, default_gamma,
+                      adaptive_algorithm, cli, default_gamma, problems,
                       derivative_coefficients, derivative_problem,
                       derivative_weights, derivative_slice_grid,
                       enumerate_derivative_spectrum, evaluate_input,
@@ -156,8 +156,25 @@ def test_enumeration_matches_full_lexsort(d, k_max, gamma_kind):
     mis = enumerate_derivative_spectrum(d, k_max, gamma)
     ks, lam = _lexsort_enumeration(d, k_max, gamma)
     assert mis.indices.dtype == np.int64
-    assert np.array_equal(mis.indices, ks)
+    assert mis.positions.dtype == np.int64
+    assert np.array_equal(mis.indices, ks)  # decoded from the positions
+    for i in (1, 2, len(mis) // 2, len(mis)):
+        assert np.array_equal(mis.mode(i), ks[i - 1])
     assert np.array_equal(mis.weights.view(np.int64), lam.view(np.int64))
+
+
+def test_enumeration_and_gather_stay_within_their_memory():
+    # 223,260 modes: one int64 position and one weight each, and the
+    # gathered coefficients; an (N, 3) wave-vector table alone is 5.1 MiB
+    inp = random_periodic_input(3, 30, seed=1)
+    tracemalloc.start()
+    try:
+        mis = enumerate_derivative_spectrum(3, 30)
+        derivative_coefficients(mis, inp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
 
 
 def test_enumeration_cap():
@@ -222,8 +239,9 @@ def test_coefficients_follow_enumeration_order():
 
 @pytest.mark.parametrize("input_k_max", [1, 2, 4])
 def test_coefficients_for_any_input_box(input_k_max):
-    # a box that covers the enumeration gathers through one flat index; a
-    # smaller one keeps the masked path; both agree with mode-by-mode lookup
+    # a box that covers the enumeration gathers at the positions in its
+    # centre; a smaller one keeps the masked path; both agree with
+    # mode-by-mode lookup
     mis = enumerate_derivative_spectrum(2, 2)
     inp = random_periodic_input(2, input_k_max, seed=9)
     f = derivative_coefficients(mis, inp)
@@ -334,6 +352,19 @@ def test_solution_matches_finite_difference():
 
 
 # -- slice grids --------------------------------------------------------------
+
+@pytest.mark.parametrize("factor", [problems._input_axis_factor,
+                                    problems._derivative_axis_factor])
+@pytest.mark.parametrize("k_max, gamma_j", [(1, 1.0), (30, 0.5), (7, 0.3)])
+def test_whole_axis_factors_have_the_bits_of_per_point_ones(factor, k_max,
+                                                            gamma_j):
+    points = np.concatenate([np.linspace(0.0, 1.0, 64, endpoint=False),
+                             [0.0, 0.5, 63 / 64, 0.3, 1e-12, 0.999999]])
+    whole = factor(k_max, gamma_j, points)
+    assert whole.shape == (points.size, 2 * k_max + 1)
+    per_point = np.stack([factor(k_max, gamma_j, float(x)) for x in points])
+    assert whole.tobytes() == per_point.tobytes()
+
 
 def test_slice_grids_match_pointwise_evaluation():
     mis = enumerate_derivative_spectrum(3, 2)

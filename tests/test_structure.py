@@ -60,8 +60,9 @@ def test_the_bounds_and_the_construction_read_lam_only_in_the_ladder():
 
 def test_the_spectrum_is_checked_only_where_it_is_first_read():
     # the table constructor, validate_prefix, the checked head of a rule,
-    # and read_blocks past the head; nothing else checks lam again
+    # read_blocks past the head, and random_cone_member before it divides
+    # by lam; nothing else checks lam again
     owners = sorted(owner for path in sorted(PACKAGE.glob("*.py"))
                     for owner, _ in attribute_calls(path, "check_run"))
-    assert owners == ["__init__", "_checked_head", "read_blocks",
-                      "validate_prefix"]
+    assert owners == ["__init__", "_checked_head", "random_cone_member",
+                      "read_blocks", "validate_prefix"]
