@@ -39,8 +39,10 @@ for name, source in (("base", pair.base), ("plus", pair.plus),
 
 run_plus = adaptive_algorithm(problem, pair.plus, epsilon)
 run_minus = adaptive_algorithm(problem, pair.minus, epsilon)
-# both runs keep a prefix, so equal values mean equal samples
-same = np.array_equal(run_plus.values, run_minus.values)
+# both runs keep a prefix that stops at the support, so equal costs and
+# equal values mean equal samples
+same = (run_plus.cost == run_minus.cost
+        and np.array_equal(run_plus.values, run_minus.values))
 print(f"solver output identical for both: {same}")
 
 # Yet the two true solutions differ by a fixed amount, so no algorithm

@@ -30,32 +30,33 @@ DEFAULT_BLOCK_LIMIT = 64
 class Approximation:
     """Retained solution coefficients plus run metadata.
 
-    Every solver keeps a prefix: ``values`` holds lam_i * fhat_i for
-    i = 1..cost, so ``cost``, the number of coefficient evaluations, is its
-    length.  Tolerance-driven runs also record the target tolerance, and
-    adaptive runs record the stopping block and the data-driven error
-    bound certified at termination.
+    Every solver keeps a prefix: ``cost`` is the number of coefficients it
+    retains, n_j for an adaptive run, and ``values`` holds lam_i * fhat_i
+    for i = 1..min(cost, support bound), read-only.  Past the input's
+    support bound every product is zero, so ``values`` stops there and the
+    zeros through ``cost`` are implied.  Tolerance-driven runs also record
+    the target tolerance, and adaptive runs record the stopping block and
+    the data-driven error bound certified at termination.
     """
 
     values: np.ndarray
+    cost: int
     stop_block: Optional[int] = None
     error_bound: Optional[float] = None
     tolerance: Optional[float] = None
-
-    @property
-    def cost(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True, eq=False)
 class Walk:
     """What the block walk of ``adaptive_sweep`` read, and where it stopped.
 
-    ``values`` holds lam_i * fhat_i for i = 1..ends[-1], read-only.  Block
-    j (0 is indices 1..n_0) ends at ``ends[j]`` with the ``read_blocks``
-    total ``sums[j]``; block j >= 1 has norm ``norms[j - 1]``.  ``stops``
-    and ``runs`` hold each tolerance's stop block and run (prefix views of
-    ``values``), None where no block read qualified.
+    ``values`` holds lam_i * fhat_i for i = 1..min(ends[-1], support bound),
+    read-only; past the support every product is zero and none is stored.
+    Block j (0 is indices 1..n_0) ends at ``ends[j]`` with the
+    ``read_blocks`` total ``sums[j]``; block j >= 1 has norm
+    ``norms[j - 1]``.  ``stops`` and ``runs`` hold each tolerance's stop
+    block and run (prefix views of ``values``), None where no block read
+    qualified.
     """
 
     problem: Problem
@@ -91,8 +92,9 @@ def stop_threshold(cone: ConeParams, epsilon: float) -> float:
 def interpolate(problem: Problem, f: CoefficientSource, n: int) -> Approximation:
     """Keep the first n solution coefficients.
 
-    Products past the input's support bound are zero and are not computed;
-    an n past a finite table raises OutOfRangeError.
+    Products past the input's support bound are zero and are neither
+    computed nor stored (see :class:`Approximation`); an n past a finite
+    table raises OutOfRangeError.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -100,11 +102,11 @@ def interpolate(problem: Problem, f: CoefficientSource, n: int) -> Approximation
     if length is not None and n > length:
         raise OutOfRangeError(
             f"index {n} past the {length} enumerated singular values")
-    vals = np.zeros(n)
     top = n if f.support_bound is None else min(n, f.support_bound)
     span = range(1, top + 1)
-    vals[:top] = problem.spectrum.values(span) * f.coefficients(span)
-    return Approximation(values=vals)
+    values = problem.spectrum.values(span) * f.coefficients(span)
+    values.flags.writeable = False
+    return Approximation(values=values, cost=n)
 
 
 def ball_budget(spectrum: SingularSpectrum, epsilon: float, rho: float, *,
@@ -162,8 +164,9 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
     at most a*b*s_j/sqrt(1-b**2) <= epsilon, the run's ``error_bound``.
     Each run, None where no block read qualifies, is the interpolation
     through its boundary n_j (clipped to a finite table), and every
-    coefficient is evaluated once.  Raises ValueError for a tolerance that
-    is not positive (NaN included), and passes on that of ``read_blocks``.
+    coefficient up to the support bound is evaluated once.  Raises
+    ValueError for a tolerance that is not positive (NaN included), and
+    passes on that of ``read_blocks``.
     """
     epsilons = list(epsilons)
     if not all(eps > 0 for eps in epsilons):
@@ -173,17 +176,18 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
     stops = [None] * len(epsilons)
     blocks = []
     last = _blocks_walked(problem.partition, block_limit)
-    for j, (end, prod, total, s) in enumerate(read_blocks(problem, f, last)):
-        blocks.append((end, prod, total, s))
+    # each block's values extend the last, so the last block's are the walk's
+    for j, (end, values, total, s) in enumerate(read_blocks(problem, f, last)):
+        blocks.append((end, total, s))
         while j and pending and s <= levels[pending[-1]]:
             stops[pending.pop()] = j
         if not pending:
             break
-    ends, products, sums, norms = zip(*blocks)
-    values = np.concatenate(products)
+    ends, sums, norms = zip(*blocks)
     values.flags.writeable = False
     runs = tuple(None if j is None else
-                 Approximation(values=values[:ends[j]], stop_block=j,
+                 Approximation(values=values[:ends[j]], cost=ends[j],
+                               stop_block=j,
                                error_bound=problem.cone.tail_factor
                                * norms[j], tolerance=eps)
                  for eps, j in zip(epsilons, stops))

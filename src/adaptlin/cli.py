@@ -262,9 +262,11 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, payload):
+    """Write ``payload`` as indented JSON in one write; ``json.dump`` to the
+    file would make a small write per token."""
+    text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _svg_line_chart(path, xs, ys, *, title, x_label, y_label,
@@ -557,8 +559,10 @@ def _fooling_entry(problem, eps, rho, j_max, ratio, depth, cost):
     run_plus = adaptive_algorithm(problem, pair.plus, eps, block_limit=j_max)
     run_minus = adaptive_algorithm(problem, pair.minus, eps,
                                    block_limit=j_max)
-    # runs are prefixes: equal values mean equal samples
-    indistinguishable = np.array_equal(run_plus.values, run_minus.values)
+    # runs are prefixes that stop at the support: equal costs and equal
+    # values mean equal samples
+    indistinguishable = (run_plus.cost == run_minus.cost
+                         and np.array_equal(run_plus.values, run_minus.values))
     separation = solution_separation(problem, pair)
     sources = {"base": pair.base, "plus": pair.plus, "minus": pair.minus}
     memberships = {name: cone_membership(problem, source)

@@ -247,7 +247,12 @@ def derivative_coefficients(mis: MultiIndexSpectrum,
         # its centre is the enumeration's box: gather at the positions
         o = inp.k_max - mis.k_max
         centre = inp.box[(slice(o, o + 2 * mis.k_max + 1),) * mis.dimension]
-        return CoefficientSource.from_vector(centre.ravel()[mis.positions])
+        padded = np.empty(mis.positions.size + 1)
+        padded[-1] = 0.0
+        # positions lie in the box, so "clip" never clips; it lets take
+        # write into ``padded`` without an intermediate copy
+        np.take(centre.ravel(), mis.positions, out=padded[:-1], mode="clip")
+        return CoefficientSource.from_padded(padded)
     ks = mis.indices
     inside = np.all(np.abs(ks) <= inp.k_max, axis=1)
     hits = np.nonzero(inside)[0]
@@ -310,9 +315,9 @@ def evaluate_solution(approx: Approximation, mis: MultiIndexSpectrum,
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (mis.dimension,):
         raise ValueError("point dimension mismatch")
-    if approx.cost == 0:
+    if approx.values.size == 0:
         return 0.0
-    ks = mis.head(approx.cost)
+    ks = mis.head(approx.values.size)  # past the support every term is zero
     k1 = ks[:, 0].astype(np.float64)
     phase = np.where(k1 < 0, 0.5 * math.pi, 0.0)
     basis = -np.sign(k1) * np.sin(TWO_PI * k1 * x[0] + phase)
@@ -376,9 +381,9 @@ def solution_slice_grid(approx: Approximation, mis: MultiIndexSpectrum,
     """
     if mis.dimension < 2:
         raise ValueError("slice grids need at least two coordinates")
-    if approx.cost == 0:
+    if approx.values.size == 0:
         return np.zeros((len(first), len(second)))
-    ks = mis.head(approx.cost)
+    ks = mis.head(approx.values.size)  # past the support every term is zero
     term = approx.values.copy()
     for j in range(2, mis.dimension):
         kj = ks[:, j].astype(np.float64)

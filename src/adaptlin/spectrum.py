@@ -474,7 +474,9 @@ class CoefficientSource:
     ``SingularSpectrum.from_rule``.  ``support_bound`` = N promises that
     coefficients vanish for indices above N, which is what makes exact tail
     norms and membership checks decidable.  Sources without a bound can
-    still be solved adaptively.
+    still be solved adaptively.  ``from_vector`` and ``from_padded``
+    sources hold their coefficients in memory, so a walk over one reserves
+    its products at once (see ``read_blocks``).
     """
 
     def __init__(self, rule: Callable, support_bound: Optional[int] = None):
@@ -484,17 +486,26 @@ class CoefficientSource:
         # (lo, hi) -> coefficients lo..hi
         self._read = lambda lo, hi: np.asarray(
             rule(np.arange(lo, hi + 1, dtype=np.float64)), dtype=np.float64)
+        # whether the source holds coefficients 1..support_bound in memory,
+        # so that a walk may reserve as many products at once
+        self._stored = False
 
     @classmethod
     def from_vector(cls, values) -> "CoefficientSource":
         # one trailing zero serves every index past the support
-        return cls._from_padded(
+        return cls.from_padded(
             np.append(np.asarray(values, dtype=np.float64), 0.0))
 
     @classmethod
-    def _from_padded(cls, padded: np.ndarray) -> "CoefficientSource":
-        """Source over ``padded`` itself, whose last entry is the zero that
-        every index past the support reads; the array becomes read-only."""
+    def from_padded(cls, padded: np.ndarray) -> "CoefficientSource":
+        """Source over ``padded`` itself, a 1-d float64 array whose last
+        entry is the zero that every index past the support reads, so its
+        support bound is ``padded.size - 1``.  The array is not copied and
+        becomes read-only; anything else raises ValueError."""
+        if not (isinstance(padded, np.ndarray) and padded.dtype == np.float64
+                and padded.ndim == 1 and padded.size and padded[-1] == 0.0):
+            raise ValueError("padded coefficients must be a 1-d float64 "
+                             "array ending in a zero")
         padded.flags.writeable = False
         size = padded.size - 1
 
@@ -507,6 +518,7 @@ class CoefficientSource:
 
         source = cls(None, support_bound=size)
         source._read = read
+        source._stored = True
         return source
 
     @classmethod
@@ -632,32 +644,54 @@ def block_decay_ratios(cone: ConeParams, norms: Sequence[float]) -> tuple:
 
 
 def read_blocks(problem: Problem, f: CoefficientSource, last: int):
-    """Yield ``(end, products, total, norm)`` for blocks 0, 1, ..., ``last``.
+    """Yield ``(end, values, total, norm)`` for blocks 0, 1, ..., ``last``.
 
     Block 0 is indices 1..n_0, sampled but never tested; each block is
-    clipped to a finite table.  ``products`` are its lam_i * fhat_i,
-    ``total`` their exact sum of squares for ``block_tails`` (None under
-    2**11 entries, summed by ``math.fsum``), ``norm`` has the bits of
-    ``block_norm``.  A block within one chunk of 2**14 indices is one
-    product; a longer one is formed chunk by chunk into one array and
-    binned while in cache.  No product is formed past the support.  A rule
-    spectrum's weights up to 2**14 come from its checked head, so each is
-    evaluated and checked once per spectrum; deeper ones are evaluated and
+    clipped to a finite table.  ``values`` are the products lam_i * fhat_i
+    at 1..min(end, support), a prefix view of one buffer that the walk
+    writes in order; each block's ``values`` extend the last, and the
+    caller must not write into them.  Past the support every product of a
+    finite lam is zero, so none is formed, stored or read from ``f`` there.
+    ``total`` is the block's exact sum of squares for ``block_tails`` (None
+    under 2**11 entries, summed by ``math.fsum``), and ``norm`` has the
+    bits of ``block_norm``.  A block is formed chunk by chunk (2**14
+    indices) into the buffer and binned while in cache.  The buffer is
+    reserved once where the input stores that many coefficients itself (a
+    vector source or a finite table), at min(n_last, support, table
+    length); otherwise it grows geometrically, so a distant support bound
+    reserves nothing the walk does not read.  A rule spectrum's weights up
+    to 2**14 come from its checked head, so each is evaluated and checked
+    once per spectrum; deeper ones, past the support too, are evaluated and
     checked on every walk.  A non-finite norm raises ValueError, so no
-    certificate rests on it.
+    certificate rests on it; an infinite lam past the support times the
+    zero coefficient counts as NaN.
     """
     spectrum, partition = problem.spectrum, problem.partition
     length, support = spectrum.enumerated_length, f.support_bound
-    start, previous = 1, math.inf
+    held = [n for n in (support, length) if n is not None]
+    bound = min(held) if held else None  # no product is stored past it
+    buffer = np.empty(min(bound, partition.boundary(last))
+                      if f._stored or length is not None else 0)
+    start, previous, n = 1, math.inf, partition.boundary(0)
     for j in range(last + 1):
-        end = partition.block(j)[1] if j else partition.boundary(0)
-        if length is not None:
-            end = min(end, length)  # finite table: no modes past the end
+        if j:  # the check of ``Partition.block``, on one new boundary
+            lo, n = n, partition.boundary(j)
+            if n <= lo:
+                raise ValueError(
+                    f"partition boundaries not increasing at block {j}")
+        end = n if length is None else min(n, length)  # no modes past a table
+        top = end if bound is None else min(end, bound)
+        if top > buffer.size:  # a rule source: grow geometrically
+            size = max(top, 2 * buffer.size)
+            grown = np.empty(size if bound is None else min(size, bound))
+            grown[:start - 1] = buffer[:start - 1]
+            buffer = grown
         if end > -(-start // _CHUNK) * _CHUNK:  # past the chunk of start
-            spans, prod = _chunks(start, end), np.zeros(end - start + 1)
+            spans = _chunks(start, end)
         else:
-            spans, prod = [range(start, end + 1)] if start <= end else [], None
+            spans = [range(start, end + 1)] if start <= end else []
         bins = _new_bins() if end - start + 1 >= _FSUM_BELOW else None
+        finite = True
         for span in spans:
             if length is None and span.start <= _CHUNK:
                 lam = spectrum._checked_head(span.stop - 1)[
@@ -667,25 +701,28 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
                 if length is None:
                     spectrum.check_run(lam, previous)
             previous = lam[-1]
-            if (support is not None and span.start > support
-                    and lam[0] < math.inf):
-                continue  # the zeros lam * 0 gives for every finite lam
-            if prod is None:
-                piece = prod = lam * f.coefficients(span)
-            else:
-                piece = prod[span.start - start:span.stop - start]
+            if span.stop - 1 <= top:  # inside the support
+                piece = buffer[span.start - 1:span.stop - 1]
                 np.multiply(lam, f.coefficients(span), out=piece)
+            else:  # the span runs past the support, where products are lam * 0
+                inside = range(span.start, max(top + 1, span.start))
+                # an infinite lam makes that NaN, never a zero product
+                finite = finite and lam[len(inside)] < math.inf
+                if not inside:
+                    continue
+                piece = buffer[span.start - 1:top]
+                np.multiply(lam[:len(inside)], f.coefficients(inside),
+                            out=piece)
             if bins is not None:
                 _bin_squares(piece, bins)
-        if prod is None:
-            prod = np.zeros(end - start + 1)
         total = None if bins is None else _exact_sum(bins)
-        norm = exact_norm(prod) if bins is None else math.sqrt(_rounded(total))
-        if not math.isfinite(norm):
+        norm = (exact_norm(buffer[start - 1:top]) if bins is None
+                else math.sqrt(_rounded(total)))
+        if not (finite and math.isfinite(norm)):
             raise ValueError(
                 f"non-finite norm over indices {start}..{end}: "
                 "a solution coefficient is not finite or its square overflows")
-        yield end, prod, total, norm
+        yield end, buffer[:top], total, norm
         start = end + 1
 
 
@@ -791,4 +828,4 @@ def random_cone_member(problem: Problem, rng: np.random.Generator,
     head_len = problem.partition.boundary(0)
     if head and head_len > 0:
         padded[:head_len] = scale * rng.standard_normal(head_len)
-    return CoefficientSource._from_padded(padded)
+    return CoefficientSource.from_padded(padded)

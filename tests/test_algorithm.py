@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_interpolate_products(harmonic_doubling):
 def test_interpolate_zero_input(harmonic_doubling):
     approx = interpolate(harmonic_doubling, CoefficientSource.zero(), 5)
     assert approx.cost == 5
-    assert all(v == 0.0 for v in approx.values)
+    assert approx.values.size == 0  # zero support: every product implied
 
 
 def test_interpolate_rejects_negative(harmonic_doubling):
@@ -72,7 +73,10 @@ def test_interpolate_past_the_support_has_the_bits_of_the_products(
     approx = interpolate(harmonic_doubling, f, 9)
     span = range(1, 10)
     products = harmonic_doubling.spectrum.values(span) * f.coefficients(span)
-    assert approx.values.tobytes() == products.tobytes()  # +0.0 included
+    # values stop at the support; the zeros through the cost are implied
+    top = min(support, 9)
+    assert approx.values.tobytes() == products[:top].tobytes()  # +0.0 included
+    assert not products[top:].any()
     assert approx.cost == 9
 
 
@@ -366,7 +370,7 @@ def test_sweep_returns_one_frozen_walk_record(harmonic_doubling):
     assert max(walk.stops) == blocks >= 12
     assert walk.ends == tuple(harmonic_doubling.partition.boundary(j)
                               for j in range(blocks + 1))
-    assert walk.values.size == walk.ends[-1]
+    assert walk.values.size == min(walk.ends[-1], f.support_bound)
     assert not walk.values.flags.writeable
     # blocks of 2**11 entries or more keep an exact sum; fsum summed the rest
     sizes = np.diff((0,) + walk.ends)
@@ -434,6 +438,83 @@ def test_infinite_weight_past_the_support_is_not_certified():
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match="non-finite norm over indices 1..1"):
         adaptive_sweep(problem, CoefficientSource.zero(), [0.1])
+
+
+# -- the walk's one buffer ---------------------------------------------------
+
+def traced_peak(action):
+    """``action()`` and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = action()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_walk_stores_no_product_past_the_support(harmonic_doubling):
+    # support 2**17; the tightest tolerance stops on block 18,
+    # 2**17+1..2**18, the first block past the support.  Per-block arrays,
+    # that block's zeros and a final concatenate need about four times the
+    # product array; one buffer that ends at the support needs it once,
+    # plus the chunk scratch (a chunk of weights and its squares and bits)
+    f = random_cone_member(harmonic_doubling, np.random.default_rng(44), 17)
+
+    def sweep():
+        walk = adaptive_sweep(harmonic_doubling, f, [0.1, 1e-3, 1e-12])
+        return walk, walk.true_errors()
+
+    (walk, errors), peak = traced_peak(sweep)
+    assert walk.stops[-1] == 18
+    assert walk.values.size == f.support_bound == 2 ** 17
+    assert [run.cost for run in walk.runs] \
+        == [harmonic_doubling.partition.boundary(j) for j in walk.stops]
+    assert errors == tail_norms(harmonic_doubling, f,
+                                [run.cost for run in walk.runs])
+    assert peak < walk.values.nbytes + 2 ** 20
+
+
+def test_a_distant_support_bound_reserves_only_what_the_walk_reads(
+        harmonic_doubling):
+    # a buffer sized by the bound alone would be 8 GiB
+    f = CoefficientSource(lambda i: 2.0 ** -i, support_bound=2 ** 30)
+    walk, peak = traced_peak(
+        lambda: adaptive_sweep(harmonic_doubling, f, [0.1, 1e-3]))
+    assert max(walk.stops) <= 10
+    assert walk.values.size == walk.ends[-1]
+    assert peak < 2 ** 20
+
+
+def straddled_sources():
+    """Sources with support 100, inside block 7 (65..128) of harmonic
+    doubling: a vector, and the same coefficients as a rule with a support
+    bound, on a rule spectrum and on a 1000-entry table of it."""
+    coeffs = np.random.default_rng(45).standard_normal(100)
+    rule = CoefficientSource(lambda i: np.where(
+        i <= 100, coeffs[np.minimum(i, 100).astype(int) - 1], 0.0),
+        support_bound=100)
+    harmonic = SingularSpectrum.algebraic(1.0, 1.0)
+    table = SingularSpectrum.from_values(1.0 / np.arange(1.0, 1001.0))
+    return [(harmonic, CoefficientSource.from_vector(coeffs)),
+            (harmonic, rule), (table, rule)]
+
+
+@pytest.mark.parametrize("spectrum, f", straddled_sources(),
+                         ids=["vector", "rule", "rule-on-table"])
+def test_a_block_that_straddles_the_support_keeps_its_bits(spectrum, f):
+    problem = Problem(spectrum, Partition.doubling(1), ConeParams(2.0, 0.5))
+    walk = adaptive_sweep(problem, f, [1e-2, 1e-4, 1e-300])
+    assert walk.stops[-1] == 8  # block 8, 129..256, lies past the support
+    assert walk.values.size == 100
+    assert [s.hex() for s in walk.norms] == [
+        block_norm(problem, f, j).hex() for j in range(1, 9)]
+    costs = [run.cost for run in walk.runs]
+    assert [e.hex() for e in walk.true_errors()] \
+        == [t.hex() for t in tail_norms(problem, f, costs)]
+    for run in walk.runs:
+        assert run.values.size == min(run.cost, 100)
+        assert np.shares_memory(run.values, walk.values)
+        assert not run.values.flags.writeable
 
 
 # -- the sweep's true errors -------------------------------------------------

@@ -1,10 +1,13 @@
-"""The README's Quick start example runs against the current API."""
+"""The README's Quick start example runs against the current API, and its
+2**24 peak is the one the scale check enforces."""
 
+import re
 from pathlib import Path
 
 from adaptlin import true_error
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def quick_start_code():
@@ -17,3 +20,11 @@ def test_readme_quick_start_runs():
     exec(compile(quick_start_code(), "README.md", "exec"), scope)
     problem, f, run = scope["problem"], scope["f"], scope["run"]
     assert true_error(problem, f, run) <= run.error_bound <= 1e-3
+
+
+def test_readme_states_the_peak_the_scale_check_enforces():
+    script = (ROOT / "scripts" / "scale_walk.py").read_text(encoding="utf-8")
+    (peak,) = re.findall(r"^README_PEAK_MIB = (\d+)", script, re.MULTILINE)
+    text = README.read_text(encoding="utf-8")
+    assert f"peak RSS of {peak} MiB" in text
+    assert f"exceeds {peak} MiB by more than 10%" in text

@@ -226,6 +226,24 @@ def test_from_vector_reads_and_pads_with_zero():
     assert np.array_equal(f.dense(5), [1.0, -2.0, 3.0, 0.0, 0.0])
 
 
+def test_from_padded_reads_the_array_itself():
+    padded = np.array([1.0, -2.0, 3.0, 0.0])
+    f = CoefficientSource.from_padded(padded)
+    assert f.support_bound == 3
+    assert np.shares_memory(f.coefficients(range(1, 4)), padded)
+    assert not padded.flags.writeable
+    assert f.coefficients(range(3, 6)).tolist() == [3.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("padded", [
+    np.array([1.0, 2.0]), np.zeros(0), np.zeros((2, 2)),
+    np.array([1, 0]), [1.0, 0.0]],
+    ids=["no-trailing-zero", "empty", "2-d", "int", "list"])
+def test_from_padded_rejects_anything_but_a_zero_ended_float_vector(padded):
+    with pytest.raises(ValueError, match="ending in a zero"):
+        CoefficientSource.from_padded(padded)
+
+
 def test_zero_source():
     f = CoefficientSource.zero()
     assert f.support_bound == 0
