@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, pairwise, repeat, tee
+from bisect import bisect_left
+from itertools import chain, repeat, tee
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -40,12 +41,14 @@ class FoolingPair:
 
     ``amplitude`` is the common scale of the base profile, ``shift`` the
     step applied along the bump, ``ratio`` the boundary ratio bound used,
-    and ``blocks`` the number of profile blocks.  The bump vector is stored
-    densely over coefficient indices 1..n_blocks.
+    and ``blocks`` the number of profile blocks.  All four inputs are
+    ``CoefficientSource.from_sparse`` sources with support bound n_blocks:
+    the bump's ``nonzeros`` are its one or two entries, and
+    ``bump.dense(bump.size)`` is the bump as a vector over 1..n_blocks.
     """
 
     base: CoefficientSource
-    bump: np.ndarray
+    bump: CoefficientSource
     plus: CoefficientSource
     minus: CoefficientSource
     amplitude: float
@@ -110,14 +113,15 @@ def fooling_scale(problem: Problem, ratio: float, rho: float, blocks: int) -> fl
     return next(_profiles(problem, rho, blocks, ratio))[2]
 
 
-def _base_vector(problem: Problem, lams: Sequence, c: float) -> np.ndarray:
-    """Coefficients 1..n_blocks of the base input of amplitude c."""
+def _base_input(problem: Problem, ends: Sequence, lams: Sequence,
+                c: float) -> CoefficientSource:
+    """The base input of amplitude c over the boundaries ``ends`` =
+    n_0..n_blocks: c * b**(k - blocks) / lam_{n_k} at each n_k,
+    k = 1..blocks, and zero elsewhere up to n_blocks."""
     b = problem.cone.b
     blocks = len(lams) - 1
-    coeffs = np.zeros(problem.partition.boundary(blocks))
-    for k in range(1, blocks + 1):
-        coeffs[problem.partition.boundary(k) - 1] = c * b ** (k - blocks) / lams[k]
-    return coeffs
+    values = [c * b ** (k - blocks) / lams[k] for k in range(1, blocks + 1)]
+    return CoefficientSource.from_sparse(ends[1:], values, ends[-1])
 
 
 def fooling_input(problem: Problem, ratio: float, rho: float, blocks: int) -> CoefficientSource:
@@ -137,8 +141,27 @@ def fooling_inputs(problem: Problem, rho: float, first: int,
     ``ratio``, or ``boundary_ratio(problem, d).value`` where ``ratio`` is
     None.  Raises at the first depth whose ``fooling_input`` raises, with
     its message, and yields nothing after."""
+    ends = []
     for r, lams, c in _profiles(problem, rho, first, ratio):
-        yield r, CoefficientSource.from_vector(_base_vector(problem, lams, c))
+        ends += map(problem.partition.boundary, range(len(ends), len(lams)))
+        yield r, _base_input(problem, ends, lams, c)
+
+
+def _free_indices(zeroed_functionals, dimension: int) -> tuple:
+    """``(count, free)``: the number of distinct indices of
+    ``zeroed_functionals`` inside 1..dimension, and an iterator over the
+    other indices of 1..dimension in increasing order.  A step-1 range is
+    clipped and skipped by arithmetic; any other sequence becomes a set of
+    its indices inside 1..dimension."""
+    zeroed = zeroed_functionals
+    if isinstance(zeroed, range) and zeroed.step == 1:
+        lo, hi = max(zeroed.start, 1), min(zeroed.stop - 1, dimension)
+        if lo > hi:
+            return 0, iter(range(1, dimension + 1))
+        return hi - lo + 1, chain(range(1, lo), range(hi + 1, dimension + 1))
+    zeroed = {i for i in zeroed if 1 <= i <= dimension}
+    return len(zeroed), (i for i in range(1, dimension + 1)
+                         if i not in zeroed)
 
 
 def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
@@ -150,49 +173,60 @@ def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
     indistinguishable through the zeroed coordinates.  Since f is nonzero
     only at the boundaries n_1..n_blocks, u is the unit vector at the lowest
     free index where f vanishes; when every free index is a boundary, u is
-    f_q e_p - f_p e_q at the two lowest free indices p < q.  Writing u as a
-    sum of per-block pieces u_k weighted by b**(k-blocks) / lam_{n_k}, the
-    bump is rescaled so max_k ||u_k|| = 1; the step is
-    shift = (a-1) c / ((a+1) ratio).  Both perturbations then stay
-    admissible with norm at most rho.
+    f_q e_p - f_p e_q at the two lowest free indices p < q.  Either is found
+    among the first blocks + 1 free indices, so no array of the dimension
+    n_blocks is formed.  Writing u as a sum of per-block pieces u_k weighted
+    by b**(k-blocks) / lam_{n_k}, the bump is rescaled so
+    max_k ||u_k|| = 1; the step is shift = (a-1) c / ((a+1) ratio).  Both
+    perturbations then stay admissible with norm at most rho.
 
     Feasibility requires strictly fewer constraints than dimensions:
     |zeroed inside 1..n_blocks| + 1 < n_blocks.
     """
     _, lams, c = next(_profiles(problem, rho, blocks, ratio))
     a, b = problem.cone.a, problem.cone.b
-    dimension = problem.partition.boundary(blocks)
-    zeroed = np.fromiter(zeroed_functionals, dtype=np.int64)
-    unsampled = np.ones(dimension, dtype=bool)
-    unsampled[zeroed[(zeroed >= 1) & (zeroed <= dimension)] - 1] = False
-    free = np.flatnonzero(unsampled)  # 0-based, at least two once feasible
-    constraints = dimension - free.size
+    ends = [problem.partition.boundary(k) for k in range(blocks + 1)]
+    dimension = ends[-1]
+    constraints, free = _free_indices(zeroed_functionals, dimension)
     if constraints + 1 >= dimension:
         raise ValueError(
             f"infeasible: {constraints} zeroed functionals + 1 orthogonality "
             f"constraint must stay below the {dimension} available dimensions")
 
-    base_vec = _base_vector(problem, lams, c)
-    base = CoefficientSource.from_vector(base_vec)
-
-    blank = free[base_vec[free] == 0.0]
-    bump = np.zeros(dimension)
-    if blank.size:
-        bump[blank[0]] = 1.0
+    base = _base_input(problem, ends, lams, c)
+    base_at = dict(zip(ends[1:], base.nonzeros[1].tolist()))
+    passed = []  # the free indices so far, each one where f is nonzero
+    for i in free:
+        if base_at.get(i, 0.0) == 0.0:
+            bump_at = {i: 1.0}
+            break
+        passed.append(i)
     else:
-        p, q = free[:2]
-        bump[p], bump[q] = base_vec[q], -base_vec[p]
+        p, q = passed[:2]
+        bump_at = {p: base_at[q], q: -base_at[p]}
 
-    # u restricted to block k is weight_k * u_k, so u_k = u[block] / weight_k;
-    # piece 0 is the head 1..n_0
-    ends = [0] + [problem.partition.boundary(k) for k in range(blocks + 1)]
-    weights = [b ** (k - blocks) / lam for k, lam in enumerate(lams)]
-    bump /= max(exact_norm(bump[lo:hi]) / weight
-                for (lo, hi), weight in zip(pairwise(ends), weights))
+    # u restricted to block k is weight_k * u_k, so u_k = u[block] / weight_k,
+    # with weight_k = b**(k-blocks) / lam_{n_k}; piece 0 is the head 1..n_0,
+    # and piece k holds n_{k-1} < i <= n_k.  A piece without an entry of u
+    # has norm 0, below that of one with an entry, so it is left out.
+    pieces = {}
+    for i, v in bump_at.items():
+        pieces.setdefault(bisect_left(ends, i), []).append(v)
+    scale = max(exact_norm(np.array(piece)) / (b ** (k - blocks) / lams[k])
+                for k, piece in pieces.items())
+    bump_at = {i: v / scale for i, v in bump_at.items()}  # p < q in order
+    bump = CoefficientSource.from_sparse(list(bump_at), list(bump_at.values()),
+                                         dimension)
 
     shift = (a - 1.0) * c / ((a + 1.0) * ratio)
-    plus = CoefficientSource.from_vector(base_vec + shift * bump)
-    minus = CoefficientSource.from_vector(base_vec - shift * bump)
+    # f +- shift * u on the union of both supports; zero elsewhere
+    places = sorted(base_at.keys() | bump_at.keys())
+    steps = [(base_at.get(i, 0.0), shift * bump_at.get(i, 0.0))
+             for i in places]
+    plus = CoefficientSource.from_sparse(
+        places, [f + step for f, step in steps], dimension)
+    minus = CoefficientSource.from_sparse(
+        places, [f - step for f, step in steps], dimension)
     return FoolingPair(base=base, bump=bump, plus=plus, minus=minus,
                        amplitude=c, shift=shift, ratio=ratio, blocks=blocks)
 
@@ -202,7 +236,11 @@ def solution_separation(problem: Problem, pair: FoolingPair) -> float:
 
     Always at least 2 * shift: each block piece of the bump contributes at
     least its own norm to ||S(bump)|| after the singular values are applied,
-    and the largest piece has norm one.
+    and the largest piece has norm one.  lam is read only at the bump's
+    nonzeros, a one-index range each, and the products are Python floats,
+    so one past the float range is inf without a warning.
     """
-    image = problem.spectrum.values(range(1, pair.bump.size + 1)) * pair.bump
-    return 2.0 * pair.shift * exact_norm(image)
+    places, entries = pair.bump.nonzeros
+    image = [problem.spectrum.values(range(i, i + 1)).item() * v
+             for i, v in zip(places.tolist(), entries.tolist())]
+    return 2.0 * pair.shift * exact_norm(np.array(image))

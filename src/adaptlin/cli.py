@@ -513,8 +513,12 @@ def cmd_bounds(merged, quiet):
         live = [eps for eps in live if eps not in errors]
     lower = {}
     if omega is not None and lower_bound_usable:
-        lower = dict(zip(live, complexity_lower_blocks(
-            problem, scan.value, [omega * eps for eps in live], rho,
+        # an omega * eps that underflows to 0 is an unreachable target,
+        # which no block settles, like one whose (rho / eps)**2 overflows
+        lower = dict.fromkeys(live)
+        reachable = [eps for eps in live if omega * eps > 0.0]
+        lower.update(zip(reachable, complexity_lower_blocks(
+            problem, scan.value, [omega * eps for eps in reachable], rho,
             block_limit=j_max)))
 
     rows = []

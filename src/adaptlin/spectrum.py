@@ -12,7 +12,9 @@ Coefficient indices are 1-based throughout.
 from __future__ import annotations
 
 import math
+import mmap
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -41,6 +43,7 @@ _FRACTION = (1 << 52) - 1
 _LOW = (1 << 26) - 1
 _ULP_SCALE = 1 << 1074  # times the smallest subnormal gives 1
 _MEMBER_SLACK = 1e-9  # relative slack of a membership verdict on the ratio
+_MAPPED_FROM = 2 ** 16  # entries from which ``_zeros`` maps fresh pages
 
 
 # an overflowing square is inf, and so is the sum; as a decorator errstate
@@ -152,14 +155,36 @@ def exact_norm(x: np.ndarray) -> float:
     if x.size >= _FSUM_BELOW:
         return math.sqrt(_rounded(_square_sum(x)))
     if x.size < _NUMPY_FROM:
-        values = x.tolist()
-        squares = map(operator.mul, values, values)
-    else:
-        squares = _squares(x).tolist()
+        return _list_norm(x.tolist())
     try:
-        return math.sqrt(math.fsum(squares))
+        return math.sqrt(math.fsum(_squares(x).tolist()))
     except OverflowError:  # finite squares whose sum leaves the float range
         return math.nan if np.isnan(x).any() else math.inf
+
+
+def _list_norm(values: list) -> float:
+    """``exact_norm`` of a list of Python floats, each squared as such, so
+    an overflowing square is inf without a warning."""
+    try:
+        return math.sqrt(math.fsum(map(operator.mul, values, values)))
+    except OverflowError:  # finite squares whose sum leaves the float range
+        return math.nan if any(map(math.isnan, values)) else math.inf
+
+
+def _zeros(size: int) -> np.ndarray:
+    """``size`` float64 zeros whose pages cost memory only once written.
+
+    From 2**16 entries (512 KiB) the array is a fresh anonymous mapping
+    without huge pages: an ``np.zeros`` that large may reuse heap memory
+    the allocator must clear, and numpy advises huge pages for it, so a
+    few scattered writes could map megabytes.
+    """
+    if size < _MAPPED_FROM:
+        return np.zeros(size)
+    pages = mmap.mmap(-1, 8 * size)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(pages, dtype=np.float64)
 
 
 def _chunks(lo: int, hi: int):
@@ -476,7 +501,8 @@ class CoefficientSource:
     norms and membership checks decidable.  Sources without a bound can
     still be solved adaptively.  ``from_vector`` and ``from_padded``
     sources hold their coefficients in memory, so a walk over one reserves
-    its products at once (see ``read_blocks``).
+    its products at once (see ``read_blocks``).  A ``from_sparse`` source
+    holds only its nonzeros, and every read of it costs only those.
     """
 
     def __init__(self, rule: Callable, support_bound: Optional[int] = None):
@@ -489,6 +515,7 @@ class CoefficientSource:
         # whether the source holds coefficients 1..support_bound in memory,
         # so that a walk may reserve as many products at once
         self._stored = False
+        self._nonzeros = None
 
     @classmethod
     def from_vector(cls, values) -> "CoefficientSource":
@@ -522,8 +549,52 @@ class CoefficientSource:
         return source
 
     @classmethod
+    def from_sparse(cls, indices, values,
+                    support_bound: int) -> "CoefficientSource":
+        """Source that is zero but at ``indices``, strictly increasing
+        1-based indices up to ``support_bound``, where it takes ``values``
+        (a zero among them is allowed).  Both are copied into read-only
+        arrays, its ``nonzeros``.  ``coefficients`` scatters them into
+        zeros, ``norm`` sums their squares alone, and ``read_blocks`` forms
+        products only at them; anything else raises ValueError."""
+        places = np.array(indices, dtype=np.int64)
+        entries = np.array(values, dtype=np.float64)
+        if not (places.ndim == entries.ndim == 1
+                and places.size == entries.size and support_bound is not None
+                and (places.size == 0
+                     or (1 <= places[0] and places[-1] <= support_bound
+                         and (places[1:] > places[:-1]).all()))):
+            raise ValueError("sparse coefficients need strictly increasing "
+                             "1-based indices up to the support bound, "
+                             "one value each")
+        places.flags.writeable = entries.flags.writeable = False
+
+        def read(lo, hi):
+            out = np.zeros(hi - lo + 1)
+            first, stop = np.searchsorted(places, (lo, hi + 1))
+            out[places[first:stop] - lo] = entries[first:stop]
+            return out
+
+        source = cls(None, support_bound=support_bound)
+        source._read = read
+        source._nonzeros = places, entries
+        return source
+
+    @classmethod
     def zero(cls) -> "CoefficientSource":
         return cls.from_vector(np.zeros(0))
+
+    @property
+    def nonzeros(self) -> Optional[tuple]:
+        """``(indices, values)`` of a ``from_sparse`` source, read-only
+        arrays; None for every other source."""
+        return self._nonzeros
+
+    @property
+    def size(self) -> Optional[int]:
+        """Length of the coefficients 1..``support_bound``, as of the array
+        ``dense(support_bound)``; None without a support bound."""
+        return self.support_bound
 
     def coefficients(self, indices: range) -> np.ndarray:
         """Coefficients at ``indices``, a step-1 range of 1-based indices;
@@ -540,8 +611,9 @@ class CoefficientSource:
         if self.support_bound is None:
             raise SupportBoundRequired(
                 "input norms need a finite support bound")
-        vals = self.dense(self.support_bound)
-        return exact_norm(vals)
+        if self._nonzeros is not None:  # a zero square adds nothing
+            return exact_norm(self._nonzeros[1])
+        return exact_norm(self.dense(self.support_bound))
 
 
 @dataclass(frozen=True)
@@ -665,13 +737,30 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     checked on every walk.  A non-finite norm raises ValueError, so no
     certificate rests on it; an infinite lam past the support times the
     zero coefficient counts as NaN.
+
+    A ``from_sparse`` source is read at its nonzeros alone: the buffer is
+    zeros (``_zeros``, reserved as for a vector source), each block finds
+    its nonzeros by bisection and writes lam_i * fhat_i there, and its
+    norm and total come from those products, since a zero square adds
+    nothing to an exact sum; a block without one has norm 0.  Every lam
+    the walk passes is still evaluated and checked as above, and the
+    nonzeros take theirs from the same chunks.  lam is non-increasing, so
+    a block holds an infinite lam, which the dense products would turn
+    into inf or NaN, exactly where its first one is infinite.  The yields
+    have the bits of those of ``CoefficientSource.from_vector`` over the
+    same coefficients.
     """
     spectrum, partition = problem.spectrum, problem.partition
     length, support = spectrum.enumerated_length, f.support_bound
     held = [n for n in (support, length) if n is not None]
     bound = min(held) if held else None  # no product is stored past it
-    buffer = np.empty(min(bound, partition.boundary(last))
-                      if f._stored or length is not None else 0)
+    sparse = f.nonzeros
+    if sparse is not None:  # as lists, bisected and read once per block
+        where, entries = (part.tolist() for part in sparse)
+        buffer = _zeros(min(bound, partition.boundary(last)))
+    else:
+        buffer = np.empty(min(bound, partition.boundary(last))
+                          if f._stored or length is not None else 0)
     start, previous, n = 1, math.inf, partition.boundary(0)
     for j in range(last + 1):
         if j:  # the check of ``Partition.block``, on one new boundary
@@ -686,12 +775,17 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
             grown = np.empty(size if bound is None else min(size, bound))
             grown[:start - 1] = buffer[:start - 1]
             buffer = grown
+        binned = end - start + 1 >= _FSUM_BELOW
+        finite = True
+        if sparse is not None:  # the block's nonzeros are k..stop - 1
+            k = bisect_left(where, start)
+            stop = bisect_right(where, top, k)
+            products = []
         if end > -(-start // _CHUNK) * _CHUNK:  # past the chunk of start
             spans = _chunks(start, end)
         else:
             spans = [range(start, end + 1)] if start <= end else []
-        bins = _new_bins() if end - start + 1 >= _FSUM_BELOW else None
-        finite = True
+        bins = _new_bins() if binned and sparse is None else None
         for span in spans:
             if length is None and span.start <= _CHUNK:
                 lam = spectrum._checked_head(span.stop - 1)[
@@ -701,6 +795,14 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
                 if length is None:
                     spectrum.check_run(lam, previous)
             previous = lam[-1]
+            if sparse is not None:  # the span's nonzeros are the next ones
+                finite = finite and lam.item(0) < math.inf
+                while k < stop and where[k] < span.stop:
+                    i = where[k]
+                    products.append(lam.item(i - span.start) * entries[k])
+                    buffer[i - 1] = products[-1]
+                    k += 1
+                continue
             if span.stop - 1 <= top:  # inside the support
                 piece = buffer[span.start - 1:span.stop - 1]
                 np.multiply(lam, f.coefficients(span), out=piece)
@@ -715,9 +817,14 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
                             out=piece)
             if bins is not None:
                 _bin_squares(piece, bins)
-        total = None if bins is None else _exact_sum(bins)
-        norm = (exact_norm(buffer[start - 1:top]) if bins is None
-                else math.sqrt(_rounded(total)))
+        if sparse is not None:
+            total = _square_sum(np.array(products)) if binned else None
+            norm = (_list_norm(products) if total is None
+                    else math.sqrt(_rounded(total)))
+        else:
+            total = None if bins is None else _exact_sum(bins)
+            norm = (exact_norm(buffer[start - 1:top]) if bins is None
+                    else math.sqrt(_rounded(total)))
         if not (finite and math.isfinite(norm)):
             raise ValueError(
                 f"non-finite norm over indices {start}..{end}: "
@@ -801,7 +908,8 @@ def random_cone_member(problem: Problem, rng: np.random.Generator,
     ``head`` set, indices 1..n_0 also receive Gaussian mass, which changes
     the input norm but no block norm.  Each run of lam is checked before
     it divides, so a spectrum that underflows to zero or rises raises
-    ValueError instead of giving infinite coefficients.
+    ValueError instead of giving infinite coefficients, and so does a
+    division by lam that overflows, a lam too small for its block norm.
     """
     if blocks < 1:
         raise ValueError("need at least one block")
@@ -824,7 +932,13 @@ def random_cone_member(problem: Problem, rng: np.random.Generator,
             lam = problem.spectrum.values(span)
             problem.spectrum.check_run(lam, previous)
             previous = lam[-1]
-            weights[span.start - lo:span.stop - lo] /= lam
+            try:  # only the division: lam is evaluated as the caller asks
+                with np.errstate(over="raise"):
+                    weights[span.start - lo:span.stop - lo] /= lam
+            except FloatingPointError as exc:
+                raise ValueError(
+                    f"the coefficients of block {j} overflow: its norm over "
+                    "lam is past the float range") from exc
     head_len = problem.partition.boundary(0)
     if head and head_len > 0:
         padded[:head_len] = scale * rng.standard_normal(head_len)

@@ -376,6 +376,47 @@ def test_solve_rejects_a_cone_member_past_an_underflowed_lam(tmp_path,
     assert not (out / "run.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_solve_rejects_a_cone_member_whose_coefficients_overflow(tmp_path,
+                                                                 capsys):
+    # lam_i = 1e-300 / i**3 is below 4e-313 in block 12 (i = 14337..28672),
+    # so its block norm over lam would be inf: numpy warned, and the run
+    # reported an infinite true error against a finite bound
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "problem": {"spectrum": {"family": "algebraic", "scale": 1e-300,
+                                 "power": 3.0},
+                    "partition": {"kind": "doubling", "start": 7},
+                    "cone": {"a": 2.0, "b": 0.5}},
+        "epsilons": [0.5], "input": {"kind": "random-cone", "blocks": 12},
+        "output": str(out)})
+    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: input rejected: the coefficients of block "
+                   "12 overflow: its norm over lam is past the float range\n")
+    assert not (out / "run.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_solve_blames_a_zero_lam_not_the_coefficients(tmp_path, capsys):
+    # i**100 is inf from i = 1223 on (block 11), so lam_i = 1 / i**100 is
+    # zero there: the rule's own overflow is a non-positive lam, not an
+    # overflow of the division by lam
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "problem": {"spectrum": {"family": "algebraic", "scale": 1.0,
+                                 "power": 100.0},
+                    "partition": {"kind": "doubling", "start": 1},
+                    "cone": {"a": 2.0, "b": 0.5}},
+        "epsilons": [0.5], "input": {"kind": "random-cone", "blocks": 12},
+        "output": str(out)})
+    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: input rejected: algebraic(scale=1.0, power=100.0): "
+        "singular values must be positive\n")
+    assert not (out / "run.json").exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "bounds", "adversarial"])
 def test_explicit_partition_that_runs_out_is_a_guard(tmp_path, capsys,
                                                      command):
@@ -443,6 +484,28 @@ def test_bounds_guard_past_the_float_range(tmp_path, capsys):
                    "block bound within 64 blocks"
                    for eps in (1e-150, 1e-200, 1e-310)]
     assert read_csv(out / "bounds.csv")[1] == []
+
+
+def test_bounds_lower_bound_of_an_underflowed_omega_epsilon_is_a_guard(
+        tmp_path, capsys):
+    # omega is about 1e-90, so omega * 1e-300 is 0.0: that row's lower bound
+    # is unsettled, as for any unreachable target, and the others stand
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "problem": {"spectrum": {"family": "geometric", "scale": 1.0,
+                                 "base": 1e10},
+                    "partition": {"kind": "arithmetic", "start": 1,
+                                  "step": 3},
+                    "cone": {"a": 1e6, "b": 1e-6}},
+        "rho": 1e-200, "epsilons": [1e-210, 1e-300], "guards": {"j_max": 5},
+        "output": str(out)})
+    assert cli.main(["bounds", "--config", cfg, "--quiet"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "bounds: guard exceeded in lower bound at epsilon=1e-300: "
+        "lower-bound block still growing at block limit 5"]
+    _, rows = read_csv(out / "bounds.csv")
+    assert [(row[0], row[5]) for row in rows] == [("1e-210", "2"),
+                                                  ("1e-300", "")]
 
 
 # -- adversarial ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The README's Quick start example runs against the current API, and its
-2**24 peak is the one the scale check enforces."""
+2**24 peak and its deep fooling-pair figures are the ones the scale checks
+enforce."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -28,3 +30,21 @@ def test_readme_states_the_peak_the_scale_check_enforces():
     text = README.read_text(encoding="utf-8")
     assert f"peak RSS of {peak} MiB" in text
     assert f"exceeds {peak} MiB by more than 10%" in text
+
+
+def test_readme_states_the_fooling_figures_the_scale_check_enforces():
+    script = (ROOT / "scripts" / "scale_fooling.py").read_text(
+        encoding="utf-8")
+    (figures,) = re.findall(r"^README_FIGURES = (\{.*\})$", script,
+                            re.MULTILINE)
+    (multiples,) = re.findall(r"^TIME_MULTIPLE = (\{.*\})$", script,
+                              re.MULTILINE)
+    multiples = ast.literal_eval(multiples)
+    lines = README.read_text(encoding="utf-8").splitlines()
+    text = " ".join(" ".join(lines).split())
+    for blocks, (ms, mib) in ast.literal_eval(figures).items():
+        (row,) = [line for line in lines if line.startswith(f"| {blocks} |")]
+        assert row.endswith(f"| {ms} ms | {mib} MiB |")
+        assert (f"`adversarial.blocks` {blocks} takes more than "
+                f"{multiples[blocks]} times as long as blocks 10 or peaks "
+                f"above {mib} MiB plus 10%") in text
