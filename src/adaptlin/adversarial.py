@@ -18,7 +18,9 @@ Each construction reads lam_{n_0}..lam_{n_blocks} once, through
 same drops check the ratio and the same S_blocks sizes the amplitude.  A
 depth whose S_blocks is past the float range fails with ValueError.
 ``fooling_inputs`` grows a probe depth by depth from that one read, with
-the running boundary ratio where none is given.
+the running boundary ratio where none is given, and
+``fooling_certificates`` runs that probe search over a tolerance list and
+checks one pair per tolerance.
 """
 
 from __future__ import annotations
@@ -27,12 +29,15 @@ import math
 from dataclasses import dataclass
 from bisect import bisect_left
 from itertools import chain, repeat, tee
+from types import MappingProxyType
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from .algorithm import DEFAULT_BLOCK_LIMIT, adaptive_algorithm
 from .analysis import boundary_drops, lower_sums, running_ratios
-from .spectrum import CoefficientSource, Problem, exact_norm
+from .spectrum import (CoefficientSource, GuardExceeded, Problem,
+                       cone_membership, exact_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,3 +249,112 @@ def solution_separation(problem: Problem, pair: FoolingPair) -> float:
     image = [problem.spectrum.values(range(i, i + 1)).item() * v
              for i, v in zip(places.tolist(), entries.tolist())]
     return 2.0 * pair.shift * exact_norm(np.array(image))
+
+
+@dataclass(frozen=True)
+class FoolingCertificate:
+    """One tolerance's checked fooling pair, named after the
+    ``adversarial.json`` keys.  The run at ``epsilon`` on the base probe
+    sampled 1..``zeroed_count``, the pair's zeroed functionals.  ``ok``:
+    the runs on f+ and f- read the same values (``indistinguishable``),
+    base, f+ and f- are cone members of norm at most rho (1 + 1e-10), the
+    separation is at least 2 shift and the ``identity_gap``
+    |a (c - shift r) - (c + shift r)| at most 1e-12 max(1, c).  A failed
+    probe search leaves its message in ``failure`` and the rest None."""
+
+    epsilon: float
+    ok: bool
+    pair: Optional[FoolingPair] = None
+    zeroed_count: Optional[int] = None
+    membership: Optional[MappingProxyType] = None
+    norms: Optional[MappingProxyType] = None
+    separation: Optional[float] = None
+    identity_gap: Optional[float] = None
+    indistinguishable: Optional[bool] = None
+    failure: Optional[str] = None
+
+
+class _NoRoom(ValueError):
+    """A probe depth that may not grow: the next tolerance runs it again."""
+
+
+def fooling_certificates(problem: Problem, epsilons, rho: float, *,
+                         blocks: Optional[int] = None,
+                         ratio: Optional[float] = None,
+                         block_limit: int = DEFAULT_BLOCK_LIMIT,
+                         index_limit: Optional[int] = None) -> list:
+    """A ``FoolingCertificate`` per distinct tolerance, largest first.
+
+    The probe is ``fooling_input`` of ``blocks`` blocks at ``ratio`` (or at
+    ``boundary_ratio`` of its depth), grown a block at a time from depth 4
+    where ``blocks`` is None, up to ``index_limit`` indices, until the run
+    at epsilon on it samples 1..cost with cost + 1 < n_depth: the bump then
+    hides where the run never looked.  Each depth's probe is built once,
+    from one read of the boundaries (``fooling_inputs``).  The tolerances
+    run in decreasing order, and on a fixed input a smaller tolerance never
+    stops at an earlier block, so each search resumes at the depth where
+    the last one ended.  For the same reason a probe that cannot be built
+    (a ratio check, a profile sum past the float range) or a run past
+    ``block_limit`` fails every later tolerance with the same message.  A
+    depth without room to grow (a fixed ``blocks``, the index budget) is
+    run again for the next tolerance, which may fail there at
+    ``block_limit`` instead.  Each certificate is that of a search for its
+    tolerance alone started at that depth, bit for bit; one started at
+    depth 4 can instead fail at ``block_limit`` on a probe that a larger
+    tolerance has already outgrown.
+    """
+    epsilons = sorted(set(epsilons), reverse=True)
+    depth = 4 if blocks is None else blocks
+    ladder = fooling_inputs(problem, rho, depth, ratio)
+    certificates = []
+    for k, eps in enumerate(epsilons):
+        try:
+            if not k:  # no probe is built for an empty list
+                r, probe = next(ladder)
+            run = adaptive_algorithm(problem, probe, eps,
+                                     block_limit=block_limit)
+            while run.cost + 1 >= problem.partition.boundary(depth):
+                if blocks is not None:
+                    raise _NoRoom("configured block count leaves no free "
+                                  "coordinate for the bump; increase "
+                                  "adversarial.blocks")
+                size = problem.partition.boundary(depth + 1)
+                if index_limit is not None and size > index_limit:
+                    raise _NoRoom(f"the probe depth = {depth + 1} spans "
+                                  f"{size} indices, over the index budget "
+                                  f"guards.n_max = {index_limit}")
+                depth += 1
+                r, probe = next(ladder)
+                run = adaptive_algorithm(problem, probe, eps,
+                                         block_limit=block_limit)
+        except _NoRoom as exc:
+            certificates.append(FoolingCertificate(eps, False,
+                                                   failure=str(exc)))
+            continue
+        except (ValueError, GuardExceeded) as exc:
+            return certificates + [FoolingCertificate(e, False,
+                                                      failure=str(exc))
+                                   for e in epsilons[k:]]
+        pair = fooling_pair(problem, r, rho, depth, range(1, run.cost + 1))
+        plus, minus = (adaptive_algorithm(problem, f, eps,
+                                          block_limit=block_limit)
+                       for f in (pair.plus, pair.minus))
+        # runs are prefixes that stop at the support: equal costs and equal
+        # values mean equal samples
+        same = plus.cost == minus.cost and np.array_equal(plus.values,
+                                                          minus.values)
+        separation = solution_separation(problem, pair)
+        sources = {"base": pair.base, "plus": pair.plus, "minus": pair.minus}
+        membership = MappingProxyType({name: cone_membership(problem, f)
+                                       for name, f in sources.items()})
+        norms = MappingProxyType({name: f.norm()
+                                  for name, f in sources.items()})
+        c, eta = pair.amplitude, pair.shift
+        gap = abs(problem.cone.a * (c - eta * r) - (c + eta * r))
+        ok = (same and all(m.member for m in membership.values())
+              and all(v <= rho * (1.0 + 1e-10) for v in norms.values())
+              and separation >= 2.0 * eta and gap <= 1e-12 * max(1.0, c))
+        certificates.append(FoolingCertificate(
+            eps, ok, pair, int(run.cost), membership, norms, separation, gap,
+            same))
+    return certificates

@@ -11,7 +11,9 @@ form (``stop_block_bounds``, ``stop_block_bounds_rough``,
 ``complexity_lower_blocks``, ``stop_block_bound_first_terms``) that serves
 a whole list from one pass with the bits of one call per tolerance, and
 ``running_ratios`` gives ``boundary_ratio``'s value at every depth from
-one pass.
+one pass.  ``bounds_table`` puts them together: one record per tolerance
+with every bound, the guard that replaced a missing one, and the chain
+n_{j_dagger}(eps, rho) <= n_{j_star_lower}(omega * eps, rho).
 
 The bounds and the fooling construction in ``adversarial`` read lam at
 the partition boundaries through one lazy ladder, ``boundary_values``, and
@@ -24,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count, islice, pairwise, repeat, takewhile
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 from .algorithm import DEFAULT_BLOCK_LIMIT, ball_budget, stop_threshold
 from .spectrum import (ConeParams, GuardExceeded, Problem, SingularSpectrum,
@@ -382,6 +385,93 @@ def complexity_lower_block(problem: Problem, ratio: float, epsilon: float,
     if j is None:
         raise unsettled_error("complexity_lower_block", block_limit)
     return j
+
+
+class BoundsRow(NamedTuple):
+    """One tolerance's bounds; the first eight fields are the ``bounds.csv``
+    columns, and a tuple, since a list of a hundred tolerances builds a
+    hundred rows in one ``bounds`` command.  The j fields are ``stop_block_bound``, its rough and
+    first-term forms, and ``complexity_lower_block`` at omega * epsilon.
+    ``guard`` is the GuardExceeded text of the first that did not settle,
+    and those after it are not computed.  ``note`` says why the table has
+    no lower bound.  ``chain_holds`` is n_dagger <= n_lower.
+
+    The chain can read violated where omega * epsilon is large against
+    rho.  Geometric base 1e10, arithmetic 1 + 3j, a = 1e6, b = 1e-6,
+    rho = 1e-200 and epsilon = 1e-100 give j_star_lower = 0 (the zero input
+    meets omega * epsilon) and j_dagger = 1, so n_dagger = 4 > n_lower = 1.
+    Whether the comparison of arXiv:1809.10567 assumes omega * epsilon <
+    rho is for the paper to settle; the row reports the chain as computed.
+    """
+
+    epsilon: float
+    rho: float
+    j_dagger: Optional[int]
+    j_dagger_rough: Optional[int]
+    j_dagger_first: Optional[int]
+    j_star_lower: Optional[int]
+    omega: Optional[float]
+    R: float
+    guard: Optional[str]
+    note: Optional[str]
+    n_dagger: Optional[int]
+    n_lower: Optional[int]
+    chain_holds: Optional[bool]
+
+
+def bounds_table(problem: Problem, epsilons, rho: float, *,
+                 block_limit: int = DEFAULT_BLOCK_LIMIT) -> list:
+    """A ``BoundsRow`` per distinct tolerance, largest first, with R from
+    ``boundary_ratio(problem, block_limit)`` and omega its
+    ``tolerance_shrink_factor``.  One scan per bound serves the list, and
+    each bound is computed only for the tolerances every earlier one
+    settled, so no scan reads a block a loop over the tolerances would not.
+    An omega * epsilon that underflows to 0 settles at no block."""
+    epsilons = sorted(set(epsilons), reverse=True)
+    scan = boundary_ratio(problem, block_limit)
+    omega = note = None
+    if scan.still_growing:
+        note = ("boundary ratio still growing at the scan limit; omega and "
+                "lower bounds omitted")
+    else:
+        omega = tolerance_shrink_factor(problem.cone, scan.value)
+        if problem.partition.boundary(0) < 1:
+            note = ("partition starts at n_0 = 0, where the lower-bound "
+                    "construction is undefined; column left empty")
+    columns, guards = {eps: [] for eps in epsilons}, {}
+
+    def settle(bound, live, blocks):
+        """Each tolerance's block; returns the ones ``bound`` settled."""
+        for eps, j in zip(live, blocks):
+            columns[eps].append(j)
+            if j is None:
+                guards[eps] = str(unsettled_error(bound, block_limit))
+        return [eps for eps in live if eps not in guards]
+
+    live = settle("stop_block_bound", epsilons, stop_block_bounds(
+        problem, epsilons, rho, block_limit=block_limit))
+    live = settle("stop_block_bound_rough", live, stop_block_bounds_rough(
+        problem, live, rho, block_limit=block_limit))
+    live = settle("stop_block_bound_first_term", live,
+                  stop_block_bound_first_terms(problem, live, rho))
+    if note is None:
+        targets = {eps: omega * eps for eps in live if omega * eps > 0.0}
+        found = dict(zip(targets, complexity_lower_blocks(
+            problem, scan.value, list(targets.values()), rho,
+            block_limit=block_limit)))
+        settle("complexity_lower_block", live, map(found.get, live))
+    rows = []
+    for eps in epsilons:
+        j_dagger, j_rough, j_first, j_lower = (columns[eps] + [None] * 3)[:4]
+        n_dagger = (None if j_dagger is None
+                    else problem.partition.boundary(j_dagger))
+        n_lower = (None if j_lower is None
+                   else problem.partition.boundary(j_lower))
+        rows.append(BoundsRow(
+            eps, rho, j_dagger, j_rough, j_first, j_lower, omega, scan.value,
+            guards.get(eps), note, n_dagger, n_lower,
+            None if n_lower is None else n_dagger <= n_lower))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adversarial import fooling_inputs, fooling_pair, solution_separation
-from .algorithm import (adaptive_algorithm, adaptive_sweep, ball_budget,
-                        no_stop_error)
-from .analysis import (boundary_ratio, complexity_lower_blocks,
-                       stop_block_bound_first_terms, stop_block_bounds,
-                       stop_block_bounds_rough, tolerance_shrink_factor,
-                       unsettled_error)
+from .adversarial import fooling_certificates
+from .algorithm import adaptive_sweep, ball_budget, no_stop_error
+from .analysis import BoundsRow, bounds_table
 from .problems import (default_gamma, derivative_coefficients,
                        derivative_slice_grid, enumerate_derivative_spectrum,
                        input_slice_grid, periodic_approximation_cost,
@@ -44,8 +40,7 @@ from .problems import (default_gamma, derivative_coefficients,
                        random_periodic_input, solution_slice_grid)
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        OutOfRangeError, Partition, SingularSpectrum, Problem,
-                       block_decay_ratios, cone_membership,
-                       random_cone_member)
+                       block_decay_ratios, random_cone_member)
 
 GENERATOR = "numpy-PCG64"
 DEFAULT_SEED = 20250101
@@ -474,128 +469,46 @@ def cmd_bounds(merged, quiet):
     j_max, n_max = merged["guards"]["j_max"], merged["guards"]["n_max"]
     problem, _ = build_problem(merged.get("problem", {}), n_max)
     epsilons = _epsilons_from(merged)
-    rho = merged.get("rho", 1.0)
     out = _out_dir(merged)
 
-    scan = boundary_ratio(problem, j_max)
-    omega = None
-    if scan.still_growing:
-        print("bounds: boundary ratio still growing at the scan limit; "
-              "omega and lower bounds omitted", file=sys.stderr)
-    else:
-        omega = tolerance_shrink_factor(problem.cone, scan.value)
-
-    violations = 0
-    failures = 0
-    lower_bound_usable = problem.partition.boundary(0) >= 1
-    if omega is not None and not lower_bound_usable:
-        print("bounds: partition starts at n_0 = 0, where the lower-bound "
-              "construction is undefined; column left empty",
-              file=sys.stderr)
-    # One scan per bound serves the whole list.  Each later bound is
-    # computed only for the tolerances every earlier one settled, as a
-    # loop over the tolerances would, so no scan reads a block that loop
-    # would not; messages are then printed in tolerance order.
-    columns = {eps: [] for eps in epsilons}
-    errors = {}
-    live = epsilons
-    for bounds_of, name in (
-            (functools.partial(stop_block_bounds, block_limit=j_max),
-             "stop_block_bound"),
-            (functools.partial(stop_block_bounds_rough, block_limit=j_max),
-             "stop_block_bound_rough"),
-            (stop_block_bound_first_terms, "stop_block_bound_first_term")):
-        for eps, j in zip(live, bounds_of(problem, live, rho)):
-            if j is None:
-                errors[eps] = unsettled_error(name, j_max)
-            else:
-                columns[eps].append(j)
-        live = [eps for eps in live if eps not in errors]
-    lower = {}
-    if omega is not None and lower_bound_usable:
-        # an omega * eps that underflows to 0 is an unreachable target,
-        # which no block settles, like one whose (rho / eps)**2 overflows
-        lower = dict.fromkeys(live)
-        reachable = [eps for eps in live if omega * eps > 0.0]
-        lower.update(zip(reachable, complexity_lower_blocks(
-            problem, scan.value, [omega * eps for eps in reachable], rho,
-            block_limit=j_max)))
-
-    rows = []
-    for eps in epsilons:
-        if eps in errors:
-            print(f"bounds: guard exceeded at epsilon={eps!r}: "
-                  f"{errors[eps]}", file=sys.stderr)
-            failures += 1
+    rows = bounds_table(problem, epsilons, merged.get("rho", 1.0),
+                        block_limit=j_max)
+    columns = BoundsRow._fields[:8]  # the bounds.csv columns
+    if rows and rows[0].note:  # the same in every row
+        print(f"bounds: {rows[0].note}", file=sys.stderr)
+    table = []
+    for row in rows:
+        if row.j_dagger_first is None:  # no upper bound, no row
+            print(f"bounds: guard exceeded at epsilon={row.epsilon!r}: "
+                  f"{row.guard}", file=sys.stderr)
             continue
-        j_dagger, j_rough, j_first = columns[eps]
-        j_lower = lower.get(eps)
-        if eps in lower and j_lower is None:
+        if row.guard:
             print(f"bounds: guard exceeded in lower bound at "
-                  f"epsilon={eps!r}: "
-                  f"{unsettled_error('complexity_lower_block', j_max)}",
+                  f"epsilon={row.epsilon!r}: {row.guard}", file=sys.stderr)
+        elif row.chain_holds is False:
+            print(f"bounds: chain violated at epsilon={row.epsilon!r}: "
+                  f"n_(j_dagger)={row.n_dagger} > n_(j_lower)={row.n_lower}",
                   file=sys.stderr)
-            failures += 1
-        elif j_lower is not None:
-            n_dagger, n_lower = map(problem.partition.boundary,
-                                    (j_dagger, j_lower))
-            if n_dagger > n_lower:
-                print(f"bounds: chain violated at epsilon={eps!r}: "
-                      f"n_(j_dagger)={n_dagger} > n_(j_lower)={n_lower}",
-                      file=sys.stderr)
-                violations += 1
-        rows.append((eps, rho, j_dagger, j_rough, j_first, j_lower, omega,
-                     scan.value))
-
-    write_csv(out / "bounds.csv",
-              ("epsilon", "rho", "j_dagger", "j_dagger_rough",
-               "j_dagger_first", "j_star_lower", "omega", "R"), rows)
+        table.append(row[:len(columns)])
+    violations = sum(row.chain_holds is False for row in rows)
+    write_csv(out / "bounds.csv", columns, table)
     if not quiet:
-        print(f"bounds: {len(rows)} rows, {violations} chain violations "
+        print(f"bounds: {len(table)} rows, {violations} chain violations "
               f"-> {out / 'bounds.csv'}")
-    return 1 if violations or failures else 0
+    return 1 if violations or any(row.guard for row in rows) else 0
 
 
-def _fooling_entry(problem, eps, rho, j_max, ratio, depth, cost):
-    """The checked fooling pair of a probe of ``depth`` blocks whose run at
-    tolerance ``eps`` sampled indices 1..cost, as an adversarial.json entry."""
-    pair = fooling_pair(problem, ratio, rho, depth, range(1, cost + 1))
-    run_plus = adaptive_algorithm(problem, pair.plus, eps, block_limit=j_max)
-    run_minus = adaptive_algorithm(problem, pair.minus, eps,
-                                   block_limit=j_max)
-    # runs are prefixes that stop at the support: equal costs and equal
-    # values mean equal samples
-    indistinguishable = (run_plus.cost == run_minus.cost
-                         and np.array_equal(run_plus.values, run_minus.values))
-    separation = solution_separation(problem, pair)
-    sources = {"base": pair.base, "plus": pair.plus, "minus": pair.minus}
-    memberships = {name: cone_membership(problem, source)
-                   for name, source in sources.items()}
-    norms = {name: source.norm() for name, source in sources.items()}
-    c, eta = pair.amplitude, pair.shift
-    identity_gap = abs(problem.cone.a * (c - eta * pair.ratio)
-                       - (c + eta * pair.ratio))
-    norm_tol = rho * (1.0 + 1e-10)
-    ok = (indistinguishable
-          and all(m.member for m in memberships.values())
-          and all(v <= norm_tol for v in norms.values())
-          and separation >= 2.0 * eta
-          and identity_gap <= 1e-12 * max(1.0, c))
-    return {
-        "epsilon": eps,
-        "blocks": pair.blocks,
-        "ratio": pair.ratio,
-        "amplitude": c,
-        "shift": eta,
-        "zeroed_count": int(cost),
-        "membership": {k: {"member": m.member, "worst_ratio": m.worst_ratio}
-                       for k, m in memberships.items()},
-        "norms": norms,
-        "separation": separation,
-        "identity_gap": identity_gap,
-        "indistinguishable": indistinguishable,
-        "ok": ok,
-    }
+def _entry(cert):
+    pair = cert.pair
+    return {"epsilon": cert.epsilon, "blocks": pair.blocks,
+            "ratio": pair.ratio, "amplitude": pair.amplitude,
+            "shift": pair.shift, "zeroed_count": cert.zeroed_count,
+            "membership": {name: {"member": m.member,
+                                  "worst_ratio": m.worst_ratio}
+                           for name, m in cert.membership.items()},
+            "norms": dict(cert.norms), "separation": cert.separation,
+            "identity_gap": cert.identity_gap,
+            "indistinguishable": cert.indistinguishable, "ok": cert.ok}
 
 
 def cmd_adversarial(merged, quiet):
@@ -607,64 +520,27 @@ def cmd_adversarial(merged, quiet):
     if "blocks" in adv_cfg:
         _index_budget(problem, adv_cfg["blocks"], n_max, "adversarial.blocks")
     epsilons = _epsilons_from(merged)
-    rho = merged.get("rho", 1.0)
     out = _out_dir(merged)
 
-    entries = []
-    failures = 0
     start = time.perf_counter()
-    # The probe of a depth does not depend on epsilon, so each depth's ratio
-    # and base probe are built once, from one read of the boundaries that
-    # grows a depth at a time (``fooling_inputs``).  The tolerances run in
-    # decreasing order, and on a fixed input a smaller tolerance never
-    # stops at an earlier block, so a depth whose run read too much for one
-    # tolerance reads too much for every later one, and a run that hit the
-    # j_max guard hits it again.  Each depth search therefore starts where
-    # the previous one ended; a depth that failed its ratio check, its
-    # profile sum or the n_max budget fails again there, with the same
-    # message, so a failed depth keeps its error.
-    depth = adv_cfg.get("blocks", 4)
-    ladder = fooling_inputs(problem, rho, depth, adv_cfg.get("ratio"))
-    probes = {}
-    for eps in epsilons:
-        # The sampled indices of a run on the base input become the zeroed
-        # functionals; the bump then hides in coordinates the run never saw.
-        try:
-            while True:
-                if depth not in probes:
-                    try:
-                        probes[depth] = next(ladder)
-                    except ValueError as exc:
-                        probes[depth] = exc
-                if isinstance(probes[depth], ValueError):
-                    raise probes[depth]
-                ratio, base_probe = probes[depth]
-                run = adaptive_algorithm(problem, base_probe, eps,
-                                         block_limit=j_max)
-                if run.cost + 1 < problem.partition.boundary(depth):
-                    break
-                if "blocks" in adv_cfg:
-                    raise ValueError(
-                        "configured block count leaves no free coordinate "
-                        "for the bump; increase adversarial.blocks")
-                _index_budget(problem, depth + 1, n_max, "the probe depth")
-                depth += 1
-        except (ValueError, GuardExceeded) as exc:
-            print(f"adversarial: construction failed at epsilon={eps!r}: "
-                  f"{exc}", file=sys.stderr)
-            failures += 1
-            continue
-        entry = _fooling_entry(problem, eps, rho, j_max, ratio, depth,
-                               run.cost)
-        if not entry["ok"]:
-            failures += 1
-            print(f"adversarial: checks failed at epsilon={eps!r}",
+    certificates = fooling_certificates(
+        problem, epsilons, merged.get("rho", 1.0),
+        blocks=adv_cfg.get("blocks"), ratio=adv_cfg.get("ratio"),
+        block_limit=j_max, index_limit=n_max)
+    for cert in certificates:
+        if cert.failure is not None:
+            print(f"adversarial: construction failed at "
+                  f"epsilon={cert.epsilon!r}: {cert.failure}",
                   file=sys.stderr)
-        entries.append(entry)
+        elif not cert.ok:
+            print(f"adversarial: checks failed at epsilon={cert.epsilon!r}",
+                  file=sys.stderr)
+    entries = [_entry(cert) for cert in certificates if cert.failure is None]
     elapsed = time.perf_counter() - start
 
     _write_record(out / "adversarial.json", merged, "entries", entries,
                   elapsed)
+    failures = sum(not cert.ok for cert in certificates)
     if not quiet:
         print(f"adversarial: {len(entries)} tolerances, "
               f"{failures} failures -> {out / 'adversarial.json'}")

@@ -15,6 +15,7 @@ import math
 import mmap
 import operator
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -248,7 +249,14 @@ class SingularSpectrum:
         name = f"algebraic(scale={scale}, power={power})"
         if power == 1.0:  # i ** 1.0 is i, bit for bit, and far slower
             return cls(lambda i: scale / i, name=name)
-        return cls(lambda i: scale / i ** power, name=name)
+
+        # as in ``geometric``: an overflowed i**power gives lam = 0.0, which
+        # the positivity check rejects, so the warning carries nothing
+        @np.errstate(over="ignore")
+        def rule(i):
+            return scale / i ** power
+
+        return cls(rule, name=name)
 
     @classmethod
     def geometric(cls, scale: float, base: float) -> "SingularSpectrum":
@@ -715,6 +723,14 @@ def block_decay_ratios(cone: ConeParams, norms: Sequence[float]) -> tuple:
     return ratios, binders
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _products(lam: np.ndarray, coefficients: np.ndarray,
+              out: np.ndarray) -> None:
+    """lam * coefficients into ``out``, an overflow inf and an infinite lam
+    times zero NaN without a warning: ``read_blocks`` rejects either."""
+    np.multiply(lam, coefficients, out=out)
+
+
 def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     """Yield ``(end, values, total, norm)`` for blocks 0, 1, ..., ``last``.
 
@@ -805,7 +821,7 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
                 continue
             if span.stop - 1 <= top:  # inside the support
                 piece = buffer[span.start - 1:span.stop - 1]
-                np.multiply(lam, f.coefficients(span), out=piece)
+                _products(lam, f.coefficients(span), piece)
             else:  # the span runs past the support, where products are lam * 0
                 inside = range(span.start, max(top + 1, span.start))
                 # an infinite lam makes that NaN, never a zero product
@@ -813,8 +829,7 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
                 if not inside:
                     continue
                 piece = buffer[span.start - 1:top]
-                np.multiply(lam[:len(inside)], f.coefficients(inside),
-                            out=piece)
+                _products(lam[:len(inside)], f.coefficients(inside), piece)
             if bins is not None:
                 _bin_squares(piece, bins)
         if sparse is not None:
@@ -896,6 +911,17 @@ def tail_norm(problem: Problem, f: CoefficientSource, n: int) -> float:
     return tail_norms(problem, f, [n])[0]
 
 
+@contextmanager
+def _past_range(message: str):
+    """Only the numpy arithmetic inside, never lam's evaluation, with an
+    overflow raising ValueError(``message``) before anything is stored."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(message) from exc
+
+
 def random_cone_member(problem: Problem, rng: np.random.Generator,
                        blocks: int, *, scale: float = 1.0,
                        head: bool = True) -> CoefficientSource:
@@ -909,13 +935,17 @@ def random_cone_member(problem: Problem, rng: np.random.Generator,
     the input norm but no block norm.  Each run of lam is checked before
     it divides, so a spectrum that underflows to zero or rises raises
     ValueError instead of giving infinite coefficients, and so does a
-    division by lam that overflows, a lam too small for its block norm.
+    division by lam that overflows, a lam too small for its block norm,
+    and a profile, a scaled block or a head past the float range.
     """
     if blocks < 1:
         raise ValueError("need at least one block")
     a, b = problem.cone.a, problem.cone.b
     factors = rng.uniform(1.0, a, size=blocks)
-    profile = scale * factors * b ** np.arange(1, blocks + 1, dtype=np.float64)
+    with _past_range("non-finite block norm profile: scale * c_j * b**j "
+                     "is past the float range"):
+        profile = scale * factors * b ** np.arange(1, blocks + 1,
+                                                   dtype=np.float64)
     # the trailing zero lets the source read this array without a copy
     padded = np.zeros(problem.partition.boundary(blocks) + 1)
     previous = math.inf
@@ -926,20 +956,20 @@ def random_cone_member(problem: Problem, rng: np.random.Generator,
         while norm == 0.0:
             rng.standard_normal(out=weights)
             norm = exact_norm(weights)
-        weights *= profile[j - 1]
+        with _past_range(f"non-finite block {j}: its entries scaled to "
+                         "the profile are past the float range"):
+            weights *= profile[j - 1]
         weights /= norm
         for span in _chunks(lo, hi):
             lam = problem.spectrum.values(span)
             problem.spectrum.check_run(lam, previous)
             previous = lam[-1]
-            try:  # only the division: lam is evaluated as the caller asks
-                with np.errstate(over="raise"):
-                    weights[span.start - lo:span.stop - lo] /= lam
-            except FloatingPointError as exc:
-                raise ValueError(
-                    f"the coefficients of block {j} overflow: its norm over "
-                    "lam is past the float range") from exc
+            with _past_range(f"the coefficients of block {j} overflow: "
+                             "its norm over lam is past the float range"):
+                weights[span.start - lo:span.stop - lo] /= lam
     head_len = problem.partition.boundary(0)
     if head and head_len > 0:
-        padded[:head_len] = scale * rng.standard_normal(head_len)
+        with _past_range("non-finite head: scale * N(0, 1) is past the "
+                         "float range"):
+            padded[:head_len] = scale * rng.standard_normal(head_len)
     return CoefficientSource.from_padded(padded)

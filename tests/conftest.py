@@ -157,29 +157,37 @@ def scan_complexity_lower_block(problem, ratio, epsilon, rho, block_limit):
 
 
 def fresh_probe_search(problem, epsilon, rho, j_max, n_max, blocks=None,
-                       ratio=None):
-    """The ``adversarial`` probe search of one tolerance, started afresh.
+                       ratio=None, start=None):
+    """The ``adversarial`` probe search of one tolerance, started afresh at
+    depth ``start`` (default ``blocks``, or 4).
 
-    Grows the probe from ``blocks`` (default 4) until a run at epsilon
-    leaves a free coordinate; returns (ratio, depth, cost of that run).
-    A configured ``blocks`` is never grown.  Raises what the search raises:
-    ValueError from the ratio check, GuardExceeded from a run, and
-    ValueError when the next depth spans more than ``n_max`` indices.
+    Grows the probe until a run at epsilon leaves a free coordinate; returns
+    (ratio, depth, cost of that run).  A configured ``blocks`` is never
+    grown.  Raises what the search raises, with the depth it reached as the
+    exception's ``depth``: ValueError from the ratio check, GuardExceeded
+    from a run, and ValueError when the next depth spans more than ``n_max``
+    indices.
     """
-    depth = 4 if blocks is None else blocks
-    while True:
-        r = boundary_ratio(problem, depth).value if ratio is None else ratio
-        probe = fooling_input(problem, r, rho, depth)
-        run = adaptive_algorithm(problem, probe, epsilon, block_limit=j_max)
-        if run.cost + 1 < problem.partition.boundary(depth):
-            return r, depth, run.cost
-        if blocks is not None:
-            raise ValueError(
-                "configured block count leaves no free coordinate for the "
-                "bump; increase adversarial.blocks")
-        depth += 1
-        size = problem.partition.boundary(depth)
-        if size > n_max:
-            raise ValueError(
-                f"the probe depth = {depth} spans {size} indices, over the "
-                f"index budget guards.n_max = {n_max}")
+    depth = start or (4 if blocks is None else blocks)
+    try:
+        while True:
+            r = (boundary_ratio(problem, depth).value if ratio is None
+                 else ratio)
+            probe = fooling_input(problem, r, rho, depth)
+            run = adaptive_algorithm(problem, probe, epsilon,
+                                     block_limit=j_max)
+            if run.cost + 1 < problem.partition.boundary(depth):
+                return r, depth, run.cost
+            if blocks is not None:
+                raise ValueError(
+                    "configured block count leaves no free coordinate for "
+                    "the bump; increase adversarial.blocks")
+            size = problem.partition.boundary(depth + 1)
+            if size > n_max:
+                raise ValueError(
+                    f"the probe depth = {depth + 1} spans {size} indices, "
+                    f"over the index budget guards.n_max = {n_max}")
+            depth += 1
+    except (ValueError, GuardExceeded) as exc:
+        exc.depth = depth
+        raise

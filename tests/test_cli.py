@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from adaptlin import GuardExceeded, adaptive_algorithm, block_norm, cli
+from adaptlin import (GuardExceeded, adaptive_algorithm, block_norm, cli,
+                      fooling_certificates)
 
 from conftest import brute_worst_ratio, fresh_probe_search
 
@@ -347,7 +348,7 @@ def test_solve_rejects_non_finite_input_scale(tmp_path, capsys, scale):
     assert "input.scale must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_solve_rejects_non_finite_input_data(tmp_path, capsys):
     # a finite scale whose cone member overflows to inf in block 1
     cfg = write_config(tmp_path, {
@@ -397,7 +398,7 @@ def test_solve_rejects_a_cone_member_whose_coefficients_overflow(tmp_path,
     assert not (out / "run.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_solve_blames_a_zero_lam_not_the_coefficients(tmp_path, capsys):
     # i**100 is inf from i = 1223 on (block 11), so lam_i = 1 / i**100 is
     # zero there: the rule's own overflow is a non-positive lam, not an
@@ -414,6 +415,53 @@ def test_solve_blames_a_zero_lam_not_the_coefficients(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "config error: input rejected: algebraic(scale=1.0, power=100.0): "
         "singular values must be positive\n")
+    assert not (out / "run.json").exists()
+
+
+# an overflow inside a rule, algebraic power 100, is the test above
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("problem_cfg, input_cfg, message", [
+    # the profile scale * c_j overflows before anything is stored
+    ({"spectrum": {"family": "algebraic", "scale": 1.0, "power": 1.0},
+      "partition": {"kind": "doubling", "start": 1}},
+     {"kind": "random-cone", "blocks": 8, "scale": 1.7e308},
+     "non-finite block norm profile: "),
+    # lam_1 * fhat_1 overflows in the walk's dense product
+    ({"spectrum": {"family": "geometric", "scale": 1e300,
+                   "base": 1.0000001}},
+     {"kind": "random-cone", "blocks": 6, "scale": 1e300},
+     "non-finite norm over indices 1..1: "),
+], ids=["profile", "dense-product"])
+def test_solve_rejects_an_overflow_without_a_warning(tmp_path, capsys,
+                                                     problem_cfg, input_cfg,
+                                                     message):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"problem": problem_cfg, "input": input_cfg,
+                                  "epsilons": [0.5], "output": str(out)})
+    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: input rejected: " + message)
+    assert "Warning" not in err and "Traceback" not in err
+    assert not (out / "run.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cone, scale, seed, message", [
+    # a finite profile whose Gaussian entry overflows once scaled to it
+    ({"a": 1.5, "b": 0.99}, 1e308, 4, "non-finite block 1: "),
+    # a finite profile and a head draw past the float range
+    ({"a": 1.01, "b": 0.5}, 1e308, 23, "non-finite head: "),
+], ids=["scaled-block", "head"])
+def test_solve_rejects_a_cone_member_scaled_past_the_float_range(
+        tmp_path, capsys, cone, scale, seed, message):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "problem": dict(ALGEBRAIC, cone=cone),
+        "input": {"kind": "random-cone", "blocks": 2, "scale": scale},
+        "epsilons": [0.5], "seed": seed, "output": str(out)})
+    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: input rejected: " + message)
     assert not (out / "run.json").exists()
 
 
@@ -508,7 +556,42 @@ def test_bounds_lower_bound_of_an_underflowed_omega_epsilon_is_a_guard(
                                                   ("1e-300", "")]
 
 
+def test_bounds_reports_a_violated_chain_where_the_lower_bound_is_block_zero(
+        tmp_path, capsys):
+    # omega * epsilon is about 1e-190 against rho = 1e-200, so the lower
+    # bound settles at block 0 (n_0 = 1) while j_dagger is 1 (n_1 = 4)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "problem": {"spectrum": {"family": "geometric", "scale": 1.0,
+                                 "base": 1e10},
+                    "partition": {"kind": "arithmetic", "start": 1,
+                                  "step": 3},
+                    "cone": {"a": 1e6, "b": 1e-6}},
+        "rho": 1e-200, "epsilons": [1e-100], "guards": {"j_max": 5},
+        "output": str(out)})
+    assert cli.main(["bounds", "--config", cfg, "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "bounds: chain violated at epsilon=1e-100: n_(j_dagger)=4 > "
+        "n_(j_lower)=1\n")
+    _, rows = read_csv(out / "bounds.csv")
+    assert [(row[2], row[5]) for row in rows] == [("1", "0")]
+
+
 # -- adversarial ---------------------------------------------------------------
+
+def entry_of(cert):
+    """The adversarial.json entry of a fooling certificate, key by key."""
+    pair = cert.pair
+    return {"epsilon": cert.epsilon, "blocks": pair.blocks,
+            "ratio": pair.ratio, "amplitude": pair.amplitude,
+            "shift": pair.shift, "zeroed_count": cert.zeroed_count,
+            "membership": {name: {"member": m.member,
+                                  "worst_ratio": m.worst_ratio}
+                           for name, m in cert.membership.items()},
+            "norms": dict(cert.norms), "separation": cert.separation,
+            "identity_gap": cert.identity_gap,
+            "indistinguishable": cert.indistinguishable, "ok": cert.ok}
+
 
 GEOMETRIC_SLOW = {"spectrum": {"family": "geometric", "base": 1.01}}
 
@@ -549,9 +632,13 @@ def test_adversarial_entries_match_a_fresh_search_per_tolerance(
             messages.append(f"adversarial: construction failed at "
                             f"epsilon={eps!r}: {exc}")
             continue
-        entries.append(cli._fooling_entry(problem, eps, 1.0, j_max, ratio,
-                                          depth, cost))
-        if not entries[-1]["ok"]:
+        # the library's certificate at that depth and ratio, searched no
+        # further
+        (cert,) = fooling_certificates(problem, [eps], 1.0, blocks=depth,
+                                       ratio=ratio, block_limit=j_max)
+        assert cert.zeroed_count == cost
+        entries.append(entry_of(cert))
+        if not cert.ok:
             messages.append(f"adversarial: checks failed at epsilon={eps!r}")
     record = json.loads((out / "adversarial.json").read_text(encoding="utf-8"))
     assert record["entries"] == json.loads(json.dumps(entries))

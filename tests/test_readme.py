@@ -1,4 +1,4 @@
-"""The README's Quick start example runs against the current API, and its
+"""The README's Quick start examples run against the current API, and its
 2**24 peak and its deep fooling-pair figures are the ones the scale checks
 enforce."""
 
@@ -12,9 +12,9 @@ ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
 
-def quick_start_code():
+def quick_start_code(block=0):
     section = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
-    return section.split("```python\n", 1)[1].split("```", 1)[0]
+    return section.split("```python\n")[block + 1].split("```", 1)[0]
 
 
 def test_readme_quick_start_runs():
@@ -22,6 +22,15 @@ def test_readme_quick_start_runs():
     exec(compile(quick_start_code(), "README.md", "exec"), scope)
     problem, f, run = scope["problem"], scope["f"], scope["run"]
     assert true_error(problem, f, run) <= run.error_bound <= 1e-3
+
+
+def test_readme_certificates_example_runs():
+    scope = {}
+    for block in (0, 1):
+        exec(compile(quick_start_code(block), "README.md", "exec"), scope)
+    row, cert = scope["row"], scope["cert"]
+    assert row.chain_holds and row.guard is None
+    assert cert.ok and cert.failure is None
 
 
 def test_readme_states_the_peak_the_scale_check_enforces():

@@ -1,7 +1,8 @@
 """Module structure: no adaptlin module imports another's private names,
 the bounds and the fooling construction read the spectrum at the partition
-boundaries through one ladder, and the spectrum is checked only where it
-is first read."""
+boundaries through one ladder, the spectrum is checked only where it is
+first read, and the CLI takes its bounds and fooling pairs from the
+library."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,19 @@ def test_the_spectrum_is_checked_only_where_it_is_first_read():
                     for owner, _ in attribute_calls(path, "check_run"))
     assert owners == ["__init__", "_checked_head", "random_cone_member",
                       "read_blocks", "validate_prefix"]
+
+
+def test_the_cli_decides_no_bound_and_no_fooling_pair():
+    # bounds and fooling pairs come from analysis.bounds_table and
+    # adversarial.fooling_certificates; cli.py only writes their records
+    deciders = {"stop_block_bounds", "stop_block_bounds_rough",
+                "stop_block_bound_first_terms", "complexity_lower_blocks",
+                "boundary_ratio", "tolerance_shrink_factor",
+                "fooling_inputs", "fooling_pair", "solution_separation",
+                "cone_membership", "adaptive_algorithm"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert "bounds_table" in imported and "fooling_certificates" in imported
+    assert imported & deciders == set()
