@@ -186,7 +186,8 @@ def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
     perturbations then stay admissible with norm at most rho.
 
     Feasibility requires strictly fewer constraints than dimensions:
-    |zeroed inside 1..n_blocks| + 1 < n_blocks.
+    |zeroed inside 1..n_blocks| + 1 < n_blocks.  A bump whose rescaling
+    factor is zero or past the float range raises ValueError.
     """
     _, lams, c = next(_profiles(problem, rho, blocks, ratio))
     a, b = problem.cone.a, problem.cone.b
@@ -213,12 +214,21 @@ def fooling_pair(problem: Problem, ratio: float, rho: float, blocks: int,
     # u restricted to block k is weight_k * u_k, so u_k = u[block] / weight_k,
     # with weight_k = b**(k-blocks) / lam_{n_k}; piece 0 is the head 1..n_0,
     # and piece k holds n_{k-1} < i <= n_k.  A piece without an entry of u
-    # has norm 0, below that of one with an entry, so it is left out.
+    # has norm 0, below that of one with an entry, so it is left out.  The
+    # entries are first scaled by the power of two that brings the largest
+    # to [0.5, 1), exactly, so no square underflows; u / scale keeps its
+    # bits wherever nothing underflowed, since scale takes the same factor
+    power = -math.frexp(max(map(abs, bump_at.values())))[1]
+    bump_at = {i: math.ldexp(v, power) for i, v in bump_at.items()}
     pieces = {}
     for i, v in bump_at.items():
         pieces.setdefault(bisect_left(ends, i), []).append(v)
     scale = max(exact_norm(np.array(piece)) / (b ** (k - blocks) / lams[k])
                 for k, piece in pieces.items())
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"no bump of unit piece norm at depth {blocks}: "
+                         f"its piece norms over their weights peak at "
+                         f"{scale!r}")
     bump_at = {i: v / scale for i, v in bump_at.items()}  # p < q in order
     bump = CoefficientSource.from_sparse(list(bump_at), list(bump_at.values()),
                                          dimension)
@@ -301,7 +311,9 @@ def fooling_certificates(problem: Problem, epsilons, rho: float, *,
     ``block_limit`` instead.  Each certificate is that of a search for its
     tolerance alone started at that depth, bit for bit; one started at
     depth 4 can instead fail at ``block_limit`` on a probe that a larger
-    tolerance has already outgrown.
+    tolerance has already outgrown.  A pair that cannot be built or checked
+    (``fooling_pair`` or a run on f+ or f- raising ValueError or
+    GuardExceeded) fails its own tolerance alone, with that message.
     """
     epsilons = sorted(set(epsilons), reverse=True)
     depth = 4 if blocks is None else blocks
@@ -335,26 +347,37 @@ def fooling_certificates(problem: Problem, epsilons, rho: float, *,
             return certificates + [FoolingCertificate(e, False,
                                                       failure=str(exc))
                                    for e in epsilons[k:]]
-        pair = fooling_pair(problem, r, rho, depth, range(1, run.cost + 1))
-        plus, minus = (adaptive_algorithm(problem, f, eps,
-                                          block_limit=block_limit)
-                       for f in (pair.plus, pair.minus))
-        # runs are prefixes that stop at the support: equal costs and equal
-        # values mean equal samples
-        same = plus.cost == minus.cost and np.array_equal(plus.values,
-                                                          minus.values)
-        separation = solution_separation(problem, pair)
-        sources = {"base": pair.base, "plus": pair.plus, "minus": pair.minus}
-        membership = MappingProxyType({name: cone_membership(problem, f)
-                                       for name, f in sources.items()})
-        norms = MappingProxyType({name: f.norm()
-                                  for name, f in sources.items()})
-        c, eta = pair.amplitude, pair.shift
-        gap = abs(problem.cone.a * (c - eta * r) - (c + eta * r))
-        ok = (same and all(m.member for m in membership.values())
-              and all(v <= rho * (1.0 + 1e-10) for v in norms.values())
-              and separation >= 2.0 * eta and gap <= 1e-12 * max(1.0, c))
-        certificates.append(FoolingCertificate(
-            eps, ok, pair, int(run.cost), membership, norms, separation, gap,
-            same))
+        try:
+            certificates.append(_checked_pair(problem, eps, r, rho, depth,
+                                              int(run.cost), block_limit))
+        except (ValueError, GuardExceeded) as exc:
+            certificates.append(FoolingCertificate(eps, False,
+                                                   failure=str(exc)))
     return certificates
+
+
+def _checked_pair(problem: Problem, eps: float, r: float, rho: float,
+                  depth: int, cost: int,
+                  block_limit: int) -> FoolingCertificate:
+    """The ``FoolingCertificate`` of the pair at ``depth`` whose bump hides
+    past 1..``cost``; raises what building or checking it raises."""
+    pair = fooling_pair(problem, r, rho, depth, range(1, cost + 1))
+    plus, minus = (adaptive_algorithm(problem, f, eps,
+                                      block_limit=block_limit)
+                   for f in (pair.plus, pair.minus))
+    # runs are prefixes that stop at the support: equal costs and equal
+    # values mean equal samples
+    same = plus.cost == minus.cost and np.array_equal(plus.values,
+                                                      minus.values)
+    separation = solution_separation(problem, pair)
+    sources = {"base": pair.base, "plus": pair.plus, "minus": pair.minus}
+    membership = MappingProxyType({name: cone_membership(problem, f)
+                                   for name, f in sources.items()})
+    norms = MappingProxyType({name: f.norm() for name, f in sources.items()})
+    c, eta = pair.amplitude, pair.shift
+    gap = abs(problem.cone.a * (c - eta * r) - (c + eta * r))
+    ok = (same and all(m.member for m in membership.values())
+          and all(v <= rho * (1.0 + 1e-10) for v in norms.values())
+          and separation >= 2.0 * eta and gap <= 1e-12 * max(1.0, c))
+    return FoolingCertificate(eps, ok, pair, cost, membership, norms,
+                              separation, gap, same)

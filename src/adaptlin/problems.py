@@ -201,9 +201,9 @@ def enumerate_derivative_spectrum(d: int, k_max: int,
     for j, a in enumerate(axes):  # the orthant's first axis starts at 1
         ranks = ranks.take(np.abs(a) - (1 if j == 0 else 0), axis=j)
     ranks = ranks.ravel()
-    positions = _box_positions(axes, k_max)[np.argsort(ranks, kind="stable")]
-    # sorted ranks run 0, 0, ..., 1, 1, ...: each weight repeats its count
-    weights = np.repeat(-neg_lam, np.bincount(ranks, minlength=neg_lam.size))
+    order = np.argsort(ranks, kind="stable")
+    positions = _box_positions(axes, k_max)[order]
+    weights = -neg_lam[ranks[order]]
     return MultiIndexSpectrum(dimension=d, k_max=k_max, gamma=gamma,
                               positions=positions, weights=weights)
 
@@ -391,8 +391,8 @@ def solution_slice_grid(approx: Approximation, mis: MultiIndexSpectrum,
         term *= np.cos(TWO_PI * kj * rest + phase)
     side = 2 * mis.k_max + 1
     cell = (ks[:, 0] + mis.k_max) * side + (ks[:, 1] + mis.k_max)
-    cells = np.bincount(cell, weights=term,
-                        minlength=side * side).reshape(side, side)
+    cells = np.zeros((side, side))  # the terms add in one by one, in order
+    np.add.at(cells.ravel(), cell, term)
     k = np.arange(-mis.k_max, mis.k_max + 1, dtype=np.float64)
     phase = np.where(k < 0, 0.5 * math.pi, 0.0)
     sin_rows = -np.sign(k) * np.sin(TWO_PI * np.outer(first, k) + phase)

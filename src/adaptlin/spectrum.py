@@ -36,13 +36,11 @@ class GuardExceeded(RuntimeError):
     """An iteration or scan guard was reached before the target condition."""
 
 
-_FSUM_BELOW = 2 ** 11  # below this many squares math.fsum is the faster path
+_FSUM_BELOW = 2 ** 9  # below this many squares math.fsum is the faster path
 _NUMPY_FROM = 2 ** 5  # below this many, Python floats square faster than numpy
-_CHUNK = 2 ** 14  # entries per pass: cache-sized, each bin sum exact
-_FIELDS = 2048  # values of the 11-bit IEEE exponent field
-_FRACTION = (1 << 52) - 1
-_LOW = (1 << 26) - 1
+_CHUNK = 2 ** 14  # entries per pass: cache-sized, each level's sum exact
 _ULP_SCALE = 1 << 1074  # times the smallest subnormal gives 1
+_RESCALED = 2.0 ** 1008  # squares from here need sigma past 2**1023
 _MEMBER_SLACK = 1e-9  # relative slack of a membership verdict on the ratio
 _MAPPED_FROM = 2 ** 16  # entries from which ``_zeros`` maps fresh pages
 
@@ -54,53 +52,65 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return np.square(x)
 
 
-def _new_bins() -> np.ndarray:
-    """Empty bins for ``_bin_squares``."""
-    return np.zeros((3, _FIELDS), dtype=np.int64)
+def _scaled(level: float) -> int:
+    """2**1074 times ``level``, a float, so a multiple of 2**-1074."""
+    numerator, denominator = level.as_integer_ratio()
+    return numerator << (1075 - denominator.bit_length())
 
 
-def _bin_squares(x: np.ndarray, bins: np.ndarray) -> None:
-    """Add the squares of ``x`` into ``bins`` without rounding.
+def _extract(p: np.ndarray):
+    """2**1074 times the sum of ``p``, at most _CHUNK squares, exactly.
 
-    ``bins`` is an int64 array of shape (3, 2048), indexed by the squares'
-    exponent field: the count of squares, then the sums of the high 26 and
-    the low 26 bits of their stored fractions.  Each bincount covers at
-    most _CHUNK squares, so every float64 bin sum is an exact integer.
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation", 2008): where every |p| < 2**top and p.size < 2**k, sigma =
+    2**(top + k) splits each entry into q = (sigma + p) - sigma, a multiple
+    of sigma * 2**-53, and the residual p - q, both exact.  The q add up
+    to less than sigma in any order, so each level's sum is one exact
+    float.  Rounding is to nearest, so a residual may be negative and is
+    at most sigma * 2**-53 in size, the next level's 2**top.  Two levels
+    run on all of ``p``, which they overwrite; then only the nonzero
+    residuals go on, with top from max |residual| after a level that
+    extracted nothing.  A sigma below 2**-1021 has the grid 2**-1074 of
+    every float, so its level leaves no residual.  Squares from
+    2**1008 on, whose sigma would pass the float range, are scaled by
+    2**-512, exactly, and summed apart.  A NaN gives NaN, else an inf inf.
     """
-    for start in range(0, x.size, _CHUNK):
-        bits = _squares(x[start:start + _CHUNK]).view(np.int64)
-        field = bits >> 52
-        field &= _FIELDS - 1  # drops the sign a NaN may carry
-        bits &= _FRACTION
-        high = bits >> 26
-        bits &= _LOW
-        bins[0] += np.bincount(field, minlength=_FIELDS)
-        bins[1] += np.bincount(field, high, _FIELDS).astype(np.int64)
-        bins[2] += np.bincount(field, bits, _FIELDS).astype(np.int64)
-
-
-def _exact_sum(bins: np.ndarray):
-    """2**1074 times the sum of the squares binned in ``bins``, exactly.
-
-    Field e >= 1 holds (2**52 + fraction) * 2**(e - 1075) and field 0, the
-    subnormals, holds fraction * 2**-1074, so the scaled sum is one Python
-    int, and the ints of two sets of squares add to the int of their union.
-    A NaN square gives NaN and an infinite one inf, as floats.
-    """
-    count, high, low = bins
-    if count[-1]:  # exponent field 2047: inf, or NaN with a nonzero fraction
-        return math.nan if high[-1] or low[-1] else math.inf
-    fields = np.flatnonzero(count)
-    total = 0
-    for e, c, h, l in zip(fields.tolist(), count[fields].tolist(),
-                          high[fields].tolist(), low[fields].tolist()):
-        mantissa = (h << 26) + l + (c << 52 if e else 0)
-        total += mantissa << max(e - 1, 0)
+    largest = p.max(initial=0.0)
+    if not largest < math.inf:
+        return math.nan if largest != largest else math.inf
+    if largest >= _RESCALED:
+        big = p >= _RESCALED
+        return (_extract(p[big] * 2.0 ** -512) << 512) + _extract(p[~big])
+    if largest == 0.0:
+        return 0
+    total, level, top = 0, 0, math.frexp(largest)[1]
+    scratch = np.empty_like(p)
+    while p.size:
+        exponent = top + p.size.bit_length()
+        sigma = math.ldexp(1.0, exponent)  # 0.0 below 2**-1074: q = p
+        q = np.add(p, sigma, out=scratch)
+        q -= sigma
+        p -= q
+        extracted = float(q.sum())
+        total += _scaled(extracted)
+        top, level = exponent - 53, level + 1
+        if level >= 2:
+            p = p[p != 0.0]
+            scratch = scratch[:p.size]
+            if extracted == 0.0 and p.size:  # skip a gap in the exponents
+                top = math.frexp(max(p.max(), -p.min()))[1]
     return total
 
 
+def _plus(a, b):
+    """The sum of two ``_square_sum`` values: ints add, NaN beats inf."""
+    if isinstance(a, float) or isinstance(b, float):
+        return sum(v for v in (a, b) if isinstance(v, float))
+    return a + b
+
+
 def _rounded(total) -> float:
-    """An ``_exact_sum`` rounded to nearest once.
+    """A ``_square_sum`` rounded to nearest once.
 
     Int/int true division rounds once; a sum past the float range is inf,
     which is what ``math.fsum`` overflows towards, and NaN and inf pass.
@@ -114,22 +124,31 @@ def _rounded(total) -> float:
 
 
 def _square_sum(x: np.ndarray):
-    """The ``_exact_sum`` of the squares of ``x``."""
-    bins = _new_bins()
-    _bin_squares(x, bins)
-    return _exact_sum(bins)
+    """2**1074 times the sum of the squares of ``x``, exactly, as one
+    Python int, so the ints of two sets of squares add to that of their
+    union; a NaN square gives NaN and an infinite one inf, as floats.
+    Each _CHUNK entries are squared and extracted (``_extract``) apart.
+    Below 32 entries each square, a Python float, is its own level, which
+    skips numpy's per-call cost (a sparse block's few products, say)."""
+    if x.size < _NUMPY_FROM:
+        squares = [v * v for v in x.tolist()]
+        try:
+            return sum(map(_scaled, squares))
+        except (OverflowError, ValueError):  # an inf or NaN square
+            return math.nan if any(map(math.isnan, squares)) else math.inf
+    total = 0
+    for start in range(0, x.size, _CHUNK):
+        total = _plus(total, _extract(_squares(x[start:start + _CHUNK])))
+    return total
 
 
 def _suffix_norms(sums) -> list:
-    """Entry k is the root of the ``_exact_sum`` values sums[k] + sums[k+1]
+    """Entry k is the root of the ``_square_sum`` values sums[k] + sums[k+1]
     + ..., added exactly and rounded once; an inf or NaN sum carries to
     every earlier entry, NaN over inf."""
     total, norms = 0, []
     for s in reversed(sums):
-        if isinstance(s, float) or isinstance(total, float):
-            total = sum(v for v in (s, total) if isinstance(v, float))
-        else:
-            total += s
+        total = _plus(s, total)
         norms.append(math.sqrt(_rounded(total)))
     return norms[::-1]
 
@@ -142,12 +161,14 @@ def exact_norm(x: np.ndarray) -> float:
     Where that sum exceeds the float range, or a square is infinite, the
     norm is inf, and a NaN entry gives NaN.  Short vectors go through
     ``math.fsum`` (squared as Python floats below 32 entries, which skips
-    numpy's per-call cost) and long ones through exponent bins
-    (``_bin_squares``); both round the same exact sum to nearest.  From 32
-    entries on, the zeros are dropped first, since a zero square adds
-    nothing (NaN and inf stay), and the path is chosen by the entries
-    left; below 32, adding the zeros costs less than finding them.  Every
-    block, tail, input and solution norm goes through this one kernel.
+    numpy's per-call cost) and from 512 entries on through error-free
+    extraction (``_square_sum``), which sums the squares exactly, chunk by
+    chunk, into one Python int; both round the same exact sum to nearest,
+    once.  From 32 entries on, the zeros are dropped first, since a zero
+    square adds nothing (NaN and inf stay), and the path is chosen by the
+    entries left; below 32, adding the zeros costs less than finding them.
+    Every block, tail, input and solution norm goes through this one
+    kernel.
     """
     if x.size >= _NUMPY_FROM:
         nonzero = x != 0.0
@@ -178,11 +199,17 @@ def _zeros(size: int) -> np.ndarray:
     From 2**16 entries (512 KiB) the array is a fresh anonymous mapping
     without huge pages: an ``np.zeros`` that large may reuse heap memory
     the allocator must clear, and numpy advises huge pages for it, so a
-    few scattered writes could map megabytes.
+    few scattered writes could map megabytes.  A mapping the system
+    refuses raises GuardExceeded, naming the bytes and the index.
     """
     if size < _MAPPED_FROM:
         return np.zeros(size)
-    pages = mmap.mmap(-1, 8 * size)
+    try:
+        pages = mmap.mmap(-1, 8 * size)
+    except OSError as exc:
+        raise GuardExceeded(
+            f"cannot reserve {8 * size} bytes for the products up to index "
+            f"{size}: {exc.strerror}") from exc
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         pages.madvise(mmap.MADV_NOHUGEPAGE)
     return np.frombuffer(pages, dtype=np.float64)
@@ -740,14 +767,15 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     writes in order; each block's ``values`` extend the last, and the
     caller must not write into them.  Past the support every product of a
     finite lam is zero, so none is formed, stored or read from ``f`` there.
-    ``total`` is the block's exact sum of squares for ``block_tails`` (None
-    under 2**11 entries, summed by ``math.fsum``), and ``norm`` has the
-    bits of ``block_norm``.  A block is formed chunk by chunk (2**14
-    indices) into the buffer and binned while in cache.  The buffer is
-    reserved once where the input stores that many coefficients itself (a
-    vector source or a finite table), at min(n_last, support, table
-    length); otherwise it grows geometrically, so a distant support bound
-    reserves nothing the walk does not read.  A rule spectrum's weights up
+    ``total`` is the block's exact sum of squares for ``block_tails``, a
+    ``_square_sum`` (None under 512 entries, summed by ``math.fsum``), and
+    ``norm`` has the bits of ``block_norm``.  A block is formed chunk by
+    chunk (2**14 indices) into the buffer, and each chunk's squares are
+    extracted while in cache; the chunks' ints add to the block's total.
+    The buffer is reserved once where the input stores that many
+    coefficients itself (a vector source or a finite table), at
+    min(n_last, support, table length); otherwise it grows geometrically,
+    so a distant support bound reserves nothing the walk does not read.  A rule spectrum's weights up
     to 2**14 come from its checked head, so each is evaluated and checked
     once per spectrum; deeper ones, past the support too, are evaluated and
     checked on every walk.  A non-finite norm raises ValueError, so no
@@ -791,7 +819,7 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
             grown = np.empty(size if bound is None else min(size, bound))
             grown[:start - 1] = buffer[:start - 1]
             buffer = grown
-        binned = end - start + 1 >= _FSUM_BELOW
+        summed = end - start + 1 >= _FSUM_BELOW
         finite = True
         if sparse is not None:  # the block's nonzeros are k..stop - 1
             k = bisect_left(where, start)
@@ -801,7 +829,7 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
             spans = _chunks(start, end)
         else:
             spans = [range(start, end + 1)] if start <= end else []
-        bins = _new_bins() if binned and sparse is None else None
+        total = 0 if summed and sparse is None else None
         for span in spans:
             if length is None and span.start <= _CHUNK:
                 lam = spectrum._checked_head(span.stop - 1)[
@@ -830,15 +858,14 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
                     continue
                 piece = buffer[span.start - 1:top]
                 _products(lam[:len(inside)], f.coefficients(inside), piece)
-            if bins is not None:
-                _bin_squares(piece, bins)
+            if total is not None:
+                total = _plus(total, _square_sum(piece))
         if sparse is not None:
-            total = _square_sum(np.array(products)) if binned else None
+            total = _square_sum(np.array(products)) if summed else None
             norm = (_list_norm(products) if total is None
                     else math.sqrt(_rounded(total)))
         else:
-            total = None if bins is None else _exact_sum(bins)
-            norm = (exact_norm(buffer[start - 1:top]) if bins is None
+            norm = (exact_norm(buffer[start - 1:top]) if total is None
                     else math.sqrt(_rounded(total)))
         if not (finite and math.isfinite(norm)):
             raise ValueError(
@@ -853,8 +880,11 @@ def block_tails(problem: Problem, f: CoefficientSource, values: np.ndarray,
     """``tail_norms`` at the ends of consecutive blocks, bit for bit.
 
     ``ends`` and ``totals`` are what ``read_blocks`` yielded for the
-    blocks and ``values`` the products at 1..ends[-1], binned where a
-    total is None; only the support past ends[-1] is read, once.
+    blocks and ``values`` the products at 1..ends[-1].  A block without a
+    total (under 512 entries) has its squares summed here, by the same
+    extraction kernel as the totals (``_square_sum``), and only the
+    support past ends[-1] is read, once; the exact ints then add from the
+    last block backwards, each tail rounded once.
     """
     sums = [_square_sum(values[lo:hi]) if total is None else total
             for lo, hi, total in zip(ends, ends[1:], totals[1:])]
@@ -896,12 +926,12 @@ def _solution_end(problem: Problem, f: CoefficientSource) -> int:
 
 
 def _product_sum(problem: Problem, f: CoefficientSource, lo: int, hi: int):
-    """The ``_exact_sum`` of the (lam_i * fhat_i)**2, i = lo..hi."""
-    bins = _new_bins()
+    """The ``_square_sum`` of the (lam_i * fhat_i)**2, i = lo..hi."""
+    total = 0
     for span in _chunks(lo, hi):
-        _bin_squares(problem.spectrum.values(span) * f.coefficients(span),
-                     bins)
-    return _exact_sum(bins)
+        total = _plus(total, _square_sum(problem.spectrum.values(span)
+                                         * f.coefficients(span)))
+    return total
 
 
 def tail_norm(problem: Problem, f: CoefficientSource, n: int) -> float:

@@ -372,9 +372,9 @@ def test_sweep_returns_one_frozen_walk_record(harmonic_doubling):
                               for j in range(blocks + 1))
     assert walk.values.size == min(walk.ends[-1], f.support_bound)
     assert not walk.values.flags.writeable
-    # blocks of 2**11 entries or more keep an exact sum; fsum summed the rest
+    # blocks of 2**9 entries or more keep an exact sum; fsum summed the rest
     sizes = np.diff((0,) + walk.ends)
-    assert [total is None for total in walk.sums] == list(sizes < 2 ** 11)
+    assert [total is None for total in walk.sums] == list(sizes < 2 ** 9)
     assert walk.true_errors() == tail_norms(
         harmonic_doubling, f, [run.cost for run in walk.runs])
     unbounded = CoefficientSource(lambda i: 2.0 ** -i)

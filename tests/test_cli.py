@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -701,6 +702,58 @@ def test_a_profile_past_the_float_range_fails_the_tolerance(
     assert err.startswith("adversarial: construction failed at epsilon=0.01: ")
     assert reason in err
     assert "Traceback" not in err
+
+
+def _adversarial_child(tmp_path, payload, limit=None):
+    """``adaptlin adversarial`` on ``payload`` in a child process, under an
+    address-space limit of ``limit`` bytes that the child sets itself."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    cfg = write_config(tmp_path, dict(payload, output=str(tmp_path / "out")))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "adaptlin.cli", "adversarial", "--config",
+         cfg, "--quiet"], env=env, capture_output=True, text=True,
+        timeout=300, preexec_fn=None if limit is None else cap)
+
+
+@pytest.mark.parametrize("payload", [
+    # the two-coordinate bump has entries near 1e-201 whose squares
+    # underflow: every piece norm would be 0
+    {"problem": {"spectrum": {"family": "periodic", "r": 1.566},
+                 "partition": {"kind": "arithmetic", "start": 2, "step": 1},
+                 "cone": {"a": 18.4, "b": 0.5}},
+     "epsilons": [0.0995, 9e-10], "rho": 1e-200,
+     "guards": {"j_max": 8, "n_max": 100}},
+    {"problem": {"spectrum": {"family": "geometric", "scale": 0.0074,
+                              "base": 2.0},
+                 "partition": {"kind": "arithmetic", "start": 3, "step": 1},
+                 "cone": {"a": 1.5, "b": 1e-6}},
+     "epsilons": [0.1, 1e-10], "rho": 1e-200, "adversarial": {"blocks": 7}},
+], ids=["periodic", "geometric"])
+def test_a_bump_whose_squares_underflow_still_fools(tmp_path, payload):
+    done = _adversarial_child(tmp_path, payload)
+    assert done.returncode in (0, 1) and "Traceback" not in done.stderr
+    entries = json.loads((tmp_path / "out" / "adversarial.json").read_text(
+        encoding="utf-8"))["entries"]
+    assert [entry["ok"] for entry in entries] == [True, True]
+
+
+def test_a_walk_buffer_the_system_refuses_fails_the_tolerance(tmp_path):
+    # the probe of 1e-150 grows toward the default index budget of 2**30;
+    # under a 4 GB address space its 4 GiB product buffer cannot be mapped
+    done = _adversarial_child(tmp_path, {
+        "problem": {"spectrum": {"family": "periodic", "r": 1.029},
+                    "partition": {"kind": "doubling", "start": 4},
+                    "cone": {"a": 1.5, "b": 0.107}},
+        "epsilons": [1e-2, 1e-150], "rho": 1.0}, limit=4_000_000_000)
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert re.search(r"construction failed at epsilon=1e-150: cannot reserve "
+                     r"\d+ bytes for the products up to index \d+",
+                     done.stderr)
 
 
 # -- example1 ------------------------------------------------------------------

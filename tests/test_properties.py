@@ -13,9 +13,9 @@ from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
                       random_cone_member, stop_block_bounds,
                       stop_block_bounds_rough, tail_norm, tail_norms,
                       true_error)
-from adaptlin.spectrum import block_decay_ratios, exact_norm
-from conftest import (brute_sigma, brute_worst_ratio, pair_ratio,
-                      profile_member, scan_complexity_lower_block,
+from adaptlin.spectrum import _square_sum, block_decay_ratios, exact_norm
+from conftest import (binned_square_sum, brute_sigma, brute_worst_ratio,
+                      pair_ratio, profile_member, scan_complexity_lower_block,
                       scan_stop_block_bound, scan_stop_block_bound_rough,
                       unit_spectrum)
 
@@ -140,10 +140,10 @@ def test_certified_bound_dominates_true_error_on_members(seed, eps):
 
 @st.composite
 def wide_vectors(draw):
-    """Vectors on both sides of exact_norm's fsum cutoff (2**11 entries),
+    """Vectors on both sides of exact_norm's fsum cutoff (2**9 entries),
     with zeros, subnormal squares and magnitudes 1e-160 .. 1e150."""
-    n = draw(st.one_of(st.integers(0, 2 ** 11 - 1),
-                       st.integers(2 ** 11, 2 ** 13)))
+    n = draw(st.one_of(st.integers(0, 2 ** 9 - 1),
+                       st.integers(2 ** 9, 2 ** 13)))
     low = draw(st.floats(-160.0, 150.0))
     high = draw(st.floats(low, 150.0))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -201,6 +201,68 @@ def test_exact_norm_has_the_bits_of_fsum(case):
     tails = tail_norms(problem, CoefficientSource.from_vector(x), cuts)
     for n, tail in zip(cuts, tails):
         assert same_float(tail, fsum_norm(x[n:]))
+
+
+SPECIALS = [0.0, -0.0, 5e-324, -2.5e-310, 1e-160, 5e151, -1e154,
+            math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def kernel_vectors(draw):
+    """Vectors for the summation kernel: 0 to 2**14 + 1 entries and a few
+    past 2**15, of raw bit patterns whose exponent field lies in a drawn
+    range (subnormals to squares that overflow), with drawn entries
+    replaced by +-0, subnormals, NaN and +-inf."""
+    n = draw(st.one_of(st.integers(0, 40), st.integers(0, 2 ** 14 + 1),
+                       st.sampled_from([2 ** 15 + 1, 2 ** 15 + 77])))
+    low = draw(st.integers(0, 2046))
+    high = draw(st.integers(low, min(low + draw(st.sampled_from(
+        [0, 30, 120, 2046])), 2046)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bits = rng.integers(0, 2 ** 63, n, dtype=np.uint64, endpoint=True)
+    bits &= np.uint64((1 << 52) - 1) | np.uint64(1 << 63)
+    bits |= rng.integers(low, high, n, dtype=np.uint64,
+                         endpoint=True) << np.uint64(52)
+    x = bits.view(np.float64)
+    for i, v in draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                        st.sampled_from(SPECIALS)),
+                              max_size=4 if n else 0)):
+        x[i] = v
+    return x
+
+
+def gaussian(n, seed=5):
+    return np.random.default_rng(seed).standard_normal(n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_vectors())
+# a negative level-1 residual: sigma from max r instead of max |r| would
+# give the right norm from a wrong integer
+@example(np.array([4.81824727e-121, 1.14258786e-72, 1.63225328e-116,
+                   2.32047014e+61, -1.76189112e-126, 8.79775670e+11]))
+# squares past 2**1008, whose sigma would pass the float range
+@example(5e151 * (1.0 + gaussian(3000) ** 2))
+@example(np.concatenate([gaussian(100) * 1e154, gaussian(50) * 1e-160]))
+# squares in the subnormal range, where the last grid is 2**-1074
+@example(1e-160 * gaussian(5000))
+@example(np.array([1e-160, -2e-160, 5e-324, 0.0, -0.0]))
+# NaN together with inf, in both orders and chunks apart
+@example(np.array([math.inf, 1.0, math.nan]))
+@example(np.array([math.nan, -math.inf]))
+@example(np.concatenate([[math.nan], np.ones(2 ** 14), [math.inf]]))
+# one chunk exactly, and one entry on either side of it
+@example(gaussian(2 ** 14 - 1))
+@example(gaussian(2 ** 14))
+@example(gaussian(2 ** 14 + 1))
+def test_the_summation_kernel_returns_the_exact_integer(x):
+    total = _square_sum(x)
+    expected = binned_square_sum(x)
+    if isinstance(expected, float):
+        assert isinstance(total, float) and same_float(total, expected)
+    else:
+        assert type(total) is int and total == expected
+    assert same_float(exact_norm(x), fsum_norm(x))
 
 
 # Zeros and norms in [1e-50, 1e50]: over at most 40 blocks with b >= 1/16

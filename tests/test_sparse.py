@@ -52,7 +52,7 @@ def spectrum_of(family, scale, shape):
 @st.composite
 def cases(draw):
     """(spectrum args, partition, last block, support, indices, values):
-    supports up to 40000, so blocks lie on both sides of 2**11 entries, of
+    supports up to 40000, so blocks lie on both sides of 2**9 entries, of
     the checked head's 2**14 and of the support."""
     family = draw(st.sampled_from(
         ["algebraic", "geometric", "periodic", "table", "infinite head",

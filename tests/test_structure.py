@@ -83,3 +83,10 @@ def test_the_cli_decides_no_bound_and_no_fooling_pair():
                 for alias in node.names}
     assert "bounds_table" in imported and "fooling_certificates" in imported
     assert imported & deciders == set()
+
+
+def test_one_summation_kernel_and_no_bincount():
+    # every exact sum of squares is error-free extraction in spectrum.py;
+    # the exponent-bin kernel survives only as the tests' oracle
+    assert [line for path in sorted(PACKAGE.glob("*.py"))
+            for _, line in attribute_calls(path, "bincount")] == []
