@@ -96,7 +96,10 @@ def _profiles(problem: Problem, rho: float, first: int,
             if drop > r * (1.0 + 1e-12):
                 raise ValueError(
                     f"ratio {r} is below the actual boundary drop {drop} at block {k}")
-        inflation = 1.0 + (a - 1.0) ** 2 / ((a + 1.0) ** 2 * r * r)
+        try:
+            inflation = 1.0 + (a - 1.0) ** 2 / ((a + 1.0) ** 2 * r * r)
+        except OverflowError:  # a past 2**511, where a + 1 and a - 1 are a
+            inflation = 1.0 + 1.0 / (r * r)
         scale = inflation * total
         if scale == math.inf:
             raise ValueError(f"the profile sum S_{depth} is past the float "
@@ -256,7 +259,7 @@ def solution_separation(problem: Problem, pair: FoolingPair) -> float:
     so one past the float range is inf without a warning.
     """
     places, entries = pair.bump.nonzeros
-    image = [problem.spectrum.values(range(i, i + 1)).item() * v
+    image = [problem.spectrum.checked(range(i, i + 1)).item() * v
              for i, v in zip(places.tolist(), entries.tolist())]
     return 2.0 * pair.shift * exact_norm(np.array(image))
 

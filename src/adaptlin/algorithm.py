@@ -104,7 +104,7 @@ def interpolate(problem: Problem, f: CoefficientSource, n: int) -> Approximation
             f"index {n} past the {length} enumerated singular values")
     top = n if f.support_bound is None else min(n, f.support_bound)
     span = range(1, top + 1)
-    values = problem.spectrum.values(span) * f.coefficients(span)
+    values = problem.spectrum.checked(span) * f.coefficients(span)
     values.flags.writeable = False
     return Approximation(values=values, cost=n)
 

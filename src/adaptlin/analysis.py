@@ -133,7 +133,10 @@ def _bracket(cone: ConeParams, ratio: float) -> float:
     """(a+1)**2 ratio**2 / (a-1)**2 + 1, for a boundary ratio bound >= 1."""
     if ratio < 1.0:
         raise ValueError("ratio must be at least 1")
-    return (cone.a + 1.0) ** 2 * ratio * ratio / (cone.a - 1.0) ** 2 + 1.0
+    try:
+        return (cone.a + 1.0) ** 2 * ratio * ratio / (cone.a - 1.0) ** 2 + 1.0
+    except OverflowError:  # a past 2**511, where a + 1 and a - 1 are a
+        return ratio * ratio + 1.0
 
 
 def tolerance_shrink_factor(cone: ConeParams, ratio: float) -> float:
@@ -144,13 +147,15 @@ def tolerance_shrink_factor(cone: ConeParams, ratio: float) -> float:
         sqrt( (1 - b**2) / (a**4 * (1 + b**2 R**2 + b**4 R**4))
               / ((a+1)**2 R**2 / (a-1)**2 + 1) )
 
-    which always lies strictly between 0 and 1.
+    which lies in [0, 1), and is 0.0 where a**4 or (b R)**4 overflows.
     """
     bracket = _bracket(cone, ratio)
     a, b = cone.a, cone.b
-    numerator = 1.0 - b * b
-    spread = 1.0 + (b * ratio) ** 2 + (b * ratio) ** 4
-    return math.sqrt(numerator / (a ** 4 * spread) / bracket)
+    try:
+        spread = a ** 4 * (1.0 + (b * ratio) ** 2 + (b * ratio) ** 4)
+    except OverflowError:
+        return 0.0
+    return math.sqrt((1.0 - b * b) / spread / bracket)
 
 
 _UNSETTLED = {
@@ -411,7 +416,7 @@ class BoundsRow(NamedTuple):
     j_dagger_first: Optional[int]
     j_star_lower: Optional[int]
     omega: Optional[float]
-    R: float
+    R: Optional[float]
     guard: Optional[str]
     note: Optional[str]
     n_dagger: Optional[int]
@@ -423,19 +428,24 @@ def bounds_table(problem: Problem, epsilons, rho: float, *,
                  block_limit: int = DEFAULT_BLOCK_LIMIT) -> list:
     """A ``BoundsRow`` per distinct tolerance, largest first, with R from
     ``boundary_ratio(problem, block_limit)`` and omega its
-    ``tolerance_shrink_factor``.  One scan per bound serves the list, and
+    ``tolerance_shrink_factor``; from n_0 = 0 a limit of one block scans
+    no drop, so R and omega are None.  One scan per bound serves the list, and
     each bound is computed only for the tolerances every earlier one
     settled, so no scan reads a block a loop over the tolerances would not.
     An omega * epsilon that underflows to 0 settles at no block."""
     epsilons = sorted(set(epsilons), reverse=True)
-    scan = boundary_ratio(problem, block_limit)
+    from_zero = problem.partition.boundary(0) < 1
+    # from n_0 = 0 the first drop is lam_{n_1} / lam_{n_2}, past one block
+    scan = (None if from_zero and block_limit < 2
+            else boundary_ratio(problem, block_limit))
     omega = note = None
-    if scan.still_growing:
+    if scan is not None and scan.still_growing:
         note = ("boundary ratio still growing at the scan limit; omega and "
                 "lower bounds omitted")
     else:
-        omega = tolerance_shrink_factor(problem.cone, scan.value)
-        if problem.partition.boundary(0) < 1:
+        if scan is not None:
+            omega = tolerance_shrink_factor(problem.cone, scan.value)
+        if from_zero:
             note = ("partition starts at n_0 = 0, where the lower-bound "
                     "construction is undefined; column left empty")
     columns, guards = {eps: [] for eps in epsilons}, {}
@@ -468,7 +478,8 @@ def bounds_table(problem: Problem, epsilons, rho: float, *,
         n_lower = (None if j_lower is None
                    else problem.partition.boundary(j_lower))
         rows.append(BoundsRow(
-            eps, rho, j_dagger, j_rough, j_first, j_lower, omega, scan.value,
+            eps, rho, j_dagger, j_rough, j_first, j_lower, omega,
+            None if scan is None else scan.value,
             guards.get(eps), note, n_dagger, n_lower,
             None if n_lower is None else n_dagger <= n_lower))
     return rows

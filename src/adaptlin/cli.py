@@ -264,31 +264,30 @@ def write_json(path, payload):
         fh.write(text)
 
 
-def _svg_line_chart(path, xs, ys, *, title, x_label, y_label,
-                    log_x=True, log_y=True):
-    """Minimal polyline chart; decade gridlines on log axes."""
+def _svg_line_chart(path, xs, ys, *, title, x_label, y_label):
+    """Minimal polyline chart on log axes, with decade gridlines."""
     width, height = 640, 440
     left, right, top, bottom = 70, 20, 36, 50
     xs = [float(v) for v in xs]
     ys = [float(v) for v in ys]
 
-    def span(values, log_scale):
-        vals = [math.log10(v) for v in values] if log_scale else list(values)
+    def span(values):
+        vals = [math.log10(v) for v in values]
         lo, hi = min(vals), max(vals)
         if hi - lo < 1e-12:
             lo, hi = lo - 0.5, hi + 0.5
         pad = 0.05 * (hi - lo)
         return lo - pad, hi + pad
 
-    x_lo, x_hi = span(xs, log_x)
-    y_lo, y_hi = span(ys, log_y)
+    x_lo, x_hi = span(xs)
+    y_lo, y_hi = span(ys)
 
     def px(v):
-        t = (math.log10(v) if log_x else v)
+        t = math.log10(v)
         return left + (t - x_lo) / (x_hi - x_lo) * (width - left - right)
 
     def py(v):
-        t = (math.log10(v) if log_y else v)
+        t = math.log10(v)
         return height - bottom - (t - y_lo) / (y_hi - y_lo) * (height - top - bottom)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -302,20 +301,18 @@ def _svg_line_chart(path, xs, ys, *, title, x_label, y_label,
 
     grid = 'stroke="#cccccc" stroke-width="1"'
     label = 'font-family="sans-serif" font-size="11" fill="#333333"'
-    if log_x:
-        for k in decades(x_lo, x_hi):
-            x = left + (k - x_lo) / (x_hi - x_lo) * (width - left - right)
-            parts.append(f'<line x1="{x:.1f}" y1="{top}" x2="{x:.1f}" '
-                         f'y2="{height - bottom}" {grid}/>')
-            parts.append(f'<text x="{x:.1f}" y="{height - bottom + 16}" '
-                         f'text-anchor="middle" {label}>1e{k}</text>')
-    if log_y:
-        for k in decades(y_lo, y_hi):
-            y = height - bottom - (k - y_lo) / (y_hi - y_lo) * (height - top - bottom)
-            parts.append(f'<line x1="{left}" y1="{y:.1f}" '
-                         f'x2="{width - right}" y2="{y:.1f}" {grid}/>')
-            parts.append(f'<text x="{left - 6}" y="{y + 4:.1f}" '
-                         f'text-anchor="end" {label}>1e{k}</text>')
+    for k in decades(x_lo, x_hi):
+        x = left + (k - x_lo) / (x_hi - x_lo) * (width - left - right)
+        parts.append(f'<line x1="{x:.1f}" y1="{top}" x2="{x:.1f}" '
+                     f'y2="{height - bottom}" {grid}/>')
+        parts.append(f'<text x="{x:.1f}" y="{height - bottom + 16}" '
+                     f'text-anchor="middle" {label}>1e{k}</text>')
+    for k in decades(y_lo, y_hi):
+        y = height - bottom - (k - y_lo) / (y_hi - y_lo) * (height - top - bottom)
+        parts.append(f'<line x1="{left}" y1="{y:.1f}" '
+                     f'x2="{width - right}" y2="{y:.1f}" {grid}/>')
+        parts.append(f'<text x="{left - 6}" y="{y + 4:.1f}" '
+                     f'text-anchor="end" {label}>1e{k}</text>')
     parts.append(f'<rect x="{left}" y="{top}" width="{width - left - right}" '
                  f'height="{height - top - bottom}" fill="none" '
                  f'stroke="#000000"/>')

@@ -48,7 +48,7 @@ class PeriodicApproximation:
     def __init__(self, r: float):
         self.r = float(r)
         self.spectrum = periodic_approximation_spectrum(self.r)
-        lead = self.spectrum.values(range(1, 4))
+        lead = self.spectrum.checked(range(1, 4))
         if not np.all(lead == 1.0):
             raise ValueError("leading three weights must equal one")
 
@@ -122,7 +122,7 @@ class MultiIndexSpectrum:
         self._spectrum = SingularSpectrum.from_values(
             weights, name=f"derivative(d={dimension}, k_max={k_max})")
         # (N,) matching singular values: the spectrum's read-only table
-        self.weights = self._spectrum.values(range(1, weights.size + 1))
+        self.weights = self._spectrum.checked(range(1, weights.size + 1))
 
     def __len__(self):
         return int(self.weights.size)

@@ -45,13 +45,6 @@ _MEMBER_SLACK = 1e-9  # relative slack of a membership verdict on the ratio
 _MAPPED_FROM = 2 ** 16  # entries from which ``_zeros`` maps fresh pages
 
 
-# an overflowing square is inf, and so is the sum; as a decorator errstate
-# costs about 0.6 us a call, a quarter of a with block, which short blocks feel
-@np.errstate(over="ignore")
-def _squares(x: np.ndarray) -> np.ndarray:
-    return np.square(x)
-
-
 def _scaled(level: float) -> int:
     """2**1074 times ``level``, a float, so a multiple of 2**-1074."""
     numerator, denominator = level.as_integer_ratio()
@@ -123,6 +116,9 @@ def _rounded(total) -> float:
         return math.inf
 
 
+# an overflowing square is inf, and so is the sum; as a decorator errstate
+# costs about 0.6 us a call, a quarter of a with block, which short blocks feel
+@np.errstate(over="ignore")
 def _square_sum(x: np.ndarray):
     """2**1074 times the sum of the squares of ``x``, exactly, as one
     Python int, so the ints of two sets of squares add to that of their
@@ -138,7 +134,7 @@ def _square_sum(x: np.ndarray):
             return math.nan if any(map(math.isnan, squares)) else math.inf
     total = 0
     for start in range(0, x.size, _CHUNK):
-        total = _plus(total, _extract(_squares(x[start:start + _CHUNK])))
+        total = _plus(total, _extract(np.square(x[start:start + _CHUNK])))
     return total
 
 
@@ -160,15 +156,14 @@ def exact_norm(x: np.ndarray) -> float:
     on the order of ``x`` and has the bits of ``sqrt(math.fsum(x*x))``.
     Where that sum exceeds the float range, or a square is infinite, the
     norm is inf, and a NaN entry gives NaN.  Short vectors go through
-    ``math.fsum`` (squared as Python floats below 32 entries, which skips
-    numpy's per-call cost) and from 512 entries on through error-free
-    extraction (``_square_sum``), which sums the squares exactly, chunk by
-    chunk, into one Python int; both round the same exact sum to nearest,
-    once.  From 32 entries on, the zeros are dropped first, since a zero
-    square adds nothing (NaN and inf stay), and the path is chosen by the
-    entries left; below 32, adding the zeros costs less than finding them.
-    Every block, tail, input and solution norm goes through this one
-    kernel.
+    ``math.fsum`` over their entries squared as Python floats
+    (``_list_norm``) and from 512 entries on through error-free extraction
+    (``_square_sum``), which sums the squares exactly, chunk by chunk,
+    into one Python int; both round the same exact sum to nearest, once.
+    From 32 entries on, the zeros are dropped first, since a zero square
+    adds nothing (NaN and inf stay), and the path is chosen by the entries
+    left; below 32, adding the zeros costs less than finding them.  Every
+    block, tail, input and solution norm goes through this one kernel.
     """
     if x.size >= _NUMPY_FROM:
         nonzero = x != 0.0
@@ -176,12 +171,7 @@ def exact_norm(x: np.ndarray) -> float:
             x = x[nonzero]
     if x.size >= _FSUM_BELOW:
         return math.sqrt(_rounded(_square_sum(x)))
-    if x.size < _NUMPY_FROM:
-        return _list_norm(x.tolist())
-    try:
-        return math.sqrt(math.fsum(_squares(x).tolist()))
-    except OverflowError:  # finite squares whose sum leaves the float range
-        return math.nan if np.isnan(x).any() else math.inf
+    return _list_norm(x.tolist())
 
 
 def _list_norm(values: list) -> float:
@@ -246,11 +236,11 @@ class SingularSpectrum:
     spectra keep their values in a read-only copy, have no rule, and refuse
     queries past the end.
 
-    A rule spectrum also keeps a checked head lam_1..lam_m for
-    ``read_blocks``: m is the deepest index a walk has asked for, capped at
-    _CHUNK (2**14 weights, 128 KiB).  Each index of the head is evaluated
-    and checked once, when a walk first reaches it, and never before, so a
-    rule that fails deep down fails only the walks that get there.
+    Every lam that multiplies a coefficient is read through ``checked``.
+    A rule spectrum keeps a watermark m, the deepest index checked so far,
+    with lam_m and the head lam_1..lam_min(m, 2**14), and no other array,
+    so a rule that fails deep down fails only the reads that get there.  A
+    table, checked at construction, is its own head below an infinite m.
     """
 
     def __init__(self, rule: Optional[Callable], *, name: str = "spectrum",
@@ -258,13 +248,15 @@ class SingularSpectrum:
         self._rule = rule
         self._table = None
         self._head = np.empty(0)
+        self._mark, self._last = 0, math.inf  # m and lam_m
         self.name = name
         if table is not None:
             self._table = np.array(table, dtype=np.float64)
             if self._table.ndim != 1 or self._table.size == 0:
                 raise ValueError("enumerated spectrum must be a non-empty 1-d array")
-            self.check_run(self._table)
+            self._check_run(self._table)
             self._table.flags.writeable = False
+            self._head, self._mark = self._table, math.inf
 
     # -- constructors ------------------------------------------------------
 
@@ -306,7 +298,10 @@ class SingularSpectrum:
 
     @classmethod
     def from_rule(cls, fn: Callable, *, name: str = "rule") -> "SingularSpectrum":
-        """Spectrum given by a rule that maps float index arrays to weights."""
+        """Spectrum given by a rule that maps float index arrays to weights.
+
+        The rule must be a pure function of the index: the head and the
+        watermark keep what it gave, and a later read trusts it."""
         return cls(fn, name=name)
 
     # -- access ------------------------------------------------------------
@@ -377,12 +372,35 @@ class SingularSpectrum:
                 lo = mid
         return hi
 
-    def check_run(self, vals: np.ndarray, previous: float = math.inf) -> None:
-        """Raise ValueError unless ``vals`` are positive and non-increasing.
+    def checked(self, indices: range) -> np.ndarray:
+        """Weights at ``indices``, a step-1 range of 1-based indices, once
+        lam_1 through its end are known to be positive and non-increasing.
+        Those at or below the watermark m are only evaluated, as head slices
+        up to 2**14; those past it are also checked, chunk by chunk, and m
+        moves up with each chunk that passes.  A failed chunk raises
+        ValueError and leaves m short of it, so every read that reaches the
+        fault fails alike.  No index of a read is evaluated twice."""
+        lo, hi = _bounds(indices)
+        if hi <= self._head.size:
+            return self._head[lo - 1:hi]
+        mark = self._mark
+        if hi <= mark or lo > hi:
+            return self.values(indices)
+        parts = [self.checked(range(lo, mark + 1))] if lo <= mark else []
+        for span in _chunks(mark + 1, hi):
+            lam = self.values(span)
+            self._check_run(lam, self._last)
+            if span.start <= _CHUNK:  # the head's chunk
+                self._head = np.concatenate((self._head, lam))
+                self._head.flags.writeable = False
+            self._mark, self._last = span.stop - 1, lam[-1]
+            if span.stop > lo:
+                parts.append(lam[max(lo - span.start, 0):])
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-        ``vals`` are consecutive weights and ``previous`` is the weight just
-        before the first of them, so a long run can be checked in pieces.
-        """
+    def _check_run(self, vals: np.ndarray, previous: float = math.inf) -> None:
+        """Raise ValueError unless ``vals``, consecutive weights after one
+        of weight ``previous``, are positive and non-increasing."""
         # non-increasing down to a positive last value: one pass, NaN fails
         if not vals.size or (vals[-1] > 0.0 and vals[0] <= previous
                              and (vals[1:] <= vals[:-1]).all()):
@@ -391,27 +409,10 @@ class SingularSpectrum:
             raise ValueError(f"{self.name}: singular values must be positive")
         raise ValueError(f"{self.name}: singular values must be non-increasing")
 
-    def _checked_head(self, hi: int) -> np.ndarray:
-        """The read-only head lam_1..lam_m of a rule, with m at least
-        min(hi, _CHUNK).  Only the new indices are evaluated, through
-        ``values``, and checked against the last old one; a failed check
-        raises and leaves the head as it was, so every later walk fails
-        the same way."""
-        head = self._head
-        top = min(hi, _CHUNK)
-        if top > head.size:
-            new = self.values(range(head.size + 1, top + 1))
-            self.check_run(new, head[-1] if head.size else math.inf)
-            head = np.concatenate((head, new))
-            head.flags.writeable = False
-            self._head = head
-        return head
-
     def validate_prefix(self, count: int = 32) -> None:
-        """Check positivity and monotonicity on the first ``count`` indices."""
-        if self._table is not None:
-            return  # validated at construction
-        self.check_run(self.values(range(1, count + 1)))
+        """Check the first ``count`` weights of a rule; a table is checked."""
+        if self._table is None:
+            self.checked(range(1, count + 1))
 
     def __repr__(self):
         return f"SingularSpectrum({self.name})"
@@ -769,30 +770,25 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     finite lam is zero, so none is formed, stored or read from ``f`` there.
     ``total`` is the block's exact sum of squares for ``block_tails``, a
     ``_square_sum`` (None under 512 entries, summed by ``math.fsum``), and
-    ``norm`` has the bits of ``block_norm``.  A block is formed chunk by
-    chunk (2**14 indices) into the buffer, and each chunk's squares are
-    extracted while in cache; the chunks' ints add to the block's total.
+    ``norm`` has the bits of ``block_norm``.  Each chunk of 2**14 indices
+    is formed into the buffer and its squares extracted while in cache.
     The buffer is reserved once where the input stores that many
     coefficients itself (a vector source or a finite table), at
     min(n_last, support, table length); otherwise it grows geometrically,
-    so a distant support bound reserves nothing the walk does not read.  A rule spectrum's weights up
-    to 2**14 come from its checked head, so each is evaluated and checked
-    once per spectrum; deeper ones, past the support too, are evaluated and
-    checked on every walk.  A non-finite norm raises ValueError, so no
-    certificate rests on it; an infinite lam past the support times the
+    so a distant support bound reserves nothing the walk does not read.
+    Every lam the walk passes, past the support too, comes from
+    ``SingularSpectrum.checked``.  A non-finite norm raises ValueError, so
+    no certificate rests on it; an infinite lam past the support times the
     zero coefficient counts as NaN.
 
     A ``from_sparse`` source is read at its nonzeros alone: the buffer is
     zeros (``_zeros``, reserved as for a vector source), each block finds
-    its nonzeros by bisection and writes lam_i * fhat_i there, and its
-    norm and total come from those products, since a zero square adds
-    nothing to an exact sum; a block without one has norm 0.  Every lam
-    the walk passes is still evaluated and checked as above, and the
-    nonzeros take theirs from the same chunks.  lam is non-increasing, so
-    a block holds an infinite lam, which the dense products would turn
-    into inf or NaN, exactly where its first one is infinite.  The yields
-    have the bits of those of ``CoefficientSource.from_vector`` over the
-    same coefficients.
+    its nonzeros by bisection and writes lam_i * fhat_i there from the
+    same chunks of lam, and its norm and total come from those products,
+    since a zero square adds nothing to an exact sum.  lam is
+    non-increasing, so a block holds an infinite lam, which the dense
+    products would turn into inf or NaN, exactly where its first one is.
+    The yields have the bits of ``CoefficientSource.from_vector``'s.
     """
     spectrum, partition = problem.spectrum, problem.partition
     length, support = spectrum.enumerated_length, f.support_bound
@@ -805,7 +801,7 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     else:
         buffer = np.empty(min(bound, partition.boundary(last))
                           if f._stored or length is not None else 0)
-    start, previous, n = 1, math.inf, partition.boundary(0)
+    start, n = 1, partition.boundary(0)
     for j in range(last + 1):
         if j:  # the check of ``Partition.block``, on one new boundary
             lo, n = n, partition.boundary(j)
@@ -831,14 +827,7 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
             spans = [range(start, end + 1)] if start <= end else []
         total = 0 if summed and sparse is None else None
         for span in spans:
-            if length is None and span.start <= _CHUNK:
-                lam = spectrum._checked_head(span.stop - 1)[
-                    span.start - 1:span.stop - 1]
-            else:
-                lam = spectrum.values(span)
-                if length is None:
-                    spectrum.check_run(lam, previous)
-            previous = lam[-1]
+            lam = spectrum.checked(span)
             if sparse is not None:  # the span's nonzeros are the next ones
                 finite = finite and lam.item(0) < math.inf
                 while k < stop and where[k] < span.stop:
@@ -929,7 +918,7 @@ def _product_sum(problem: Problem, f: CoefficientSource, lo: int, hi: int):
     """The ``_square_sum`` of the (lam_i * fhat_i)**2, i = lo..hi."""
     total = 0
     for span in _chunks(lo, hi):
-        total = _plus(total, _square_sum(problem.spectrum.values(span)
+        total = _plus(total, _square_sum(problem.spectrum.checked(span)
                                          * f.coefficients(span)))
     return total
 
@@ -978,7 +967,6 @@ def random_cone_member(problem: Problem, rng: np.random.Generator,
                                                    dtype=np.float64)
     # the trailing zero lets the source read this array without a copy
     padded = np.zeros(problem.partition.boundary(blocks) + 1)
-    previous = math.inf
     for j in range(1, blocks + 1):
         lo, hi = problem.partition.block(j)
         weights = padded[lo - 1:hi]
@@ -991,9 +979,7 @@ def random_cone_member(problem: Problem, rng: np.random.Generator,
             weights *= profile[j - 1]
         weights /= norm
         for span in _chunks(lo, hi):
-            lam = problem.spectrum.values(span)
-            problem.spectrum.check_run(lam, previous)
-            previous = lam[-1]
+            lam = problem.spectrum.checked(span)
             with _past_range(f"the coefficients of block {j} overflow: "
                              "its norm over lam is past the float range"):
                 weights[span.start - lo:span.stop - lo] /= lam

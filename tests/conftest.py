@@ -54,6 +54,30 @@ def unit_spectrum():
         name="unit")
 
 
+class CountedHarmonic(SingularSpectrum):
+    """lam_i = 1/i, recording the float indices each rule call evaluates
+    in ``reads`` and those each check covers in ``checks``; the harmonic
+    weights name their indices, i = 1 / lam_i."""
+
+    def __init__(self):
+        self.reads, self.checks = [], []
+
+        def harmonic(i):
+            self.reads.append(np.array(i))
+            return 1.0 / i
+
+        super().__init__(harmonic, name="counted")
+
+    def _check_run(self, vals, previous=math.inf):
+        self.checks.append(np.rint(1.0 / vals))
+        super()._check_run(vals, previous)
+
+    @staticmethod
+    def counts(indices):
+        """How often each index 0, 1, ... occurs in ``indices``."""
+        return np.bincount(np.concatenate(indices).astype(np.int64))
+
+
 def coefficient_of(f):
     """Per-index reader of ``f``: each index is read as its own range."""
     return lambda i: f.coefficients(range(i, i + 1))[0]

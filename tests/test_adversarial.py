@@ -24,6 +24,14 @@ def harmonic_problem():
 
 # -- amplitude and base input ------------------------------------------------
 
+def test_fooling_scale_of_a_cone_past_2_to_the_511():
+    # (a-1)**2 / (a+1)**2 is 1 past 2**53, where its squares overflow or not
+    scales = [fooling_scale(Problem(SingularSpectrum.algebraic(1.0, 1.0),
+                                    Partition.doubling(1), ConeParams(a, 0.5)),
+                            2.0, 1.0, 6) for a in (1e150, 1e200)]
+    assert scales[0] == scales[1]
+
+
 def test_fooling_scale_hand_value():
     # flat weights, two blocks: c**2 = rho**2 / ((10/9) * (16 + 4 + 1))
     c = fooling_scale(unit_problem(), 1.0, 1.0, 2)

@@ -18,8 +18,8 @@ from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
                       tail_norms, true_error)
 from adaptlin.cli import _sweep
 
-from conftest import (brute_tail, coefficient_of, profile_member,
-                      unit_spectrum)
+from conftest import (CountedHarmonic, brute_tail, coefficient_of,
+                      profile_member, unit_spectrum)
 
 
 def geometric_coefficients(support=8):
@@ -520,45 +520,32 @@ def test_a_block_that_straddles_the_support_keeps_its_bits(spectrum, f):
 # -- the sweep's true errors -------------------------------------------------
 
 def test_sweep_reads_each_weight_once():
-    reads = []
-
-    def harmonic(i):
-        reads.append(np.array(i))
-        return 1.0 / i
-
-    problem = Problem(SingularSpectrum.from_rule(harmonic, name="counted"),
-                      Partition.doubling(1), ConeParams(2.0, 0.5))
+    # counted from the problem's construction on: the draw checks lam
+    # through its support of 2**15, and the tightest tolerance stops on
+    # block 16, 32769..65536, past it.  Each lam of the 2**14 head is
+    # evaluated once; the walk evaluates again those the draw checked past
+    # the head, but checks only those past the draw, and the true errors
+    # read none again
+    spectrum = CountedHarmonic()
+    problem = Problem(spectrum, Partition.doubling(1), ConeParams(2.0, 0.5))
     f = random_cone_member(problem, np.random.default_rng(40), 15)
-    reads.clear()
-    # the tightest tolerance stops on block 16, 32769..65536, past the
-    # support of 2**15: the walk reads every weight through 65536 once and
-    # the true errors read none again
     walk, rows = _sweep(problem, f, [0.3, 0.02, 1e-3, 1e-12], 64)
     runs = walk.runs
     assert [run.cost for run in runs][-1] == 2 ** 16
-    counts = np.bincount(np.concatenate(reads).astype(np.int64))
-    assert counts.size == 2 ** 16 + 1
-    assert counts[0] == 0 and (counts[1:] == 1).all()
+    reads, checks = map(spectrum.counts, (spectrum.reads, spectrum.checks))
+    assert reads.size == checks.size == 2 ** 16 + 1
+    assert reads[0] == checks[0] == 0 and (checks[1:] == 1).all()
+    assert (reads[1:2 ** 14 + 1] == 1).all()
+    assert (reads[2 ** 14 + 1:2 ** 15 + 1] == 2).all()
+    assert (reads[2 ** 15 + 1:] == 1).all()
     assert [row["true_error"] for row in rows] \
         == tail_norms(problem, f, [run.cost for run in runs])
 
 
-def counted_harmonic(reads):
-    """Harmonic doubling problem whose rule records every index it is
-    asked for in ``reads``."""
-    def harmonic(i):
-        reads.append(np.array(i))
-        return 1.0 / i
-
-    return Problem(SingularSpectrum.from_rule(harmonic, name="counted"),
-                   Partition.doubling(1), ConeParams(2.0, 0.5))
-
-
 def test_walks_on_one_problem_read_each_weight_of_the_head_once():
-    reads = []
-    problem = counted_harmonic(reads)
+    spectrum = CountedHarmonic()
+    problem = Problem(spectrum, Partition.doubling(1), ConeParams(2.0, 0.5))
     f = random_cone_member(problem, np.random.default_rng(42), 12)
-    reads.clear()
     # the tightest tolerance stops on block 13, 4097..8192, past the
     # support of 2**12, so the true errors read nothing past the walk; the
     # membership test and the later runs read inside the walk's reach
@@ -567,14 +554,15 @@ def test_walks_on_one_problem_read_each_weight_of_the_head_once():
     assert cone_membership(problem, f).member
     for eps in (1e-12, 0.3):
         adaptive_algorithm(problem, f, eps)
-    counts = np.bincount(np.concatenate(reads).astype(np.int64))
-    assert counts.size == 2 ** 13 + 1
-    assert counts[0] == 0 and (counts[1:] == 1).all()
+    # counted from the problem's construction on, each weight once
+    for counts in map(spectrum.counts, (spectrum.reads, spectrum.checks)):
+        assert counts.size == 2 ** 13 + 1
+        assert counts[0] == 0 and (counts[1:] == 1).all()
 
 
 def test_a_rule_that_fails_deep_down_fails_only_the_walks_that_get_there():
-    # lam_i = 2 / 2**i underflows to zero at i = 1076, in block 11,
-    # 1025..2048, of the doubling partition
+    # lam_i = 2 / 2**i is zero from i = 1024 on, where 2**i overflows, in
+    # block 10, 513..1024, of the doubling partition
     reads = []
 
     def halving(i):
@@ -585,10 +573,10 @@ def test_a_rule_that_fails_deep_down_fails_only_the_walks_that_get_there():
     problem = Problem(SingularSpectrum.from_rule(halving, name="halving"),
                       Partition.doubling(1), ConeParams(2.0, 0.5))
     f = CoefficientSource.from_vector(np.ones(2048))
-    reads.clear()
     shallow = adaptive_algorithm(problem, f, 0.5)
-    # nothing past the walk's stop block is evaluated
-    assert shallow.cost == 4 and max(np.concatenate(reads)) == 4
+    # nothing past the problem's check of 1..16 and the walk's stop block
+    # is evaluated
+    assert shallow.cost == 4 and max(np.concatenate(reads)) == 16
     for _ in range(2):
         with pytest.raises(ValueError,
                            match="halving: singular values must be positive"):
@@ -597,6 +585,10 @@ def test_a_rule_that_fails_deep_down_fails_only_the_walks_that_get_there():
         cone_membership(problem, f)
     again = adaptive_algorithm(problem, f, 0.5)
     assert np.array_equal(again.values, shallow.values)
+    # each failed read evaluated the faulty block again, and nothing past it
+    counts = CountedHarmonic.counts(reads)
+    assert counts.size == 1025 and (counts[1:513] == 1).all()
+    assert (counts[513:] == 3).all()
 
 
 def remainder_sweep():

@@ -89,6 +89,22 @@ def test_shrink_factor_always_inside_unit_interval():
                 assert 0.0 < omega < 1.0
 
 
+def test_shrink_factor_past_the_float_range_is_zero():
+    # (b R)**4 and a**4 overflow; omega is 0, so no lower bound settles
+    assert tolerance_shrink_factor(CONE, 4.0 ** 129) == 0.0
+    assert tolerance_shrink_factor(ConeParams(1e200, 0.5), 2.0) == 0.0
+
+
+def test_lower_bounds_of_a_cone_past_2_to_the_511():
+    # past 2**53, a + 1 and a - 1 are a, so (a+1)**2 / (a-1)**2 is 1 both
+    # where its squares overflow (1e200) and where they do not (1e150)
+    blocks = [complexity_lower_blocks(
+        Problem(SingularSpectrum.algebraic(1.0, 1.0), Partition.doubling(1),
+                ConeParams(a, 0.5)), 2.0, [10.0 ** -k for k in range(12)],
+        1.0) for a in (1e150, 1e200)]
+    assert blocks[0] == blocks[1] and len(set(blocks[0])) > 3
+
+
 # -- stopping block bounds ---------------------------------------------------
 
 def bracket_value(problem, j):

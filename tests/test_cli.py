@@ -578,6 +578,61 @@ def test_bounds_reports_a_violated_chain_where_the_lower_bound_is_block_zero(
     assert [(row[2], row[5]) for row in rows] == [("1", "0")]
 
 
+@pytest.mark.parametrize("problem_cfg", [
+    _problem(partition={"kind": "zero-doubling", "first": 4}),
+    _problem(partition={"kind": "arithmetic", "start": 0, "step": 4}),
+    {"problem": {"spectrum": {"family": "derivative", "dimension": 2,
+                              "k_max": 4}}},
+], ids=["zero-doubling", "arithmetic-from-0", "derivative-partition"])
+def test_bounds_with_n0_zero_and_one_block_has_no_ratio(tmp_path, capsys,
+                                                        problem_cfg):
+    # from n_0 = 0 the first drop lies past a one-block limit: no R, no
+    # omega and no lower bound, but the stop bounds stand
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(problem_cfg, epsilons=[100.0, 0.01],
+                                      output=str(out)))
+    assert cli.main(["bounds", "--config", cfg, "--jmax", "1",
+                     "--quiet"]) in (0, 1)
+    err = capsys.readouterr().err
+    assert err.startswith("bounds: partition starts at n_0 = 0")
+    assert "Traceback" not in err
+    _, rows = read_csv(out / "bounds.csv")
+    assert [row[0] for row in rows] == ["100.0"]
+    assert rows[0][2] == "1" and rows[0][5:] == ["", "", ""]
+
+
+def test_bounds_with_a_ratio_past_the_float_range_has_omega_zero(tmp_path,
+                                                                 capsys):
+    # R = 4**129 makes (b R)**4 overflow: omega is 0.0, and no lower bound
+    # settles, as for an omega * epsilon that underflows
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "problem": {"spectrum": {"family": "geometric", "base": 4.0},
+                    "partition": {"kind": "explicit",
+                                  "boundaries": [1, 130]}},
+        "epsilons": [1.0], "guards": {"j_max": 1}, "output": str(out)})
+    assert cli.main(["bounds", "--config", cfg, "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "bounds: guard exceeded in lower bound at epsilon=1.0: lower-bound "
+        "block still growing at block limit 1\n")
+    _, rows = read_csv(out / "bounds.csv")
+    assert rows[0][5:] == ["", "0.0", repr(4.0 ** 129)]
+
+
+@pytest.mark.parametrize("command, message", [
+    ("bounds", "bounds: guard exceeded at epsilon=1.0"),
+    ("adversarial", "adversarial: construction failed at epsilon=1.0")])
+def test_a_cone_past_2_to_the_511_is_no_traceback(tmp_path, capsys, command,
+                                                  message):
+    # (a + 1)**2 overflows; a + 1 and a - 1 are a there, so their ratio is 1
+    cfg = write_config(tmp_path, {
+        "problem": dict(ALGEBRAIC, cone={"a": 1e200, "b": 0.5}),
+        "epsilons": [1.0], "guards": {"j_max": 4},
+        "output": str(tmp_path / "out")})
+    assert cli.main([command, "--config", cfg, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
 # -- adversarial ---------------------------------------------------------------
 
 def entry_of(cert):

@@ -154,13 +154,14 @@ def wide_vectors(draw):
 
 
 def fsum_norm(x):
-    """sqrt(fsum) of the squares; inf where fsum overflows."""
+    """sqrt(fsum) of the squares; where fsum overflows, NaN if a square is
+    NaN and inf otherwise."""
     with np.errstate(over="ignore"):
         squares = (x * x).tolist()
     try:
         return math.sqrt(math.fsum(squares))
     except OverflowError:
-        return math.inf
+        return math.nan if any(map(math.isnan, squares)) else math.inf
 
 
 def same_float(a, b):
@@ -251,6 +252,9 @@ def gaussian(n, seed=5):
 @example(np.array([math.inf, 1.0, math.nan]))
 @example(np.array([math.nan, -math.inf]))
 @example(np.concatenate([[math.nan], np.ones(2 ** 14), [math.inf]]))
+# NaN with finite squares whose sum overflows, short and long
+@example(np.array([math.nan, 1e154, 1e154]))
+@example(np.concatenate([[math.nan], np.full(600, 1e154)]))
 # one chunk exactly, and one entry on either side of it
 @example(gaussian(2 ** 14 - 1))
 @example(gaussian(2 ** 14))

@@ -31,7 +31,7 @@ entries = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e6, 1e6),
 
 
 def spectrum_of(family, scale, shape):
-    """A fresh spectrum, so no checked head is shared between two reads."""
+    """A fresh spectrum, so no watermark is shared between two reads."""
     if family == "algebraic":
         return SingularSpectrum.algebraic(scale, shape)
     if family == "geometric":
@@ -159,6 +159,9 @@ def separation_pair(bump, shift):
 # a rise of lam where a block starts just past the checked head
 @example(case=(("rising past the head", 1.0, 1.0), Partition.doubling(1), 15,
                20000, [3, 16384], [1.0, 1.0]), shift=1.0)
+# the separation's one nonzero just past the fault of lam
+@example(case=(("rising past the head", 1.0, 1.0), Partition.doubling(1), 15,
+               16385, [16385], [0.0]), shift=1.0)
 # a table shorter than the support, which clips the blocks
 @example(case=(("table", 1.0, 0.5), Partition.doubling(1), 15, 30000,
                [3, 9000, 12000], [1.0, 2.0, 3.0]), shift=1.0)
@@ -171,12 +174,19 @@ def test_a_sparse_source_reads_with_the_bits_of_its_dense_twin(case, shift):
         == outcome(lambda: membership(twin_problem, dense))
     assert bits(sparse.norm()) == bits(dense.norm())
     # the separation reads lam only at the bump's nonzeros, so an infinite
-    # lam elsewhere, which the dense product turns into NaN, does not enter
-    if sparse.nonzeros[0].size and case[0][0] != "infinite head":
+    # lam elsewhere, which the dense product turns into NaN, does not enter;
+    # it checks lam through the last of them, so a fault there is its error
+    places = sparse.nonzeros[0]
+    if places.size and case[0][0] != "infinite head":
         pair = separation_pair(sparse, shift)
         expected = quietly(
             lambda: outcome(lambda: bits(dense_separation(problem, pair))))
-        if not isinstance(expected, tuple):  # a table shorter than the bump
+        fault = outcome(lambda: spectrum_of(*case[0]).checked(
+            range(1, int(places[-1]) + 1)))
+        if isinstance(fault, tuple) and fault[0] is ValueError:
+            assert outcome(lambda: solution_separation(problem, pair)) \
+                == fault
+        elif not isinstance(expected, tuple):  # a table shorter than the bump
             assert bits(solution_separation(problem, pair)) == expected
 
 

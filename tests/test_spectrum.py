@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
-                      OutOfRangeError, Partition, Problem, SingularSpectrum,
-                      SupportBoundRequired, block_norm, cone_membership,
+from adaptlin import (CoefficientSource, ConeParams, FoolingPair,
+                      GuardExceeded, OutOfRangeError, Partition, Problem,
+                      SingularSpectrum, SupportBoundRequired, block_norm,
+                      cone_membership, interpolate,
                       periodic_approximation_spectrum, random_cone_member,
-                      tail_norm, tail_norms)
-from adaptlin.spectrum import exact_norm
+                      solution_separation, tail_norm, tail_norms)
+from adaptlin.spectrum import exact_norm, read_blocks
 
-from conftest import brute_sigma, brute_tail, coefficient_of, unit_spectrum
+from conftest import (CountedHarmonic, brute_sigma, brute_tail,
+                      coefficient_of, unit_spectrum)
 
 
 # -- SingularSpectrum --------------------------------------------------------
@@ -153,6 +155,76 @@ def test_validate_prefix_flags_increasing_rule():
         lambda i: np.asarray(i, dtype=np.float64), name="increasing")
     with pytest.raises(ValueError):
         bad.validate_prefix(8)
+
+
+def test_checked_reads_have_the_bits_of_values():
+    # inside the head, across its end, up to and across the watermark,
+    # past it with a gap, and empty
+    spectrum = CountedHarmonic()
+    reference = SingularSpectrum.algebraic(1.0, 1.0)
+    for lo, hi in [(1, 16), (3, 40), (10, 20_000), (30_000, 40_000),
+                   (15_000, 50_000), (16_384, 16_385), (45_000, 45_000),
+                   (7, 6), (60_001, 60_000)]:
+        before = len(spectrum.reads)
+        got = spectrum.checked(range(lo, hi + 1))
+        assert got.tobytes() == reference.values(range(lo, hi + 1)).tobytes()
+        # no index of a read is evaluated twice by it
+        counts = spectrum.counts(spectrum.reads[before:] + [np.zeros(0)])
+        assert (counts <= 1).all()
+    # every index up to the deepest read is checked, and once
+    checks = spectrum.counts(spectrum.checks)
+    assert checks.size == 50_001 and checks[0] == 0 and (checks[1:] == 1).all()
+    # the head is lam_1..lam_(2**14), read-only
+    head = spectrum.checked(range(1, 2 ** 14 + 1))
+    assert head.size == 2 ** 14 and not head.flags.writeable
+
+
+def fault_problem():
+    """lam_i = 1/i up to 3000, then 1: a rise past the prefix that the
+    problem checks; each reader gets a fresh one."""
+    return Problem(SingularSpectrum.from_rule(
+        lambda i: np.where(i <= 3000, 1.0 / i, 1.0), name="rising"),
+        Partition.doubling(1), ConeParams(2.0, 0.5))
+
+
+def separation(places):
+    bump = CoefficientSource.from_sparse(places, [1.0] * len(places), 5000)
+    pair = FoolingPair(base=bump, bump=bump, plus=bump, minus=bump,
+                       amplitude=1.0, shift=1.0, ratio=1.0, blocks=1)
+    return lambda problem: solution_separation(problem, pair)
+
+
+@pytest.mark.parametrize("short, deep", [
+    (lambda p: interpolate(p, CoefficientSource.from_vector(np.ones(5000)),
+                           2000),
+     lambda p: interpolate(p, CoefficientSource.from_vector(np.ones(5000)),
+                           4000)),
+    (lambda p: tail_norms(p, CoefficientSource.from_vector(np.ones(2000)),
+                          [0, 10]),
+     lambda p: tail_norms(p, CoefficientSource.from_vector(np.ones(4000)),
+                          [0, 10])),
+    (separation([5, 1000]), separation([5, 4000])),
+], ids=["interpolate", "tail_norms", "solution_separation"])
+def test_readers_raise_the_spectrum_error_past_a_fault(short, deep):
+    problem = fault_problem()
+    short(problem)
+    for _ in range(2):  # every read that reaches the fault fails the same way
+        with pytest.raises(ValueError,
+                           match="rising: singular values must be "
+                                 "non-increasing"):
+            deep(problem)
+    short(problem)
+
+
+def test_a_walk_over_what_the_draw_checked_checks_nothing():
+    spectrum = CountedHarmonic()
+    problem = Problem(spectrum, Partition.doubling(1), ConeParams(2.0, 0.5))
+    f = random_cone_member(problem, np.random.default_rng(46), 16)
+    checks, reads = len(spectrum.checks), len(spectrum.reads)
+    assert len(list(read_blocks(problem, f, 16))) == 17
+    assert len(spectrum.checks) == checks
+    # the walk evaluates only the weights past the head
+    assert spectrum.counts(spectrum.reads[reads:])[:2 ** 14 + 1].sum() == 0
 
 
 # -- Partition ---------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Module structure: no adaptlin module imports another's private names,
 the bounds and the fooling construction read the spectrum at the partition
-boundaries through one ladder, the spectrum is checked only where it is
-first read, and the CLI takes its bounds and fooling pairs from the
-library."""
+boundaries through one ladder, every lam that multiplies a coefficient
+comes from one checked reader, and the CLI takes its bounds and fooling
+pairs from the library."""
 
 import ast
 from pathlib import Path
@@ -34,16 +34,20 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
-def attribute_calls(path, attr):
-    """(function, line) for each ``.attr(`` call in ``path``, with the name
-    of the innermost function around the call (None at module level)."""
+def attribute_calls(path, attr, skip=None):
+    """(function, line) for each ``.attr(`` call with arguments in ``path``
+    (a dict's ``.values()`` has none), with the name of the innermost
+    function around the call (None at module level), leaving out the body
+    of class ``skip``."""
     found = []
 
     def visit(node, owner):
+        if isinstance(node, ast.ClassDef) and node.name == skip:
+            return
         if isinstance(node, ast.FunctionDef):
             owner = node.name
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == attr):
+                and node.func.attr == attr and (node.args or node.keywords)):
             found.append((owner, f"{path.name}:{node.lineno}"))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -60,13 +64,20 @@ def test_the_bounds_and_the_construction_read_lam_only_in_the_ladder():
 
 
 def test_the_spectrum_is_checked_only_where_it_is_first_read():
-    # the table constructor, validate_prefix, the checked head of a rule,
-    # read_blocks past the head, and random_cone_member before it divides
-    # by lam; nothing else checks lam again
+    # the table constructor, and SingularSpectrum.checked past the
+    # watermark; nothing else checks lam
     owners = sorted(owner for path in sorted(PACKAGE.glob("*.py"))
-                    for owner, _ in attribute_calls(path, "check_run"))
-    assert owners == ["__init__", "_checked_head", "random_cone_member",
-                      "read_blocks", "validate_prefix"]
+                    for owner, _ in attribute_calls(path, "_check_run"))
+    assert owners == ["__init__", "checked"]
+
+
+def test_only_the_reference_block_norm_reads_lam_unchecked():
+    # outside SingularSpectrum every lam is read through ``checked``, but
+    # for block_norm, the unchecked reference the tests compare against
+    owners = [owner for path in sorted(PACKAGE.glob("*.py"))
+              for owner, _ in attribute_calls(path, "values",
+                                              skip="SingularSpectrum")]
+    assert owners == ["block_norm"]
 
 
 def test_the_cli_decides_no_bound_and_no_fooling_pair():
