@@ -3,22 +3,22 @@
     python3 scripts/scale_fooling.py [--tree DIR] [--blocks B ...]
 
 The config is harmonic/doubling (lam_i = 1/i, n_j = 2**j, a = 2, b = 0.5,
-rho = 1) with tolerances 1e-2 and 1e-3 and ``adversarial.blocks`` fixed,
-so the fooling pairs live in dimension 2**blocks.  Each depth runs in a
-child process against ``DIR/src`` (default: this checkout), RUNS times,
-after blocks 10, the reference.  The script prints, per depth, the median
-and the fastest of the command's own times (``elapsed_seconds`` of its
-``adversarial.json``, which leaves out the interpreter and numpy
-start-up), the median wall time of the child, the largest peak resident
-set (``ru_maxrss``), the README's figures for the depth and the SHA-256 of
-the record without ``elapsed_seconds``, so two trees can be compared.  It
-exits 1 when a command fails; when a depth of TIME_MULTIPLE takes more
-than that many times as long as blocks 10 (fastest run against fastest
-run, since a slow one is the host's): times of one host do not hold on
-another, a ratio in one job does; when a depth of README_FIGURES peaks
-above the README's figure by more than 10%; or when a depth peaks more
-than 5 MiB above blocks 10, whose pairs are 1024 times smaller: a sparse
-probe costs memory by its nonzeros, not its dimension.
+rho = 1) with tolerances 1e-2 and 1e-3, ``adversarial.blocks`` fixed and
+the guards set (j_max 64, n_max 2**30), so the fooling pairs live in
+dimension 2**blocks.  Each depth runs in a child process against
+``DIR/src`` (default: this checkout), RUNS times, after blocks 10, the
+reference.  The script prints, per depth, the median and the fastest of the
+command's own times (``elapsed_seconds`` of its ``adversarial.json``, which
+leaves out the interpreter and numpy start-up), the median wall time of the
+child, the largest peak resident set (``ru_maxrss``), the README's figures
+for the depth and the SHA-256 of the record without ``elapsed_seconds``, so
+two trees can be compared.  It exits 1 when a command fails; when a depth
+of TIME_MULTIPLE takes more than that many times as long as blocks 10
+(fastest run against fastest run, since a slow one is the host's): times of
+one host do not hold on another, a ratio in one job does; when a depth of
+README_FIGURES peaks above the README's figure by more than 10%; or when a
+depth peaks more than 5 MiB above blocks 10, whose pairs are 1024 times
+smaller: a sparse probe costs memory by its nonzeros, not its dimension.
 """
 
 import argparse
@@ -47,6 +47,9 @@ PROBLEM = {
     "partition": {"kind": "doubling", "start": 1},
     "cone": {"a": 2.0, "b": 0.5},
 }
+# set, not defaulted, so the record's config echo, which the digest covers,
+# stays the same when the command line's default guards change
+GUARDS = {"j_max": 64, "n_max": 2 ** 30}
 
 
 def run(tree: Path, workdir: Path, blocks: int) -> dict:
@@ -54,7 +57,8 @@ def run(tree: Path, workdir: Path, blocks: int) -> dict:
     process; ``ru_maxrss`` is read with ``os.wait4`` for that child alone."""
     out = workdir / f"out{blocks}"
     config = {"problem": PROBLEM, "rho": 1.0, "epsilons": [1e-2, 1e-3],
-              "adversarial": {"blocks": blocks}, "output": str(out)}
+              "adversarial": {"blocks": blocks}, "guards": GUARDS,
+              "output": str(out)}
     path = workdir / f"fooling{blocks}.json"
     path.write_text(json.dumps(config, indent=1) + "\n", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))

@@ -53,10 +53,11 @@ class Walk:
     ``values`` holds lam_i * fhat_i for i = 1..min(ends[-1], support bound),
     read-only; past the support every product is zero and none is stored.
     Block j (0 is indices 1..n_0) ends at ``ends[j]`` with the
-    ``read_blocks`` total ``sums[j]``; block j >= 1 has norm
-    ``norms[j - 1]``.  ``stops`` and ``runs`` hold each tolerance's stop
-    block and run (prefix views of ``values``), None where no block read
-    qualified.
+    ``read_blocks`` total ``sums[j]``, None under 512 entries and for a
+    sparse source, whose squares ``true_errors`` sums from ``values``;
+    block j >= 1 has norm ``norms[j - 1]``.  ``stops`` and ``runs`` hold
+    each tolerance's stop block and run (prefix views of ``values``), None
+    where no block read qualified.
     """
 
     problem: Problem

@@ -85,7 +85,6 @@ class RatioScan:
     """
 
     value: float
-    attained_at: int
     still_growing: bool
 
 
@@ -109,8 +108,7 @@ def boundary_ratio(problem: Problem, k_max: int) -> RatioScan:
         raise ValueError("no block with positive lower boundary up to k_max")
     best = max(terms, default=math.inf)
     growing = past_range or (len(terms) >= 2 and terms[-1] > max(terms[:-1]))
-    return RatioScan(value=best, still_growing=growing,
-                     attained_at=first + 1 + terms.index(best) if terms else 0)
+    return RatioScan(value=best, still_growing=growing)
 
 
 def running_ratios(lams: Iterable[float]) -> Iterator[float]:

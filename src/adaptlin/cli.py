@@ -31,7 +31,8 @@ import numpy as np
 
 from . import __version__
 from .adversarial import fooling_certificates
-from .algorithm import adaptive_sweep, ball_budget, no_stop_error
+from .algorithm import (DEFAULT_BLOCK_LIMIT, adaptive_sweep, ball_budget,
+                        no_stop_error)
 from .analysis import BoundsRow, bounds_table
 from .problems import (default_gamma, derivative_coefficients,
                        derivative_slice_grid, enumerate_derivative_spectrum,
@@ -44,8 +45,7 @@ from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
 
 GENERATOR = "numpy-PCG64"
 DEFAULT_SEED = 20250101
-DEFAULT_JMAX = 64
-DEFAULT_NMAX = 2 ** 30
+DEFAULT_NMAX = 2 ** 26
 
 
 class ConfigError(ValueError):
@@ -389,7 +389,7 @@ def _effective(args, config):
     guards = merged.get("guards", {})
     if isinstance(guards, dict):  # anything else fails the check below
         guards = merged["guards"] = dict(
-            {"j_max": DEFAULT_JMAX, "n_max": DEFAULT_NMAX}, **guards)
+            {"j_max": DEFAULT_BLOCK_LIMIT, "n_max": DEFAULT_NMAX}, **guards)
         if args.jmax is not None:
             guards["j_max"] = args.jmax
     return check_config(merged)

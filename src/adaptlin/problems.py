@@ -383,14 +383,16 @@ def solution_slice_grid(approx: Approximation, mis: MultiIndexSpectrum,
         raise ValueError("slice grids need at least two coordinates")
     if approx.values.size == 0:
         return np.zeros((len(first), len(second)))
-    ks = mis.head(approx.values.size)  # past the support every term is zero
+    d, side = mis.dimension, 2 * mis.k_max + 1
+    # C-order box positions: k_j + k_max is digit d-1-j in base ``side``
+    positions = mis.positions[:approx.values.size]  # zero past the support
     term = approx.values.copy()
-    for j in range(2, mis.dimension):
-        kj = ks[:, j].astype(np.float64)
+    for j in range(2, d):
+        kj = (positions // side ** (d - 1 - j) % side
+              - mis.k_max).astype(np.float64)
         phase = np.where(kj < 0, 0.5 * math.pi, 0.0)
         term *= np.cos(TWO_PI * kj * rest + phase)
-    side = 2 * mis.k_max + 1
-    cell = (ks[:, 0] + mis.k_max) * side + (ks[:, 1] + mis.k_max)
+    cell = positions // side ** (d - 2)  # (k_1 + k_max) * side + k_2 + k_max
     cells = np.zeros((side, side))  # the terms add in one by one, in order
     np.add.at(cells.ravel(), cell, term)
     k = np.arange(-mis.k_max, mis.k_max + 1, dtype=np.float64)

@@ -36,8 +36,7 @@ class GuardExceeded(RuntimeError):
     """An iteration or scan guard was reached before the target condition."""
 
 
-_FSUM_BELOW = 2 ** 9  # below this many squares math.fsum is the faster path
-_NUMPY_FROM = 2 ** 5  # below this many, Python floats square faster than numpy
+_FSUM_BELOW = 2 ** 9  # the one switch: math.fsum below, extraction from here
 _CHUNK = 2 ** 14  # entries per pass: cache-sized, each level's sum exact
 _ULP_SCALE = 1 << 1074  # times the smallest subnormal gives 1
 _RESCALED = 2.0 ** 1008  # squares from here need sigma past 2**1023
@@ -123,15 +122,7 @@ def _square_sum(x: np.ndarray):
     """2**1074 times the sum of the squares of ``x``, exactly, as one
     Python int, so the ints of two sets of squares add to that of their
     union; a NaN square gives NaN and an infinite one inf, as floats.
-    Each _CHUNK entries are squared and extracted (``_extract``) apart.
-    Below 32 entries each square, a Python float, is its own level, which
-    skips numpy's per-call cost (a sparse block's few products, say)."""
-    if x.size < _NUMPY_FROM:
-        squares = [v * v for v in x.tolist()]
-        try:
-            return sum(map(_scaled, squares))
-        except (OverflowError, ValueError):  # an inf or NaN square
-            return math.nan if any(map(math.isnan, squares)) else math.inf
+    Each _CHUNK entries are squared and extracted (``_extract``) apart."""
     total = 0
     for start in range(0, x.size, _CHUNK):
         total = _plus(total, _extract(np.square(x[start:start + _CHUNK])))
@@ -155,20 +146,13 @@ def exact_norm(x: np.ndarray) -> float:
     The sum is exact before its one rounding, so the result does not depend
     on the order of ``x`` and has the bits of ``sqrt(math.fsum(x*x))``.
     Where that sum exceeds the float range, or a square is infinite, the
-    norm is inf, and a NaN entry gives NaN.  Short vectors go through
-    ``math.fsum`` over their entries squared as Python floats
-    (``_list_norm``) and from 512 entries on through error-free extraction
-    (``_square_sum``), which sums the squares exactly, chunk by chunk,
-    into one Python int; both round the same exact sum to nearest, once.
-    From 32 entries on, the zeros are dropped first, since a zero square
-    adds nothing (NaN and inf stay), and the path is chosen by the entries
-    left; below 32, adding the zeros costs less than finding them.  Every
+    norm is inf, and a NaN entry gives NaN.  One switch picks the path:
+    below ``_FSUM_BELOW`` (2**9) entries ``math.fsum`` sums the squares as
+    Python floats (``_list_norm``), and from there on error-free
+    extraction (``_square_sum``) sums them exactly, chunk by chunk, into
+    one Python int; both round the same exact sum to nearest, once.  Every
     block, tail, input and solution norm goes through this one kernel.
     """
-    if x.size >= _NUMPY_FROM:
-        nonzero = x != 0.0
-        if not nonzero.all():  # a copy only where there is a zero to drop
-            x = x[nonzero]
     if x.size >= _FSUM_BELOW:
         return math.sqrt(_rounded(_square_sum(x)))
     return _list_norm(x.tolist())
@@ -768,8 +752,8 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     writes in order; each block's ``values`` extend the last, and the
     caller must not write into them.  Past the support every product of a
     finite lam is zero, so none is formed, stored or read from ``f`` there.
-    ``total`` is the block's exact sum of squares for ``block_tails``, a
-    ``_square_sum`` (None under 512 entries, summed by ``math.fsum``), and
+    ``total`` is a dense block's exact sum of squares for ``block_tails``,
+    a ``_square_sum`` (None under 512 entries, summed by ``math.fsum``), and
     ``norm`` has the bits of ``block_norm``.  Each chunk of 2**14 indices
     is formed into the buffer and its squares extracted while in cache.
     The buffer is reserved once where the input stores that many
@@ -784,11 +768,13 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     A ``from_sparse`` source is read at its nonzeros alone: the buffer is
     zeros (``_zeros``, reserved as for a vector source), each block finds
     its nonzeros by bisection and writes lam_i * fhat_i there from the
-    same chunks of lam, and its norm and total come from those products,
-    since a zero square adds nothing to an exact sum.  lam is
-    non-increasing, so a block holds an infinite lam, which the dense
-    products would turn into inf or NaN, exactly where its first one is.
-    The yields have the bits of ``CoefficientSource.from_vector``'s.
+    same chunks of lam.  Its norm is the ``math.fsum`` norm of those
+    products alone, since a zero square adds nothing to an exact sum, and
+    its total is None: ``block_tails`` sums it from ``values`` if asked.
+    lam is non-increasing, so a block holds an infinite lam, which the
+    dense products would turn into inf or NaN, exactly where its first one
+    is.  The ends, values and norms have the bits of
+    ``CoefficientSource.from_vector``'s.
     """
     spectrum, partition = problem.spectrum, problem.partition
     length, support = spectrum.enumerated_length, f.support_bound
@@ -815,7 +801,6 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
             grown = np.empty(size if bound is None else min(size, bound))
             grown[:start - 1] = buffer[:start - 1]
             buffer = grown
-        summed = end - start + 1 >= _FSUM_BELOW
         finite = True
         if sparse is not None:  # the block's nonzeros are k..stop - 1
             k = bisect_left(where, start)
@@ -825,7 +810,8 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
             spans = _chunks(start, end)
         else:
             spans = [range(start, end + 1)] if start <= end else []
-        total = 0 if summed and sparse is None else None
+        total = (0 if sparse is None and end - start + 1 >= _FSUM_BELOW
+                 else None)
         for span in spans:
             lam = spectrum.checked(span)
             if sparse is not None:  # the span's nonzeros are the next ones
@@ -850,12 +836,11 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
             if total is not None:
                 total = _plus(total, _square_sum(piece))
         if sparse is not None:
-            total = _square_sum(np.array(products)) if summed else None
-            norm = (_list_norm(products) if total is None
-                    else math.sqrt(_rounded(total)))
+            norm = _list_norm(products)
+        elif total is None:
+            norm = exact_norm(buffer[start - 1:top])
         else:
-            norm = (exact_norm(buffer[start - 1:top]) if total is None
-                    else math.sqrt(_rounded(total)))
+            norm = math.sqrt(_rounded(total))
         if not (finite and math.isfinite(norm)):
             raise ValueError(
                 f"non-finite norm over indices {start}..{end}: "
@@ -870,10 +855,11 @@ def block_tails(problem: Problem, f: CoefficientSource, values: np.ndarray,
 
     ``ends`` and ``totals`` are what ``read_blocks`` yielded for the
     blocks and ``values`` the products at 1..ends[-1].  A block without a
-    total (under 512 entries) has its squares summed here, by the same
-    extraction kernel as the totals (``_square_sum``), and only the
-    support past ends[-1] is read, once; the exact ints then add from the
-    last block backwards, each tail rounded once.
+    total (under 512 entries, or any block of a sparse source) has its
+    squares summed here from ``values``, by the same extraction kernel as
+    the totals (``_square_sum``), and only the support past ends[-1] is
+    read, once; the exact ints then add from the last block backwards,
+    each tail rounded once.
     """
     sums = [_square_sum(values[lo:hi]) if total is None else total
             for lo, hi, total in zip(ends, ends[1:], totals[1:])]
@@ -914,8 +900,11 @@ def _solution_end(problem: Problem, f: CoefficientSource) -> int:
     return f.support_bound if length is None else min(f.support_bound, length)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _product_sum(problem: Problem, f: CoefficientSource, lo: int, hi: int):
-    """The ``_square_sum`` of the (lam_i * fhat_i)**2, i = lo..hi."""
+    """The ``_square_sum`` of the (lam_i * fhat_i)**2, i = lo..hi; an
+    overflowing product makes it inf and an infinite lam times zero NaN,
+    without a warning, as in ``_products``."""
     total = 0
     for span in _chunks(lo, hi):
         total = _plus(total, _square_sum(problem.spectrum.checked(span)

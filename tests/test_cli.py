@@ -759,8 +759,8 @@ def test_a_profile_past_the_float_range_fails_the_tolerance(
     assert "Traceback" not in err
 
 
-def _adversarial_child(tmp_path, payload, limit=None):
-    """``adaptlin adversarial`` on ``payload`` in a child process, under an
+def _cli_child(tmp_path, command, payload, limit=None):
+    """``adaptlin <command>`` on ``payload`` in a child process, under an
     address-space limit of ``limit`` bytes that the child sets itself."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -770,8 +770,8 @@ def _adversarial_child(tmp_path, payload, limit=None):
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     return subprocess.run(
-        [sys.executable, "-m", "adaptlin.cli", "adversarial", "--config",
-         cfg, "--quiet"], env=env, capture_output=True, text=True,
+        [sys.executable, "-m", "adaptlin.cli", command, "--config", cfg,
+         "--quiet"], env=env, capture_output=True, text=True,
         timeout=300, preexec_fn=None if limit is None else cap)
 
 
@@ -790,7 +790,7 @@ def _adversarial_child(tmp_path, payload, limit=None):
      "epsilons": [0.1, 1e-10], "rho": 1e-200, "adversarial": {"blocks": 7}},
 ], ids=["periodic", "geometric"])
 def test_a_bump_whose_squares_underflow_still_fools(tmp_path, payload):
-    done = _adversarial_child(tmp_path, payload)
+    done = _cli_child(tmp_path, "adversarial", payload)
     assert done.returncode in (0, 1) and "Traceback" not in done.stderr
     entries = json.loads((tmp_path / "out" / "adversarial.json").read_text(
         encoding="utf-8"))["entries"]
@@ -798,17 +798,34 @@ def test_a_bump_whose_squares_underflow_still_fools(tmp_path, payload):
 
 
 def test_a_walk_buffer_the_system_refuses_fails_the_tolerance(tmp_path):
-    # the probe of 1e-150 grows toward the default index budget of 2**30;
-    # under a 4 GB address space its 4 GiB product buffer cannot be mapped
-    done = _adversarial_child(tmp_path, {
+    # the probe of 1e-150 grows toward an index budget of 2**30; under a
+    # 4 GB address space its 4 GiB product buffer cannot be mapped
+    done = _cli_child(tmp_path, "adversarial", {
         "problem": {"spectrum": {"family": "periodic", "r": 1.029},
                     "partition": {"kind": "doubling", "start": 4},
                     "cone": {"a": 1.5, "b": 0.107}},
-        "epsilons": [1e-2, 1e-150], "rho": 1.0}, limit=4_000_000_000)
+        "epsilons": [1e-2, 1e-150], "rho": 1.0,
+        "guards": {"n_max": 2 ** 30}}, limit=4_000_000_000)
     assert done.returncode == 1 and "Traceback" not in done.stderr
     assert re.search(r"construction failed at epsilon=1e-150: cannot reserve "
                      r"\d+ bytes for the products up to index \d+",
                      done.stderr)
+
+
+
+def test_an_input_past_the_default_index_budget_is_refused_before_any_draw(
+        tmp_path):
+    # 2**28 indices are a 2 GiB input and as much again for the walk, which
+    # a 3 GB address space cannot hold: the default budget of 2**26 refuses
+    # the config before either is allocated
+    done = _cli_child(tmp_path, "solve", {
+        "problem": {"spectrum": {"family": "algebraic", "scale": 1.0,
+                                 "power": 1.0},
+                    "partition": {"kind": "doubling", "start": 1}},
+        "input": {"kind": "random-cone", "blocks": 28},
+        "epsilons": [1e-14]}, limit=3_000_000_000)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert "index budget guards.n_max = 67108864" in done.stderr
 
 
 # -- example1 ------------------------------------------------------------------

@@ -5,7 +5,9 @@
 cost only those.  The oracle is the dense twin,
 ``CoefficientSource.from_vector(src.dense(n))``, which goes through the
 dense path of every routine: both must give the same bits, or raise the
-same exception with the same message.
+same exception with the same message.  Only the walk's block totals
+differ: a sparse block yields None, and ``block_tails`` sums its squares
+from the walk's values when a tail needs them.
 """
 
 import math
@@ -16,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adaptlin import (CoefficientSource, ConeParams, FoolingPair, Partition,
-                      Problem, SingularSpectrum, cone_membership,
+                      Problem, SingularSpectrum, adaptive_sweep,
+                      cone_membership,
                       periodic_approximation_spectrum, solution_separation)
 from adaptlin.spectrum import exact_norm, read_blocks
 
@@ -108,15 +111,25 @@ def quietly(read):
 
 
 def yields(problem, f, last):
-    """Each block's (end, values bytes, total, norm) bits, read as yielded,
-    then the exception that ended the walk, if any."""
+    """Each block's (end, values bytes, norm) bits, read as yielded, then
+    the exception that ended the walk, if any.  A sparse source's blocks
+    have no total: their norms are summed from the products alone."""
     got = []
     try:
         for end, values, total, norm in read_blocks(problem, f, last):
-            got.append((end, values.tobytes(), bits(total), bits(norm)))
+            assert f.nonzeros is None or total is None
+            got.append((end, values.tobytes(), bits(norm)))
     except (ValueError, LookupError) as exc:
         got.append((type(exc), str(exc)))
     return got
+
+
+def true_errors(problem, f, last):
+    """The bits of each tolerance's ``true_error`` from a sweep of at most
+    ``last`` blocks, where ``block_tails`` sums a sparse source's blocks
+    from its walk's values."""
+    walk = adaptive_sweep(problem, f, [1e300, 1.0, 1e-300], block_limit=last)
+    return [bits(error) for error in walk.true_errors()]
 
 
 def membership(problem, f):
@@ -162,6 +175,12 @@ def separation_pair(bump, shift):
 # the separation's one nonzero just past the fault of lam
 @example(case=(("rising past the head", 1.0, 1.0), Partition.doubling(1), 15,
                16385, [16385], [0.0]), shift=1.0)
+# a nonzero at the start of each block 1..13 of (4, 8, 16, ...), blocks of
+# 2**9 entries and more among them: the tolerance 1e-300 settles at block
+# 14, past the support, so the tails sum a sparse walk's blocks again
+@example(case=(("algebraic", 1.0, 1.0), Partition.doubling(4), 15, 20000,
+               [2 ** k + 1 for k in range(2, 15)],
+               [(-1.5) ** -k for k in range(2, 15)]), shift=1.0)
 # a table shorter than the support, which clips the blocks
 @example(case=(("table", 1.0, 0.5), Partition.doubling(1), 15, 30000,
                [3, 9000, 12000], [1.0, 2.0, 3.0]), shift=1.0)
@@ -169,6 +188,9 @@ def test_a_sparse_source_reads_with_the_bits_of_its_dense_twin(case, shift):
     last = case[2]
     (problem, sparse), (twin_problem, dense) = twins(case)
     assert yields(problem, sparse, last) == yields(twin_problem, dense, last)
+    (problem, sparse), (twin_problem, dense) = twins(case)
+    assert outcome(lambda: true_errors(problem, sparse, last)) \
+        == outcome(lambda: true_errors(twin_problem, dense, last))
     (problem, sparse), (twin_problem, dense) = twins(case)
     assert outcome(lambda: membership(problem, sparse)) \
         == outcome(lambda: membership(twin_problem, dense))
@@ -225,5 +247,5 @@ def test_a_deep_sparse_walk_writes_only_its_nonzeros():
     f = CoefficientSource.from_sparse(places, [1.0] * 21, 2 ** 20)
     *_, (end, values, total, norm) = read_blocks(problem, f, 20)
     assert end == values.size == 2 ** 20 and norm == 2.0 ** -20
-    assert total == 2 ** (1074 - 40)  # (2**-20)**2, times 2**1074
+    assert total is None  # its one square is summed again only for a tail
     assert np.flatnonzero(values).tolist() == [p - 1 for p in places]
