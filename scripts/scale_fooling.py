@@ -34,9 +34,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # the README's measured (command ms, peak MiB) per adversarial.blocks
-README_FIGURES = {20: (11, 31.3), 24: (131, 31.3)}
+README_FIGURES = {20: (6.3, 31.3), 24: (35.4, 31.3)}
 # most times blocks 10 a depth may take: on the README's host the sparse
-# construction took 14 and 164 times, the dense one 117 and 2250 times
+# construction took 2-5 and 18-29 times, the dense one 117 and 2250 times
 TIME_MULTIPLE = {20: 40, 24: 500}
 SLACK = 1.10
 REFERENCE, MARGIN_MIB = 10, 5.0

@@ -384,12 +384,17 @@ class SingularSpectrum:
 
     def _check_run(self, vals: np.ndarray, previous: float = math.inf) -> None:
         """Raise ValueError unless ``vals``, consecutive weights after one
-        of weight ``previous``, are positive and non-increasing."""
+        of weight ``previous``, are positive and non-increasing.  The
+        message names the fault at the lowest index, a weight that is not
+        positive over one that rises at the same index, so it does not
+        depend on how a read is split into runs."""
         # non-increasing down to a positive last value: one pass, NaN fails
         if not vals.size or (vals[-1] > 0.0 and vals[0] <= previous
                              and (vals[1:] <= vals[:-1]).all()):
             return
-        if not (vals > 0.0).all():
+        low = ~(vals > 0.0)
+        rises = ~(vals <= np.concatenate(([previous], vals[:-1])))
+        if low[np.argmax(low | rises)]:
             raise ValueError(f"{self.name}: singular values must be positive")
         raise ValueError(f"{self.name}: singular values must be non-increasing")
 
@@ -754,27 +759,28 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     finite lam is zero, so none is formed, stored or read from ``f`` there.
     ``total`` is a dense block's exact sum of squares for ``block_tails``,
     a ``_square_sum`` (None under 512 entries, summed by ``math.fsum``), and
-    ``norm`` has the bits of ``block_norm``.  Each chunk of 2**14 indices
-    is formed into the buffer and its squares extracted while in cache.
-    The buffer is reserved once where the input stores that many
-    coefficients itself (a vector source or a finite table), at
-    min(n_last, support, table length); otherwise it grows geometrically,
-    so a distant support bound reserves nothing the walk does not read.
-    Every lam the walk passes, past the support too, comes from
-    ``SingularSpectrum.checked``.  A non-finite norm raises ValueError, so
-    no certificate rests on it; an infinite lam past the support times the
-    zero coefficient counts as NaN.
+    ``norm`` has the bits of ``block_norm``.  A dense block is formed into
+    the buffer chunk by chunk of 2**14 indices up to the support, each
+    chunk's squares extracted while in cache.  The buffer is reserved once
+    where the input stores that many coefficients itself (a vector source
+    or a finite table), at min(n_last, support, table length); otherwise it
+    grows geometrically, so a distant support bound reserves nothing the
+    walk does not read.
 
-    A ``from_sparse`` source is read at its nonzeros alone: the buffer is
-    zeros (``_zeros``, reserved as for a vector source), each block finds
-    its nonzeros by bisection and writes lam_i * fhat_i there from the
-    same chunks of lam.  Its norm is the ``math.fsum`` norm of those
-    products alone, since a zero square adds nothing to an exact sum, and
-    its total is None: ``block_tails`` sums it from ``values`` if asked.
-    lam is non-increasing, so a block holds an infinite lam, which the
-    dense products would turn into inf or NaN, exactly where its first one
-    is.  The ends, values and norms have the bits of
+    A ``from_sparse`` block reads lam only at its nonzeros, found by
+    bisection, as one-index ranges, and writes its products into a buffer
+    of zeros (``_zeros``, reserved as for a vector source).  Its norm is the
+    ``math.fsum`` norm of those products alone, since a zero square adds
+    nothing to an exact sum, and its total is None: ``block_tails`` sums it
+    from ``values`` if asked.  The ends, values and norms have the bits of
     ``CoefficientSource.from_vector``'s.
+
+    Every lam comes from ``SingularSpectrum.checked``; past a block's last
+    product one read at the block's end only checks lam, forming nothing.
+    A non-finite norm raises ValueError, so no certificate rests on it.
+    lam never increases, so any infinite lam, which products would turn
+    into inf or NaN, makes lam_1 infinite: the first non-empty block, which
+    holds index 1, raises then.
     """
     spectrum, partition = problem.spectrum, problem.partition
     length, support = spectrum.enumerated_length, f.support_bound
@@ -801,47 +807,32 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
             grown = np.empty(size if bound is None else min(size, bound))
             grown[:start - 1] = buffer[:start - 1]
             buffer = grown
-        finite = True
-        if sparse is not None:  # the block's nonzeros are k..stop - 1
-            k = bisect_left(where, start)
-            stop = bisect_right(where, top, k)
-            products = []
-        if end > -(-start // _CHUNK) * _CHUNK:  # past the chunk of start
-            spans = _chunks(start, end)
-        else:
-            spans = [range(start, end + 1)] if start <= end else []
-        total = (0 if sparse is None and end - start + 1 >= _FSUM_BELOW
-                 else None)
-        for span in spans:
-            lam = spectrum.checked(span)
-            if sparse is not None:  # the span's nonzeros are the next ones
-                finite = finite and lam.item(0) < math.inf
-                while k < stop and where[k] < span.stop:
-                    i = where[k]
-                    products.append(lam.item(i - span.start) * entries[k])
-                    buffer[i - 1] = products[-1]
-                    k += 1
-                continue
-            if span.stop - 1 <= top:  # inside the support
-                piece = buffer[span.start - 1:span.stop - 1]
-                _products(lam, f.coefficients(span), piece)
-            else:  # the span runs past the support, where products are lam * 0
-                inside = range(span.start, max(top + 1, span.start))
-                # an infinite lam makes that NaN, never a zero product
-                finite = finite and lam[len(inside)] < math.inf
-                if not inside:
-                    continue
-                piece = buffer[span.start - 1:top]
-                _products(lam[:len(inside)], f.coefficients(inside), piece)
-            if total is not None:
-                total = _plus(total, _square_sum(piece))
+        read = start - 1  # lam is checked through ``read``
         if sparse is not None:
+            total, products = None, []
+            for k in range(bisect_left(where, start),
+                           bisect_right(where, top)):
+                read = where[k]
+                products.append(
+                    spectrum.checked(range(read, read + 1)).item() * entries[k])
+                buffer[read - 1] = products[-1]
             norm = _list_norm(products)
-        elif total is None:
-            norm = exact_norm(buffer[start - 1:top])
         else:
-            norm = math.sqrt(_rounded(total))
-        if not (finite and math.isfinite(norm)):
+            total = 0 if end - start + 1 >= _FSUM_BELOW else None
+            for span in _chunks(start, top):
+                piece = buffer[span.start - 1:span.stop - 1]
+                _products(spectrum.checked(span), f.coefficients(span), piece)
+                if total is not None:
+                    total = _plus(total, _square_sum(piece))
+            read = max(read, top)
+            norm = (exact_norm(buffer[start - 1:top]) if total is None
+                    else math.sqrt(_rounded(total)))
+        if end > read:  # past the last product lam is only checked
+            spectrum.checked(range(end, end + 1))
+        # lam never increases, so an infinite lam makes lam_1 infinite
+        if not math.isfinite(norm) or (
+                start == 1 <= end
+                and spectrum.checked(range(1, 2)).item() == math.inf):
             raise ValueError(
                 f"non-finite norm over indices {start}..{end}: "
                 "a solution coefficient is not finite or its square overflows")

@@ -23,6 +23,8 @@ from adaptlin import (CoefficientSource, ConeParams, FoolingPair, Partition,
                       periodic_approximation_spectrum, solution_separation)
 from adaptlin.spectrum import exact_norm, read_blocks
 
+from conftest import CountedHarmonic
+
 CONE = ConeParams(2.0, 0.5)
 
 # zeros of both signs, subnormals, squares that underflow or overflow, NaN
@@ -47,6 +49,10 @@ def spectrum_of(family, scale, shape):
     if family == "rising past the head":  # a fault at the first chunk's end
         return SingularSpectrum.from_rule(
             lambda i: np.where(i <= 2.0 ** 14, scale / i, scale))
+    if family == "two faults":  # a rise at 140 and a zero at 160
+        return SingularSpectrum.from_rule(
+            lambda i: np.where(i == 140.0, 2.0 * scale,
+                               np.where(i == 160.0, 0.0, scale / i)))
     # a table of algebraic weights, which clips the blocks at its length
     return SingularSpectrum.from_values(
         scale / np.arange(1.0, int(shape * 20000) + 2))
@@ -181,6 +187,11 @@ def separation_pair(bump, shift):
 @example(case=(("algebraic", 1.0, 1.0), Partition.doubling(4), 15, 20000,
                [2 ** k + 1 for k in range(2, 15)],
                [(-1.5) ** -k for k in range(2, 15)]), shift=1.0)
+# a rise before a zero in block 129..256: the sparse walk checks lam up to
+# its nonzero at 150, then through the block's end, and names the rise as
+# the dense one does
+@example(case=(("two faults", 1.0, 1.0), Partition.doubling(1), 9, 300,
+               [150], [1.0]), shift=1.0)
 # a table shorter than the support, which clips the blocks
 @example(case=(("table", 1.0, 0.5), Partition.doubling(1), 15, 30000,
                [3, 9000, 12000], [1.0, 2.0, 3.0]), shift=1.0)
@@ -240,12 +251,26 @@ def test_a_sparse_source_rejects_a_malformed_index_list(indices, values,
 
 def test_a_deep_sparse_walk_writes_only_its_nonzeros():
     # a walk over 2**20 indices reserves 8 MiB of products, past the size
-    # from which the buffer is a fresh mapping, and writes 21 of them
-    problem = Problem(SingularSpectrum.algebraic(1.0, 1.0),
-                      Partition.doubling(1), CONE)
-    places = [2 ** k for k in range(21)]
-    f = CoefficientSource.from_sparse(places, [1.0] * 21, 2 ** 20)
-    *_, (end, values, total, norm) = read_blocks(problem, f, 20)
-    assert end == values.size == 2 ** 20 and norm == 2.0 ** -20
-    assert total is None  # its one square is summed again only for a tail
-    assert np.flatnonzero(values).tolist() == [p - 1 for p in places]
+    # from which the buffer is a fresh mapping, and writes 21 of them; a
+    # walk over checked lam reads it only where it forms a product
+    for depth in (17, 20):
+        spectrum = CountedHarmonic()
+        problem = Problem(spectrum, Partition.doubling(1), CONE)
+        places = [2 ** k for k in range(depth + 1)]
+        f = CoefficientSource.from_sparse(places, [1.0] * (depth + 1),
+                                          2 ** depth)
+        for walk in range(2):
+            reads = len(spectrum.reads)
+            *_, (end, values, total, norm) = read_blocks(problem, f, depth)
+            assert end == values.size == 2 ** depth
+            assert norm == 2.0 ** -depth
+            assert total is None  # its one square is summed only for a tail
+            assert np.flatnonzero(values).tolist() == [p - 1 for p in places]
+            if walk == 0:  # the first walk evaluates and checks each lam once
+                for indices in (spectrum.reads, spectrum.checks):
+                    counts = spectrum.counts(indices)
+                    assert counts.size == 2 ** depth + 1
+                    assert (counts[1:] == 1).all()
+            else:  # the second evaluates lam at its nonzeros past the head
+                read = np.concatenate(spectrum.reads[reads:]).tolist()
+                assert read == [p for p in places if p > 2 ** 14]

@@ -8,9 +8,10 @@ import pytest
 from adaptlin import (CoefficientSource, ConeParams, FoolingPair,
                       GuardExceeded, OutOfRangeError, Partition, Problem,
                       SingularSpectrum, SupportBoundRequired, block_norm,
-                      cone_membership, interpolate,
-                      periodic_approximation_spectrum, random_cone_member,
-                      solution_separation, tail_norm, tail_norms)
+                      cone_membership, enumerate_derivative_spectrum,
+                      interpolate, periodic_approximation_spectrum,
+                      random_cone_member, solution_separation, tail_norm,
+                      tail_norms)
 from adaptlin.spectrum import exact_norm, read_blocks
 
 from conftest import (CountedHarmonic, brute_sigma, brute_tail,
@@ -177,6 +178,52 @@ def test_checked_reads_have_the_bits_of_values():
     # the head is lam_1..lam_(2**14), read-only
     head = spectrum.checked(range(1, 2 ** 14 + 1))
     assert head.size == 2 ** 14 and not head.flags.writeable
+
+
+def two_faults():
+    """lam_i = 1/i but for a rise at 140 and a zero at 160."""
+    return SingularSpectrum.from_rule(
+        lambda i: np.where(i == 140.0, 2.0,
+                           np.where(i == 160.0, 0.0, 1.0 / i)),
+        name="two faults")
+
+
+def test_a_fault_is_named_alike_however_the_read_is_split():
+    # the first fault by index names the error, whichever run holds it
+    whole, split = two_faults(), two_faults()
+    with pytest.raises(ValueError) as one:
+        whole.checked(range(1, 301))
+    with pytest.raises(ValueError) as two:
+        split.checked(range(1, 151))
+        split.checked(range(151, 301))
+    assert str(one.value) == str(two.value) \
+        == "two faults: singular values must be non-increasing"
+
+
+_WATERMARK = 2 ** 15 + 200
+# every built-in family; the derivative table (34,848 modes) is its own head
+_FAMILIES = {
+    "harmonic": lambda: SingularSpectrum.algebraic(3.7, 1.0),
+    "algebraic": lambda: SingularSpectrum.algebraic(1.5, 1.3),
+    "geometric": lambda: SingularSpectrum.geometric(2.0, 1.001),
+    "periodic": lambda: periodic_approximation_spectrum(2.5),
+    "derivative": lambda: enumerate_derivative_spectrum(3, 16).spectrum(),
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES.values()),
+                         ids=list(_FAMILIES))
+@pytest.mark.parametrize("lo", [100, 20_000, _WATERMARK - 200],
+                         ids=["head", "below-watermark", "across-watermark"])
+def test_a_one_index_read_has_the_bits_of_a_range_read(family, lo):
+    # a sparse walk reads lam at each nonzero as a one-index range
+    whole, single = family(), family()
+    for spectrum in (whole, single):
+        spectrum.checked(range(1, _WATERMARK + 1))
+    expect = whole.checked(range(lo, lo + 400))
+    got = [single.checked(range(i, i + 1)).item()
+           for i in range(lo, lo + 400)]
+    assert np.array(got).tobytes() == expect.tobytes()
 
 
 def fault_problem():
