@@ -271,9 +271,11 @@ class FoolingCertificate:
     sampled 1..``zeroed_count``, the pair's zeroed functionals.  ``ok``:
     the runs on f+ and f- read the same values (``indistinguishable``),
     base, f+ and f- are cone members of norm at most rho (1 + 1e-10), the
-    separation is at least 2 shift and the ``identity_gap``
-    |a (c - shift r) - (c + shift r)| at most 1e-12 max(1, c).  A failed
-    probe search leaves its message in ``failure`` and the rest None."""
+    separation is between 2 shift and 2 epsilon (the error guarantee puts
+    the runs' one result within epsilon of both true solutions) and the
+    ``identity_gap`` |a (c - shift r) - (c + shift r)| at most 1e-12
+    max(1, c).  A failed probe search leaves its message in ``failure``
+    and the rest None."""
 
     epsilon: float
     ok: bool
@@ -368,10 +370,12 @@ def _checked_pair(problem: Problem, eps: float, r: float, rho: float,
     plus, minus = (adaptive_algorithm(problem, f, eps,
                                       block_limit=block_limit)
                    for f in (pair.plus, pair.minus))
-    # runs are prefixes that stop at the support: equal costs and equal
-    # values mean equal samples
-    same = plus.cost == minus.cost and np.array_equal(plus.values,
-                                                      minus.values)
+    # a run holds its products at the first of its input's nonzeros, every
+    # other sample zero: equal costs, places and products, equal samples
+    same = (plus.cost == minus.cost
+            and np.array_equal(pair.plus.nonzeros[0][:plus.values.size],
+                               pair.minus.nonzeros[0][:minus.values.size])
+            and np.array_equal(plus.values, minus.values))
     separation = solution_separation(problem, pair)
     sources = {"base": pair.base, "plus": pair.plus, "minus": pair.minus}
     membership = MappingProxyType({name: cone_membership(problem, f)
@@ -381,6 +385,7 @@ def _checked_pair(problem: Problem, eps: float, r: float, rho: float,
     gap = abs(problem.cone.a * (c - eta * r) - (c + eta * r))
     ok = (same and all(m.member for m in membership.values())
           and all(v <= rho * (1.0 + 1e-10) for v in norms.values())
-          and separation >= 2.0 * eta and gap <= 1e-12 * max(1.0, c))
+          and 2.0 * eta <= separation <= 2.0 * eps
+          and gap <= 1e-12 * max(1.0, c))
     return FoolingCertificate(eps, ok, pair, cost, membership, norms,
                               separation, gap, same)

@@ -34,9 +34,11 @@ class Approximation:
     retains, n_j for an adaptive run, and ``values`` holds lam_i * fhat_i
     for i = 1..min(cost, support bound), read-only.  Past the input's
     support bound every product is zero, so ``values`` stops there and the
-    zeros through ``cost`` are implied.  Tolerance-driven runs also record
-    the target tolerance, and adaptive runs record the stopping block and
-    the data-driven error bound certified at termination.
+    zeros through ``cost`` are implied.  An adaptive run on a
+    ``from_sparse`` input f keeps only the products at f's nonzeros,
+    ``values[k]`` at ``f.nonzeros[0][k]``.  Tolerance-driven runs also
+    record the target tolerance, and adaptive runs record the stopping
+    block and the data-driven error bound certified at termination.
     """
 
     values: np.ndarray
@@ -52,6 +54,7 @@ class Walk:
 
     ``values`` holds lam_i * fhat_i for i = 1..min(ends[-1], support bound),
     read-only; past the support every product is zero and none is stored.
+    For a ``from_sparse`` f it holds only those at f's nonzeros, as a run.
     Block j (0 is indices 1..n_0) ends at ``ends[j]`` with the
     ``read_blocks`` total ``sums[j]``, None under 512 entries and for a
     sparse source, whose squares ``true_errors`` sums from ``values``;
@@ -179,15 +182,15 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
     last = _blocks_walked(problem.partition, block_limit)
     # each block's values extend the last, so the last block's are the walk's
     for j, (end, values, total, s) in enumerate(read_blocks(problem, f, last)):
-        blocks.append((end, total, s))
+        blocks.append((end, total, s, values.size))
         while j and pending and s <= levels[pending[-1]]:
             stops[pending.pop()] = j
         if not pending:
             break
-    ends, sums, norms = zip(*blocks)
+    ends, sums, norms, sizes = zip(*blocks)
     values.flags.writeable = False
     runs = tuple(None if j is None else
-                 Approximation(values=values[:ends[j]], cost=ends[j],
+                 Approximation(values=values[:sizes[j]], cost=ends[j],
                                stop_block=j,
                                error_bound=problem.cone.tail_factor
                                * norms[j], tolerance=eps)

@@ -12,7 +12,6 @@ Coefficient indices are 1-based throughout.
 from __future__ import annotations
 
 import math
-import mmap
 import operator
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
@@ -41,7 +40,6 @@ _CHUNK = 2 ** 14  # entries per pass: cache-sized, each level's sum exact
 _ULP_SCALE = 1 << 1074  # times the smallest subnormal gives 1
 _RESCALED = 2.0 ** 1008  # squares from here need sigma past 2**1023
 _MEMBER_SLACK = 1e-9  # relative slack of a membership verdict on the ratio
-_MAPPED_FROM = 2 ** 16  # entries from which ``_zeros`` maps fresh pages
 
 
 def _scaled(level: float) -> int:
@@ -165,28 +163,6 @@ def _list_norm(values: list) -> float:
         return math.sqrt(math.fsum(map(operator.mul, values, values)))
     except OverflowError:  # finite squares whose sum leaves the float range
         return math.nan if any(map(math.isnan, values)) else math.inf
-
-
-def _zeros(size: int) -> np.ndarray:
-    """``size`` float64 zeros whose pages cost memory only once written.
-
-    From 2**16 entries (512 KiB) the array is a fresh anonymous mapping
-    without huge pages: an ``np.zeros`` that large may reuse heap memory
-    the allocator must clear, and numpy advises huge pages for it, so a
-    few scattered writes could map megabytes.  A mapping the system
-    refuses raises GuardExceeded, naming the bytes and the index.
-    """
-    if size < _MAPPED_FROM:
-        return np.zeros(size)
-    try:
-        pages = mmap.mmap(-1, 8 * size)
-    except OSError as exc:
-        raise GuardExceeded(
-            f"cannot reserve {8 * size} bytes for the products up to index "
-            f"{size}: {exc.strerror}") from exc
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        pages.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(pages, dtype=np.float64)
 
 
 def _chunks(lo: int, hi: int):
@@ -527,7 +503,7 @@ class CoefficientSource:
     still be solved adaptively.  ``from_vector`` and ``from_padded``
     sources hold their coefficients in memory, so a walk over one reserves
     its products at once (see ``read_blocks``).  A ``from_sparse`` source
-    holds only its nonzeros, and every read of it costs only those.
+    holds only its nonzeros, and a walk over it stores only their products.
     """
 
     def __init__(self, rule: Callable, support_bound: Optional[int] = None):
@@ -753,10 +729,11 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
 
     Block 0 is indices 1..n_0, sampled but never tested; each block is
     clipped to a finite table.  ``values`` are the products lam_i * fhat_i
-    at 1..min(end, support), a prefix view of one buffer that the walk
-    writes in order; each block's ``values`` extend the last, and the
-    caller must not write into them.  Past the support every product of a
-    finite lam is zero, so none is formed, stored or read from ``f`` there.
+    at 1..min(end, support) (only the nonzeros' for a sparse source, see
+    below), a prefix view of one buffer that the walk writes in order;
+    each block's ``values`` extend the last, and the caller must not write
+    into them.  Past the support every product of a finite lam is zero,
+    so none is formed, stored or read from ``f`` there.
     ``total`` is a dense block's exact sum of squares for ``block_tails``,
     a ``_square_sum`` (None under 512 entries, summed by ``math.fsum``), and
     ``norm`` has the bits of ``block_norm``.  A dense block is formed into
@@ -768,12 +745,12 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     walk does not read.
 
     A ``from_sparse`` block reads lam only at its nonzeros, found by
-    bisection, as one-index ranges, and writes its products into a buffer
-    of zeros (``_zeros``, reserved as for a vector source).  Its norm is the
-    ``math.fsum`` norm of those products alone, since a zero square adds
-    nothing to an exact sum, and its total is None: ``block_tails`` sums it
-    from ``values`` if asked.  The ends, values and norms have the bits of
-    ``CoefficientSource.from_vector``'s.
+    bisection, as one-index ranges, and writes their products alone:
+    ``values[k]`` is the product at ``f.nonzeros[0][k]``, in a buffer as
+    long as the nonzeros.  Its norm is the ``math.fsum`` norm of those
+    products, since a zero square adds nothing to an exact sum, and its
+    total is None: ``block_tails`` sums it from ``values`` if asked.  Ends,
+    norms and products have the bits of ``CoefficientSource.from_vector``'s.
 
     Every lam comes from ``SingularSpectrum.checked``; past a block's last
     product one read at the block's end only checks lam, forming nothing.
@@ -789,7 +766,7 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     sparse = f.nonzeros
     if sparse is not None:  # as lists, bisected and read once per block
         where, entries = (part.tolist() for part in sparse)
-        buffer = _zeros(min(bound, partition.boundary(last)))
+        buffer = np.empty(len(where))
     else:
         buffer = np.empty(min(bound, partition.boundary(last))
                           if f._stored or length is not None else 0)
@@ -802,22 +779,21 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
                     f"partition boundaries not increasing at block {j}")
         end = n if length is None else min(n, length)  # no modes past a table
         top = end if bound is None else min(end, bound)
-        if top > buffer.size:  # a rule source: grow geometrically
-            size = max(top, 2 * buffer.size)
-            grown = np.empty(size if bound is None else min(size, bound))
-            grown[:start - 1] = buffer[:start - 1]
-            buffer = grown
         read = start - 1  # lam is checked through ``read``
         if sparse is not None:
-            total, products = None, []
-            for k in range(bisect_left(where, start),
-                           bisect_right(where, top)):
+            # from here ``top`` counts the products through this block
+            first, top = bisect_left(where, start), bisect_right(where, top)
+            for k in range(first, top):
                 read = where[k]
-                products.append(
-                    spectrum.checked(range(read, read + 1)).item() * entries[k])
-                buffer[read - 1] = products[-1]
-            norm = _list_norm(products)
+                lam = spectrum.checked(range(read, read + 1)).item()
+                buffer[k] = lam * entries[k]
+            total, norm = None, _list_norm(buffer[first:top].tolist())
         else:
+            if top > buffer.size:  # a rule source: grow geometrically
+                size = max(top, 2 * buffer.size)
+                grown = np.empty(size if bound is None else min(size, bound))
+                grown[:start - 1] = buffer[:start - 1]
+                buffer = grown
             total = 0 if end - start + 1 >= _FSUM_BELOW else None
             for span in _chunks(start, top):
                 piece = buffer[span.start - 1:span.stop - 1]
@@ -845,15 +821,18 @@ def block_tails(problem: Problem, f: CoefficientSource, values: np.ndarray,
     """``tail_norms`` at the ends of consecutive blocks, bit for bit.
 
     ``ends`` and ``totals`` are what ``read_blocks`` yielded for the
-    blocks and ``values`` the products at 1..ends[-1].  A block without a
+    blocks and ``values`` the products through ends[-1], as it yields them
+    (at ``f``'s nonzeros alone where it is sparse).  A block without a
     total (under 512 entries, or any block of a sparse source) has its
     squares summed here from ``values``, by the same extraction kernel as
     the totals (``_square_sum``), and only the support past ends[-1] is
     read, once; the exact ints then add from the last block backwards,
     each tail rounded once.
     """
+    cuts = ends if f.nonzeros is None else np.searchsorted(
+        f.nonzeros[0], ends, "right").tolist()
     sums = [_square_sum(values[lo:hi]) if total is None else total
-            for lo, hi, total in zip(ends, ends[1:], totals[1:])]
+            for lo, hi, total in zip(cuts, cuts[1:], totals[1:])]
     rest = _product_sum(problem, f, ends[-1] + 1, _solution_end(problem, f))
     return _suffix_norms(sums + [rest])
 

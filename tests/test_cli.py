@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from adaptlin import (GuardExceeded, adaptive_algorithm, block_norm, cli,
-                      fooling_certificates)
+from adaptlin import (GuardExceeded, adaptive_algorithm, adversarial,
+                      block_norm, cli, fooling_certificates)
 
 from conftest import brute_worst_ratio, fresh_probe_search
 
@@ -715,7 +715,31 @@ def test_adversarial_fools_the_run(tmp_path):
     entry = record["entries"][0]
     assert entry["ok"] is True
     assert entry["indistinguishable"] is True
-    assert entry["separation"] >= 2.0 * entry["shift"] > 0.0
+    assert 2.0 * entry["epsilon"] >= entry["separation"] \
+        >= 2.0 * entry["shift"] > 0.0
+    assert all(m["member"] for m in entry["membership"].values())
+    assert all(v <= 1.0 + 1e-9 for v in entry["norms"].values())
+
+
+def test_a_separation_past_twice_the_tolerance_fails_the_run(
+        tmp_path, capsys, monkeypatch):
+    # both runs return one result, which the error guarantee puts within
+    # epsilon of each true solution: 3 epsilon apart, one bound is false
+    monkeypatch.setattr(adversarial, "solution_separation",
+                        lambda problem, pair: 3.0 * 0.05)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "problem": ALGEBRAIC, "epsilons": [0.05], "rho": 1.0,
+        "output": str(out)})
+    assert cli.main(["adversarial", "--config", cfg, "--quiet"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "adversarial: checks failed at epsilon=0.05"]
+    record = json.loads((out / "adversarial.json").read_text(encoding="utf-8"))
+    (entry,) = record["entries"]
+    assert entry["ok"] is False and entry["separation"] == 3.0 * 0.05
+    # every other check holds: only the separation fails the certificate
+    assert entry["indistinguishable"] is True
+    assert entry["separation"] >= 2.0 * entry["shift"]
     assert all(m["member"] for m in entry["membership"].values())
     assert all(v <= 1.0 + 1e-9 for v in entry["norms"].values())
 
@@ -795,22 +819,6 @@ def test_a_bump_whose_squares_underflow_still_fools(tmp_path, payload):
     entries = json.loads((tmp_path / "out" / "adversarial.json").read_text(
         encoding="utf-8"))["entries"]
     assert [entry["ok"] for entry in entries] == [True, True]
-
-
-def test_a_walk_buffer_the_system_refuses_fails_the_tolerance(tmp_path):
-    # the probe of 1e-150 grows toward an index budget of 2**30; under a
-    # 4 GB address space its 4 GiB product buffer cannot be mapped
-    done = _cli_child(tmp_path, "adversarial", {
-        "problem": {"spectrum": {"family": "periodic", "r": 1.029},
-                    "partition": {"kind": "doubling", "start": 4},
-                    "cone": {"a": 1.5, "b": 0.107}},
-        "epsilons": [1e-2, 1e-150], "rho": 1.0,
-        "guards": {"n_max": 2 ** 30}}, limit=4_000_000_000)
-    assert done.returncode == 1 and "Traceback" not in done.stderr
-    assert re.search(r"construction failed at epsilon=1e-150: cannot reserve "
-                     r"\d+ bytes for the products up to index \d+",
-                     done.stderr)
-
 
 
 def test_an_input_past_the_default_index_budget_is_refused_before_any_draw(

@@ -5,18 +5,27 @@
 cost only those.  The oracle is the dense twin,
 ``CoefficientSource.from_vector(src.dense(n))``, which goes through the
 dense path of every routine: both must give the same bits, or raise the
-same exception with the same message.  Only the walk's block totals
-differ: a sparse block yields None, and ``block_tails`` sums its squares
-from the walk's values when a tail needs them.
+same exception with the same message.  Only the walk's values and block
+totals differ in form.  A sparse walk yields its products at its nonzeros
+alone, which scattered into zeros must give the bytes of the twin's dense
+prefix; a sparse block yields no total, and ``block_tails`` sums its
+squares from the walk's values when a tail needs them.
 """
 
 import math
+import os
+import resource
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import adaptlin
 from adaptlin import (CoefficientSource, ConeParams, FoolingPair, Partition,
                       Problem, SingularSpectrum, adaptive_sweep,
                       cone_membership,
@@ -118,12 +127,21 @@ def quietly(read):
 
 def yields(problem, f, last):
     """Each block's (end, values bytes, norm) bits, read as yielded, then
-    the exception that ended the walk, if any.  A sparse source's blocks
-    have no total: their norms are summed from the products alone."""
+    the exception that ended the walk, if any.  A sparse source's values,
+    its products at each nonzero through min(end, support), are scattered
+    into zeros first, so they compare with the dense twin's prefix; its
+    blocks have no total: their norms are summed from the products alone."""
     got = []
     try:
         for end, values, total, norm in read_blocks(problem, f, last):
-            assert f.nonzeros is None or total is None
+            if f.nonzeros is not None:
+                assert total is None
+                top = min(end, f.support_bound)
+                places = f.nonzeros[0]
+                assert values.size == np.searchsorted(places, top, "right")
+                dense = np.zeros(top)
+                dense[places[:values.size] - 1] = values
+                values = dense
             got.append((end, values.tobytes(), bits(norm)))
     except (ValueError, LookupError) as exc:
         got.append((type(exc), str(exc)))
@@ -250,9 +268,8 @@ def test_a_sparse_source_rejects_a_malformed_index_list(indices, values,
 
 
 def test_a_deep_sparse_walk_writes_only_its_nonzeros():
-    # a walk over 2**20 indices reserves 8 MiB of products, past the size
-    # from which the buffer is a fresh mapping, and writes 21 of them; a
-    # walk over checked lam reads it only where it forms a product
+    # a walk over 2**20 indices stores its 21 products, not 2**20 of them;
+    # a walk over checked lam reads it only where it forms a product
     for depth in (17, 20):
         spectrum = CountedHarmonic()
         problem = Problem(spectrum, Partition.doubling(1), CONE)
@@ -262,10 +279,10 @@ def test_a_deep_sparse_walk_writes_only_its_nonzeros():
         for walk in range(2):
             reads = len(spectrum.reads)
             *_, (end, values, total, norm) = read_blocks(problem, f, depth)
-            assert end == values.size == 2 ** depth
+            assert end == 2 ** depth
+            assert values.tolist() == [1.0 / p for p in places]
             assert norm == 2.0 ** -depth
             assert total is None  # its one square is summed only for a tail
-            assert np.flatnonzero(values).tolist() == [p - 1 for p in places]
             if walk == 0:  # the first walk evaluates and checks each lam once
                 for indices in (spectrum.reads, spectrum.checks):
                     counts = spectrum.counts(indices)
@@ -274,3 +291,32 @@ def test_a_deep_sparse_walk_writes_only_its_nonzeros():
             else:  # the second evaluates lam at its nonzeros past the head
                 read = np.concatenate(spectrum.reads[reads:]).tolist()
                 assert read == [p for p in places if p > 2 ** 14]
+
+
+def test_a_sparse_walk_over_2_28_indices_fits_a_small_address_space():
+    # one nonzero at each 2**k up to a support of 2**28: the walk keeps its
+    # 29 products, where a dense prefix of them would take 2 GiB, past the
+    # 1.5 GB address space of the child that walks it
+    script = textwrap.dedent("""
+        from adaptlin import (CoefficientSource, ConeParams, Partition,
+                              Problem, SingularSpectrum)
+        from adaptlin.spectrum import read_blocks
+        problem = Problem(SingularSpectrum.algebraic(1.0, 1.0),
+                          Partition.doubling(1), ConeParams(2.0, 0.5))
+        places = [2 ** k for k in range(29)]
+        f = CoefficientSource.from_sparse(places, [1.0] * 29, 2 ** 28)
+        *_, (end, values, total, norm) = read_blocks(problem, f, 28)
+        print(end, values.tolist() == [1.0 / p for p in places],
+              norm == 2.0 ** -28)
+        """)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2)
+
+    src = str(Path(adaptlin.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300,
+                          preexec_fn=cap)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(2 ** 28), "True", "True"]

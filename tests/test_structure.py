@@ -101,3 +101,20 @@ def test_one_summation_kernel_and_no_bincount():
     # the exponent-bin kernel survives only as the tests' oracle
     assert [line for path in sorted(PACKAGE.glob("*.py"))
             for _, line in attribute_calls(path, "bincount")] == []
+
+
+def test_no_module_maps_memory():
+    # a walk stores the products it forms and nothing else: a sparse one
+    # keeps its products at its nonzeros, so no buffer of zeros is mapped
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "mmap"]
+    assert found == []
