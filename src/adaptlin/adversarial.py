@@ -37,7 +37,7 @@ import numpy as np
 from .algorithm import DEFAULT_BLOCK_LIMIT, adaptive_algorithm
 from .analysis import boundary_drops, lower_sums, running_ratios
 from .spectrum import (CoefficientSource, GuardExceeded, Problem,
-                       cone_membership, exact_norm)
+                       cone_membership, exact_norm, products)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +69,7 @@ def _profiles(problem: Problem, rho: float, first: int,
     read of each boundary value.  r is ``ratio``, or
     ``boundary_ratio(problem, d).value`` where ``ratio`` is None.  Raises
     ValueError at the first depth whose ratio is below 1 or below a
-    boundary drop, or whose S_d is past the float range."""
+    boundary drop, or whose S_d is past or below the float range."""
     if rho <= 0:
         raise ValueError("rho must be positive")
     if first < 1:
@@ -100,10 +100,11 @@ def _profiles(problem: Problem, rho: float, first: int,
             inflation = 1.0 + (a - 1.0) ** 2 / ((a + 1.0) ** 2 * r * r)
         except OverflowError:  # a past 2**511, where a + 1 and a - 1 are a
             inflation = 1.0 + 1.0 / (r * r)
-        scale = inflation * total
-        if scale == math.inf:
-            raise ValueError(f"the profile sum S_{depth} is past the float "
-                             f"range at depth {depth}")
+        scale = inflation * total  # zero where every 1 / lam**2 underflows
+        if not 0.0 < scale < math.inf:
+            side = "past" if scale else "below"
+            raise ValueError(f"the profile sum S_{depth} is {side} the "
+                             f"float range at depth {depth}")
         yield r, tuple(lams), rho / math.sqrt(scale)
 
 
@@ -254,14 +255,12 @@ def solution_separation(problem: Problem, pair: FoolingPair) -> float:
 
     Always at least 2 * shift: each block piece of the bump contributes at
     least its own norm to ||S(bump)|| after the singular values are applied,
-    and the largest piece has norm one.  lam is read only at the bump's
-    nonzeros, a one-index range each, and the products are Python floats,
-    so one past the float range is inf without a warning.
+    and the largest piece has norm one.  The ``products`` of the bump read
+    lam only at its nonzeros, through the last of them.
     """
-    places, entries = pair.bump.nonzeros
-    image = [problem.spectrum.checked(range(i, i + 1)).item() * v
-             for i, v in zip(places.tolist(), entries.tolist())]
-    return 2.0 * pair.shift * exact_norm(np.array(image))
+    last = max(pair.bump.nonzeros[0].tolist(), default=0)
+    return 2.0 * pair.shift * exact_norm(
+        products(problem.spectrum, pair.bump, 1, last))
 
 
 @dataclass(frozen=True)
@@ -370,11 +369,10 @@ def _checked_pair(problem: Problem, eps: float, r: float, rho: float,
     plus, minus = (adaptive_algorithm(problem, f, eps,
                                       block_limit=block_limit)
                    for f in (pair.plus, pair.minus))
-    # a run holds its products at the first of its input's nonzeros, every
-    # other sample zero: equal costs, places and products, equal samples
+    # a run holds its products at its places, every other sample zero:
+    # equal costs, places and products, equal samples
     same = (plus.cost == minus.cost
-            and np.array_equal(pair.plus.nonzeros[0][:plus.values.size],
-                               pair.minus.nonzeros[0][:minus.values.size])
+            and np.array_equal(plus.places, minus.places)
             and np.array_equal(plus.values, minus.values))
     separation = solution_separation(problem, pair)
     sources = {"base": pair.base, "plus": pair.plus, "minus": pair.minus}

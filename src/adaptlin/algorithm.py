@@ -20,8 +20,8 @@ import numpy as np
 
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        OutOfRangeError, Partition, Problem, SingularSpectrum,
-                       DEFAULT_SCAN_LIMIT, block_tails, read_blocks,
-                       tail_norm)
+                       DEFAULT_SCAN_LIMIT, block_tails, products,
+                       read_blocks, tail_norm)
 
 DEFAULT_BLOCK_LIMIT = 64
 
@@ -31,14 +31,11 @@ class Approximation:
     """Retained solution coefficients plus run metadata.
 
     Every solver keeps a prefix: ``cost`` is the number of coefficients it
-    retains, n_j for an adaptive run, and ``values`` holds lam_i * fhat_i
-    for i = 1..min(cost, support bound), read-only.  Past the input's
-    support bound every product is zero, so ``values`` stops there and the
-    zeros through ``cost`` are implied.  An adaptive run on a
-    ``from_sparse`` input f keeps only the products at f's nonzeros,
-    ``values[k]`` at ``f.nonzeros[0][k]``.  Tolerance-driven runs also
-    record the target tolerance, and adaptive runs record the stopping
-    block and the data-driven error bound certified at termination.
+    retains (n_j for an adaptive run), and ``values`` holds the input's
+    ``spectrum.products`` through ``cost``, read-only: from index 1, or at
+    ``places``, its first nonzeros, for a ``from_sparse`` input (else None).
+    Tolerance-driven runs also record the target tolerance, and adaptive
+    runs the stopping block and the error bound certified at termination.
     """
 
     values: np.ndarray
@@ -46,21 +43,20 @@ class Approximation:
     stop_block: Optional[int] = None
     error_bound: Optional[float] = None
     tolerance: Optional[float] = None
+    places: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True, eq=False)
 class Walk:
     """What the block walk of ``adaptive_sweep`` read, and where it stopped.
 
-    ``values`` holds lam_i * fhat_i for i = 1..min(ends[-1], support bound),
-    read-only; past the support every product is zero and none is stored.
-    For a ``from_sparse`` f it holds only those at f's nonzeros, as a run.
-    Block j (0 is indices 1..n_0) ends at ``ends[j]`` with the
-    ``read_blocks`` total ``sums[j]``, None under 512 entries and for a
-    sparse source, whose squares ``true_errors`` sums from ``values``;
-    block j >= 1 has norm ``norms[j - 1]``.  ``stops`` and ``runs`` hold
-    each tolerance's stop block and run (prefix views of ``values``), None
-    where no block read qualified.
+    ``values`` holds the products through ``ends[-1]``, read-only, in the
+    format of a run.  Block j (0 is indices 1..n_0) ends at ``ends[j]``
+    with the ``read_blocks`` total ``sums[j]``, None where ``true_errors``
+    sums its squares from ``values``; block j >= 1 has norm
+    ``norms[j - 1]``.  ``stops`` and ``runs`` hold each tolerance's stop
+    block and run (prefix views of ``values``), None where no block read
+    qualified.
     """
 
     problem: Problem
@@ -94,11 +90,9 @@ def stop_threshold(cone: ConeParams, epsilon: float) -> float:
 
 
 def interpolate(problem: Problem, f: CoefficientSource, n: int) -> Approximation:
-    """Keep the first n solution coefficients.
-
-    Products past the input's support bound are zero and are neither
-    computed nor stored (see :class:`Approximation`); an n past a finite
-    table raises OutOfRangeError.
+    """Keep the first n solution coefficients, as ``spectrum.products``
+    forms them through min(n, support bound) (see :class:`Approximation`);
+    an n past a finite table raises OutOfRangeError.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -107,10 +101,14 @@ def interpolate(problem: Problem, f: CoefficientSource, n: int) -> Approximation
         raise OutOfRangeError(
             f"index {n} past the {length} enumerated singular values")
     top = n if f.support_bound is None else min(n, f.support_bound)
-    span = range(1, top + 1)
-    values = problem.spectrum.checked(span) * f.coefficients(span)
+    values = products(problem.spectrum, f, 1, top)
     values.flags.writeable = False
-    return Approximation(values=values, cost=n)
+    return Approximation(values=values, cost=n, places=_places(f, values))
+
+
+def _places(f: CoefficientSource, values: np.ndarray):
+    """The indices of ``values``, products of ``f``: None for a prefix."""
+    return None if f.nonzeros is None else f.nonzeros[0][:values.size]
 
 
 def ball_budget(spectrum: SingularSpectrum, epsilon: float, rho: float, *,
@@ -191,9 +189,9 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
     values.flags.writeable = False
     runs = tuple(None if j is None else
                  Approximation(values=values[:sizes[j]], cost=ends[j],
-                               stop_block=j,
-                               error_bound=problem.cone.tail_factor
-                               * norms[j], tolerance=eps)
+                               stop_block=j, tolerance=eps,
+                               error_bound=problem.cone.tail_factor * norms[j],
+                               places=_places(f, values[:sizes[j]]))
                  for eps, j in zip(epsilons, stops))
     return Walk(problem, f, values, ends, sums, norms[1:], tuple(stops), runs)
 

@@ -301,6 +301,13 @@ def evaluate_input(inp: RandomPeriodicInput, gamma: np.ndarray, x: Sequence[floa
     return float(running)
 
 
+def _positions(approx: Approximation, mis: MultiIndexSpectrum) -> np.ndarray:
+    """Box positions of the modes of ``approx.values``."""
+    if approx.places is None:  # a prefix
+        return mis.positions[:approx.values.size]
+    return mis.positions[approx.places - 1]
+
+
 def evaluate_solution(approx: Approximation, mis: MultiIndexSpectrum,
                       x: Sequence[float]) -> float:
     """Value of an approximate derivative at a point of the unit cube.
@@ -317,7 +324,7 @@ def evaluate_solution(approx: Approximation, mis: MultiIndexSpectrum,
         raise ValueError("point dimension mismatch")
     if approx.values.size == 0:
         return 0.0
-    ks = mis.head(approx.values.size)  # past the support every term is zero
+    ks = mis._decode(_positions(approx, mis))
     k1 = ks[:, 0].astype(np.float64)
     phase = np.where(k1 < 0, 0.5 * math.pi, 0.0)
     basis = -np.sign(k1) * np.sin(TWO_PI * k1 * x[0] + phase)
@@ -385,7 +392,7 @@ def solution_slice_grid(approx: Approximation, mis: MultiIndexSpectrum,
         return np.zeros((len(first), len(second)))
     d, side = mis.dimension, 2 * mis.k_max + 1
     # C-order box positions: k_j + k_max is digit d-1-j in base ``side``
-    positions = mis.positions[:approx.values.size]  # zero past the support
+    positions = _positions(approx, mis)
     term = approx.values.copy()
     for j in range(2, d):
         kj = (positions // side ** (d - 1 - j) % side

@@ -503,7 +503,7 @@ class CoefficientSource:
     still be solved adaptively.  ``from_vector`` and ``from_padded``
     sources hold their coefficients in memory, so a walk over one reserves
     its products at once (see ``read_blocks``).  A ``from_sparse`` source
-    holds only its nonzeros, and a walk over it stores only their products.
+    holds only its nonzeros, and ``products`` forms only theirs.
     """
 
     def __init__(self, rule: Callable, support_bound: Optional[int] = None):
@@ -516,7 +516,7 @@ class CoefficientSource:
         # whether the source holds coefficients 1..support_bound in memory,
         # so that a walk may reserve as many products at once
         self._stored = False
-        self._nonzeros = None
+        self._nonzeros = self._listed = None  # arrays, and lists to bisect
 
     @classmethod
     def from_vector(cls, values) -> "CoefficientSource":
@@ -556,7 +556,7 @@ class CoefficientSource:
         1-based indices up to ``support_bound``, where it takes ``values``
         (a zero among them is allowed).  Both are copied into read-only
         arrays, its ``nonzeros``.  ``coefficients`` scatters them into
-        zeros, ``norm`` sums their squares alone, and ``read_blocks`` forms
+        zeros, ``norm`` sums their squares alone, and ``products`` forms
         products only at them; anything else raises ValueError."""
         places = np.array(indices, dtype=np.int64)
         entries = np.array(values, dtype=np.float64)
@@ -579,6 +579,7 @@ class CoefficientSource:
         source = cls(None, support_bound=support_bound)
         source._read = read
         source._nonzeros = places, entries
+        source._listed = places.tolist(), entries.tolist()
         return source
 
     @classmethod
@@ -717,60 +718,67 @@ def block_decay_ratios(cone: ConeParams, norms: Sequence[float]) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _products(lam: np.ndarray, coefficients: np.ndarray,
+def _multiply(lam: np.ndarray, coefficients: np.ndarray,
               out: np.ndarray) -> None:
-    """lam * coefficients into ``out``, an overflow inf and an infinite lam
-    times zero NaN without a warning: ``read_blocks`` rejects either."""
+    """lam * coefficients into ``out``, inf or NaN without a warning."""
     np.multiply(lam, coefficients, out=out)
+
+
+def products(spectrum: SingularSpectrum, f: CoefficientSource, lo: int,
+             hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The products lam_i * fhat_i that ``f`` holds at lo..hi, in index
+    order, written into ``out``, a buffer of all of them, where given: one
+    per index through the support from one ``checked`` range, or for a
+    ``from_sparse`` f only those at its nonzeros, each lam a one-index
+    range, so an implied zero stays zero where an infinite lam makes the
+    dense twin's NaN.  Past the last product a read at ``hi`` checks lam."""
+    if f._listed is None:
+        top = max(lo - 1, hi if f.support_bound is None
+                  else min(hi, f.support_bound))
+        values = np.empty(top - lo + 1) if out is None else out[lo - 1:top]
+        if top >= lo:
+            span = range(lo, top + 1)
+            _multiply(spectrum.checked(span), f.coefficients(span), values)
+    else:
+        where, entries = f._listed
+        first = bisect_left(where, lo)
+        stop = bisect_right(where, hi, first)
+        values = np.empty(stop - first) if out is None else out[first:stop]
+        top = lo - 1  # the index of the last product formed
+        for k in range(first, stop):
+            top = where[k]
+            values[k - first] = spectrum.checked(range(top, top + 1)).item() \
+                * entries[k]
+    if hi > top:
+        spectrum.checked(range(hi, hi + 1))
+    return values
 
 
 def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     """Yield ``(end, values, total, norm)`` for blocks 0, 1, ..., ``last``.
 
-    Block 0 is indices 1..n_0, sampled but never tested; each block is
-    clipped to a finite table.  ``values`` are the products lam_i * fhat_i
-    at 1..min(end, support) (only the nonzeros' for a sparse source, see
-    below), a prefix view of one buffer that the walk writes in order;
-    each block's ``values`` extend the last, and the caller must not write
-    into them.  Past the support every product of a finite lam is zero,
-    so none is formed, stored or read from ``f`` there.
-    ``total`` is a dense block's exact sum of squares for ``block_tails``,
-    a ``_square_sum`` (None under 512 entries, summed by ``math.fsum``), and
-    ``norm`` has the bits of ``block_norm``.  A dense block is formed into
-    the buffer chunk by chunk of 2**14 indices up to the support, each
-    chunk's squares extracted while in cache.  The buffer is reserved once
-    where the input stores that many coefficients itself (a vector source
-    or a finite table), at min(n_last, support, table length); otherwise it
-    grows geometrically, so a distant support bound reserves nothing the
-    walk does not read.
-
-    A ``from_sparse`` block reads lam only at its nonzeros, found by
-    bisection, as one-index ranges, and writes their products alone:
-    ``values[k]`` is the product at ``f.nonzeros[0][k]``, in a buffer as
-    long as the nonzeros.  Its norm is the ``math.fsum`` norm of those
-    products, since a zero square adds nothing to an exact sum, and its
-    total is None: ``block_tails`` sums it from ``values`` if asked.  Ends,
-    norms and products have the bits of ``CoefficientSource.from_vector``'s.
-
-    Every lam comes from ``SingularSpectrum.checked``; past a block's last
-    product one read at the block's end only checks lam, forming nothing.
-    A non-finite norm raises ValueError, so no certificate rests on it.
-    lam never increases, so any infinite lam, which products would turn
-    into inf or NaN, makes lam_1 infinite: the first non-empty block, which
-    holds index 1, raises then.
+    Block 0 is indices 1..n_0, sampled but never tested; blocks are
+    clipped to a finite table.  ``values`` are the ``products`` through
+    ``end``, a prefix view of one buffer the caller must not write into,
+    as long as a sparse source's nonzeros, reserved at min(n_last,
+    support, table length) where the input stores that many coefficients,
+    or else grown geometrically.  ``total`` is a dense block's exact sum of
+    squares from 512 entries on, extracted chunk by chunk of 2**14 while in
+    cache, and None otherwise; ``norm`` has the bits of ``block_norm``.  A
+    non-finite norm raises ValueError, and so does an infinite lam, which
+    makes lam_1 infinite, in the first non-empty block.
     """
     spectrum, partition = problem.spectrum, problem.partition
     length, support = spectrum.enumerated_length, f.support_bound
     held = [n for n in (support, length) if n is not None]
     bound = min(held) if held else None  # no product is stored past it
-    sparse = f.nonzeros
-    if sparse is not None:  # as lists, bisected and read once per block
-        where, entries = (part.tolist() for part in sparse)
-        buffer = np.empty(len(where))
+    sparse = f.nonzeros is not None
+    if sparse:
+        buffer = np.empty(f.nonzeros[0].size)
     else:
         buffer = np.empty(min(bound, partition.boundary(last))
                           if f._stored or length is not None else 0)
-    start, n = 1, partition.boundary(0)
+    start, n, count = 1, partition.boundary(0), 0  # count products so far
     for j in range(last + 1):
         if j:  # the check of ``Partition.block``, on one new boundary
             lo, n = n, partition.boundary(j)
@@ -778,33 +786,28 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
                 raise ValueError(
                     f"partition boundaries not increasing at block {j}")
         end = n if length is None else min(n, length)  # no modes past a table
-        top = end if bound is None else min(end, bound)
-        read = start - 1  # lam is checked through ``read``
-        if sparse is not None:
-            # from here ``top`` counts the products through this block
-            first, top = bisect_left(where, start), bisect_right(where, top)
-            for k in range(first, top):
-                read = where[k]
-                lam = spectrum.checked(range(read, read + 1)).item()
-                buffer[k] = lam * entries[k]
-            total, norm = None, _list_norm(buffer[first:top].tolist())
+        total = 0 if not sparse and end - start + 1 >= _FSUM_BELOW else None
+        if sparse:
+            piece = products(spectrum, f, start, end, buffer)
+            count += piece.size
         else:
+            top = end if bound is None else min(end, bound)
             if top > buffer.size:  # a rule source: grow geometrically
                 size = max(top, 2 * buffer.size)
                 grown = np.empty(size if bound is None else min(size, bound))
-                grown[:start - 1] = buffer[:start - 1]
+                grown[:count] = buffer[:count]
                 buffer = grown
-            total = 0 if end - start + 1 >= _FSUM_BELOW else None
-            for span in _chunks(start, top):
-                piece = buffer[span.start - 1:span.stop - 1]
-                _products(spectrum.checked(span), f.coefficients(span), piece)
+            # one chunk at least; the last reaches ``end``, so past the
+            # support lam is only checked, through the block's end
+            for span in _chunks(start, max(start, top)):
+                chunk = products(spectrum, f, span.start,
+                                 end if span.stop > top else span.stop - 1,
+                                 buffer)
+                count += chunk.size
                 if total is not None:
-                    total = _plus(total, _square_sum(piece))
-            read = max(read, top)
-            norm = (exact_norm(buffer[start - 1:top]) if total is None
-                    else math.sqrt(_rounded(total)))
-        if end > read:  # past the last product lam is only checked
-            spectrum.checked(range(end, end + 1))
+                    total = _plus(total, _square_sum(chunk))
+            piece = buffer[start - 1:count]
+        norm = exact_norm(piece) if total is None else math.sqrt(_rounded(total))
         # lam never increases, so an infinite lam makes lam_1 infinite
         if not math.isfinite(norm) or (
                 start == 1 <= end
@@ -812,7 +815,7 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
             raise ValueError(
                 f"non-finite norm over indices {start}..{end}: "
                 "a solution coefficient is not finite or its square overflows")
-        yield end, buffer[:top], total, norm
+        yield end, buffer[:count], total, norm
         start = end + 1
 
 
@@ -821,13 +824,10 @@ def block_tails(problem: Problem, f: CoefficientSource, values: np.ndarray,
     """``tail_norms`` at the ends of consecutive blocks, bit for bit.
 
     ``ends`` and ``totals`` are what ``read_blocks`` yielded for the
-    blocks and ``values`` the products through ends[-1], as it yields them
-    (at ``f``'s nonzeros alone where it is sparse).  A block without a
-    total (under 512 entries, or any block of a sparse source) has its
-    squares summed here from ``values``, by the same extraction kernel as
-    the totals (``_square_sum``), and only the support past ends[-1] is
-    read, once; the exact ints then add from the last block backwards,
-    each tail rounded once.
+    blocks and ``values`` the products through ends[-1].  A block without a
+    total has its squares summed here from ``values`` by ``_square_sum``,
+    and only the support past ends[-1] is read, once; the exact ints then
+    add from the last block backwards, each tail rounded once.
     """
     cuts = ends if f.nonzeros is None else np.searchsorted(
         f.nonzeros[0], ends, "right").tolist()
@@ -848,6 +848,8 @@ def tail_norms(problem: Problem, f: CoefficientSource, cuts) -> list:
     cut, sums each segment between two cuts exactly, and adds the segments
     from the last backwards, so every tail is the correctly rounded sum of
     its squares (the bits of ``math.fsum``) and each product is read once.
+    Over an infinite lam a sparse source's implied zeros add nothing, where
+    the dense twin's lam * 0 makes its tails NaN (see ``products``).
     """
     cuts = list(cuts)
     if any(n < 0 for n in cuts):
@@ -870,15 +872,14 @@ def _solution_end(problem: Problem, f: CoefficientSource) -> int:
     return f.support_bound if length is None else min(f.support_bound, length)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _product_sum(problem: Problem, f: CoefficientSource, lo: int, hi: int):
-    """The ``_square_sum`` of the (lam_i * fhat_i)**2, i = lo..hi; an
-    overflowing product makes it inf and an infinite lam times zero NaN,
-    without a warning, as in ``_products``."""
+    """The ``_square_sum`` of the ``products`` at lo..hi: a chunk at a time
+    for a dense source, at once for a sparse one."""
+    spans = _chunks(lo, hi) if f.nonzeros is None else [range(lo, hi + 1)]
     total = 0
-    for span in _chunks(lo, hi):
-        total = _plus(total, _square_sum(problem.spectrum.checked(span)
-                                         * f.coefficients(span)))
+    for span in spans:
+        total = _plus(total, _square_sum(
+            products(problem.spectrum, f, span.start, span.stop - 1)))
     return total
 
 

@@ -80,6 +80,28 @@ def test_interpolate_past_the_support_has_the_bits_of_the_products(
     assert approx.cost == 9
 
 
+def test_interpolate_reads_lam_only_through_the_support():
+    # n far past a three-entry support: lam is read through index 3 alone
+    spectrum = CountedHarmonic()
+    problem = Problem(spectrum, Partition.doubling(1), ConeParams(2.0, 0.5))
+    before = len(spectrum.reads)
+    f = CoefficientSource.from_vector([1.0, 0.5, 0.25])
+    assert interpolate(problem, f, 2 ** 26).values.tolist() == [1.0, 0.25,
+                                                               0.25 / 3]
+    assert all(read.max() <= 3 for read in spectrum.reads[before:])
+
+
+def test_an_overflowing_product_is_inf_without_a_warning():
+    # lam_1 * fhat_1 = 1e300 * 1e160 is past the float range; the ball
+    # budget at 4e299 is 2, since lam_3 = 1e300 / 3 <= 4e299 < lam_2
+    problem = Problem(SingularSpectrum.from_rule(lambda i: 1e300 / i),
+                      Partition.doubling(1), ConeParams(2.0, 0.5))
+    f = CoefficientSource.from_vector([1e160, 1.0])
+    assert interpolate(problem, f, 2).values.tolist() == [math.inf, 5e299]
+    assert ball_algorithm(problem, f, 4e299, 1.0).values.tolist() \
+        == [math.inf, 5e299]
+
+
 def test_interpolate_past_a_finite_table_raises():
     problem = Problem(SingularSpectrum.from_values([1.0, 0.5, 0.25]),
                       Partition.doubling(1), ConeParams(2.0, 0.5))

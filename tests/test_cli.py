@@ -769,8 +769,11 @@ GEOMETRIC_2 = {"spectrum": {"family": "geometric", "base": 2.0}}
       "partition": {"kind": "arithmetic", "start": 1, "step": 1},
       "cone": {"a": 2.0, "b": 0.05}},
      {"blocks": 130, "ratio": 2.0}, "past the float range at depth 130"),
+    # every 1 / lam**2 <= 1e-600 underflows: S_4 is zero, not a divisor
+    ({"spectrum": {"family": "algebraic", "scale": 1e300}}, {"blocks": 4},
+     "S_4 is below the float range at depth 4"),
 ], ids=["underflowed-drop", "underflowed-drop-scanned-ratio",
-        "underflowed-square", "overflowed-sum"])
+        "underflowed-square", "overflowed-sum", "underflowed-sum"])
 def test_a_profile_past_the_float_range_fails_the_tolerance(
         tmp_path, capsys, problem_cfg, adversarial, reason):
     cfg = write_config(tmp_path, {

@@ -1,15 +1,16 @@
 """A sparse source reads with the bits of its dense twin.
 
 ``CoefficientSource.from_sparse`` keeps only its nonzeros, and
-``read_blocks``, ``cone_membership``, ``norm`` and ``solution_separation``
-cost only those.  The oracle is the dense twin,
-``CoefficientSource.from_vector(src.dense(n))``, which goes through the
-dense path of every routine: both must give the same bits, or raise the
-same exception with the same message.  Only the walk's values and block
-totals differ in form.  A sparse walk yields its products at its nonzeros
-alone, which scattered into zeros must give the bytes of the twin's dense
-prefix; a sparse block yields no total, and ``block_tails`` sums its
-squares from the walk's values when a tail needs them.
+``spectrum.products`` forms lam_i * fhat_i only at them, so
+``read_blocks``, ``cone_membership``, ``norm``, ``interpolate``, the
+tails and ``solution_separation`` cost only those.  The oracle is the
+dense twin, ``CoefficientSource.from_vector(src.dense(n))``, which goes
+through the dense path of every routine: both must give the same bits, or
+raise the same exception with the same message.  Only the products and
+block totals differ in form.  A sparse source's products are those at
+its nonzeros alone, which scattered into zeros must give the bytes of the
+twin's dense prefix; a sparse block yields no total, and ``block_tails``
+sums its squares from the walk's values when a tail needs them.
 """
 
 import math
@@ -27,9 +28,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import adaptlin
 from adaptlin import (CoefficientSource, ConeParams, FoolingPair, Partition,
-                      Problem, SingularSpectrum, adaptive_sweep,
-                      cone_membership,
-                      periodic_approximation_spectrum, solution_separation)
+                      Problem, SingularSpectrum, adaptive_algorithm,
+                      adaptive_sweep, ball_algorithm, cone_membership,
+                      derivative_problem, enumerate_derivative_spectrum,
+                      evaluate_solution, interpolate,
+                      periodic_approximation_spectrum, solution_separation,
+                      solution_slice_grid, tail_norms)
 from adaptlin.spectrum import exact_norm, read_blocks
 
 from conftest import CountedHarmonic
@@ -125,24 +129,29 @@ def quietly(read):
         return read()
 
 
+def scattered(f, values, n):
+    """The bytes of ``values``, the products of ``f`` through n; a sparse
+    source's, one at each nonzero through min(n, support), are scattered
+    into zeros first, so they compare with the dense twin's prefix."""
+    if f.nonzeros is not None:
+        top = min(n, f.support_bound)
+        places = f.nonzeros[0]
+        assert values.size == np.searchsorted(places, top, "right")
+        dense = np.zeros(top)
+        dense[places[:values.size] - 1] = values
+        values = dense
+    return values.tobytes()
+
+
 def yields(problem, f, last):
     """Each block's (end, values bytes, norm) bits, read as yielded, then
-    the exception that ended the walk, if any.  A sparse source's values,
-    its products at each nonzero through min(end, support), are scattered
-    into zeros first, so they compare with the dense twin's prefix; its
-    blocks have no total: their norms are summed from the products alone."""
+    the exception that ended the walk, if any.  A sparse source's blocks
+    have no total: their norms are summed from the products alone."""
     got = []
     try:
         for end, values, total, norm in read_blocks(problem, f, last):
-            if f.nonzeros is not None:
-                assert total is None
-                top = min(end, f.support_bound)
-                places = f.nonzeros[0]
-                assert values.size == np.searchsorted(places, top, "right")
-                dense = np.zeros(top)
-                dense[places[:values.size] - 1] = values
-                values = dense
-            got.append((end, values.tobytes(), bits(norm)))
+            assert total is None or f.nonzeros is None
+            got.append((end, scattered(f, values, end), bits(norm)))
     except (ValueError, LookupError) as exc:
         got.append((type(exc), str(exc)))
     return got
@@ -239,6 +248,23 @@ def test_a_sparse_source_reads_with_the_bits_of_its_dense_twin(case, shift):
                 == fault
         elif not isinstance(expected, tuple):  # a table shorter than the bump
             assert bits(solution_separation(problem, pair)) == expected
+    # interpolate and the tails at a cut inside the support and one past
+    # it; an infinite lam times a zero coefficient is NaN in the dense
+    # product and an implied zero in the sparse one, so that family is left
+    # out
+    cuts = [(case[3] + 1) // 2, case[3] + 5]
+    if case[0][0] != "infinite head":
+        for n in cuts:
+            (problem, sparse), (twin_problem, dense) = twins(case)
+            assert outcome(lambda: scattered(
+                sparse, interpolate(problem, sparse, n).values, n)) \
+                == outcome(lambda: scattered(
+                    dense, interpolate(twin_problem, dense, n).values, n))
+        (problem, sparse), (twin_problem, dense) = twins(case)
+        assert outcome(lambda: list(map(bits, tail_norms(problem, sparse,
+                                                         cuts)))) \
+            == outcome(lambda: list(map(bits, tail_norms(twin_problem, dense,
+                                                         cuts))))
 
 
 def test_a_sparse_source_scatters_its_values_into_zeros():
@@ -320,3 +346,51 @@ def test_a_sparse_walk_over_2_28_indices_fits_a_small_address_space():
                           preexec_fn=cap)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [str(2 ** 28), "True", "True"]
+
+
+def test_a_sparse_interpolation_and_its_tails_cost_only_its_nonzeros(
+        monkeypatch):
+    # 25 nonzeros at 2**k over a 2**24 support: interpolate keeps their 25
+    # products, in the format of an adaptive run, and neither it nor the
+    # walk's tails read a coefficient through ``coefficients``
+    problem = Problem(SingularSpectrum.algebraic(1.0, 1.0),
+                      Partition.doubling(1), CONE)
+    places = [2 ** k for k in range(25)]
+    f = CoefficientSource.from_sparse(places, [0.5 ** k for k in range(25)],
+                                      2 ** 24)
+
+    def refuse(self, indices):
+        raise AssertionError(f"a dense read of {indices}")
+
+    monkeypatch.setattr(CoefficientSource, "coefficients", refuse)
+    approx = interpolate(problem, f, 2 ** 24)
+    assert approx.values.tolist() == [0.25 ** k for k in range(25)]
+    walk = adaptive_sweep(problem, f, [1e-2])
+    end = walk.ends[walk.stops[0]]
+    assert walk.true_errors() == [math.sqrt(math.fsum(
+        0.0625 ** k for k in range(25) if 2 ** k > end))]
+
+
+@pytest.mark.parametrize("solve", [
+    lambda problem, f, n: interpolate(problem, f, n),
+    lambda problem, f, n: ball_algorithm(problem, f, 1e-2, 1.0),
+    lambda problem, f, n: adaptive_algorithm(problem, f, 1e-3)],
+    ids=["interpolate", "ball", "adaptive"])
+def test_a_sparse_run_evaluates_as_its_dense_twin(solve):
+    # a sparse run holds its products at its places alone; the evaluators
+    # read them there, so its derivative is the dense twin's run's
+    mis = enumerate_derivative_spectrum(3, 6)
+    problem = derivative_problem(mis)
+    sparse = CoefficientSource.from_sparse([2, 40, 300], [1.0, -0.5, 0.25],
+                                           len(mis))
+    dense = CoefficientSource.from_vector(sparse.dense(len(mis)))
+    run, twin = (solve(problem, f, len(mis)) for f in (sparse, dense))
+    assert run.places.tolist() == [2, 40, 300][:run.values.size]
+    assert twin.places is None and run.cost == twin.cost
+    for x in ([0.1, 0.2, 0.3], [0.7, 0.05, 0.9]):
+        assert evaluate_solution(run, mis, x) == pytest.approx(
+            evaluate_solution(twin, mis, x), rel=1e-13, abs=1e-13)
+    axis = np.array([0.1, 0.35, 0.8])
+    np.testing.assert_array_equal(
+        solution_slice_grid(run, mis, axis, axis, rest=0.3),
+        solution_slice_grid(twin, mis, axis, axis, rest=0.3))

@@ -1,8 +1,8 @@
 """Module structure: no adaptlin module imports another's private names,
 the bounds and the fooling construction read the spectrum at the partition
 boundaries through one ladder, every lam that multiplies a coefficient
-comes from one checked reader, and the CLI takes its bounds and fooling
-pairs from the library."""
+comes from one checked reader and one product former, and the CLI takes
+its bounds and fooling pairs from the library."""
 
 import ast
 from pathlib import Path
@@ -78,6 +78,20 @@ def test_only_the_reference_block_norm_reads_lam_unchecked():
               for owner, _ in attribute_calls(path, "values",
                                               skip="SingularSpectrum")]
     assert owners == ["block_norm"]
+
+
+def test_lam_times_a_coefficient_is_formed_in_one_place():
+    # outside SingularSpectrum lam is checked by spectrum.products, which
+    # forms every product, by read_blocks for its lam_1 rule alone, and
+    # where a cone member or a problem of problems.py is built; a second
+    # product loop would add an owner
+    owners = [owner for path in sorted(PACKAGE.glob("*.py"))
+              for owner, _ in attribute_calls(path, "checked",
+                                              skip="SingularSpectrum")]
+    assert sorted(set(owners)) == ["__init__", "products",
+                                   "random_cone_member", "read_blocks"]
+    assert owners.count("read_blocks") == 1
+    assert owners.count("__init__") == 2
 
 
 def test_the_cli_decides_no_bound_and_no_fooling_pair():
