@@ -21,7 +21,8 @@ start = time.perf_counter()
 mis = enumerate_derivative_spectrum(d=3, k_max=30)
 print(f"enumerated {len(mis)} modes "
       f"in {time.perf_counter() - start:.2f} s")
-print(f"largest weight {mis.weights[0]:.6f} at mode {mis.mode(1).tolist()}")
+print(f"largest weight {mis.weights[0]:.6f} "
+      f"at mode {mis.indices[0].tolist()}")
 
 problem = derivative_problem(mis)
 inp = random_periodic_input(3, 30, seed=20250101)

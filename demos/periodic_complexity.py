@@ -10,11 +10,11 @@ solver must reproduce exactly.
 
 import numpy as np
 
-from adaptlin import (PeriodicApproximation, cost_bracket_check,
-                      periodic_approximation_cost)
+from adaptlin import (cost_bracket_check, periodic_approximation_cost,
+                      periodic_approximation_spectrum)
 
 for r in (1.0, 2.0, 4.0):
-    spectrum = PeriodicApproximation(r).problem().spectrum
+    spectrum = periodic_approximation_spectrum(r)
     print(f"smoothness r = {r}")
     for ratio in (10.0, 1e3, 1e6):
         epsilon = 1.0 / ratio

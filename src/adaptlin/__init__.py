@@ -31,9 +31,9 @@ from .analysis import (BoundsRow, BracketReport, ComparisonReport, RatioScan,
 from .adversarial import (FoolingCertificate, FoolingPair,
                           fooling_certificates, fooling_input, fooling_inputs,
                           fooling_pair, fooling_scale, solution_separation)
-from .problems import (MultiIndexSpectrum, PeriodicApproximation,
-                       RandomPeriodicInput, default_gamma,
-                       derivative_coefficients, derivative_problem,
+from .problems import (MultiIndexSpectrum, RandomPeriodicInput,
+                       default_gamma, derivative_coefficients,
+                       derivative_problem,
                        derivative_weights, derivative_slice_grid,
                        enumerate_derivative_spectrum, evaluate_input,
                        evaluate_solution, input_slice_grid,
@@ -48,8 +48,8 @@ __all__ = [
     "ComparisonReport", "ConeParams",
     "DEFAULT_BLOCK_LIMIT", "FoolingCertificate", "FoolingPair",
     "GuardExceeded", "MembershipReport",
-    "MultiIndexSpectrum", "OutOfRangeError", "Partition",
-    "PeriodicApproximation", "Problem", "RandomPeriodicInput", "RatioScan",
+    "MultiIndexSpectrum", "OutOfRangeError", "Partition", "Problem",
+    "RandomPeriodicInput", "RatioScan",
     "SingularSpectrum", "SupportBoundRequired", "Walk", "adaptive_algorithm",
     "adaptive_cost_bound_curve", "adaptive_sweep", "ball_algorithm",
     "ball_budget", "ball_cost_curve", "block_norm", "blocked_ball_cost_curve",

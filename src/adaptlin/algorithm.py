@@ -13,6 +13,7 @@ list in one walk.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -20,10 +21,11 @@ import numpy as np
 
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        OutOfRangeError, Partition, Problem, SingularSpectrum,
-                       DEFAULT_SCAN_LIMIT, block_tails, products,
-                       read_blocks, tail_norm)
+                       block_tails, products, read_blocks, tail_norm)
 
 DEFAULT_BLOCK_LIMIT = 64
+# the bit pattern of inf: floats >= 0 order as their patterns do
+_INF_BITS = 0x7FF0000000000000
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,46 +113,57 @@ def _places(f: CoefficientSource, values: np.ndarray):
     return None if f.nonzeros is None else f.nonzeros[0][:values.size]
 
 
-def ball_budget(spectrum: SingularSpectrum, epsilon: float, rho: float, *,
-                scan_limit: int = DEFAULT_SCAN_LIMIT) -> int:
+def ball_budget(spectrum: SingularSpectrum, epsilon: float, rho: float) -> int:
     """Smallest budget n >= 0 with lam_{n+1} * rho <= epsilon.
 
     The boundary is settled on the rounded product lam * rho, not on the
     rounded quotient epsilon / rho: the scan runs against the largest
-    float t with t * rho <= epsilon, which exists because rounding keeps
-    the product monotone in t.  A finite table counts as zero past its
-    last mode, so its whole length always qualifies.  Raises ValueError
-    unless epsilon and rho are positive (NaN included), and GuardExceeded
-    when the budget exceeds ``scan_limit``.
+    float t with t * rho <= epsilon, which rounding keeps monotone in t, so
+    a bisection over the bit patterns of the floats 0..inf finds it in at
+    most 63 steps, whatever the exponents.  At t = 0 no positive lam
+    qualifies: a finite table, zero past its last mode, keeps its whole
+    length, and a rule raises GuardExceeded, as it does for a budget past
+    2**30 (``first_at_or_below``).  Raises ValueError unless epsilon and
+    rho are positive (NaN included).
     """
     if not (epsilon > 0 and rho > 0):
         raise ValueError("epsilon and rho must be positive")
-    level = epsilon / rho
-    while level * rho > epsilon:
-        level = math.nextafter(level, 0.0)
-    while level < math.inf and math.nextafter(level, math.inf) * rho <= epsilon:
-        level = math.nextafter(level, math.inf)
+    lo, hi = 0, _INF_BITS + 1  # bit patterns: lo qualifies, hi does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _float(mid) * rho <= epsilon:
+            lo = mid
+        else:
+            hi = mid
+    length = spectrum.enumerated_length
+    if lo == 0:  # t = 0: no positive lam qualifies
+        if length is None:
+            raise GuardExceeded(
+                f"no singular value qualifies: epsilon / rho = {epsilon!r} "
+                f"/ {rho!r} is below the float range")
+        return length
     try:
-        first = spectrum.first_at_or_below(level, limit=scan_limit + 1)
+        return spectrum.first_at_or_below(_float(lo)) - 1
     except OutOfRangeError:
-        first = spectrum.enumerated_length + 1
-    n_star = first - 1
-    if n_star > scan_limit:
-        raise GuardExceeded(f"budget {n_star} exceeds scan limit {scan_limit}")
-    return n_star
+        return length
+
+
+def _float(bits: int) -> float:
+    """The float whose IEEE 754 bit pattern is ``bits``."""
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
 def ball_algorithm(problem: Problem, f: CoefficientSource, epsilon: float,
-                   rho: float, *, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Approximation:
+                   rho: float) -> Approximation:
     """Fixed-budget solver tuned to the norm ball of radius rho.
 
     Keeps n* = min{n >= 0 : lam_{n+1} * rho <= epsilon} coefficients (see
     ``ball_budget``), the smallest budget whose worst-case error over the
     ball is within epsilon: every input of norm at most rho then satisfies
     ||tail|| <= lam_{n*+1} * rho <= epsilon.  Raises GuardExceeded when no
-    such n within ``scan_limit`` exists.
+    such n within 2**30 exists.
     """
-    n_star = ball_budget(problem.spectrum, epsilon, rho, scan_limit=scan_limit)
+    n_star = ball_budget(problem.spectrum, epsilon, rho)
     return replace(interpolate(problem, f, n_star), tolerance=epsilon)
 
 

@@ -23,6 +23,7 @@ share its drops lam_{n_{k-1}} / lam_{n_k} (``boundary_drops``) and sums S_j
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import count, islice, pairwise, repeat, takewhile
@@ -30,8 +31,8 @@ from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
 from .algorithm import DEFAULT_BLOCK_LIMIT, ball_budget, stop_threshold
-from .spectrum import (ConeParams, GuardExceeded, Problem, SingularSpectrum,
-                       DEFAULT_SCAN_LIMIT, Partition)
+from .spectrum import (ConeParams, GuardExceeded, Partition, Problem,
+                       SingularSpectrum)
 
 
 def boundary_values(spectrum: SingularSpectrum, partition: Partition,
@@ -530,7 +531,7 @@ class BracketReport:
 
 
 def cost_bracket_check(family: str, scale: float, base: float, epsilon: float,
-                       rho: float, *, scan_limit: int = DEFAULT_SCAN_LIMIT) -> BracketReport:
+                       rho: float) -> BracketReport:
     """Check the analytic cost brackets of the ball solver for one family.
 
     For lam_i = scale / i**base the scanned cost n* satisfies
@@ -545,7 +546,7 @@ def cost_bracket_check(family: str, scale: float, base: float, epsilon: float,
         spectrum = SingularSpectrum.geometric(scale, base)
     else:
         raise ValueError(f"unknown family {family!r}")
-    cost = ball_budget(spectrum, epsilon, rho, scan_limit=scan_limit)
+    cost = ball_budget(spectrum, epsilon, rho)
     reduced = scale * rho / epsilon
     if family == "algebraic":
         upper = reduced ** (1.0 / base)
@@ -568,14 +569,9 @@ def cost_bracket_check(family: str, scale: float, base: float, epsilon: float,
                          applicable=applicable, ok=ok)
 
 
-def ball_cost_curve(spectrum: SingularSpectrum, *,
-                    scan_limit: int = DEFAULT_SCAN_LIMIT) -> Callable:
+def ball_cost_curve(spectrum: SingularSpectrum) -> Callable:
     """Cost curve of the ball solver: min{n >= 0 : lam_{n+1} * rho <= eps}."""
-
-    def cost(epsilon, rho):
-        return ball_budget(spectrum, epsilon, rho, scan_limit=scan_limit)
-
-    return cost
+    return functools.partial(ball_budget, spectrum)
 
 
 def blocked_ball_cost_curve(spectrum: SingularSpectrum, partition: Partition, *,

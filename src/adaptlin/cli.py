@@ -71,7 +71,6 @@ SCHEMA = {
     "output": str,
     "guards": {"j_max": int, "n_max": int},
     "adversarial": {"blocks": int, "ratio": float},
-    "example1": {"r": float, "ratios": [float]},
 }
 # range checks the library does not make; the library's own checks surface
 # as ConfigError from build_problem
@@ -84,7 +83,6 @@ LIMITS = {
     "input.blocks": (lambda v: v >= 1, "input.blocks must be at least 1"),
     "adversarial.blocks": (lambda v: v >= 1,
                            "adversarial.blocks must be at least 1"),
-    "example1.ratios": (lambda v: v > 0, "example1.ratios must be positive"),
 }
 _JSON_TYPES = {float: ((int, float), "a number"), int: ((int,), "an integer"),
                bool: ((bool,), "true or false"), str: ((str,), "a string")}
@@ -609,15 +607,16 @@ def cmd_demo_derivative(merged, quiet):
 
 
 def cmd_example1(merged, quiet):
-    ex_cfg = merged.get("example1", {})
-    r = ex_cfg.get("r", 2.0)
     spectrum_cfg = merged.get("problem", {}).get("spectrum", {})
-    if spectrum_cfg.get("family") == "periodic":
-        r = spectrum_cfg.get("r", r)
+    r = (spectrum_cfg.get("r", 2.0)
+         if spectrum_cfg.get("family") == "periodic" else 2.0)
     rho = merged.get("rho", 1.0)
     out = _out_dir(merged)
-    ratios = ex_cfg.get("ratios", np.logspace(6, 0.01, 50).tolist())
-    epsilons = _epsilons_from(merged, default=[rho / q for q in ratios])
+    epsilons = _epsilons_from(merged, default=[
+        rho / q for q in np.logspace(6, 0.01, 50).tolist()])
+    if 0.0 in epsilons:  # a default rho / q below the float range
+        raise GuardExceeded("a default tolerance rho / q underflows to 0 "
+                            f"at rho = {rho!r}")
 
     problem, _ = build_problem({"spectrum": {"family": "periodic", "r": r}})
     rows = []

@@ -42,23 +42,6 @@ def periodic_approximation_spectrum(r: float) -> SingularSpectrum:
     return SingularSpectrum.from_rule(rule, name=f"periodic(r={r})")
 
 
-class PeriodicApproximation:
-    """Recovery of a periodic function from its Fourier coefficients."""
-
-    def __init__(self, r: float):
-        self.r = float(r)
-        self.spectrum = periodic_approximation_spectrum(self.r)
-        lead = self.spectrum.checked(range(1, 4))
-        if not np.all(lead == 1.0):
-            raise ValueError("leading three weights must equal one")
-
-    def problem(self, partition: Optional[Partition] = None,
-                cone: Optional[ConeParams] = None) -> Problem:
-        return Problem(spectrum=self.spectrum,
-                       partition=partition or Partition.doubling(1),
-                       cone=cone or ConeParams(2.0, 0.5))
-
-
 def periodic_approximation_cost(r: float, epsilon: float, rho: float) -> int:
     """Closed-form optimal fixed budget: 2 * ceil((rho/epsilon)**(1/r)) - 1.
 
@@ -138,15 +121,7 @@ class MultiIndexSpectrum:
     @property
     def indices(self) -> np.ndarray:
         """(N, d) int64 wave vectors in enumeration order, decoded anew."""
-        return self.head(len(self))
-
-    def head(self, count: int) -> np.ndarray:
-        """Wave vectors of the first ``count`` enumerated modes."""
-        return self._decode(self.positions[:count])
-
-    def mode(self, i: int) -> np.ndarray:
-        """Wave vector of the i-th (1-based) enumerated mode."""
-        return self._decode(self.positions[i - 1])
+        return self._decode(self.positions)
 
 
 def _axis_grid(j: int, d: int, values: np.ndarray) -> np.ndarray:

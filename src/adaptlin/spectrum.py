@@ -296,29 +296,24 @@ class SingularSpectrum:
     def enumerated_length(self) -> Optional[int]:
         return None if self._table is None else int(self._table.size)
 
-    def first_at_or_below(self, threshold: float, *, limit: int = DEFAULT_SCAN_LIMIT) -> int:
+    def first_at_or_below(self, threshold: float) -> int:
         """Smallest index i with lam_i <= threshold.
 
         Monotonicity of the spectrum turns this into a bisection after an
-        exponential bracketing phase.  Raises GuardExceeded when no index up
-        to ``limit`` qualifies, or OutOfRangeError when an enumerated
-        spectrum is exhausted first.
+        exponential bracketing phase, clamped at a table's length.  Raises
+        OutOfRangeError when a table holds no such index, and GuardExceeded
+        when none within ``DEFAULT_SCAN_LIMIT`` (2**30) indices does.
         """
-        if threshold <= 0:
+        if not threshold > 0:
             raise ValueError("threshold must be positive")
-        if self._table is not None:
-            hits = np.nonzero(self._table <= threshold)[0]
-            if hits.size == 0:
-                raise OutOfRangeError(
-                    "threshold not reached within the enumerated spectrum")
-            first = int(hits[0]) + 1
-            if first > limit:
-                raise GuardExceeded(f"first qualifying index {first} exceeds limit {limit}")
-            return first
+        length = self.enumerated_length
+        if length is not None and self.value(length) > threshold:
+            raise OutOfRangeError(
+                "threshold not reached within the enumerated spectrum")
+        limit = min(length or DEFAULT_SCAN_LIMIT, DEFAULT_SCAN_LIMIT)
         if self.value(1) <= threshold:
             return 1
-        lo = 1  # invariant: lam_lo > threshold
-        hi = 2
+        lo, hi = 1, min(2, limit)  # invariant: lam_lo > threshold
         while hi < limit and self.value(hi) > threshold:
             lo, hi = hi, min(2 * hi, limit)
         if self.value(hi) > threshold:
@@ -374,10 +369,10 @@ class SingularSpectrum:
             raise ValueError(f"{self.name}: singular values must be positive")
         raise ValueError(f"{self.name}: singular values must be non-increasing")
 
-    def validate_prefix(self, count: int = 32) -> None:
-        """Check the first ``count`` weights of a rule; a table is checked."""
+    def validate_prefix(self) -> None:
+        """Check the first 16 weights of a rule; a table is checked."""
         if self._table is None:
-            self.checked(range(1, count + 1))
+            self.checked(range(1, 17))
 
     def __repr__(self):
         return f"SingularSpectrum({self.name})"
@@ -388,82 +383,77 @@ class Partition:
 
     Block j >= 1 covers coefficient indices n_{j-1}+1 through n_j.  Indices
     1..n_0 belong to no block; solvers sample them but never test them.
+    A partition is one of four kinds, built by ``doubling``,
+    ``arithmetic``, ``zero_then_doubling`` or ``from_boundaries``; each
+    increases by construction or is checked once there, so no read checks
+    it again, and ``Partition(...)`` itself raises TypeError.
     """
 
-    def __init__(self, rule: Optional[Callable[[int], int]], *, kind: str = "rule",
-                 table: Optional[Sequence[int]] = None):
-        self._rule = rule
-        self._table = None if table is None else [int(v) for v in table]
-        self.kind = kind
-        if self._table is not None:
-            if len(self._table) < 2:
-                raise ValueError("explicit partition needs at least two boundaries")
-            for lo, hi in zip(self._table, self._table[1:]):
-                if hi <= lo:
-                    raise ValueError("boundaries must be strictly increasing")
-            if self._table[0] < 0:
-                raise ValueError("boundaries must be non-negative")
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a Partition comes from doubling, arithmetic, "
+                        "zero_then_doubling or from_boundaries")
+
+    @classmethod
+    def _of(cls, kind: str, rule: Callable[[int], int],
+            block_count: Optional[int] = None) -> "Partition":
+        partition = cls.__new__(cls)
+        partition.kind, partition._rule = kind, rule
+        # number of blocks of an explicit partition; None for the others
+        partition.block_count = block_count
+        return partition
 
     @classmethod
     def doubling(cls, start: int) -> "Partition":
         """n_j = start * 2**j with start >= 1."""
         if start < 1:
             raise ValueError("doubling partitions need start >= 1")
-        return cls(lambda j: start << j, kind="doubling")
+        return cls._of("doubling", lambda j: start << j)
 
     @classmethod
     def arithmetic(cls, start: int, step: int) -> "Partition":
         """n_j = start + j * step with start >= 0, step >= 1."""
         if start < 0 or step < 1:
             raise ValueError("need start >= 0 and step >= 1")
-        return cls(lambda j: start + j * step, kind="arithmetic")
+        return cls._of("arithmetic", lambda j: start + j * step)
 
     @classmethod
     def from_boundaries(cls, values: Sequence[int]) -> "Partition":
-        return cls(None, kind="explicit", table=values)
+        """Boundaries ``values``: at least two, non-negative and strictly
+        increasing; a read past the last raises OutOfRangeError."""
+        table = [int(v) for v in values]
+        if len(table) < 2:
+            raise ValueError("explicit partition needs at least two boundaries")
+        if any(hi <= lo for lo, hi in zip(table, table[1:])):
+            raise ValueError("boundaries must be strictly increasing")
+        if table[0] < 0:
+            raise ValueError("boundaries must be non-negative")
+
+        def rule(j):
+            if j >= len(table):
+                raise OutOfRangeError(
+                    f"partition has {len(table)} boundaries, asked for n_{j}")
+            return table[j]
+
+        return cls._of("explicit", rule, len(table) - 1)
 
     @classmethod
     def zero_then_doubling(cls, first: int) -> "Partition":
         """Boundaries (0, first, 2*first, 4*first, ...) with first >= 1."""
         if first < 1:
             raise ValueError("need first >= 1")
-        return cls(lambda j: 0 if j == 0 else first << (j - 1), kind="zero-doubling")
+        return cls._of("zero-doubling",
+                       lambda j: 0 if j == 0 else first << (j - 1))
 
     def boundary(self, j: int) -> int:
         if j < 0:
             raise ValueError("boundary indices start at 0")
-        if self._table is not None:
-            if j >= len(self._table):
-                raise OutOfRangeError(
-                    f"partition has {len(self._table)} boundaries, asked for n_{j}")
-            return self._table[j]
         return int(self._rule(j))
-
-    @property
-    def block_count(self) -> Optional[int]:
-        """Number of blocks of an explicit partition; None for a rule."""
-        return None if self._table is None else len(self._table) - 1
 
     def block(self, j: int) -> tuple:
         """Inclusive coefficient index range (n_{j-1}+1, n_j) of block j >= 1."""
         if j < 1:
             raise ValueError("blocks are numbered from 1")
-        lo, hi = self.boundary(j - 1), self.boundary(j)
-        if hi <= lo:
-            raise ValueError(f"partition boundaries not increasing at block {j}")
-        return lo + 1, hi
-
-    def validate_prefix(self, count: int = 8) -> None:
-        if self._table is not None:
-            return
-        previous = self.boundary(0)
-        if previous < 0:
-            raise ValueError("n_0 must be non-negative")
-        for j in range(1, count + 1):
-            current = self.boundary(j)
-            if current <= previous:
-                raise ValueError(f"boundaries must be strictly increasing (n_{j})")
-            previous = current
+        return self.boundary(j - 1) + 1, self.boundary(j)
 
     def __repr__(self):
         return f"Partition({self.kind})"
@@ -627,8 +617,7 @@ class Problem:
     cone: ConeParams
 
     def __post_init__(self):
-        self.spectrum.validate_prefix(16)
-        self.partition.validate_prefix(4)
+        self.spectrum.validate_prefix()
 
 
 @dataclass(frozen=True)
@@ -778,14 +767,11 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     else:
         buffer = np.empty(min(bound, partition.boundary(last))
                           if f._stored or length is not None else 0)
-    start, n, count = 1, partition.boundary(0), 0  # count products so far
+    start, count = 1, 0  # count products so far
     for j in range(last + 1):
-        if j:  # the check of ``Partition.block``, on one new boundary
-            lo, n = n, partition.boundary(j)
-            if n <= lo:
-                raise ValueError(
-                    f"partition boundaries not increasing at block {j}")
-        end = n if length is None else min(n, length)  # no modes past a table
+        end = partition.boundary(j)
+        if length is not None:  # no modes past a table
+            end = min(end, length)
         total = 0 if not sparse and end - start + 1 >= _FSUM_BELOW else None
         if sparse:
             piece = products(spectrum, f, start, end, buffer)

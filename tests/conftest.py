@@ -13,7 +13,7 @@ import pytest
 
 from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
                       Partition, Problem, SingularSpectrum, adaptive_algorithm,
-                      boundary_ratio, fooling_input, stop_threshold)
+                      boundary_ratio, cli, fooling_input, stop_threshold)
 
 
 def binned_square_sum(x):
@@ -246,3 +246,13 @@ def fresh_probe_search(problem, epsilon, rho, j_max, n_max, blocks=None,
     except (ValueError, GuardExceeded) as exc:
         exc.depth = depth
         raise
+
+
+def schema_leaves(spec=cli.SCHEMA, path=""):
+    """The dotted path of every key of ``cli.SCHEMA`` that holds a value."""
+    for key, sub in spec.items():
+        full = f"{path}.{key}" if path else key
+        if isinstance(sub, dict):
+            yield from schema_leaves(sub, full)
+        else:
+            yield full

@@ -2,7 +2,11 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +14,13 @@ import pytest
 from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
                       OutOfRangeError, Partition, Problem, SingularSpectrum,
                       Walk, adaptive_algorithm, adaptive_sweep, ball_algorithm,
-                      block_norm, cone_membership, derivative_coefficients,
-                      derivative_problem,
+                      ball_budget, block_norm, cone_membership,
+                      derivative_coefficients, derivative_problem,
                       enumerate_derivative_spectrum, interpolate,
                       periodic_approximation_spectrum, random_periodic_input,
                       random_cone_member, stop_threshold, tail_norm,
                       tail_norms, true_error)
+from adaptlin import algorithm as algorithm_module
 from adaptlin.cli import _sweep
 
 from conftest import (CountedHarmonic, brute_tail, coefficient_of,
@@ -151,11 +156,53 @@ def test_ball_guarantee_over_ball(harmonic_doubling):
 
 
 def test_ball_guard():
+    # lam_i = 1/i: a budget of 10**12 is past the 2**30 scan limit
     problem = Problem(SingularSpectrum.algebraic(1.0, 1.0),
                       Partition.doubling(1), ConeParams(2.0, 0.5))
-    with pytest.raises(GuardExceeded):
-        ball_algorithm(problem, CoefficientSource.zero(), 1e-9, 1.0,
-                       scan_limit=100)
+    with pytest.raises(GuardExceeded, match="within 1073741824 indices"):
+        ball_algorithm(problem, CoefficientSource.zero(), 1e-12, 1.0)
+
+
+def test_a_quotient_below_the_float_range_leaves_no_positive_lam():
+    # epsilon / rho = 1e-600: only t = 0 has t * rho <= epsilon
+    with pytest.raises(GuardExceeded, match="below the float range"):
+        ball_budget(SingularSpectrum.algebraic(1.0, 1.0), 1e-300, 1e300)
+    table = SingularSpectrum.from_values([1.0, 0.5, 0.25])
+    assert ball_budget(table, 1e-300, 1e300) == 3
+
+
+@pytest.mark.parametrize("epsilon, rho", [
+    (1e-300, 1e300), (9.8e-321, 1e-320), (5e-324, 1e-320), (1.0, 5e-324),
+    (0.1, 1.0), (1e-10, 3.0), (0.7, 0.3), (1e300, 1e-300)])
+def test_the_ball_level_is_the_largest_t_with_t_rho_at_most_epsilon(
+        epsilon, rho):
+    # the level is what the budget is read against: the largest float t
+    # with t * rho <= epsilon, which no float above t has (the quotient
+    # 0.7 / 0.3 rounds up past it)
+    spectrum, levels = SingularSpectrum.algebraic(1.0, 1.0), []
+    spectrum.first_at_or_below = lambda t: levels.append(t) or 1
+    try:
+        ball_budget(spectrum, epsilon, rho)
+    except GuardExceeded:  # t = 0
+        assert levels == [] and math.nextafter(0.0, 1.0) * rho > epsilon
+        return
+    (t,) = levels
+    assert t * rho <= epsilon < math.nextafter(t, math.inf) * rho
+
+
+def test_a_subnormal_rho_settles_the_level_in_a_bounded_search():
+    # the level search once stepped one ulp at a time from epsilon / rho,
+    # while t * rho with a subnormal rho moves only every ~10**12 ulps
+    src = str(Path(algorithm_module.__file__).resolve().parents[1])
+    code = ("from adaptlin import ball_budget\n"
+            "from adaptlin.problems import periodic_approximation_spectrum\n"
+            "print(ball_budget(periodic_approximation_spectrum(2.0), "
+            "9.772372209558107e-321, 1e-320))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=20,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "3\n"
 
 
 def test_ball_keeps_whole_finite_table_when_threshold_undercuts():

@@ -95,6 +95,8 @@ MALFORMED = [
     _case("k_max-string", "solve",
           {"problem": {"spectrum": {"family": "derivative", "k_max": "x"}}}),
     _case("blocks-string", "adversarial", {"adversarial": {"blocks": "x"}}),
+    # example1 has no config section: r comes from problem.spectrum.r and
+    # the tolerances from epsilons, so any stored example1 key is unknown
     _case("r-string", "example1", {"example1": {"r": "x"}}),
     _case("ratio-zero", "example1", {"example1": {"ratios": [0]}}),
     _case("scale-negative", "solve",
@@ -863,12 +865,26 @@ def test_example1_handles_tolerances_at_or_above_radius(tmp_path):
 
 def test_example1_respects_configured_r(tmp_path):
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, {"example1": {"r": 1.0},
-                                  "epsilons": [1.0 / 7.0],
-                                  "output": str(out)})
+    cfg = write_config(tmp_path, {
+        "problem": {"spectrum": {"family": "periodic", "r": 1.0}},
+        "epsilons": [1.0 / 7.0], "output": str(out)})
     assert cli.main(["example1", "--config", cfg, "--quiet"]) == 0
     _, rows = read_csv(out / "example1.csv")
     assert int(rows[0][2]) == 13
+
+
+@pytest.mark.parametrize("payload", [
+    # the default tolerances rho / q: the largest has a subnormal level
+    # search, and the smallest underflow to 0
+    {"rho": 1e-320},
+    # epsilon / rho = 1e-600: no positive lam qualifies
+    {"epsilons": [1e-300], "rho": 1e300},
+], ids=["subnormal-rho", "quotient-below-the-float-range"])
+def test_example1_past_the_float_range_hits_the_guard(tmp_path, payload):
+    done = _cli_child(tmp_path, "example1", payload)
+    assert done.returncode == 1
+    assert done.stderr.startswith("guard exceeded: ")
+    assert "Traceback" not in done.stderr
 
 
 # -- CSV writer ----------------------------------------------------------------

@@ -24,6 +24,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from adaptlin import cli
 
+from conftest import schema_leaves
+
 
 def floats(low, high):
     return st.floats(low, high, allow_nan=False)
@@ -63,7 +65,7 @@ POOLS = {
     "input.head": (st.booleans(), st.nothing()),
     "epsilons": (st.lists(floats(1e-12, 10.0), min_size=1, max_size=6),
                  edges([], [0.0], [-1.0], [1e-300], [1e300, 1e-320])),
-    "rho": (floats(1e-3, 1e3), edges(0.0, 1e-200, 1e200)),
+    "rho": (floats(1e-3, 1e3), edges(0.0, 1e-200, 1e200, 1e-320)),
     "seed": (st.integers(0, 2 ** 32), edges(-1)),
     "output": (st.nothing(), st.nothing()),  # the example's own directory
     "guards.j_max": (st.integers(1, 24), edges(0)),
@@ -71,33 +73,21 @@ POOLS = {
                                st.integers(1, 2 ** 16)), edges(0)),
     "adversarial.blocks": (st.integers(1, 16), edges(0, 64)),
     "adversarial.ratio": (floats(1.0, 100.0), edges(0.5, 1e300)),
-    "example1.r": (floats(0.1, 5.0), edges(0.0, 0.01)),
-    "example1.ratios": (st.lists(floats(1e-3, 1e6), max_size=6),
-                        edges([0.0], [1e300])),
 }
 ALWAYS = {"problem.spectrum.family", "problem.partition.kind", "epsilons",
           "guards.j_max", "guards.n_max"}
 WRONG_TYPE = edges("x", True, None, [], {}, 1.5)
 
 
-def leaves(spec=cli.SCHEMA, path=""):
-    for key, sub in spec.items():
-        full = f"{path}.{key}" if path else key
-        if isinstance(sub, dict):
-            yield from leaves(sub, full)
-        else:
-            yield full
-
-
 def test_the_pools_cover_the_schema():
-    assert sorted(POOLS) == sorted(leaves())
+    assert sorted(POOLS) == sorted(schema_leaves())
     assert set(cli.LIMITS) <= set(POOLS)
 
 
 @st.composite
 def configs(draw):
     config = {}
-    for path in leaves():
+    for path in schema_leaves():
         if path == "output" or not (path in ALWAYS or draw(st.booleans())):
             continue
         valid, edge = POOLS[path]
@@ -135,6 +125,11 @@ def configs(draw):
                 "partition": {"kind": "doubling"}},
     "input": {"kind": "derivative-random"}, "epsilons": [9.0], "seed": 90,
     "guards": {"j_max": 1, "n_max": 2 ** 12}})
+# a subnormal rho: the level search of the largest default tolerance
+# once stepped one ulp at a time, and the smallest underflow to 0
+@example("example1", {"rho": 1e-320})
+# epsilon / rho = 1e-600 leaves only the level 0
+@example("example1", {"epsilons": [1e-300], "rho": 1e300})
 def test_every_command_ends_in_a_status_and_a_message(command, config):
     with tempfile.TemporaryDirectory() as workdir:
         out = Path(workdir) / "out"

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adaptlin import (CoefficientSource, Partition, PeriodicApproximation,
-                      adaptive_algorithm, cli, default_gamma, problems,
+from adaptlin import (CoefficientSource, Partition, adaptive_algorithm,
+                      cli, default_gamma, problems,
                       derivative_coefficients, derivative_problem,
                       derivative_weights, derivative_slice_grid,
                       enumerate_derivative_spectrum, evaluate_input,
@@ -73,14 +73,6 @@ def test_closed_form_matches_scan():
             assert scanned == periodic_approximation_cost(r, 1.0, quotient)
 
 
-def test_periodic_problem_bundles_defaults():
-    problem = PeriodicApproximation(2.0).problem()
-    assert problem.partition.boundary(0) == 1
-    assert problem.cone.a == 2.0
-    run = adaptive_algorithm(problem, CoefficientSource.zero(), 0.5)
-    assert run.stop_block == 1
-
-
 # -- derivative weights and enumeration --------------------------------------
 
 def test_derivative_weight_single_axis_mode():
@@ -126,7 +118,7 @@ def test_enumeration_sorted_with_documented_tie_break():
     assert np.all(np.diff(mis.weights) <= 0)
     # the whole box appears exactly once
     assert len({tuple(k) for k in mis.indices[::971]}) == len(mis.indices[::971])
-    top = [list(mis.mode(i)) for i in range(1, 6)]
+    top = mis.indices[:5].tolist()
     assert top == [[1, 1, 1], [1, 1, -1], [1, 1, 2], [1, 1, -2], [1, 1, 3]]
     assert mis.weights[0] == pytest.approx(TWO_PI * 2.0 ** 1.5, rel=1e-14)
 
@@ -158,8 +150,6 @@ def test_enumeration_matches_full_lexsort(d, k_max, gamma_kind):
     assert mis.indices.dtype == np.int64
     assert mis.positions.dtype == np.int64
     assert np.array_equal(mis.indices, ks)  # decoded from the positions
-    for i in (1, 2, len(mis) // 2, len(mis)):
-        assert np.array_equal(mis.mode(i), ks[i - 1])
     assert np.array_equal(mis.weights.view(np.int64), lam.view(np.int64))
 
 
@@ -234,7 +224,7 @@ def test_coefficients_follow_enumeration_order():
     assert f.support_bound == len(mis)
     for i in (1, 5, len(mis)):
         assert f.coefficients(range(i, i + 1))[0] == box_coefficient(
-            inp, mis.mode(i))
+            inp, mis.indices[i - 1])
 
 
 @pytest.mark.parametrize("input_k_max", [1, 2, 4])

@@ -1,12 +1,14 @@
-"""The README's Quick start examples run against the current API, and its
-2**24 peak and its deep fooling-pair figures are the ones the scale checks
-enforce."""
+"""The README's Quick start examples run against the current API, its
+config-type table names the keys of ``cli.SCHEMA``, and its 2**24 peak and
+its deep fooling-pair figures are the ones the scale checks enforce."""
 
 import ast
 import re
 from pathlib import Path
 
 from adaptlin import true_error
+
+from conftest import schema_leaves
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -57,3 +59,16 @@ def test_readme_states_the_fooling_figures_the_scale_check_enforces():
         assert (f"`adversarial.blocks` {blocks} takes more than "
                 f"{multiples[blocks]} times as long as blocks 10 or peaks "
                 f"above {mib} MiB plus 10%") in text
+
+
+def test_readme_type_table_names_exactly_the_schema_keys():
+    section = README.read_text(encoding="utf-8").split("| type | keys |")[1]
+    rows = section.split("\n\n", 1)[0].splitlines()[2:]
+    named = []
+    for row in rows:
+        for cell in re.findall(r"`([^`]+)`", row.split("|")[2]):
+            # `a.{b, c}` names a.b and a.c
+            stem, brace, inner = cell.partition("{")
+            names = inner.rstrip("}").split(", ") if brace else [""]
+            named += [stem + name for name in names]
+    assert sorted(named) == sorted(schema_leaves())

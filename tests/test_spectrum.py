@@ -12,6 +12,7 @@ from adaptlin import (CoefficientSource, ConeParams, FoolingPair,
                       interpolate, periodic_approximation_spectrum,
                       random_cone_member, solution_separation, tail_norm,
                       tail_norms)
+from adaptlin import spectrum as spectrum_module
 from adaptlin.spectrum import exact_norm, read_blocks
 
 from conftest import (CountedHarmonic, brute_sigma, brute_tail,
@@ -146,16 +147,49 @@ def test_first_at_or_below_table_path():
 
 
 def test_first_at_or_below_guard():
+    # lam_i = 1/i first reaches 1e-12 at 10**12, past the 2**30 scan limit
     spec = SingularSpectrum.algebraic(1.0, 1.0)
-    with pytest.raises(GuardExceeded):
-        spec.first_at_or_below(1e-9, limit=1000)
+    with pytest.raises(GuardExceeded, match="within 1073741824 indices"):
+        spec.first_at_or_below(1e-12)
+    assert spec.first_at_or_below(1.0 / 2 ** 30) == 2 ** 30
+
+
+def brute_first_at_or_below(table, threshold, limit):
+    """The first 1-based index of ``table`` at or below ``threshold`` by a
+    scan of every entry, or the exception ``first_at_or_below`` raises."""
+    for i, lam in enumerate(table, start=1):
+        if lam <= threshold:
+            return i if i <= limit else GuardExceeded
+    return OutOfRangeError
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_table_first_at_or_below_matches_a_scan(monkeypatch, seed):
+    # non-increasing tables with runs of ties; thresholds at every entry,
+    # between entries, below the last (never reached) and above the first,
+    # under a scan limit inside the table and one past its end
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 40))
+    table = np.sort(rng.choice([0.125, 0.25, 0.5, 1.0, 2.0, 3.0],
+                               size=size))[::-1]
+    spec = SingularSpectrum.from_values(table)
+    thresholds = sorted({*table, *(table * 0.75), table[0] * 2, 0.1})
+    for limit in (int(rng.integers(1, size + 1)), 2 ** 30):
+        monkeypatch.setattr(spectrum_module, "DEFAULT_SCAN_LIMIT", limit)
+        for threshold in thresholds:
+            expected = brute_first_at_or_below(table, threshold, limit)
+            if isinstance(expected, int):
+                assert spec.first_at_or_below(threshold) == expected
+            else:
+                with pytest.raises(expected):
+                    spec.first_at_or_below(threshold)
 
 
 def test_validate_prefix_flags_increasing_rule():
     bad = SingularSpectrum.from_rule(
         lambda i: np.asarray(i, dtype=np.float64), name="increasing")
     with pytest.raises(ValueError):
-        bad.validate_prefix(8)
+        bad.validate_prefix()
 
 
 def test_checked_reads_have_the_bits_of_values():
@@ -310,6 +344,19 @@ def test_explicit_partition_must_increase():
         Partition.from_boundaries([-1, 2])
     with pytest.raises(ValueError):
         Partition.from_boundaries([5])
+
+
+def test_a_partition_comes_only_from_its_four_kinds():
+    for args, kwargs in (((lambda j: 2 ** j,), {}), ((), {}),
+                         ((None,), {"kind": "explicit", "table": [0, 1]})):
+        with pytest.raises(TypeError, match="comes from doubling"):
+            Partition(*args, **kwargs)
+    kinds = [Partition.doubling(1), Partition.arithmetic(0, 1),
+             Partition.zero_then_doubling(1),
+             Partition.from_boundaries([0, 1])]
+    assert [(p.kind, p.block_count) for p in kinds] == [
+        ("doubling", None), ("arithmetic", None), ("zero-doubling", None),
+        ("explicit", 1)]
 
 
 def test_partition_rejects_bad_queries():

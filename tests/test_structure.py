@@ -83,7 +83,7 @@ def test_only_the_reference_block_norm_reads_lam_unchecked():
 def test_lam_times_a_coefficient_is_formed_in_one_place():
     # outside SingularSpectrum lam is checked by spectrum.products, which
     # forms every product, by read_blocks for its lam_1 rule alone, and
-    # where a cone member or a problem of problems.py is built; a second
+    # where a cone member or the derivative enumeration is built; a second
     # product loop would add an owner
     owners = [owner for path in sorted(PACKAGE.glob("*.py"))
               for owner, _ in attribute_calls(path, "checked",
@@ -91,7 +91,7 @@ def test_lam_times_a_coefficient_is_formed_in_one_place():
     assert sorted(set(owners)) == ["__init__", "products",
                                    "random_cone_member", "read_blocks"]
     assert owners.count("read_blocks") == 1
-    assert owners.count("__init__") == 2
+    assert owners.count("__init__") == 1
 
 
 def test_the_cli_decides_no_bound_and_no_fooling_pair():
