@@ -13,7 +13,7 @@ list in one walk.
 from __future__ import annotations
 
 import math
-import struct
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -24,8 +24,6 @@ from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        block_tails, products, read_blocks, tail_norm)
 
 DEFAULT_BLOCK_LIMIT = 64
-# the bit pattern of inf: floats >= 0 order as their patterns do
-_INF_BITS = 0x7FF0000000000000
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +52,9 @@ class Walk:
 
     ``values`` holds the products through ``ends[-1]``, read-only, in the
     format of a run.  Block j (0 is indices 1..n_0) ends at ``ends[j]``
-    with the ``read_blocks`` total ``sums[j]``, None where ``true_errors``
-    sums its squares from ``values``; block j >= 1 has norm
+    with the ``read_blocks`` total ``sums[j]``, an exact int where the
+    block holds 2**9 products or more and None where ``true_errors`` sums
+    its squares from ``values``; block j >= 1 has norm
     ``norms[j - 1]``.  ``stops`` and ``runs`` hold each tolerance's stop
     block and run (prefix views of ``values``), None where no block read
     qualified.
@@ -116,41 +115,42 @@ def _places(f: CoefficientSource, values: np.ndarray):
 def ball_budget(spectrum: SingularSpectrum, epsilon: float, rho: float) -> int:
     """Smallest budget n >= 0 with lam_{n+1} * rho <= epsilon.
 
-    The boundary is settled on the rounded product lam * rho, not on the
-    rounded quotient epsilon / rho: the scan runs against the largest
-    float t with t * rho <= epsilon, which rounding keeps monotone in t, so
-    a bisection over the bit patterns of the floats 0..inf finds it in at
-    most 63 steps, whatever the exponents.  At t = 0 no positive lam
-    qualifies: a finite table, zero past its last mode, keeps its whole
-    length, and a rule raises GuardExceeded, as it does for a budget past
-    2**30 (``first_at_or_below``).  Raises ValueError unless epsilon and
-    rho are positive (NaN included).
+    The boundary is settled on the exact product lam * rho: the scan runs
+    against the level t, the quotient epsilon / rho rounded down to a
+    float (the largest float past the float range, inf for an infinite
+    epsilon and 0 for an infinite rho), so a float lam is at or below t
+    exactly where lam * rho <= epsilon holds exactly.  At t = 0 no
+    positive lam qualifies: a finite table, zero past its last mode, keeps
+    its whole length, and a rule raises GuardExceeded, as it does for a
+    budget past 2**30 (``first_at_or_below``).  Raises ValueError unless
+    epsilon and rho are positive (NaN included).
     """
     if not (epsilon > 0 and rho > 0):
         raise ValueError("epsilon and rho must be positive")
-    lo, hi = 0, _INF_BITS + 1  # bit patterns: lo qualifies, hi does not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _float(mid) * rho <= epsilon:
-            lo = mid
-        else:
-            hi = mid
+    if math.inf in (epsilon, rho):
+        level = math.inf if epsilon == math.inf else 0.0
+    else:  # epsilon / rho is num / den exactly, and int / int rounds once
+        num, den = epsilon.as_integer_ratio()
+        rho_num, rho_den = rho.as_integer_ratio()
+        num, den = num * rho_den, den * rho_num
+        try:
+            level = num / den
+        except OverflowError:
+            level = sys.float_info.max
+        top, bottom = level.as_integer_ratio()
+        if top * den > num * bottom:  # rounded up past the quotient
+            level = math.nextafter(level, 0.0)
     length = spectrum.enumerated_length
-    if lo == 0:  # t = 0: no positive lam qualifies
+    if level == 0.0:  # no positive lam qualifies
         if length is None:
             raise GuardExceeded(
                 f"no singular value qualifies: epsilon / rho = {epsilon!r} "
                 f"/ {rho!r} is below the float range")
         return length
     try:
-        return spectrum.first_at_or_below(_float(lo)) - 1
+        return spectrum.first_at_or_below(level) - 1
     except OutOfRangeError:
         return length
-
-
-def _float(bits: int) -> float:
-    """The float whose IEEE 754 bit pattern is ``bits``."""
-    return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
 def ball_algorithm(problem: Problem, f: CoefficientSource, epsilon: float,

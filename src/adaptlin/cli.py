@@ -130,25 +130,24 @@ def load_config(path):
 
 
 def build_spectrum(cfg, n_max=DEFAULT_NMAX):
-    """Spectrum from its config section; returns (spectrum, extras).
-
-    The derivative family carries its enumeration alongside the spectrum
-    because input construction and figure evaluation need the multi-index
-    table, not just the sorted weights; it may hold at most ``n_max`` modes.
-    """
+    """Spectrum from its config section, and the derivative family's
+    enumeration (a ``MultiIndexSpectrum``, None for the other families),
+    whose multi-index table, not just the sorted weights, input
+    construction and figure evaluation need; it holds at most ``n_max``
+    modes."""
     family = cfg.get("family")
     if family == "algebraic":
         return SingularSpectrum.algebraic(cfg.get("scale", 1.0),
-                                          cfg.get("power", 1.0)), {}
+                                          cfg.get("power", 1.0)), None
     if family == "geometric":
         return SingularSpectrum.geometric(cfg.get("scale", 1.0),
-                                          cfg.get("base", 2.0)), {}
+                                          cfg.get("base", 2.0)), None
     if family == "periodic":
-        return periodic_approximation_spectrum(cfg.get("r", 2.0)), {}
+        return periodic_approximation_spectrum(cfg.get("r", 2.0)), None
     if family == "derivative":
-        d, k_max = cfg.get("dimension", 3), cfg.get("k_max", 30)
-        mis = enumerate_derivative_spectrum(d, k_max, cap=n_max)
-        return mis.spectrum(), {"mis": mis, "dimension": d, "k_max": k_max}
+        mis = enumerate_derivative_spectrum(cfg.get("dimension", 3),
+                                            cfg.get("k_max", 30), cap=n_max)
+        return mis.spectrum(), mis
     raise ConfigError("problem.spectrum.family must be algebraic, geometric, "
                       f"periodic or derivative, not {family!r}")
 
@@ -169,12 +168,12 @@ def build_partition(cfg):
 
 def build_problem(cfg, n_max=DEFAULT_NMAX):
     try:
-        spectrum, extras = build_spectrum(cfg.get("spectrum", {}), n_max)
-        default = {"kind": "zero-doubling" if "mis" in extras else "doubling"}
+        spectrum, mis = build_spectrum(cfg.get("spectrum", {}), n_max)
+        default = {"kind": "doubling" if mis is None else "zero-doubling"}
         partition = build_partition(cfg.get("partition", default))
         cone_cfg = cfg.get("cone", {})
         cone = ConeParams(cone_cfg.get("a", 2.0), cone_cfg.get("b", 0.5))
-        return Problem(spectrum, partition, cone), extras
+        return Problem(spectrum, partition, cone), mis
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -187,7 +186,7 @@ def _index_budget(problem, blocks, n_max, key):
                           f"index budget guards.n_max = {n_max}")
 
 
-def build_input(cfg, problem, extras, seed, n_max=DEFAULT_NMAX):
+def build_input(cfg, problem, mis, seed, n_max=DEFAULT_NMAX):
     kind = cfg.get("kind", "random-cone")
     if kind == "zero":
         return CoefficientSource.zero()
@@ -201,11 +200,11 @@ def build_input(cfg, problem, extras, seed, n_max=DEFAULT_NMAX):
         except ValueError as exc:  # e.g. lam underflows inside the blocks
             raise ConfigError(f"input rejected: {exc}") from exc
     if kind == "derivative-random":
-        if "mis" not in extras:
+        if mis is None:
             raise ConfigError(
                 "input kind 'derivative-random' needs the derivative family")
-        inp = random_periodic_input(extras["dimension"], extras["k_max"], seed)
-        return derivative_coefficients(extras["mis"], inp)
+        inp = random_periodic_input(mis.dimension, mis.k_max, seed)
+        return derivative_coefficients(mis, inp)
     raise ConfigError(f"unknown input kind {kind!r}")
 
 
@@ -417,8 +416,8 @@ def _write_record(path, merged, key, items, elapsed):
 
 def cmd_solve(merged, quiet):
     j_max, n_max = merged["guards"]["j_max"], merged["guards"]["n_max"]
-    problem, extras = build_problem(merged.get("problem", {}), n_max)
-    f = build_input(merged.get("input", {}), problem, extras,
+    problem, mis = build_problem(merged.get("problem", {}), n_max)
+    f = build_input(merged.get("input", {}), problem, mis,
                     merged.get("seed", DEFAULT_SEED), n_max)
     epsilons = _epsilons_from(merged)
     out = _out_dir(merged)
@@ -549,10 +548,9 @@ def cmd_demo_derivative(merged, quiet):
         merged, default=np.logspace(1, -1, 10).tolist())
 
     start = time.perf_counter()
-    problem, extras = build_problem({"spectrum": {"family": "derivative"}},
-                                    n_max)
-    mis, d = extras["mis"], extras["dimension"]
-    inp = random_periodic_input(d, extras["k_max"],
+    problem, mis = build_problem({"spectrum": {"family": "derivative"}},
+                                 n_max)
+    inp = random_periodic_input(mis.dimension, mis.k_max,
                                 merged.get("seed", DEFAULT_SEED))
     f = derivative_coefficients(mis, inp)
 
@@ -585,7 +583,7 @@ def cmd_demo_derivative(merged, quiet):
                     title="True error against error tolerance",
                     x_label="tolerance", y_label="true error")
 
-    gamma = default_gamma(d)
+    gamma = default_gamma(mis.dimension)
     axis = np.linspace(0.0, 1.0, 64, endpoint=False)
     grids = {
         "fig1_input.csv": input_slice_grid(inp, gamma, axis, axis),

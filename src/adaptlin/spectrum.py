@@ -717,7 +717,9 @@ def products(spectrum: SingularSpectrum, f: CoefficientSource, lo: int,
              hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The products lam_i * fhat_i that ``f`` holds at lo..hi, in index
     order, written into ``out``, a buffer of all of them, where given: one
-    per index through the support from one ``checked`` range, or for a
+    per index through the support, formed chunk by chunk of 2**14 (one
+    ``checked`` range, one ``coefficients`` range and one multiply each,
+    so no read of a long range is joined from chunks), or for a
     ``from_sparse`` f only those at its nonzeros, each lam a one-index
     range, so an implied zero stays zero where an infinite lam makes the
     dense twin's NaN.  Past the last product a read at ``hi`` checks lam."""
@@ -725,9 +727,9 @@ def products(spectrum: SingularSpectrum, f: CoefficientSource, lo: int,
         top = max(lo - 1, hi if f.support_bound is None
                   else min(hi, f.support_bound))
         values = np.empty(top - lo + 1) if out is None else out[lo - 1:top]
-        if top >= lo:
-            span = range(lo, top + 1)
-            _multiply(spectrum.checked(span), f.coefficients(span), values)
+        for span in _chunks(lo, top):
+            _multiply(spectrum.checked(span), f.coefficients(span),
+                      values[span.start - lo:span.stop - lo])
     else:
         where, entries = f._listed
         first = bisect_left(where, lo)
@@ -747,15 +749,17 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     """Yield ``(end, values, total, norm)`` for blocks 0, 1, ..., ``last``.
 
     Block 0 is indices 1..n_0, sampled but never tested; blocks are
-    clipped to a finite table.  ``values`` are the ``products`` through
-    ``end``, a prefix view of one buffer the caller must not write into,
-    as long as a sparse source's nonzeros, reserved at min(n_last,
-    support, table length) where the input stores that many coefficients,
-    or else grown geometrically.  ``total`` is a dense block's exact sum of
-    squares from 512 entries on, extracted chunk by chunk of 2**14 while in
-    cache, and None otherwise; ``norm`` has the bits of ``block_norm``.  A
-    non-finite norm raises ValueError, and so does an infinite lam, which
-    makes lam_1 infinite, in the first non-empty block.
+    clipped to a finite table.  Each block is one ``products`` call, so
+    past the support lam is only checked, through the block's end.
+    ``values`` are the products through ``end``, a prefix view of one
+    buffer the caller must not write into, as long as a sparse source's
+    nonzeros, reserved at min(n_last, support, table length) where the
+    input stores that many coefficients, or else grown geometrically.
+    ``total`` is the block's exact sum of squares (``_square_sum``) where
+    it holds 2**9 products or more, ``exact_norm``'s own switch, and None
+    otherwise; ``norm`` has the bits of ``block_norm``.  A non-finite norm
+    raises ValueError, and so does an infinite lam, which makes lam_1
+    infinite, in the first non-empty block.
     """
     spectrum, partition = problem.spectrum, problem.partition
     length, support = spectrum.enumerated_length, f.support_bound
@@ -772,27 +776,15 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
         end = partition.boundary(j)
         if length is not None:  # no modes past a table
             end = min(end, length)
-        total = 0 if not sparse and end - start + 1 >= _FSUM_BELOW else None
-        if sparse:
-            piece = products(spectrum, f, start, end, buffer)
-            count += piece.size
-        else:
-            top = end if bound is None else min(end, bound)
-            if top > buffer.size:  # a rule source: grow geometrically
-                size = max(top, 2 * buffer.size)
-                grown = np.empty(size if bound is None else min(size, bound))
-                grown[:count] = buffer[:count]
-                buffer = grown
-            # one chunk at least; the last reaches ``end``, so past the
-            # support lam is only checked, through the block's end
-            for span in _chunks(start, max(start, top)):
-                chunk = products(spectrum, f, span.start,
-                                 end if span.stop > top else span.stop - 1,
-                                 buffer)
-                count += chunk.size
-                if total is not None:
-                    total = _plus(total, _square_sum(chunk))
-            piece = buffer[start - 1:count]
+        top = end if bound is None else min(end, bound)
+        if not sparse and top > buffer.size:  # a rule source: grow
+            size = max(top, 2 * buffer.size)
+            grown = np.empty(size if bound is None else min(size, bound))
+            grown[:count] = buffer[:count]
+            buffer = grown
+        piece = products(spectrum, f, start, end, buffer)
+        count += piece.size
+        total = _square_sum(piece) if piece.size >= _FSUM_BELOW else None
         norm = exact_norm(piece) if total is None else math.sqrt(_rounded(total))
         # lam never increases, so an infinite lam makes lam_1 infinite
         if not math.isfinite(norm) or (
@@ -859,8 +851,9 @@ def _solution_end(problem: Problem, f: CoefficientSource) -> int:
 
 
 def _product_sum(problem: Problem, f: CoefficientSource, lo: int, hi: int):
-    """The ``_square_sum`` of the ``products`` at lo..hi: a chunk at a time
-    for a dense source, at once for a sparse one."""
+    """The ``_square_sum`` of the ``products`` at lo..hi: one ``products``
+    call per chunk of 2**14 for a dense source, so no more than a chunk of
+    products is held at once, and one call for a sparse one."""
     spans = _chunks(lo, hi) if f.nonzeros is None else [range(lo, hi + 1)]
     total = 0
     for span in spans:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -177,17 +178,22 @@ def test_a_quotient_below_the_float_range_leaves_no_positive_lam():
 def test_the_ball_level_is_the_largest_t_with_t_rho_at_most_epsilon(
         epsilon, rho):
     # the level is what the budget is read against: the largest float t
-    # with t * rho <= epsilon, which no float above t has (the quotient
-    # 0.7 / 0.3 rounds up past it)
+    # whose exact product t * rho is at most epsilon, which no float above
+    # t has (the quotient 0.7 / 0.3 rounds up past it, and at 9.8e-321 and
+    # 1e-320 floats above t have a product that rounds to epsilon)
     spectrum, levels = SingularSpectrum.algebraic(1.0, 1.0), []
     spectrum.first_at_or_below = lambda t: levels.append(t) or 1
+    epsilon_, rho_ = Fraction(epsilon), Fraction(rho)
     try:
         ball_budget(spectrum, epsilon, rho)
     except GuardExceeded:  # t = 0
-        assert levels == [] and math.nextafter(0.0, 1.0) * rho > epsilon
+        assert levels == [] \
+            and Fraction(math.nextafter(0.0, 1.0)) * rho_ > epsilon_
         return
     (t,) = levels
-    assert t * rho <= epsilon < math.nextafter(t, math.inf) * rho
+    assert Fraction(t) * rho_ <= epsilon_
+    assert t == sys.float_info.max \
+        or Fraction(math.nextafter(t, math.inf)) * rho_ > epsilon_
 
 
 def test_a_subnormal_rho_settles_the_level_in_a_bounded_search():

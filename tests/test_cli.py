@@ -280,8 +280,8 @@ def test_solve_csv_matches_one_run_per_tolerance(tmp_path, blocks, j_max,
     cfg = write_config(tmp_path, payload)
     # the smallest tolerance is unreachable within j_max
     assert cli.main(["solve", "--config", cfg, "--quiet"]) == 1
-    problem, extras = cli.build_problem(payload["problem"])
-    f = cli.build_input(payload["input"], problem, extras, payload["seed"])
+    problem, mis = cli.build_problem(payload["problem"])
+    f = cli.build_input(payload["input"], problem, mis, payload["seed"])
     rows, ratios = [], []
     for eps in sorted(set(epsilons), reverse=True):
         try:
@@ -871,6 +871,16 @@ def test_example1_respects_configured_r(tmp_path):
     assert cli.main(["example1", "--config", cfg, "--quiet"]) == 0
     _, rows = read_csv(out / "example1.csv")
     assert int(rows[0][2]) == 13
+
+
+def test_example1_settles_a_subnormal_product_exactly(tmp_path):
+    # lam_34 * rho rounds to epsilon, 7 units of 2**-1074, while the exact
+    # product is above it, so the budget is the closed form's 35, not 33
+    out = tmp_path / "out"
+    assert cli.main(["example1", "--quiet", "--output", str(out),
+                     "--rho", "1e-320", "--epsilons", "3.5e-323"]) == 0
+    assert (out / "example1.csv").read_text().splitlines()[1] \
+        == "3.5e-323,1e-320,35,35,1"
 
 
 @pytest.mark.parametrize("payload", [

@@ -1,6 +1,7 @@
 """Property-based checks of the algebraic identities the solver relies on."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,8 +86,8 @@ def test_error_bound_is_tail_factor_times_stop_norm(coeffs, a, b, eps):
        st.floats(min_value=0.1, max_value=100.0),
        # (1/frac)**(1/p) stays below the default scan guard of 2**30
        st.floats(min_value=1e-4, max_value=1.0))
-# lam_n * rho equals eps exactly here, while the quotient eps / rho rounds
-# just below lam_n
+# lam_10000 * rho rounds to eps here, while the exact product is above it,
+# so the budget is 10000 and not 9999
 @example(p=1.0, rho=20.875, eps_frac=1e-4)
 @example(p=1.0, rho=1.3515625, eps_frac=1e-4)
 def test_ball_budget_is_minimal_and_sufficient(p, rho, eps_frac):
@@ -94,10 +95,10 @@ def test_ball_budget_is_minimal_and_sufficient(p, rho, eps_frac):
     problem = Problem(SingularSpectrum.algebraic(1.0, p),
                       Partition.doubling(1), ConeParams(2.0, 0.5))
     run = ball_algorithm(problem, CoefficientSource.zero(), eps, rho)
-    n = run.cost
-    assert problem.spectrum.value(n + 1) * rho <= eps
+    n, lam = run.cost, problem.spectrum.value
+    assert Fraction(lam(n + 1)) * Fraction(rho) <= Fraction(eps)
     if n > 0:
-        assert problem.spectrum.value(n) * rho > eps
+        assert Fraction(lam(n)) * Fraction(rho) > Fraction(eps)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,8 +9,9 @@ through the dense path of every routine: both must give the same bits, or
 raise the same exception with the same message.  Only the products and
 block totals differ in form.  A sparse source's products are those at
 its nonzeros alone, which scattered into zeros must give the bytes of the
-twin's dense prefix; a sparse block yields no total, and ``block_tails``
-sums its squares from the walk's values when a tail needs them.
+twin's dense prefix; a block of fewer than 2**9 products, counted at its
+nonzeros, yields no total, and ``block_tails`` sums its squares from the
+walk's values when a tail needs them.
 """
 
 import math
@@ -145,12 +146,15 @@ def scattered(f, values, n):
 
 def yields(problem, f, last):
     """Each block's (end, values bytes, norm) bits, read as yielded, then
-    the exception that ended the walk, if any.  A sparse source's blocks
-    have no total: their norms are summed from the products alone."""
-    got = []
+    the exception that ended the walk, if any.  A block of 2**9 products or
+    more, a sparse one's counted at its nonzeros alone, has an exact int
+    total, and any other block none."""
+    got, count = [], 0
     try:
         for end, values, total, norm in read_blocks(problem, f, last):
-            assert total is None or f.nonzeros is None
+            assert (total is None) == (values.size - count < 2 ** 9)
+            assert total is None or isinstance(total, int)
+            count = values.size
             got.append((end, scattered(f, values, end), bits(norm)))
     except (ValueError, LookupError) as exc:
         got.append((type(exc), str(exc)))
@@ -222,6 +226,11 @@ def separation_pair(bump, shift):
 # a table shorter than the support, which clips the blocks
 @example(case=(("table", 1.0, 0.5), Partition.doubling(1), 15, 30000,
                [3, 9000, 12000], [1.0, 2.0, 3.0]), shift=1.0)
+# nonzeros at 600..1799, so blocks 513..1024 and 1025..2048 hold 425 and
+# 775 of them: the second has an int total, summed by the tails as is
+@example(case=(("algebraic", 1.0, 1.0), Partition.doubling(1), 12, 2000,
+               list(range(600, 1800)),
+               [(-1.0) ** k / k for k in range(600, 1800)]), shift=1.0)
 def test_a_sparse_source_reads_with_the_bits_of_its_dense_twin(case, shift):
     last = case[2]
     (problem, sparse), (twin_problem, dense) = twins(case)

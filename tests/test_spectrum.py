@@ -308,6 +308,28 @@ def test_a_walk_over_what_the_draw_checked_checks_nothing():
     assert spectrum.counts(spectrum.reads[reads:])[:2 ** 14 + 1].sum() == 0
 
 
+def test_dense_reads_of_lam_stay_inside_one_chunk(monkeypatch):
+    # ``products`` forms a dense range chunk by chunk, so no reader asks
+    # ``checked`` for a range across a multiple of 2**14, which it would
+    # have to join from chunks
+    spans, checked = [], SingularSpectrum.checked
+    monkeypatch.setattr(SingularSpectrum, "checked",
+                        lambda self, indices: spans.append(indices)
+                        or checked(self, indices))
+    problem = Problem(SingularSpectrum.algebraic(1.0, 1.0),
+                      Partition.doubling(1), ConeParams(2.0, 0.5))
+    f = CoefficientSource.from_vector(np.ones(3 * 2 ** 14 + 5))
+    for read in (lambda: interpolate(problem, f, 2 ** 16),
+                 lambda: list(read_blocks(problem, f, 17)),
+                 lambda: tail_norms(problem, f, [0, 100, 2 ** 15 + 3])):
+        spans.clear()
+        read()
+        assert spans
+        for span in spans:
+            assert list(spectrum_module._chunks(span.start, span.stop - 1)) \
+                in ([span], [])
+
+
 # -- Partition ---------------------------------------------------------------
 
 def test_doubling_boundaries():
