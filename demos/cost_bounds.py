@@ -43,6 +43,6 @@ for epsilon in (0.3, 0.1, 0.03, 0.01):
     print(f"{epsilon:>9} {observed:>12} {tight:>6} {rough:>6} "
           f"{first:>11} {lower:>20}")
 
-# observed <= tight <= rough holds always; the last column dominates the
-# tight bound, which is what makes the adaptive cost essentially no worse
-# than that of the best possible algorithm.
+# observed <= tight <= rough holds always; the tight bound is at most the
+# last column + 1, which is what makes the adaptive cost essentially no
+# worse than that of the best possible algorithm.

@@ -44,9 +44,15 @@ from .spectrum import (CoefficientSource, GuardExceeded, Problem,
 class FoolingPair:
     """Base input, bump, and the two perturbed inputs.
 
-    ``amplitude`` is the common scale of the base profile, ``shift`` the
-    step applied along the bump, ``ratio`` the boundary ratio bound used,
-    and ``blocks`` the number of profile blocks.  All four inputs are
+    ``amplitude`` is the common scale c of the base profile,
+
+        c**2 = rho**2 / ( (1 + (a-1)**2 / ((a+1)**2 ratio**2))
+                          * sum_{k=0}^{blocks} b**(2(k-blocks)) / lam_{n_k}**2 ),
+
+    sized so the base input plus a unit-blockwise bump still fits in the
+    ball of radius rho; ``shift`` is the step applied along the bump,
+    ``ratio`` the boundary ratio bound used, and ``blocks`` the number of
+    profile blocks.  All four inputs are
     ``CoefficientSource.from_sparse`` sources with support bound n_blocks:
     the bump's ``nonzeros`` are its one or two entries, and
     ``bump.dense(bump.size)`` is the bump as a vector over 1..n_blocks.
@@ -65,7 +71,7 @@ class FoolingPair:
 def _profiles(problem: Problem, rho: float, first: int,
               ratio: Optional[float] = None) -> Iterator[tuple]:
     """(r, lams, c) at depths d = first, first + 1, ...: the ratio bound r,
-    lam_{n_0}..lam_{n_d} and the amplitude c of ``fooling_scale``, from one
+    lam_{n_0}..lam_{n_d} and the amplitude c of ``FoolingPair``, from one
     read of each boundary value.  r is ``ratio``, or
     ``boundary_ratio(problem, d).value`` where ``ratio`` is None.  Raises
     ValueError at the first depth whose ratio is below 1 or below a
@@ -108,20 +114,6 @@ def _profiles(problem: Problem, rho: float, first: int,
         yield r, tuple(lams), rho / math.sqrt(scale)
 
 
-def fooling_scale(problem: Problem, ratio: float, rho: float, blocks: int) -> float:
-    """Amplitude c of the base profile.
-
-    c**2 = rho**2 / ( (1 + (a-1)**2 / ((a+1)**2 ratio**2))
-                      * sum_{k=0}^{blocks} b**(2(k-blocks)) / lam_{n_k}**2 ),
-
-    sized so the base input plus a unit-blockwise bump still fits in the
-    ball of radius rho.  Raises ValueError when ``ratio`` is below a
-    boundary drop up to block ``blocks``, and when the sum is past the
-    float range.
-    """
-    return next(_profiles(problem, rho, blocks, ratio))[2]
-
-
 def _base_input(problem: Problem, ends: Sequence, lams: Sequence,
                 c: float) -> CoefficientSource:
     """The base input of amplitude c over the boundaries ``ends`` =
@@ -137,8 +129,9 @@ def fooling_input(problem: Problem, ratio: float, rho: float, blocks: int) -> Co
     """Admissible input whose block norm profile is exactly c * b**(k - blocks).
 
     Places the single coefficient c * b**(k-blocks) / lam_{n_k} at index n_k
-    for k = 1..blocks and zero elsewhere, so block k has norm c * b**(k-blocks)
-    and the decay constraint holds with equality at r = 1 steps.
+    for k = 1..blocks, with c the ``FoolingPair.amplitude``, and zero
+    elsewhere, so block k has norm c * b**(k-blocks) and the decay
+    constraint holds with equality at r = 1 steps.
     """
     return next(fooling_inputs(problem, rho, blocks, ratio))[1]
 

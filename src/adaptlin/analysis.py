@@ -1,19 +1,20 @@
-"""Cost bounds and optimality comparisons for the solvers.
+"""Cost bounds for the solvers, and the optimality claim that links them.
 
 The adaptive solver's cost is n_{j*} where j* is its stopping block.  This
 module bounds j* from above for all admissible inputs in a norm ball
-(``stop_block_bound`` and its cheaper relaxations), bounds the cost of any
-successful algorithm from below via the block index certified by the
-adversarial construction (``complexity_lower_block``), and packages the
-"essentially no worse" comparison between cost curves that links the two.
+(``stop_block_bound`` and its cheaper relaxations), and bounds the cost of
+any successful algorithm from below via the block index certified by the
+adversarial construction (``complexity_lower_block``).  The claim that
+adaptivity is essentially no worse than the optimal algorithm is the chain
+j_dagger(eps, rho) <= j_star_lower(omega * eps, rho) + 1 between the two,
+stated and proved once, in ``BoundsRow``.
 The three block scans and the first-term bound each have a tolerance-list
 form (``stop_block_bounds``, ``stop_block_bounds_rough``,
 ``complexity_lower_blocks``, ``stop_block_bound_first_terms``) that serves
 a whole list from one pass with the bits of one call per tolerance, and
 ``running_ratios`` gives ``boundary_ratio``'s value at every depth from
 one pass.  ``bounds_table`` puts them together: one record per tolerance
-with every bound, the guard that replaced a missing one, and the chain
-n_{j_dagger}(eps, rho) <= n_{j_star_lower}(omega * eps, rho).
+with every bound, the guard that replaced a missing one, and the chain.
 
 The bounds and the fooling construction in ``adversarial`` read lam at
 the partition boundaries through one lazy ladder, ``boundary_values``, and
@@ -23,12 +24,10 @@ share its drops lam_{n_{k-1}} / lam_{n_k} (``boundary_drops``) and sums S_j
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import count, islice, pairwise, repeat, takewhile
-from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence)
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .algorithm import DEFAULT_BLOCK_LIMIT, ball_budget, stop_threshold
 from .spectrum import (ConeParams, GuardExceeded, Partition, Problem,
@@ -328,24 +327,6 @@ def stop_block_bound_first_term(problem: Problem, epsilon: float, rho: float) ->
     return j
 
 
-def stop_block_bound_geometric(alpha: float, beta: float, cone: ConeParams,
-                               epsilon: float, rho: float) -> int:
-    """Closed-form bound when block edges decay as lam_{n_{j-1}+1} <= alpha * beta**j.
-
-    ceil( log( rho * alpha * a * b / (epsilon * sqrt(1-b**2)) )
-          / log(1/beta) ), clamped to at least 1.
-    """
-    if epsilon <= 0 or rho <= 0:
-        raise ValueError("epsilon and rho must be positive")
-    if not (0.0 < beta < 1.0) or alpha <= 0.0:
-        raise ValueError("need alpha > 0 and beta in (0, 1)")
-    a, b = cone.a, cone.b
-    argument = rho * alpha * a * b / (epsilon * math.sqrt(1.0 - b * b))
-    if argument <= 1.0:
-        return 1
-    return max(1, math.ceil(math.log(argument) / math.log(1.0 / beta)))
-
-
 def complexity_lower_blocks(problem: Problem, ratio: float, epsilons,
                             rho: float, *,
                             block_limit: int = DEFAULT_BLOCK_LIMIT) -> list:
@@ -398,14 +379,27 @@ class BoundsRow(NamedTuple):
     first-term forms, and ``complexity_lower_block`` at omega * epsilon.
     ``guard`` is the GuardExceeded text of the first that did not settle,
     and those after it are not computed.  ``note`` says why the table has
-    no lower bound.  ``chain_holds`` is n_dagger <= n_lower.
+    no lower bound.  ``chain_holds`` is j_dagger <= j_star_lower + 1, the
+    optimality claim: n_{j_dagger}(eps, rho) <= n_{j_star_lower(omega eps,
+    rho) + 1}, which is within a factor 2 of n_lower on a doubling
+    partition.  It holds wherever j_star_lower is settled, with S_j from
+    ``lower_sums`` and B = (a+1)**2 R**2 / (a-1)**2 + 1, the ``_bracket``
+    factor, so that omega**2 = (1-b**2) / (a**4 (1 + b**2 R**2 + b**4 R**4) B):
 
-    The chain can read violated where omega * epsilon is large against
-    rho.  Geometric base 1e10, arithmetic 1 + 3j, a = 1e6, b = 1e-6,
-    rho = 1e-200 and epsilon = 1e-100 give j_star_lower = 0 (the zero input
-    meets omega * epsilon) and j_dagger = 1, so n_dagger = 4 > n_lower = 1.
-    Whether the comparison of arXiv:1809.10567 assumes omega * epsilon <
-    rho is for the paper to settle; the row reports the chain as computed.
+    1. Write e_k = lam_{n_{k-1}+1}, so that e_k <= lam_{n_{k-1}}.  Since
+       a > 1, the bracket T_j of ``stop_block_bound`` satisfies
+       T_j >= (1-b**2) S_{j-1} / (a**4 b**2).
+    2. Since R >= lam_{n_{j-1}} / lam_{n_j}, the sums satisfy
+       S_j <= (1 + b**2 R**2) S_{j-1} / b**2.
+    3. Steps 1 and 2 give omega**2 B S_j <= T_j.
+    4. At j = j_star_lower + 1 <= block_limit the lower scan fails:
+       (rho / (omega eps))**2 <= B S_j.  So (rho / eps)**2 <= T_j, and
+       therefore j_dagger <= j.
+
+    The stricter n_dagger <= n_lower does not follow, and fails on rows
+    where j_dagger is j_star_lower + 1: the harmonic spectrum on doubling
+    2**(j+1) under the default cone, at rho = 1 and eps = 10**-4.5, gives
+    n_dagger = 65536 against n_lower = 32768.
     """
 
     epsilon: float
@@ -480,40 +474,8 @@ def bounds_table(problem: Problem, epsilons, rho: float, *,
             eps, rho, j_dagger, j_rough, j_first, j_lower, omega,
             None if scan is None else scan.value,
             guards.get(eps), note, n_dagger, n_lower,
-            None if n_lower is None else n_dagger <= n_lower))
+            None if j_lower is None else j_dagger <= j_lower + 1))
     return rows
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    holds: bool
-    violations: tuple
-    tolerance_factor: float
-    grid: tuple
-
-
-def essentially_no_worse(candidate: Callable, reference: Callable,
-                         tolerance_factor: float,
-                         grid: Sequence) -> ComparisonReport:
-    """Certify candidate(eps, rho) <= reference(factor*eps, rho) on a grid.
-
-    Each cost curve maps (epsilon, rho) to a cost, and the grid is a
-    sequence of (epsilon, rho) pairs.  Violating points are returned as
-    (epsilon, rho, candidate_cost, reference_cost) tuples; the certificate
-    holds when there are none.  A factor of exactly 1 turns the check into
-    plain cost domination.
-    """
-    if not (0.0 < tolerance_factor <= 1.0):
-        raise ValueError("tolerance factor lies in (0, 1]")
-    violations = []
-    points = tuple((float(e), float(r)) for e, r in grid)
-    for eps, rho in points:
-        cand = candidate(eps, rho)
-        ref = reference(tolerance_factor * eps, rho)
-        if cand > ref:
-            violations.append((eps, rho, cand, ref))
-    return ComparisonReport(holds=not violations, violations=tuple(violations),
-                            tolerance_factor=tolerance_factor, grid=points)
 
 
 @dataclass(frozen=True)
@@ -567,35 +529,3 @@ def cost_bracket_check(family: str, scale: float, base: float, epsilon: float,
     return BracketReport(family=family, scale=scale, base=base, epsilon=epsilon,
                          rho=rho, cost=cost, lower=lower, upper=upper,
                          applicable=applicable, ok=ok)
-
-
-def ball_cost_curve(spectrum: SingularSpectrum) -> Callable:
-    """Cost curve of the ball solver: min{n >= 0 : lam_{n+1} * rho <= eps}."""
-    return functools.partial(ball_budget, spectrum)
-
-
-def blocked_ball_cost_curve(spectrum: SingularSpectrum, partition: Partition, *,
-                            block_limit: int = DEFAULT_BLOCK_LIMIT) -> Callable:
-    """Ball solver restricted to partition boundaries: cost n_j at the first
-    j >= 0 with lam_{n_j + 1} * rho <= eps."""
-
-    def cost(epsilon, rho):
-        edges = boundary_values(spectrum, partition, 1)
-        for j, edge in enumerate(islice(edges, block_limit + 1)):
-            if edge * rho <= epsilon:
-                return partition.boundary(j)
-        raise GuardExceeded(f"no boundary within {block_limit} blocks")
-
-    return cost
-
-
-def adaptive_cost_bound_curve(problem: Problem, *,
-                              block_limit: int = DEFAULT_BLOCK_LIMIT) -> Callable:
-    """Upper cost curve of the adaptive solver over admissible inputs:
-    the boundary of the stopping block bound."""
-
-    def cost(epsilon, rho):
-        j = stop_block_bound(problem, epsilon, rho, block_limit=block_limit)
-        return problem.partition.boundary(j)
-
-    return cost

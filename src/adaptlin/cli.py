@@ -481,8 +481,8 @@ def cmd_bounds(merged, quiet):
                   f"epsilon={row.epsilon!r}: {row.guard}", file=sys.stderr)
         elif row.chain_holds is False:
             print(f"bounds: chain violated at epsilon={row.epsilon!r}: "
-                  f"n_(j_dagger)={row.n_dagger} > n_(j_lower)={row.n_lower}",
-                  file=sys.stderr)
+                  f"j_dagger={row.j_dagger} > j_lower + 1 = "
+                  f"{row.j_star_lower + 1}", file=sys.stderr)
         table.append(row[:len(columns)])
     violations = sum(row.chain_holds is False for row in rows)
     write_csv(out / "bounds.csv", columns, table)

@@ -201,6 +201,9 @@ class SingularSpectrum:
     with lam_m and the head lam_1..lam_min(m, 2**14), and no other array,
     so a rule that fails deep down fails only the reads that get there.  A
     table, checked at construction, is its own head below an infinite m.
+    ``value(i)``, the a-priori bounds' reader at the partition boundaries,
+    is unchecked, but evaluates the rule on a one-element array, so it has
+    the bits of ``values``: the bounds and the walks read one sequence.
     """
 
     def __init__(self, rule: Optional[Callable], *, name: str = "spectrum",
@@ -274,7 +277,9 @@ class SingularSpectrum:
                 raise OutOfRangeError(
                     f"index {i} past the {self._table.size} enumerated singular values")
             return float(self._table[i - 1])
-        return float(self._rule(np.float64(i)))
+        # a one-element array takes numpy's vector loop, as ``values`` does:
+        # on a scalar, pow goes through libm, which can differ by one ulp
+        return float(self._rule(np.array([float(i)]))[0])
 
     def values(self, indices: range) -> np.ndarray:
         """Weights at ``indices``, a step-1 range of 1-based indices.

@@ -6,7 +6,7 @@ import pytest
 from adaptlin import (CoefficientSource, ConeParams, Partition, Problem,
                       SingularSpectrum, adaptive_algorithm, block_norm,
                       cone_membership, fooling_input, fooling_pair,
-                      fooling_scale, solution_separation)
+                      solution_separation)
 
 from conftest import unit_spectrum
 
@@ -24,31 +24,37 @@ def harmonic_problem():
 
 # -- amplitude and base input ------------------------------------------------
 
+def amplitude(problem, ratio, rho, blocks):
+    """The amplitude c of the base profile, from a pair that zeroes
+    nothing."""
+    return fooling_pair(problem, ratio, rho, blocks, ()).amplitude
+
+
 def test_fooling_scale_of_a_cone_past_2_to_the_511():
     # (a-1)**2 / (a+1)**2 is 1 past 2**53, where its squares overflow or not
-    scales = [fooling_scale(Problem(SingularSpectrum.algebraic(1.0, 1.0),
-                                    Partition.doubling(1), ConeParams(a, 0.5)),
-                            2.0, 1.0, 6) for a in (1e150, 1e200)]
+    scales = [amplitude(Problem(SingularSpectrum.algebraic(1.0, 1.0),
+                                Partition.doubling(1), ConeParams(a, 0.5)),
+                        2.0, 1.0, 6) for a in (1e150, 1e200)]
     assert scales[0] == scales[1]
 
 
 def test_fooling_scale_hand_value():
     # flat weights, two blocks: c**2 = rho**2 / ((10/9) * (16 + 4 + 1))
-    c = fooling_scale(unit_problem(), 1.0, 1.0, 2)
+    c = amplitude(unit_problem(), 1.0, 1.0, 2)
     assert c ** 2 == pytest.approx(9.0 / 210.0, rel=1e-14)
     assert c == pytest.approx(0.20701966780270625, rel=1e-14)
 
 
 def test_fooling_scale_proportional_to_radius():
     problem = unit_problem()
-    assert fooling_scale(problem, 1.0, 5.0, 2) == pytest.approx(
-        5.0 * fooling_scale(problem, 1.0, 1.0, 2), rel=1e-14)
+    assert amplitude(problem, 1.0, 5.0, 2) == pytest.approx(
+        5.0 * amplitude(problem, 1.0, 1.0, 2), rel=1e-14)
 
 
 def test_fooling_input_dense_layout():
     problem = unit_problem()
     f = fooling_input(problem, 1.0, 1.0, 2)
-    c = fooling_scale(problem, 1.0, 1.0, 2)
+    c = amplitude(problem, 1.0, 1.0, 2)
     assert np.allclose(f.dense(4), [0.0, 2.0 * c, 0.0, c], rtol=1e-14)
 
 
@@ -56,7 +62,7 @@ def test_fooling_input_profile_is_exactly_geometric():
     problem = harmonic_problem()
     blocks = 6
     f = fooling_input(problem, 2.0, 1.0, blocks)
-    c = fooling_scale(problem, 2.0, 1.0, blocks)
+    c = amplitude(problem, 2.0, 1.0, blocks)
     b = problem.cone.b
     for k in range(1, blocks + 1):
         assert block_norm(problem, f, k) == pytest.approx(
@@ -101,7 +107,7 @@ def test_pair_base_has_the_bits_of_the_fooling_input():
     probe = fooling_input(problem, 2.0, 3.0, 7)
     size = problem.partition.boundary(7)
     assert pair.base.dense(size).tobytes() == probe.dense(size).tobytes()
-    assert pair.amplitude == fooling_scale(problem, 2.0, 3.0, 7)
+    assert pair.amplitude == fooling_pair(problem, 2.0, 3.0, 7, ()).amplitude
 
 
 def test_pair_identity_between_amplitude_and_shift():

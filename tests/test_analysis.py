@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 
 from adaptlin import (ConeParams, GuardExceeded, Partition, Problem,
-                      SingularSpectrum, adaptive_algorithm, adaptive_cost_bound_curve,
-                      ball_cost_curve, blocked_ball_cost_curve,
-                      boundary_ratio, complexity_lower_block,
+                      SingularSpectrum, adaptive_algorithm, ball_budget,
+                      boundary_ratio, bounds_table, complexity_lower_block,
                       complexity_lower_blocks, cost_bracket_check,
-                      essentially_no_worse, stop_block_bound,
-                      stop_block_bound_first_term,
-                      stop_block_bound_geometric, stop_block_bound_rough,
-                      stop_block_bounds, stop_block_bounds_rough,
-                      tolerance_shrink_factor)
+                      stop_block_bound, stop_block_bound_first_term,
+                      stop_block_bound_rough, stop_block_bounds,
+                      stop_block_bounds_rough, tolerance_shrink_factor)
 
 from conftest import (profile_member, scan_complexity_lower_block,
                       scan_stop_block_bound, scan_stop_block_bound_rough,
@@ -175,23 +172,6 @@ def test_first_term_bound_clamps_to_one():
     assert stop_block_bound_first_term(problem, 100.0, 1.0) == 1
 
 
-def test_geometric_bound_example():
-    assert stop_block_bound_geometric(1.0, 0.5, CONE, 0.1, 1.0) == 4
-
-
-def test_geometric_bound_clamps_to_one():
-    assert stop_block_bound_geometric(1.0, 0.5, CONE, 100.0, 1.0) == 1
-
-
-def test_geometric_bound_dominates_rough_when_envelope_holds():
-    # lam_{n_{j-1}+1} = 1/(2**(j-1)+1) <= 2**-j * 2 = alpha * beta**j
-    problem = harmonic_problem()
-    for eps in (0.3, 0.03, 0.003):
-        rough = stop_block_bound_rough(problem, eps, 1.0)
-        closed = stop_block_bound_geometric(2.0, 0.5, CONE, eps, 1.0)
-        assert rough <= closed
-
-
 # -- complexity_lower_block --------------------------------------------------
 
 def lower_feasible(problem, ratio, j, eps, rho):
@@ -315,53 +295,6 @@ def test_list_forms_reject_non_positive_tolerances():
             complexity_lower_blocks(problem, 2.0, bad, 1.0)
 
 
-# -- essentially_no_worse ----------------------------------------------------
-
-def test_no_worse_reflexive():
-    curve = ball_cost_curve(SingularSpectrum.algebraic(1.0, 2.0))
-    grid = [(0.1, 1.0), (0.01, 5.0), (1e-4, 2.0)]
-    report = essentially_no_worse(curve, curve, 1.0, grid)
-    assert report.holds
-    assert report.violations == ()
-
-
-def test_no_worse_algebraic_blocked_vs_plain():
-    # power-two budgets cost at most twice the optimum, which a modest
-    # tolerance shrink absorbs for algebraic spectra
-    for p in (1.0, 2.0, 3.0):
-        spectrum = SingularSpectrum.algebraic(1.0, p)
-        candidate = blocked_ball_cost_curve(spectrum, Partition.doubling(1),
-                                            block_limit=128)
-        reference = ball_cost_curve(spectrum)
-        grid = [(eps, rho)
-                for rho in np.logspace(0, 3, 8)
-                for eps in rho * np.logspace(-5, -0.2, 12)]
-        report = essentially_no_worse(candidate, reference, 0.9 * 2.0 ** -p,
-                                      grid)
-        assert report.holds, report.violations[:3]
-
-
-def test_no_worse_geometric_blocked_vs_plain_fails():
-    # doubling budgets against a geometric spectrum overshoot by a factor
-    # approaching 2, which no fixed tolerance shrink can absorb
-    spectrum = SingularSpectrum.geometric(1.0, 2.0)
-    candidate = blocked_ball_cost_curve(spectrum, Partition.doubling(1),
-                                        block_limit=128)
-    reference = ball_cost_curve(spectrum)
-    grid = [(eps, 1.0) for eps in np.logspace(-14, -0.5, 60)]
-    for factor in (0.5, 0.1, 1e-2, 1e-4, 1e-6):
-        report = essentially_no_worse(candidate, reference, factor, grid)
-        assert not report.holds
-
-
-def test_no_worse_rejects_bad_factor():
-    curve = ball_cost_curve(SingularSpectrum.algebraic(1.0, 1.0))
-    with pytest.raises(ValueError):
-        essentially_no_worse(curve, curve, 0.0, [(0.1, 1.0)])
-    with pytest.raises(ValueError):
-        essentially_no_worse(curve, curve, 1.5, [(0.1, 1.0)])
-
-
 # -- cost_bracket_check ------------------------------------------------------
 
 def test_bracket_algebraic_example():
@@ -392,33 +325,38 @@ def test_bracket_unknown_family():
 # -- cost curves and chains --------------------------------------------------
 
 def test_cost_curves_monotone_on_grid():
+    # the ball budget, and the boundaries of j_dagger and j_star_lower:
+    # every cost falls as epsilon grows and rises with rho
     spectrum = SingularSpectrum.algebraic(1.0, 2.0)
     problem = Problem(spectrum, Partition.doubling(1), CONE)
-    curves = {"ball": ball_cost_curve(spectrum),
-              "blocked ball": blocked_ball_cost_curve(spectrum,
-                                                      problem.partition),
-              "adaptive bound": adaptive_cost_bound_curve(problem)}
-    epsilons = np.logspace(-4, 0, 9)
+    epsilons = list(np.logspace(-4, 0, 9))[::-1]  # bounds_table's order
     rhos = np.logspace(0, 2, 5)
-    for name, curve in curves.items():
-        for rho in rhos:
-            costs = [curve(e, rho) for e in epsilons]
-            assert costs == sorted(costs, reverse=True), name
-        for eps in epsilons:
-            costs = [curve(eps, r) for r in rhos]
+    curves = {"ball": [], "adaptive bound": [], "lower bound": []}
+    for rho in rhos:
+        rows = bounds_table(problem, epsilons, rho)
+        assert [row.epsilon for row in rows] == epsilons
+        curves["ball"].append([ball_budget(spectrum, e, rho)
+                               for e in epsilons])
+        curves["adaptive bound"].append([row.n_dagger for row in rows])
+        curves["lower bound"].append([row.n_lower for row in rows])
+    for name, grid in curves.items():
+        for costs in grid:  # along epsilon, largest first
             assert costs == sorted(costs), name
+        for costs in zip(*grid):  # along rho
+            assert list(costs) == sorted(costs), name
 
 
 def test_adaptive_cost_never_exceeds_bound_curve():
     problem = harmonic_problem()
-    bound = adaptive_cost_bound_curve(problem)
     rng = np.random.default_rng(30)
+    epsilons = (0.5, 0.1, 0.02)
     for _ in range(15):
         f = profile_member(problem, rng, blocks=9, head=True)
         rho = f.norm()
-        for eps in (0.5, 0.1, 0.02):
+        bounds = stop_block_bounds(problem, epsilons, rho)
+        for eps, j in zip(epsilons, bounds):
             run = adaptive_algorithm(problem, f, eps)
-            assert run.cost <= bound(eps, rho)
+            assert run.cost <= problem.partition.boundary(j)
 
 
 def test_shrunken_ball_dominates_rough_bound():
@@ -428,13 +366,12 @@ def test_shrunken_ball_dominates_rough_bound():
     a, b = problem.cone.a, problem.cone.b
     c_lam = 0.5  # (2**j + 1) / (2**(j+1) + 1) > 1/2 for every j
     shrink = c_lam ** 2 * math.sqrt(1.0 - b * b) / (a * b)
-    ball = ball_cost_curve(problem.spectrum)
     for rho in np.logspace(0, 3, 8):
         for quotient in np.logspace(1, 6, 12):
             eps = rho / quotient
             n_rough = problem.partition.boundary(
                 stop_block_bound_rough(problem, eps, rho))
-            assert n_rough < ball(eps * shrink, rho)
+            assert n_rough < ball_budget(problem.spectrum, eps * shrink, rho)
 
 
 def test_tight_chain_boundaries_dominated_by_lower_bound():

@@ -5,6 +5,7 @@ started where the search of the larger tolerance before it ended, with the
 same failure text where that search fails."""
 
 import dataclasses
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from adaptlin import (ConeParams, GuardExceeded, Partition, Problem,
                       SingularSpectrum, boundary_ratio, bounds_table,
                       complexity_lower_block, fooling_certificates,
-                      stop_block_bound, stop_block_bound_first_term,
-                      stop_block_bound_rough, tolerance_shrink_factor)
+                      periodic_approximation_spectrum, stop_block_bound,
+                      stop_block_bound_first_term, stop_block_bound_rough,
+                      tolerance_shrink_factor)
 
 from conftest import fresh_probe_search
 
@@ -89,7 +91,54 @@ def test_each_bounds_row_is_the_scalar_bounds_of_its_tolerance(
             n_dagger, n_lower = (problem.partition.boundary(j) for j in
                                  (row.j_dagger, row.j_star_lower))
             assert (row.n_dagger, row.n_lower) == (n_dagger, n_lower)
-            assert row.chain_holds == (n_dagger <= n_lower)
+            assert row.chain_holds == (row.j_dagger <= row.j_star_lower + 1)
+
+
+def powers_of_ten(low, high):
+    """10**x for x drawn from [low, high]: a scale drawn evenly by decade."""
+    return st.floats(low, high).map(lambda x: 10.0 ** x)
+
+
+@st.composite
+def chain_problems(draw):
+    """(problem, block_limit): algebraic, geometric or periodic weights on a
+    doubling, arithmetic or explicit partition with n_0 >= 1 under a drawn
+    cone, and a block limit that an explicit partition covers."""
+    family = draw(st.sampled_from(["algebraic", "geometric", "periodic"]))
+    if family == "algebraic":
+        spectrum = SingularSpectrum.algebraic(draw(powers_of_ten(-3, 3)),
+                                              draw(st.floats(0.25, 4)))
+    elif family == "geometric":
+        spectrum = SingularSpectrum.geometric(draw(powers_of_ten(-3, 3)),
+                                              draw(st.floats(1.001, 4)))
+    else:
+        spectrum = periodic_approximation_spectrum(draw(st.floats(0.25, 4)))
+    block_limit = draw(st.integers(1, 32))
+    kind = draw(st.sampled_from(["doubling", "arithmetic", "explicit"]))
+    if kind == "doubling":
+        partition = Partition.doubling(draw(st.integers(1, 8)))
+    elif kind == "arithmetic":
+        partition = Partition.arithmetic(draw(st.integers(1, 8)),
+                                         draw(st.integers(1, 64)))
+    else:
+        steps = draw(st.lists(st.integers(1, 1000), min_size=1,
+                              max_size=block_limit))
+        partition = Partition.from_boundaries(
+            accumulate(steps, initial=draw(st.integers(1, 8))))
+        block_limit = len(steps)
+    cone = ConeParams(draw(st.floats(1.01, 100)), draw(st.floats(0.01, 0.99)))
+    return Problem(spectrum, partition, cone), block_limit
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_problems(), st.lists(powers_of_ten(-9, 2), min_size=1,
+                                  max_size=8), powers_of_ten(-3, 3))
+def test_every_bounds_row_keeps_the_chain(drawn, epsilons, rho):
+    # the optimality claim: wherever the lower bound settles,
+    # j_dagger(eps, rho) <= j_star_lower(omega * eps, rho) + 1
+    problem, block_limit = drawn
+    for row in bounds_table(problem, epsilons, rho, block_limit=block_limit):
+        assert row.chain_holds is not False, row
 
 
 def summary(cert):
@@ -208,12 +257,13 @@ def test_a_harmonic_row_and_certificate_hold():
         cert.ok = False
 
 
-def test_the_chain_reads_violated_where_the_lower_bound_is_block_zero():
+def test_the_chain_holds_where_the_lower_bound_is_block_zero():
     # omega * epsilon is about 1e-190 against rho = 1e-200: the zero input
-    # meets the lower bound's tolerance, so j_star_lower is 0 (n_0 = 1)
+    # meets the lower bound's tolerance, so j_star_lower is 0 (n_0 = 1),
+    # and j_dagger is the one block past it
     problem = Problem(SingularSpectrum.geometric(1.0, 1e10),
                       Partition.arithmetic(1, 3), ConeParams(1e6, 1e-6))
     (row,) = bounds_table(problem, [1e-100], 1e-200, block_limit=5)
     assert (row.j_dagger, row.j_star_lower) == (1, 0)
-    assert (row.n_dagger, row.n_lower, row.chain_holds) == (4, 1, False)
+    assert (row.n_dagger, row.n_lower, row.chain_holds) == (4, 1, True)
     assert row.omega * row.epsilon > row.rho

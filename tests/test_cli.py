@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adaptlin import (GuardExceeded, adaptive_algorithm, adversarial,
-                      block_norm, cli, fooling_certificates)
+                      analysis, block_norm, cli, fooling_certificates)
 
 from conftest import brute_worst_ratio, fresh_probe_search
 
@@ -559,10 +559,11 @@ def test_bounds_lower_bound_of_an_underflowed_omega_epsilon_is_a_guard(
                                                   ("1e-300", "")]
 
 
-def test_bounds_reports_a_violated_chain_where_the_lower_bound_is_block_zero(
+def test_bounds_holds_the_chain_where_the_lower_bound_is_block_zero(
         tmp_path, capsys):
     # omega * epsilon is about 1e-190 against rho = 1e-200, so the lower
-    # bound settles at block 0 (n_0 = 1) while j_dagger is 1 (n_1 = 4)
+    # bound settles at block 0 (n_0 = 1) and j_dagger is 1 (n_1 = 4), the
+    # one block past it that the chain allows
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {
         "problem": {"spectrum": {"family": "geometric", "scale": 1.0,
@@ -572,12 +573,54 @@ def test_bounds_reports_a_violated_chain_where_the_lower_bound_is_block_zero(
                     "cone": {"a": 1e6, "b": 1e-6}},
         "rho": 1e-200, "epsilons": [1e-100], "guards": {"j_max": 5},
         "output": str(out)})
-    assert cli.main(["bounds", "--config", cfg, "--quiet"]) == 1
-    assert capsys.readouterr().err == (
-        "bounds: chain violated at epsilon=1e-100: n_(j_dagger)=4 > "
-        "n_(j_lower)=1\n")
+    assert cli.main(["bounds", "--config", cfg, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
     _, rows = read_csv(out / "bounds.csv")
     assert [(row[2], row[5]) for row in rows] == [("1", "0")]
+
+
+# the harmonic spectrum on doubling 2**(j+1) at eps = 10**-4.5, where
+# j_dagger = 15 is one block past j_star_lower = 14 (n = 65536 and 32768)
+HARMONIC_ONE_BLOCK_PAST = {
+    "problem": {"spectrum": {"family": "algebraic", "scale": 1.0,
+                             "power": 1.0},
+                "partition": {"kind": "doubling", "start": 2}},
+    "rho": 1.0, "epsilons": [3.1622776601683795e-05]}
+
+
+def test_bounds_holds_the_chain_one_block_past_the_lower_bound(tmp_path,
+                                                               capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(HARMONIC_ONE_BLOCK_PAST,
+                                      output=str(out)))
+    assert cli.main(["bounds", "--config", cfg, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "bounds.csv").read_text(encoding="utf-8") == (
+        "epsilon,rho,j_dagger,j_dagger_rough,j_dagger_first,j_star_lower,"
+        "omega,R\n"
+        "3.1622776601683795e-05,1.0,15,16,16,14,0.02054987341316966,2.0\n")
+
+
+def test_bounds_reports_a_violated_chain_and_exits_1(tmp_path, capsys,
+                                                     monkeypatch):
+    # a lower bound two blocks short puts j_dagger = 15 past 12 + 1
+    scan = analysis.complexity_lower_blocks
+
+    def short(*args, **kwargs):
+        return [None if j is None else j - 2 for j in scan(*args, **kwargs)]
+
+    monkeypatch.setattr(analysis, "complexity_lower_blocks", short)
+    problem, _ = cli.build_problem(HARMONIC_ONE_BLOCK_PAST["problem"])
+    (row,) = analysis.bounds_table(problem, [3.1622776601683795e-05], 1.0)
+    assert (row.j_dagger, row.j_star_lower, row.chain_holds) == (15, 12,
+                                                                  False)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(HARMONIC_ONE_BLOCK_PAST,
+                                      output=str(out)))
+    assert cli.main(["bounds", "--config", cfg, "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "bounds: chain violated at epsilon=3.1622776601683795e-05: "
+        "j_dagger=15 > j_lower + 1 = 13\n")
 
 
 @pytest.mark.parametrize("problem_cfg", [

@@ -12,6 +12,7 @@ from adaptlin import (CoefficientSource, ConeParams, FoolingPair,
                       interpolate, periodic_approximation_spectrum,
                       random_cone_member, solution_separation, tail_norm,
                       tail_norms)
+from adaptlin import cli
 from adaptlin import spectrum as spectrum_module
 from adaptlin.spectrum import exact_norm, read_blocks
 
@@ -110,6 +111,22 @@ def test_range_values_have_the_bits_of_index_values(spec, weight, lo, hi):
     cut = lo + (hi - lo) // 3
     pieces = [spec.values(range(lo, cut)), spec.values(range(cut, hi + 1))]
     assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("family", [
+    {"family": "algebraic", "scale": 3.0, "power": 1.5},
+    {"family": "algebraic", "scale": 1.0, "power": 1.0},
+    {"family": "geometric", "scale": 1.0, "base": 1.1},
+    {"family": "periodic", "r": 1.3},
+    {"family": "derivative", "dimension": 2, "k_max": 40},
+], ids=["algebraic", "harmonic", "geometric", "periodic", "derivative"])
+def test_index_values_have_the_bits_of_range_values(family):
+    # the bounds read lam one boundary at a time and the walks a range at
+    # a time: for every CLI family both read one sequence
+    spec, _ = cli.build_spectrum(family)
+    top = min(2 ** 16, spec.enumerated_length or 2 ** 16)
+    each = np.array([spec.value(i) for i in range(1, top + 1)])
+    assert each.tobytes() == spec.values(range(1, top + 1)).tobytes()
 
 
 def test_table_values_are_read_only_views():

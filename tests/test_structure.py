@@ -1,13 +1,17 @@
 """Module structure: no adaptlin module imports another's private names,
-the bounds and the fooling construction read the spectrum at the partition
-boundaries through one ladder, every lam that multiplies a coefficient
-comes from one checked reader and one product former, and the CLI takes
-its bounds and fooling pairs from the library."""
+every public name has a use outside the tests, the bounds and the fooling
+construction read the spectrum at the partition boundaries through one
+ladder, every lam that multiplies a coefficient comes from one checked
+reader and one product former, and the CLI takes its bounds and fooling
+pairs from the library."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adaptlin"
+import adaptlin
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "adaptlin"
 
 
 def private_imports(path):
@@ -32,6 +36,50 @@ def test_no_module_imports_a_private_name_of_another():
     found = [line for path in sorted(PACKAGE.glob("*.py"))
              for line in private_imports(path)]
     assert found == []
+
+
+def references(path, strings=False):
+    """Each name that ``path`` reads as a Name or an Attribute node outside
+    the function or class that defines the name: a docstring, an import or
+    a definition is no use.  With ``strings``, a string constant that is a
+    name counts too, for a harness that looks names up."""
+    found = set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            name = node.id if isinstance(node, ast.Name) else getattr(
+                node, "attr", None)
+            if name is not None and name not in owners:
+                found.add(name)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and node.value.isidentifier()):
+            found.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return found
+
+
+# the weights of the paper's second example, in closed form: the tests'
+# oracle for the derivative enumeration, which computes them per axis
+PAPER_RESULTS = {"derivative_weights"}
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a use in the package outside the exports, in a demo or a script, or
+    # in the benchmark harness, whose tracer wraps names it holds as
+    # strings; a public name only the tests reach goes
+    used = set(PAPER_RESULTS)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            used |= references(path)
+    for folder in ("demos", "scripts", "benchmarks"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used |= references(path, strings=folder == "benchmarks")
+    assert sorted(set(adaptlin.__all__) - used) == []
 
 
 def attribute_calls(path, attr, skip=None):
