@@ -262,14 +262,15 @@ def write_json(path, payload):
 
 
 def _svg_line_chart(path, xs, ys, *, title, x_label, y_label):
-    """Minimal polyline chart on log axes, with decade gridlines."""
+    """Minimal polyline chart on log axes, with decade gridlines; a point
+    with a coordinate <= 0 has no place on them and is left out."""
     width, height = 640, 440
     left, right, top, bottom = 70, 20, 36, 50
-    xs = [float(v) for v in xs]
-    ys = [float(v) for v in ys]
+    points = [(float(x), float(y)) for x, y in zip(xs, ys) if x > 0 and y > 0]
+    xs, ys = [x for x, _ in points], [y for _, y in points]
 
     def span(values):
-        vals = [math.log10(v) for v in values]
+        vals = [math.log10(v) for v in values] or [0.0]  # no point: 1e0
         lo, hi = min(vals), max(vals)
         if hi - lo < 1e-12:
             lo, hi = lo - 0.5, hi + 0.5
@@ -367,12 +368,9 @@ def _sweep(problem, f, epsilons, j_max):
 
 def _parse_epsilons(text):
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        return [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --epsilons list: {exc}") from exc
-    if not values or not all(v > 0 for v in values):
-        raise ConfigError("--epsilons must be positive numbers")
-    return values
 
 
 def _effective(args, config):
@@ -394,7 +392,7 @@ def _effective(args, config):
 
 def _epsilons_from(merged, default=None):
     eps = merged.get("epsilons", default)
-    if eps is None:
+    if not eps:  # missing or empty
         raise ConfigError("no tolerance list: set epsilons in the config "
                           "or pass --epsilons")
     return sorted(set(eps), reverse=True)

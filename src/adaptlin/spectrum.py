@@ -188,7 +188,8 @@ def _bounds(indices) -> tuple:
 
 
 class SingularSpectrum:
-    """Non-increasing positive weights lam_1 >= lam_2 >= ... > 0.
+    """Finite, non-increasing, positive weights lam_1 >= lam_2 >= ... > 0,
+    the singular values of a bounded operator.
 
     The sequence is described by a rule mapping 1-based indices to weights.
     Rules must accept float numpy arrays (indices are cast to float64 before
@@ -196,7 +197,8 @@ class SingularSpectrum:
     spectra keep their values in a read-only copy, have no rule, and refuse
     queries past the end.
 
-    Every lam that multiplies a coefficient is read through ``checked``.
+    Every lam that multiplies a coefficient is read through ``checked``,
+    and ``_check_run`` alone decides validity, where lam is first read.
     A rule spectrum keeps a watermark m, the deepest index checked so far,
     with lam_m and the head lam_1..lam_min(m, 2**14), and no other array,
     so a rule that fails deep down fails only the reads that get there.  A
@@ -277,9 +279,13 @@ class SingularSpectrum:
                 raise OutOfRangeError(
                     f"index {i} past the {self._table.size} enumerated singular values")
             return float(self._table[i - 1])
+        try:
+            index = float(i)
+        except OverflowError:
+            raise GuardExceeded(f"index {i} is past the float range") from None
         # a one-element array takes numpy's vector loop, as ``values`` does:
         # on a scalar, pow goes through libm, which can differ by one ulp
-        return float(self._rule(np.array([float(i)]))[0])
+        return float(self._rule(np.array([index]))[0])
 
     def values(self, indices: range) -> np.ndarray:
         """Weights at ``indices``, a step-1 range of 1-based indices.
@@ -334,7 +340,8 @@ class SingularSpectrum:
 
     def checked(self, indices: range) -> np.ndarray:
         """Weights at ``indices``, a step-1 range of 1-based indices, once
-        lam_1 through its end are known to be positive and non-increasing.
+        lam_1 through its end are known to be finite, positive and
+        non-increasing.
         Those at or below the watermark m are only evaluated, as head slices
         up to 2**14; those past it are also checked, chunk by chunk, and m
         moves up with each chunk that passes.  A failed chunk raises
@@ -360,19 +367,23 @@ class SingularSpectrum:
 
     def _check_run(self, vals: np.ndarray, previous: float = math.inf) -> None:
         """Raise ValueError unless ``vals``, consecutive weights after one
-        of weight ``previous``, are positive and non-increasing.  The
-        message names the fault at the lowest index, a weight that is not
-        positive over one that rises at the same index, so it does not
-        depend on how a read is split into runs."""
-        # non-increasing down to a positive last value: one pass, NaN fails
+        of weight ``previous``, are finite, positive and non-increasing:
+        the one test of lam's validity.  The message names the fault at the
+        lowest index, a weight that is not positive (NaN among them) over
+        one that rises, over one that is infinite, so it does not depend on
+        how a read is split into runs."""
+        # non-increasing from a finite first value down to a positive last
+        # one: one pass, NaN fails
         if not vals.size or (vals[-1] > 0.0 and vals[0] <= previous
+                             and vals[0] < math.inf
                              and (vals[1:] <= vals[:-1]).all()):
             return
         low = ~(vals > 0.0)
         rises = ~(vals <= np.concatenate(([previous], vals[:-1])))
-        if low[np.argmax(low | rises)]:
-            raise ValueError(f"{self.name}: singular values must be positive")
-        raise ValueError(f"{self.name}: singular values must be non-increasing")
+        first = np.argmax(low | rises | (vals == math.inf))
+        fault = "positive" if low[first] else (
+            "non-increasing" if rises[first] else "finite")
+        raise ValueError(f"{self.name}: singular values must be {fault}")
 
     def validate_prefix(self) -> None:
         """Check the first 16 weights of a rule; a table is checked."""
@@ -711,10 +722,10 @@ def block_decay_ratios(cone: ConeParams, norms: Sequence[float]) -> tuple:
     return ratios, binders
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore")
 def _multiply(lam: np.ndarray, coefficients: np.ndarray,
               out: np.ndarray) -> None:
-    """lam * coefficients into ``out``, inf or NaN without a warning."""
+    """lam * coefficients into ``out``, an overflow inf without a warning."""
     np.multiply(lam, coefficients, out=out)
 
 
@@ -726,8 +737,7 @@ def products(spectrum: SingularSpectrum, f: CoefficientSource, lo: int,
     ``checked`` range, one ``coefficients`` range and one multiply each,
     so no read of a long range is joined from chunks), or for a
     ``from_sparse`` f only those at its nonzeros, each lam a one-index
-    range, so an implied zero stays zero where an infinite lam makes the
-    dense twin's NaN.  Past the last product a read at ``hi`` checks lam."""
+    range.  Past the last product a read at ``hi`` checks lam."""
     if f._listed is None:
         top = max(lo - 1, hi if f.support_bound is None
                   else min(hi, f.support_bound))
@@ -763,8 +773,7 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     ``total`` is the block's exact sum of squares (``_square_sum``) where
     it holds 2**9 products or more, ``exact_norm``'s own switch, and None
     otherwise; ``norm`` has the bits of ``block_norm``.  A non-finite norm
-    raises ValueError, and so does an infinite lam, which makes lam_1
-    infinite, in the first non-empty block.
+    raises ValueError.
     """
     spectrum, partition = problem.spectrum, problem.partition
     length, support = spectrum.enumerated_length, f.support_bound
@@ -791,10 +800,7 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
         count += piece.size
         total = _square_sum(piece) if piece.size >= _FSUM_BELOW else None
         norm = exact_norm(piece) if total is None else math.sqrt(_rounded(total))
-        # lam never increases, so an infinite lam makes lam_1 infinite
-        if not math.isfinite(norm) or (
-                start == 1 <= end
-                and spectrum.checked(range(1, 2)).item() == math.inf):
+        if not math.isfinite(norm):
             raise ValueError(
                 f"non-finite norm over indices {start}..{end}: "
                 "a solution coefficient is not finite or its square overflows")
@@ -831,8 +837,6 @@ def tail_norms(problem: Problem, f: CoefficientSource, cuts) -> list:
     cut, sums each segment between two cuts exactly, and adds the segments
     from the last backwards, so every tail is the correctly rounded sum of
     its squares (the bits of ``math.fsum``) and each product is read once.
-    Over an infinite lam a sparse source's implied zeros add nothing, where
-    the dense twin's lam * 0 makes its tails NaN (see ``products``).
     """
     cuts = list(cuts)
     if any(n < 0 for n in cuts):

@@ -58,12 +58,27 @@ def test_solve_needs_a_tolerance_list(tmp_path, capsys):
 
 
 def test_bad_epsilons_flag(tmp_path, capsys):
+    # the flag is only parsed; its values meet the config's own limits
     cfg = write_config(tmp_path, {"problem": ALGEBRAIC})
-    for flag in ("1,-2", "0.1,nan"):
+    for flag in ("1,-2", "0.1,nan", "-1"):
         assert cli.main(["solve", "--config", cfg, "--epsilons", flag,
                          "--jmax", "8", "--output",
                          str(tmp_path / "out")]) == 2
-        assert "--epsilons must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err \
+            == "config error: tolerances must be positive\n"
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_an_empty_tolerance_list_is_refused_as_a_missing_one(tmp_path, capsys,
+                                                             command):
+    cfg = write_config(tmp_path, {"problem": ALGEBRAIC, "epsilons": [],
+                                  "output": str(tmp_path / "out")})
+    for argv in ([command, "--config", cfg],
+                 [command, "--config", cfg, "--epsilons", ""]):
+        assert cli.main(argv + ["--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: no tolerance list: set epsilons in the config or "
+            "pass --epsilons\n")
 
 
 def test_malformed_json(tmp_path):
@@ -535,6 +550,25 @@ def test_bounds_guard_past_the_float_range(tmp_path, capsys):
                    "block bound within 64 blocks"
                    for eps in (1e-150, 1e-200, 1e-310)]
     assert read_csv(out / "bounds.csv")[1] == []
+
+
+@pytest.mark.parametrize("command, sections, message", [
+    ("bounds", {"guards": {"j_max": 1024}}, "guard exceeded: index "),
+    ("adversarial", {"adversarial": {"blocks": 1100},
+                     "guards": {"n_max": 2 ** 1200, "j_max": 2000}},
+     "adversarial: construction failed at epsilon=0.1: index "),
+], ids=["bounds", "adversarial"])
+def test_an_index_past_the_float_range_is_a_guard(tmp_path, capsys, command,
+                                                  sections, message):
+    # n_1024 = 2**1024 has no float: the bounds read lam there and the
+    # probe search builds a pair that reaches it
+    cfg = write_config(tmp_path, dict(sections, problem=ALGEBRAIC,
+                                      epsilons=[0.1],
+                                      output=str(tmp_path / "out")))
+    assert cli.main([command, "--config", cfg, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert err.endswith(" is past the float range\n")
 
 
 def test_bounds_lower_bound_of_an_underflowed_omega_epsilon_is_a_guard(
@@ -1048,6 +1082,37 @@ def test_demo_derivative_writes_report_and_figures(tmp_path):
     assert record["rows"][0]["cost"] >= 0
     svg = (out / "fig2_cost.svg").read_text(encoding="utf-8")
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+
+
+def test_demo_derivative_keeps_a_tolerance_that_keeps_every_mode(tmp_path,
+                                                                 capsys):
+    # at 1e-12 the walk reads all 223,260 modes and its true error is 0.0,
+    # which fig2.csv keeps and the log-axis chart of true errors leaves out
+    out = tmp_path / "out"
+    assert cli.main(["demo-derivative", "--quiet", "--output", str(out),
+                     "--epsilons", "1e-12,0.5"]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("run.json", "fig2.csv", "fig2_cost.svg", "fig2_ratio.svg",
+                 "fig1_input.csv", "fig1_true.csv", "fig1_approx.csv",
+                 "fig1_error.csv"):
+        assert (out / name).exists(), name
+    assert read_csv(out / "fig2.csv")[1][1] == ["1e-12", "223260", "0.0",
+                                                "0.0"]
+    assert (out / "fig2_cost.svg").read_text().count("<circle") == 2
+    assert (out / "fig2_ratio.svg").read_text().count("<circle") == 1
+
+
+def test_a_log_chart_leaves_out_the_points_off_its_axes(tmp_path):
+    # a point with a coordinate <= 0 leaves the chart of the others as it
+    # was; with no point left the axes still stand
+    def chart(name, xs, ys):
+        cli._svg_line_chart(tmp_path / name, xs, ys, title="t", x_label="x",
+                            y_label="y")
+        return (tmp_path / name).read_bytes()
+
+    assert chart("kept.svg", [0.5, 1e-12, 2.0, -1.0], [3.0, 0.0, 40.0, 1.0]) \
+        == chart("positive.svg", [0.5, 2.0], [3.0, 40.0])
+    assert b"<circle" not in chart("empty.svg", [1e-12], [0.0])
 
 
 def test_demo_derivative_figure_run_is_the_same_when_swept_along(tmp_path):

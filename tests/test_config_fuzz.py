@@ -3,7 +3,9 @@
 Configs are drawn from ``cli.SCHEMA``: each key is present or not, most
 values are valid, some lie at or past a limit of ``cli.LIMITS`` or of the
 library, and a few have the wrong JSON type or are unknown keys.  The
-guards stay small (j_max <= 24, n_max <= 2**16), so no draw runs long.
+drawn guards stay small (j_max <= 24, n_max <= 2**16), so no draw runs
+long; ``demo-derivative``'s box of 226,981 modes is past that index
+budget, so its walk runs only in the examples that raise n_max to 2**18.
 ``cli.main`` runs in-process under numpy's default error state with
 warnings raised as errors; it must return 0, 1 or 2, write no traceback
 and no warning, and return 2 only with a ``config error:``.  Every
@@ -130,6 +132,17 @@ def configs(draw):
 @example("example1", {"rho": 1e-320})
 # epsilon / rho = 1e-600 leaves only the level 0
 @example("example1", {"epsilons": [1e-300], "rho": 1e300})
+# an empty tolerance list is refused as a missing one, by every command
+@example("demo-derivative", {"epsilons": [],
+                             "guards": {"j_max": 24, "n_max": 2 ** 18}})
+# a tolerance that keeps every mode: a true error of 0.0 has no place on
+# the log-axis chart
+@example("demo-derivative", {"epsilons": [1e-12],
+                             "guards": {"j_max": 24, "n_max": 2 ** 18}})
+# the bounds read lam at n_1024 = 2**1024, an index past the float range
+@example("bounds", {
+    "problem": {"spectrum": {"family": "algebraic"}}, "epsilons": [0.1],
+    "guards": {"j_max": 1024, "n_max": 2 ** 16}})
 def test_every_command_ends_in_a_status_and_a_message(command, config):
     with tempfile.TemporaryDirectory() as workdir:
         out = Path(workdir) / "out"

@@ -84,9 +84,15 @@ def test_indices_are_one_based():
 
 
 def test_huge_index_does_not_overflow():
-    # integer 10**40 would overflow int64 powers; the rule gets float64
+    # integer 10**40 would overflow int64 powers; the rule gets float64,
+    # which 2**1024 is past, so there the rule is not evaluated: a guard
     spec = SingularSpectrum.algebraic(1.0, 2.0)
     assert spec.value(10 ** 40) == pytest.approx(1e-80)
+    assert SingularSpectrum.algebraic(1.0, 1.0).value(2 ** 1023) \
+        == 2.0 ** -1023
+    with pytest.raises(GuardExceeded,
+                       match=f"^index {2 ** 1024} is past the float range$"):
+        spec.value(2 ** 1024)
 
 
 _WEIGHTS = 1.0 / np.arange(1.0, 50_001.0) ** 0.7
@@ -249,6 +255,22 @@ def test_a_fault_is_named_alike_however_the_read_is_split():
         split.checked(range(151, 301))
     assert str(one.value) == str(two.value) \
         == "two faults: singular values must be non-increasing"
+
+
+@pytest.mark.parametrize("table, fault", [
+    ([math.nan, 1.0], "positive"),  # NaN is no positive weight
+    ([1.0, math.inf], "non-increasing"),  # a rise to inf is a rise
+    ([math.inf, 1.0], "finite"),
+    ([math.inf, 0.0], "finite"),  # the fault at the lowest index names it
+    ([1.0, 0.5, -math.inf], "positive"),
+    ([2.0, 3.0, math.inf], "non-increasing"),
+], ids=["nan", "rise-to-inf", "inf-head", "inf-before-zero", "minus-inf",
+        "rise-before-inf"])
+def test_a_fault_at_the_lowest_index_is_named_in_one_order(table, fault):
+    # at one index: not positive, then rises, then not finite
+    with pytest.raises(ValueError,
+                       match=f"^enumerated: singular values must be {fault}$"):
+        SingularSpectrum.from_values(table)
 
 
 _WATERMARK = 2 ** 15 + 200

@@ -130,15 +130,13 @@ def test_only_the_reference_block_norm_reads_lam_unchecked():
 
 def test_lam_times_a_coefficient_is_formed_in_one_place():
     # outside SingularSpectrum lam is checked by spectrum.products, which
-    # forms every product, by read_blocks for its lam_1 rule alone, and
-    # where a cone member or the derivative enumeration is built; a second
-    # product loop would add an owner
+    # forms every product, and where a cone member or the derivative
+    # enumeration is built; a second product loop would add an owner
     owners = [owner for path in sorted(PACKAGE.glob("*.py"))
               for owner, _ in attribute_calls(path, "checked",
                                               skip="SingularSpectrum")]
     assert sorted(set(owners)) == ["__init__", "products",
-                                   "random_cone_member", "read_blocks"]
-    assert owners.count("read_blocks") == 1
+                                   "random_cone_member"]
     assert owners.count("__init__") == 1
 
 
