@@ -12,10 +12,8 @@ optimality.
 import numpy as np
 
 from adaptlin import (ConeParams, Partition, Problem, SingularSpectrum,
-                      adaptive_algorithm, boundary_ratio,
-                      complexity_lower_block, random_cone_member,
-                      stop_block_bound, stop_block_bound_first_term,
-                      stop_block_bound_rough, tolerance_shrink_factor)
+                      adaptive_algorithm, boundary_ratio, bounds_table,
+                      random_cone_member, tolerance_shrink_factor)
 
 problem = Problem(SingularSpectrum.algebraic(1.0, 1.0),
                   Partition.doubling(1),
@@ -34,14 +32,12 @@ rho = f.norm()
 
 print(f"\n{'epsilon':>9} {'observed j*':>12} {'tight':>6} {'rough':>6} "
       f"{'first-term':>11} {'lower at shrunk eps':>20}")
-for epsilon in (0.3, 0.1, 0.03, 0.01):
-    observed = adaptive_algorithm(problem, f, epsilon).stop_block
-    tight = stop_block_bound(problem, epsilon, rho)
-    rough = stop_block_bound_rough(problem, epsilon, rho)
-    first = stop_block_bound_first_term(problem, epsilon, rho)
-    lower = complexity_lower_block(problem, scan.value, omega * epsilon, rho)
-    print(f"{epsilon:>9} {observed:>12} {tight:>6} {rough:>6} "
-          f"{first:>11} {lower:>20}")
+# every bound over the whole tolerance list, largest tolerance first
+for row in bounds_table(problem, (0.3, 0.1, 0.03, 0.01), rho):
+    observed = adaptive_algorithm(problem, f, row.epsilon).stop_block
+    print(f"{row.epsilon:>9} {observed:>12} {row.j_dagger:>6} "
+          f"{row.j_dagger_rough:>6} {row.j_dagger_first:>11} "
+          f"{row.j_star_lower:>20}")
 
 # observed <= tight <= rough holds always; the tight bound is at most the
 # last column + 1, which is what makes the adaptive cost essentially no

@@ -19,10 +19,8 @@ from .algorithm import (Approximation, Walk, adaptive_algorithm,
                         DEFAULT_BLOCK_LIMIT)
 from .analysis import (BoundsRow, BracketReport, RatioScan, bounds_table,
                        boundary_ratio, complexity_lower_block,
-                       complexity_lower_blocks, cost_bracket_check,
-                       stop_block_bound, stop_block_bound_first_term,
-                       stop_block_bound_first_terms, stop_block_bound_rough,
-                       stop_block_bounds, stop_block_bounds_rough,
+                       cost_bracket_check, stop_block_bound,
+                       stop_block_bound_first_term, stop_block_bound_rough,
                        tolerance_shrink_factor)
 from .adversarial import (FoolingCertificate, FoolingPair,
                           fooling_certificates, fooling_input, fooling_inputs,
@@ -47,7 +45,7 @@ __all__ = [
     "RandomPeriodicInput", "RatioScan", "SingularSpectrum",
     "SupportBoundRequired", "Walk", "adaptive_algorithm", "adaptive_sweep",
     "ball_algorithm", "ball_budget", "block_norm", "boundary_ratio",
-    "bounds_table", "complexity_lower_block", "complexity_lower_blocks",
+    "bounds_table", "complexity_lower_block",
     "cone_membership", "cost_bracket_check", "default_gamma",
     "derivative_coefficients", "derivative_problem",
     "derivative_slice_grid", "derivative_weights",
@@ -57,8 +55,7 @@ __all__ = [
     "periodic_approximation_cost", "periodic_approximation_spectrum",
     "random_cone_member", "random_periodic_input", "solution_separation",
     "solution_slice_grid", "stop_block_bound",
-    "stop_block_bound_first_term", "stop_block_bound_first_terms",
-    "stop_block_bound_rough", "stop_block_bounds",
-    "stop_block_bounds_rough", "stop_threshold", "tail_norm", "tail_norms",
+    "stop_block_bound_first_term", "stop_block_bound_rough",
+    "stop_threshold", "tail_norm", "tail_norms",
     "tolerance_shrink_factor", "true_error",
 ]

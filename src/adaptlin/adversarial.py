@@ -14,8 +14,9 @@ their solutions differ by a computable separation.  Any algorithm
 sampling too few coefficients must therefore err on one of them.
 
 Each construction reads lam_{n_0}..lam_{n_blocks} once, through
-``analysis.lower_sums``, which also serves ``complexity_lower_block``: the
-same drops check the ratio and the same S_blocks sizes the amplitude.  A
+``analysis.lower_sums``, which also serves ``complexity_lower_block``'s
+scan of a tolerance list: the same drops check the ratio and the same
+S_blocks sizes the amplitude.  A
 depth whose S_blocks is past the float range fails with ValueError.
 ``fooling_inputs`` grows a probe depth by depth from that one read, with
 the running boundary ratio where none is given, and
@@ -310,7 +311,10 @@ def fooling_certificates(problem: Problem, epsilons, rho: float, *,
     depth 4 can instead fail at ``block_limit`` on a probe that a larger
     tolerance has already outgrown.  A pair that cannot be built or checked
     (``fooling_pair`` or a run on f+ or f- raising ValueError or
-    GuardExceeded) fails its own tolerance alone, with that message.
+    GuardExceeded) fails its own tolerance alone, with that message.  On
+    an explicit partition the start depth must not pass its last block
+    (``cli`` refuses such an ``adversarial.blocks`` as a config error), and
+    a search that grows past it raises OutOfRangeError.
     """
     epsilons = sorted(set(epsilons), reverse=True)
     depth = 4 if blocks is None else blocks

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
-                       OutOfRangeError, Partition, Problem, SingularSpectrum,
+                       OutOfRangeError, Problem, SingularSpectrum,
                        block_tails, products, read_blocks, tail_norm)
 
 DEFAULT_BLOCK_LIMIT = 64
@@ -190,7 +190,7 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
     pending = sorted(range(len(epsilons)), key=levels.__getitem__)
     stops = [None] * len(epsilons)
     blocks = []
-    last = _blocks_walked(problem.partition, block_limit)
+    last = problem.partition.last_block(block_limit)
     # each block's values extend the last, so the last block's are the walk's
     for j, (end, values, total, s) in enumerate(read_blocks(problem, f, last)):
         blocks.append((end, total, s, values.size))
@@ -209,19 +209,13 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
     return Walk(problem, f, values, ends, sums, norms[1:], tuple(stops), runs)
 
 
-def _blocks_walked(partition: Partition, block_limit: int) -> int:
-    """Blocks a walk may read: ``block_limit``, or fewer where an explicit
-    partition ends first."""
-    return min(block_limit, partition.block_count or block_limit)
-
-
 def no_stop_error(problem: Problem, block_limit: int) -> GuardExceeded:
     """The guard failure of a tolerance no block of a walk settles.
 
     The message names the blocks that walk could read, which is fewer than
     ``block_limit`` when the problem's explicit partition ends first.
     """
-    walked = _blocks_walked(problem.partition, block_limit)
+    walked = problem.partition.last_block(block_limit)
     return GuardExceeded(
         f"no stopping block within {walked} blocks; the input may not "
         "satisfy the assumed decay, or the tolerance may be unreachable")

@@ -8,13 +8,12 @@ adversarial construction (``complexity_lower_block``).  The claim that
 adaptivity is essentially no worse than the optimal algorithm is the chain
 j_dagger(eps, rho) <= j_star_lower(omega * eps, rho) + 1 between the two,
 stated and proved once, in ``BoundsRow``.
-The three block scans and the first-term bound each have a tolerance-list
-form (``stop_block_bounds``, ``stop_block_bounds_rough``,
-``complexity_lower_blocks``, ``stop_block_bound_first_terms``) that serves
-a whole list from one pass with the bits of one call per tolerance, and
-``running_ratios`` gives ``boundary_ratio``'s value at every depth from
-one pass.  ``bounds_table`` puts them together: one record per tolerance
-with every bound, the guard that replaced a missing one, and the chain.
+Each of the four bounds takes a tolerance list and returns one block per
+tolerance, None where it does not settle; one pass over the blocks serves
+the whole list with the bits of a scan per tolerance.  ``running_ratios``
+gives ``boundary_ratio``'s value at every depth from one pass.
+``bounds_table`` puts them together: one record per tolerance with every
+bound, the guard that replaced a missing one, and the chain.
 
 The bounds and the fooling construction in ``adversarial`` read lam at
 the partition boundaries through one lazy ladder, ``boundary_values``, and
@@ -30,8 +29,7 @@ from itertools import count, islice, pairwise, repeat, takewhile
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .algorithm import DEFAULT_BLOCK_LIMIT, ball_budget, stop_threshold
-from .spectrum import (ConeParams, GuardExceeded, Partition, Problem,
-                       SingularSpectrum)
+from .spectrum import ConeParams, Partition, Problem, SingularSpectrum
 
 
 def boundary_values(spectrum: SingularSpectrum, partition: Partition,
@@ -156,20 +154,11 @@ def tolerance_shrink_factor(cone: ConeParams, ratio: float) -> float:
     return math.sqrt((1.0 - b * b) / spread / bracket)
 
 
-_UNSETTLED = {
-    "stop_block_bound": "no stopping block bound within {} blocks",
-    "stop_block_bound_rough": "no rough stopping bound within {} blocks",
-    "complexity_lower_block":
-        "lower-bound block still growing at block limit {}",
-    "stop_block_bound_first_term": "first-term bound past the float range",
-}
-
-
-def unsettled_error(bound: str,
-                    block_limit: int = DEFAULT_BLOCK_LIMIT) -> GuardExceeded:
-    """What the scalar bound named ``bound`` raises for a tolerance that
-    its list form leaves None; the first-term message names no limit."""
-    return GuardExceeded(_UNSETTLED[bound].format(block_limit))
+# why each j field of a BoundsRow, in order, was left None
+_UNSETTLED = ("no stopping block bound within {} blocks",
+              "no rough stopping bound within {} blocks",
+              "first-term bound past the float range",
+              "lower-bound block still growing at block limit {}")
 
 
 def _squared_ratio(rho: float, epsilon: float) -> float:
@@ -229,30 +218,11 @@ def _stop_brackets(problem: Problem, block_limit: int):
         partial = (partial + _reciprocal(a * a * edge * edge)) / (b * b)
 
 
-def stop_block_bounds(problem: Problem, epsilons, rho: float, *,
-                      block_limit: int = DEFAULT_BLOCK_LIMIT) -> list:
-    """``stop_block_bound`` of each tolerance, from one scan of the blocks.
-
-    Returns one block per tolerance in input order, None where no block
-    within ``block_limit`` qualifies.  The brackets do not depend on
-    epsilon, so each is formed once, and the scan stops at the block of
-    the tolerance that needs the most; each target (rho / epsilon)**2 is
-    compared with the same rounded bracket as in a scan of its own.  A
-    target past the float range gets None without a scan: no rounded
-    bracket can certify it.
-    """
-    epsilons = _positive(epsilons, rho)
-    targets = [_squared_ratio(rho, eps) for eps in epsilons]
-    return _settle([t if t < math.inf else None for t in targets],
-                   _stop_brackets(problem, block_limit),
-                   lambda t, v: t <= v, descending=True)
-
-
-def stop_block_bound(problem: Problem, epsilon: float, rho: float, *,
-                     block_limit: int = DEFAULT_BLOCK_LIMIT) -> int:
+def stop_block_bound(problem: Problem, epsilons, rho: float, *,
+                     block_limit: int = DEFAULT_BLOCK_LIMIT) -> list:
     """Tight upper bound on the adaptive stopping block over the ball.
 
-    Returns the smallest j with
+    Returns, for each tolerance epsilon in input order, the smallest j with
 
         rho**2 / epsilon**2 <= (1-b**2)/(a**2 b**2) *
             [ sum_{k=1}^{j-1} b**(2(k-j)) / (a**2 lam_{n_{k-1}+1}**2)
@@ -261,18 +231,24 @@ def stop_block_bound(problem: Problem, epsilon: float, rho: float, *,
     The bracket increases in j, so the first hit is the minimum.  Every
     admissible input of norm at most rho stops at or before this block.
     A square that underflows to zero counts as an infinite reciprocal.
-    Raises GuardExceeded when no block within ``block_limit`` qualifies,
-    and when rho**2 / epsilon**2 is past the float range.
+    The block is None where no block within ``block_limit`` qualifies, and
+    where rho**2 / epsilon**2 is past the float range: no rounded bracket
+    can certify it.  The brackets do not depend on epsilon, so one scan
+    serves the list: each bracket is formed once, the scan stops at the
+    block of the tolerance that needs the most, and each target is compared
+    with the same rounded bracket as in a scan of its own.
     """
-    (j,) = stop_block_bounds(problem, [epsilon], rho, block_limit=block_limit)
-    if j is None:
-        raise unsettled_error("stop_block_bound", block_limit)
-    return j
+    epsilons = _positive(epsilons, rho)
+    targets = [_squared_ratio(rho, eps) for eps in epsilons]
+    return _settle([t if t < math.inf else None for t in targets],
+                   _stop_brackets(problem, block_limit),
+                   lambda t, v: t <= v, descending=True)
 
 
-def stop_block_bounds_rough(problem: Problem, epsilons, rho: float, *,
-                            block_limit: int = DEFAULT_BLOCK_LIMIT) -> list:
-    """``stop_block_bound_rough`` of each tolerance, from one scan of the
+def stop_block_bound_rough(problem: Problem, epsilons, rho: float, *,
+                           block_limit: int = DEFAULT_BLOCK_LIMIT) -> list:
+    """Simpler bound: for each tolerance, the first j with
+    lam_{n_{j-1}+1} <= eps*sqrt(1-b**2)/(a*b*rho), from one scan of the
     block edges; None where no block within ``block_limit`` qualifies."""
     epsilons = _positive(epsilons, rho)
     return _settle([stop_threshold(problem.cone, eps) / rho
@@ -281,21 +257,16 @@ def stop_block_bounds_rough(problem: Problem, epsilons, rho: float, *,
                    lambda level, edge: edge <= level, descending=False)
 
 
-def stop_block_bound_rough(problem: Problem, epsilon: float, rho: float, *,
-                           block_limit: int = DEFAULT_BLOCK_LIMIT) -> int:
-    """Simpler bound: first j with lam_{n_{j-1}+1} <= eps*sqrt(1-b**2)/(a*b*rho)."""
-    (j,) = stop_block_bounds_rough(problem, [epsilon], rho,
-                                   block_limit=block_limit)
-    if j is None:
-        raise unsettled_error("stop_block_bound_rough", block_limit)
-    return j
+def stop_block_bound_first_term(problem: Problem, epsilons,
+                                rho: float) -> list:
+    """Closed-form bound keeping only the first bracket term.
 
-
-def stop_block_bound_first_terms(problem: Problem, epsilons,
-                                 rho: float) -> list:
-    """``stop_block_bound_first_term`` of each tolerance, from one read of
+    For each tolerance epsilon,
+    ceil( log( rho * a**2 * lam_{n_0+1} / (epsilon * sqrt(1-b**2)) )
+          / log(1/b) ), clamped to at least 1, from one read of
     lam_{n_0+1}; None where the argument of the log is past the float
-    range."""
+    range.
+    """
     epsilons = _positive(epsilons, rho)
     if not epsilons:
         return []
@@ -314,28 +285,26 @@ def stop_block_bound_first_terms(problem: Problem, epsilons,
     return blocks
 
 
-def stop_block_bound_first_term(problem: Problem, epsilon: float, rho: float) -> int:
-    """Closed-form bound keeping only the first bracket term.
+def complexity_lower_block(problem: Problem, ratio: float, epsilons,
+                           rho: float, *,
+                           block_limit: int = DEFAULT_BLOCK_LIMIT) -> list:
+    """Deepest block whose boundary every successful algorithm must reach.
 
-    ceil( log( rho * a**2 * lam_{n_0+1} / (epsilon * sqrt(1-b**2)) )
-          / log(1/b) ), clamped to at least 1.  Raises GuardExceeded when
-    the argument of the log is past the float range.
-    """
-    (j,) = stop_block_bound_first_terms(problem, [epsilon], rho)
-    if j is None:
-        raise unsettled_error("stop_block_bound_first_term")
-    return j
+    Returns, for each tolerance epsilon in input order, the largest j with
 
+        ((a+1)**2 ratio**2 / (a-1)**2 + 1) *
+            sum_{k=0}^{j} b**(2(k-j)) / lam_{n_k}**2  <  rho**2 / epsilon**2,
 
-def complexity_lower_blocks(problem: Problem, ratio: float, epsilons,
-                            rho: float, *,
-                            block_limit: int = DEFAULT_BLOCK_LIMIT) -> list:
-    """``complexity_lower_block`` of each tolerance, from one scan of the
-    blocks; None where the condition still holds at ``block_limit``.
-
-    The sums do not depend on epsilon, so each is formed once, and the
-    scan stops at the first failure of the tolerance that needs the most
-    blocks; a target (rho / epsilon)**2 past the float range counts as inf.
+    or 0 when even j = 1 fails.  The adversarial construction produces, for
+    such j, admissible inputs of norm at most rho that no algorithm sampling
+    fewer than n_j coefficients can separate to accuracy epsilon.  Requires
+    n_0 >= 1.  The left side increases in j, so a scan stops at the first
+    failure; the block is None where the condition still holds at
+    ``block_limit``, since the true maximum lies beyond the scan.  The sums
+    do not depend on epsilon, so one scan serves the list: each sum is
+    formed once, and the scan stops at the first failure of the tolerance
+    that needs the most blocks; a target (rho / epsilon)**2 past the float
+    range counts as inf.
     """
     epsilons = _positive(epsilons, rho)
     bracket = _bracket(problem.cone, ratio)
@@ -348,38 +317,17 @@ def complexity_lower_blocks(problem: Problem, ratio: float, epsilons,
                    lambda t, v: not v < t, descending=True)
 
 
-def complexity_lower_block(problem: Problem, ratio: float, epsilon: float,
-                           rho: float, *,
-                           block_limit: int = DEFAULT_BLOCK_LIMIT) -> int:
-    """Deepest block whose boundary every successful algorithm must reach.
-
-    Returns the largest j with
-
-        ((a+1)**2 ratio**2 / (a-1)**2 + 1) *
-            sum_{k=0}^{j} b**(2(k-j)) / lam_{n_k}**2  <  rho**2 / epsilon**2,
-
-    or 0 when even j = 1 fails.  The adversarial construction produces, for
-    such j, admissible inputs of norm at most rho that no algorithm sampling
-    fewer than n_j coefficients can separate to accuracy epsilon.  Requires
-    n_0 >= 1.  The left side increases in j, so the scan stops at the first
-    failure; reaching ``block_limit`` with the condition still holding
-    raises GuardExceeded since the true maximum lies beyond the scan.
-    """
-    (j,) = complexity_lower_blocks(problem, ratio, [epsilon], rho,
-                                   block_limit=block_limit)
-    if j is None:
-        raise unsettled_error("complexity_lower_block", block_limit)
-    return j
-
-
 class BoundsRow(NamedTuple):
     """One tolerance's bounds; the first eight fields are the ``bounds.csv``
     columns, and a tuple, since a list of a hundred tolerances builds a
-    hundred rows in one ``bounds`` command.  The j fields are ``stop_block_bound``, its rough and
-    first-term forms, and ``complexity_lower_block`` at omega * epsilon.
-    ``guard`` is the GuardExceeded text of the first that did not settle,
-    and those after it are not computed.  ``note`` says why the table has
-    no lower bound.  ``chain_holds`` is j_dagger <= j_star_lower + 1, the
+    hundred rows in one ``bounds`` command.  The j fields are
+    ``stop_block_bound``, its rough and first-term forms, and
+    ``complexity_lower_block`` at omega * epsilon, each the row's entry of
+    one call over the table's tolerance list.  ``guard`` says why the
+    first of them that is None did not settle, within the blocks the
+    table's scans may read, and the j fields after it stay empty even
+    where their own call settled.  ``note`` says why the table has no
+    lower bound.  ``chain_holds`` is j_dagger <= j_star_lower + 1, the
     optimality claim: n_{j_dagger}(eps, rho) <= n_{j_star_lower(omega eps,
     rho) + 1}, which is within a factor 2 of n_lower on a doubling
     partition.  It holds wherever j_star_lower is settled, with S_j from
@@ -420,17 +368,17 @@ class BoundsRow(NamedTuple):
 def bounds_table(problem: Problem, epsilons, rho: float, *,
                  block_limit: int = DEFAULT_BLOCK_LIMIT) -> list:
     """A ``BoundsRow`` per distinct tolerance, largest first, with R from
-    ``boundary_ratio(problem, block_limit)`` and omega its
-    ``tolerance_shrink_factor``; from n_0 = 0 a limit of one block scans
-    no drop, so R and omega are None.  One scan per bound serves the list, and
-    each bound is computed only for the tolerances every earlier one
-    settled, so no scan reads a block a loop over the tolerances would not.
-    An omega * epsilon that underflows to 0 settles at no block."""
+    ``boundary_ratio`` and omega its ``tolerance_shrink_factor``.  Every
+    scan reads ``problem.partition.last_block(block_limit)`` blocks at
+    most, so an explicit partition ends it as it ends a walk; from n_0 = 0
+    a limit of one block scans no drop, so R and omega are None.  Each
+    bound is called once over the whole list.  An omega * epsilon that
+    underflows to 0 settles at no block."""
     epsilons = sorted(set(epsilons), reverse=True)
+    limit = problem.partition.last_block(block_limit)
     from_zero = problem.partition.boundary(0) < 1
     # from n_0 = 0 the first drop is lam_{n_1} / lam_{n_2}, past one block
-    scan = (None if from_zero and block_limit < 2
-            else boundary_ratio(problem, block_limit))
+    scan = None if from_zero and limit < 2 else boundary_ratio(problem, limit)
     omega = note = None
     if scan is not None and scan.still_growing:
         note = ("boundary ratio still growing at the scan limit; omega and "
@@ -441,31 +389,22 @@ def bounds_table(problem: Problem, epsilons, rho: float, *,
         if from_zero:
             note = ("partition starts at n_0 = 0, where the lower-bound "
                     "construction is undefined; column left empty")
-    columns, guards = {eps: [] for eps in epsilons}, {}
-
-    def settle(bound, live, blocks):
-        """Each tolerance's block; returns the ones ``bound`` settled."""
-        for eps, j in zip(live, blocks):
-            columns[eps].append(j)
-            if j is None:
-                guards[eps] = str(unsettled_error(bound, block_limit))
-        return [eps for eps in live if eps not in guards]
-
-    live = settle("stop_block_bound", epsilons, stop_block_bounds(
-        problem, epsilons, rho, block_limit=block_limit))
-    live = settle("stop_block_bound_rough", live, stop_block_bounds_rough(
-        problem, live, rho, block_limit=block_limit))
-    live = settle("stop_block_bound_first_term", live,
-                  stop_block_bound_first_terms(problem, live, rho))
+    columns = [
+        stop_block_bound(problem, epsilons, rho, block_limit=limit),
+        stop_block_bound_rough(problem, epsilons, rho, block_limit=limit),
+        stop_block_bound_first_term(problem, epsilons, rho)]
     if note is None:
-        targets = {eps: omega * eps for eps in live if omega * eps > 0.0}
-        found = dict(zip(targets, complexity_lower_blocks(
-            problem, scan.value, list(targets.values()), rho,
-            block_limit=block_limit)))
-        settle("complexity_lower_block", live, map(found.get, live))
+        # omega * epsilon falls with epsilon: the zeros are a suffix
+        shrunk = [t for t in (omega * eps for eps in epsilons) if t > 0.0]
+        columns.append(complexity_lower_block(
+            problem, scan.value, shrunk, rho, block_limit=limit)
+            + [None] * (len(epsilons) - len(shrunk)))
     rows = []
-    for eps in epsilons:
-        j_dagger, j_rough, j_first, j_lower = (columns[eps] + [None] * 3)[:4]
+    for eps, *blocks in zip(epsilons, *columns):
+        settled = list(takewhile(lambda j: j is not None, blocks))
+        guard = (None if len(settled) == len(blocks)
+                 else _UNSETTLED[len(settled)].format(limit))
+        j_dagger, j_rough, j_first, j_lower = (settled + [None] * 4)[:4]
         n_dagger = (None if j_dagger is None
                     else problem.partition.boundary(j_dagger))
         n_lower = (None if j_lower is None
@@ -473,7 +412,7 @@ def bounds_table(problem: Problem, epsilons, rho: float, *,
         rows.append(BoundsRow(
             eps, rho, j_dagger, j_rough, j_first, j_lower, omega,
             None if scan is None else scan.value,
-            guards.get(eps), note, n_dagger, n_lower,
+            guard, note, n_dagger, n_lower,
             None if j_lower is None else j_dagger <= j_lower + 1))
     return rows
 

@@ -179,7 +179,12 @@ def build_problem(cfg, n_max=DEFAULT_NMAX):
 
 
 def _index_budget(problem, blocks, n_max, key):
-    """Reject ``blocks`` blocks spanning more than ``n_max`` indices."""
+    """Reject ``blocks`` blocks past the end of an explicit partition or
+    spanning more than ``n_max`` indices."""
+    last = problem.partition.last_block(blocks)
+    if last < blocks:
+        raise ConfigError(f"{key} = {blocks} is past the last block of the "
+                          f"explicit partition, block {last}")
     size = problem.partition.boundary(blocks)
     if size > n_max:
         raise ConfigError(f"{key} = {blocks} spans {size} indices, over the "
@@ -511,6 +516,8 @@ def cmd_adversarial(merged, quiet):
     adv_cfg = merged.get("adversarial", {})
     if "blocks" in adv_cfg:
         _index_budget(problem, adv_cfg["blocks"], n_max, "adversarial.blocks")
+    else:  # the probe search starts at depth 4 and grows within n_max
+        _index_budget(problem, 4, math.inf, "adversarial.blocks")
     epsilons = _epsilons_from(merged)
     out = _out_dir(merged)
 
@@ -541,9 +548,9 @@ def cmd_adversarial(merged, quiet):
 
 def cmd_demo_derivative(merged, quiet):
     j_max, n_max = merged["guards"]["j_max"], merged["guards"]["n_max"]
-    out = _out_dir(merged)
     epsilons = _epsilons_from(
         merged, default=np.logspace(1, -1, 10).tolist())
+    out = _out_dir(merged)
 
     start = time.perf_counter()
     problem, mis = build_problem({"spectrum": {"family": "derivative"}},
@@ -607,12 +614,12 @@ def cmd_example1(merged, quiet):
     r = (spectrum_cfg.get("r", 2.0)
          if spectrum_cfg.get("family") == "periodic" else 2.0)
     rho = merged.get("rho", 1.0)
-    out = _out_dir(merged)
     epsilons = _epsilons_from(merged, default=[
         rho / q for q in np.logspace(6, 0.01, 50).tolist()])
     if 0.0 in epsilons:  # a default rho / q below the float range
         raise GuardExceeded("a default tolerance rho / q underflows to 0 "
                             f"at rho = {rho!r}")
+    out = _out_dir(merged)
 
     problem, _ = build_problem({"spectrum": {"family": "periodic", "r": r}})
     rows = []

@@ -460,6 +460,11 @@ class Partition:
         return cls._of("zero-doubling",
                        lambda j: 0 if j == 0 else first << (j - 1))
 
+    def last_block(self, block_limit: int) -> int:
+        """The blocks a scan may read: ``block_limit``, or fewer where an
+        explicit partition ends first."""
+        return min(block_limit, self.block_count or block_limit)
+
     def boundary(self, j: int) -> int:
         if j < 0:
             raise ValueError("boundary indices start at 0")

@@ -148,7 +148,8 @@ def test_criterion_05_stop_block_bound_dominates(corpus):
     records, _ = corpus
     failures = 0
     for problem, f, eps, run, _, _ in records:
-        bound = stop_block_bound(problem, eps, f.norm(), block_limit=256)
+        (bound,) = stop_block_bound(problem, [eps], f.norm(),
+                                    block_limit=256)
         if run.stop_block > bound:
             failures += 1
     _report(5, failures == 0,
@@ -167,9 +168,11 @@ def test_criterion_06_upper_lower_chain():
         for rho in np.logspace(0.0, 3.0, 20):
             for frac in np.logspace(-5.0, -1.0, 20):
                 eps = rho * frac
-                upper = stop_block_bound(problem, eps, rho, block_limit=256)
-                lower = complexity_lower_block(problem, ratio, omega * eps,
-                                               rho, block_limit=256)
+                (upper,) = stop_block_bound(problem, [eps], rho,
+                                            block_limit=256)
+                (lower,) = complexity_lower_block(problem, ratio,
+                                                  [omega * eps], rho,
+                                                  block_limit=256)
                 total += 1
                 if (problem.partition.boundary(upper)
                         > problem.partition.boundary(lower)):

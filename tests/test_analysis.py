@@ -8,10 +8,9 @@ import pytest
 from adaptlin import (ConeParams, GuardExceeded, Partition, Problem,
                       SingularSpectrum, adaptive_algorithm, ball_budget,
                       boundary_ratio, bounds_table, complexity_lower_block,
-                      complexity_lower_blocks, cost_bracket_check,
-                      stop_block_bound, stop_block_bound_first_term,
-                      stop_block_bound_rough, stop_block_bounds,
-                      stop_block_bounds_rough, tolerance_shrink_factor)
+                      cost_bracket_check, stop_block_bound,
+                      stop_block_bound_first_term, stop_block_bound_rough,
+                      tolerance_shrink_factor)
 
 from conftest import (profile_member, scan_complexity_lower_block,
                       scan_stop_block_bound, scan_stop_block_bound_rough,
@@ -95,7 +94,7 @@ def test_shrink_factor_past_the_float_range_is_zero():
 def test_lower_bounds_of_a_cone_past_2_to_the_511():
     # past 2**53, a + 1 and a - 1 are a, so (a+1)**2 / (a-1)**2 is 1 both
     # where its squares overflow (1e200) and where they do not (1e150)
-    blocks = [complexity_lower_blocks(
+    blocks = [complexity_lower_block(
         Problem(SingularSpectrum.algebraic(1.0, 1.0), Partition.doubling(1),
                 ConeParams(a, 0.5)), 2.0, [10.0 ** -k for k in range(12)],
         1.0) for a in (1e150, 1e200)]
@@ -118,7 +117,7 @@ def bracket_value(problem, j):
 def test_stop_block_bound_value_and_boundary_correctness():
     problem = harmonic_problem()
     eps, rho = 0.1, 1.0
-    j = stop_block_bound(problem, eps, rho)
+    (j,) = stop_block_bound(problem, [eps], rho)
     assert j == 4
     a, b = problem.cone.a, problem.cone.b
     lead = (1.0 - b * b) / (a * a * b * b)
@@ -129,47 +128,50 @@ def test_stop_block_bound_value_and_boundary_correctness():
 
 def test_stop_block_bound_immediate_when_tolerance_loose():
     problem = harmonic_problem()
-    assert stop_block_bound(problem, 10.0, 1.0) == 1
+    assert stop_block_bound(problem, [10.0], 1.0) == [1]
 
 
 def test_stop_block_bound_guard():
     problem = harmonic_problem()
-    with pytest.raises(GuardExceeded):
-        stop_block_bound(problem, 1e-12, 1.0, block_limit=4)
+    assert stop_block_bound(problem, [1e-12], 1.0, block_limit=4) == [None]
+    (row,) = bounds_table(problem, [1e-12], 1.0, block_limit=4)
+    assert row.j_dagger is None
+    assert row.guard == "no stopping block bound within 4 blocks"
 
 
 def test_stop_block_bound_rough_example():
     # eps = rho: threshold sqrt(0.75) and lam_{n_0+1} = 1/2 already below it
     problem = harmonic_problem()
-    assert stop_block_bound_rough(problem, 1.0, 1.0) == 1
+    assert stop_block_bound_rough(problem, [1.0], 1.0) == [1]
 
 
 def test_rough_bound_monotone_in_ratio():
     problem = harmonic_problem()
-    values = [stop_block_bound_rough(problem, 1.0, rho)
+    values = [stop_block_bound_rough(problem, [1.0], rho)[0]
               for rho in (1.0, 4.0, 16.0, 256.0)]
     assert values == sorted(values)
 
 
 def test_tight_bound_never_exceeds_rough():
     problem = harmonic_problem()
+    epsilons = (0.5, 0.05, 0.005)
     for rho in (1.0, 10.0, 100.0):
-        for eps in (0.5, 0.05, 0.005):
-            tight = stop_block_bound(problem, eps, rho)
-            rough = stop_block_bound_rough(problem, eps, rho)
-            assert tight <= rough
+        tight = stop_block_bound(problem, epsilons, rho)
+        rough = stop_block_bound_rough(problem, epsilons, rho)
+        for j_tight, j_rough in zip(tight, rough, strict=True):
+            assert j_tight <= j_rough
 
 
 def test_first_term_bound_example():
     # lam_{n_0+1} = lam_1 = 1: ceil(log2(40 / sqrt(0.75))) = 6
     problem = Problem(SingularSpectrum.algebraic(1.0, 1.0),
                       Partition.zero_then_doubling(1), CONE)
-    assert stop_block_bound_first_term(problem, 0.1, 1.0) == 6
+    assert stop_block_bound_first_term(problem, [0.1], 1.0) == [6]
 
 
 def test_first_term_bound_clamps_to_one():
     problem = harmonic_problem()
-    assert stop_block_bound_first_term(problem, 100.0, 1.0) == 1
+    assert stop_block_bound_first_term(problem, [100.0], 1.0) == [1]
 
 
 # -- complexity_lower_block --------------------------------------------------
@@ -187,33 +189,38 @@ def lower_feasible(problem, ratio, j, eps, rho):
 
 def test_lower_block_example():
     problem = harmonic_problem()
-    assert complexity_lower_block(problem, 2.0, 0.01, 1.0) == 3
+    assert complexity_lower_block(problem, 2.0, [0.01], 1.0) == [3]
 
 
 def test_lower_block_boundary_correctness_at_large_ratio():
     problem = harmonic_problem()
     eps, rho = 1e-4, 1.0
-    j = complexity_lower_block(problem, 2.0, eps, rho)
+    (j,) = complexity_lower_block(problem, 2.0, [eps], rho)
     assert lower_feasible(problem, 2.0, j, eps, rho)
     assert not lower_feasible(problem, 2.0, j + 1, eps, rho)
 
 
 def test_lower_block_zero_when_even_first_fails():
     problem = harmonic_problem()
-    assert complexity_lower_block(problem, 2.0, 1.0, 1.0) == 0
+    assert complexity_lower_block(problem, 2.0, [1.0], 1.0) == [0]
 
 
 def test_lower_block_requires_head():
     problem = Problem(SingularSpectrum.algebraic(1.0, 1.0),
                       Partition.zero_then_doubling(4), CONE)
     with pytest.raises(ValueError, match="n_0 >= 1"):
-        complexity_lower_block(problem, 2.0, 0.1, 1.0)
+        complexity_lower_block(problem, 2.0, [0.1], 1.0)
 
 
 def test_lower_block_guard():
     problem = harmonic_problem()
-    with pytest.raises(GuardExceeded):
-        complexity_lower_block(problem, 2.0, 1e-30, 1.0, block_limit=8)
+    assert complexity_lower_block(problem, 2.0, [1e-30], 1.0,
+                                  block_limit=8) == [None]
+    # at eps = 0.5 the upper bounds settle at block 2 and the lower one,
+    # also block 2, lies past a limit of two blocks
+    (row,) = bounds_table(problem, [0.5], 1.0, block_limit=2)
+    assert (row.j_dagger, row.j_dagger_rough, row.j_star_lower) == (2, 2, None)
+    assert row.guard == "lower-bound block still growing at block limit 2"
 
 
 # -- tolerance lists ---------------------------------------------------------
@@ -222,13 +229,17 @@ def test_targets_past_the_float_range_are_guards():
     # (1 / 1e-200)**2 and the first-term argument at 1e-310 overflow
     problem = harmonic_problem()
     for eps in (1e-200, 1e-310):
-        with pytest.raises(GuardExceeded):
-            stop_block_bound(problem, eps, 1.0)
-        with pytest.raises(GuardExceeded):
-            complexity_lower_block(problem, 2.0, eps, 1.0)
-    with pytest.raises(GuardExceeded, match="float range"):
-        stop_block_bound_first_term(problem, 1e-310, 1.0)
-    assert stop_block_bounds(problem, [1e-1, 1e-200], 1.0) == [4, None]
+        assert stop_block_bound(problem, [eps], 1.0) == [None]
+        assert complexity_lower_block(problem, 2.0, [eps], 1.0) == [None]
+    assert stop_block_bound_first_term(problem, [1e-310], 1.0) == [None]
+    assert stop_block_bound(problem, [1e-1, 1e-200], 1.0) == [4, None]
+    # lam_1 = 1e300 puts the first-term argument past the float range at
+    # eps = 1e-9, where (rho / eps)**2 and both block scans settle
+    steep = Problem(SingularSpectrum.algebraic(1e300, 100.0),
+                    Partition.zero_then_doubling(1), CONE)
+    (row,) = bounds_table(steep, [1e-9], 1.0)
+    assert row.j_dagger_rough is not None and row.j_dagger_first is None
+    assert "float range" in row.guard
 
 
 def test_a_square_that_underflows_counts_as_an_infinite_reciprocal():
@@ -238,10 +249,10 @@ def test_a_square_that_underflows_counts_as_an_infinite_reciprocal():
                       Partition.doubling(1), CONE)
     with pytest.raises(ZeroDivisionError):
         scan_stop_block_bound(problem, 1e-130, 1.0, 64)
-    assert stop_block_bound(problem, 1e-130, 1.0) == 9
+    assert stop_block_bound(problem, [1e-130], 1.0) == [9]
     with pytest.raises(ZeroDivisionError):
         scan_complexity_lower_block(problem, 2.0, 1e-130, 1.0, 64)
-    assert complexity_lower_block(problem, 2.0, 1e-130, 1.0) == 7
+    assert complexity_lower_block(problem, 2.0, [1e-130], 1.0) == [7]
 
 
 def recording_problem(read):
@@ -257,12 +268,12 @@ def recording_problem(read):
 
 
 @pytest.mark.parametrize("list_form, scan", [
-    (lambda p, eps: stop_block_bounds(p, eps, 1.0, block_limit=20),
+    (lambda p, eps: stop_block_bound(p, eps, 1.0, block_limit=20),
      lambda p, eps: scan_stop_block_bound(p, eps, 1.0, 20)),
-    (lambda p, eps: stop_block_bounds_rough(p, eps, 1.0, block_limit=20),
+    (lambda p, eps: stop_block_bound_rough(p, eps, 1.0, block_limit=20),
      lambda p, eps: scan_stop_block_bound_rough(p, eps, 1.0, 20)),
-    (lambda p, eps: complexity_lower_blocks(p, 2.0, eps, 1.0,
-                                            block_limit=20),
+    (lambda p, eps: complexity_lower_block(p, 2.0, eps, 1.0,
+                                           block_limit=20),
      lambda p, eps: scan_complexity_lower_block(p, 2.0, eps, 1.0, 20)),
 ], ids=["tight", "rough", "lower"])
 def test_a_list_scan_reads_no_deeper_than_the_deepest_own_scan(list_form,
@@ -288,11 +299,11 @@ def test_list_forms_reject_non_positive_tolerances():
     problem = harmonic_problem()
     for bad in ([0.1, 0.0], [math.nan], [-1.0]):
         with pytest.raises(ValueError, match="positive"):
-            stop_block_bounds(problem, bad, 1.0)
+            stop_block_bound(problem, bad, 1.0)
         with pytest.raises(ValueError, match="positive"):
-            stop_block_bounds_rough(problem, bad, 1.0)
+            stop_block_bound_rough(problem, bad, 1.0)
         with pytest.raises(ValueError, match="positive"):
-            complexity_lower_blocks(problem, 2.0, bad, 1.0)
+            complexity_lower_block(problem, 2.0, bad, 1.0)
 
 
 # -- cost_bracket_check ------------------------------------------------------
@@ -353,7 +364,7 @@ def test_adaptive_cost_never_exceeds_bound_curve():
     for _ in range(15):
         f = profile_member(problem, rng, blocks=9, head=True)
         rho = f.norm()
-        bounds = stop_block_bounds(problem, epsilons, rho)
+        bounds = stop_block_bound(problem, epsilons, rho)
         for eps, j in zip(epsilons, bounds):
             run = adaptive_algorithm(problem, f, eps)
             assert run.cost <= problem.partition.boundary(j)
@@ -370,7 +381,7 @@ def test_shrunken_ball_dominates_rough_bound():
         for quotient in np.logspace(1, 6, 12):
             eps = rho / quotient
             n_rough = problem.partition.boundary(
-                stop_block_bound_rough(problem, eps, rho))
+                stop_block_bound_rough(problem, [eps], rho)[0])
             assert n_rough < ball_budget(problem.spectrum, eps * shrink, rho)
 
 
@@ -382,8 +393,8 @@ def test_tight_chain_boundaries_dominated_by_lower_bound():
         omega = tolerance_shrink_factor(problem.cone, ratio)
         for rho in np.logspace(0, 3, 6):
             for eps in rho * np.logspace(-5, -1, 6):
-                j_upper = stop_block_bound(problem, eps, rho)
-                j_lower = complexity_lower_block(problem, ratio, omega * eps,
-                                                 rho, block_limit=256)
+                (j_upper,) = stop_block_bound(problem, [eps], rho)
+                (j_lower,) = complexity_lower_block(
+                    problem, ratio, [omega * eps], rho, block_limit=256)
                 assert (problem.partition.boundary(j_upper)
                         <= problem.partition.boundary(j_lower))

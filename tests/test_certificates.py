@@ -1,5 +1,5 @@
 """The bound and fooling-pair certificates, in-process: every
-``bounds_table`` row is the scalar bounds of its tolerance, and every
+``bounds_table`` row is the bounds of its tolerance alone, and every
 ``fooling_certificates`` entry is that of a fresh search for its tolerance,
 started where the search of the larger tolerance before it ended, with the
 same failure text where that search fails."""
@@ -43,27 +43,34 @@ tolerance_lists = st.lists(st.floats(1e-7, 2.0), min_size=1, max_size=6)
 
 
 def scalar_row(problem, epsilon, rho, block_limit, scan):
-    """The four j columns of one tolerance from the scalar bounds, and the
-    GuardExceeded text of the first that does not settle."""
+    """The four j columns of one tolerance, each bound called on that
+    tolerance alone, and the guard text of the first that does not settle."""
     omega = (None if scan.still_growing
              else tolerance_shrink_factor(problem.cone, scan.value))
-    columns, guard = [], None
-    try:
-        columns.append(stop_block_bound(problem, epsilon, rho,
-                                        block_limit=block_limit))
-        columns.append(stop_block_bound_rough(problem, epsilon, rho,
-                                              block_limit=block_limit))
-        columns.append(stop_block_bound_first_term(problem, epsilon, rho))
-        if omega is not None and problem.partition.boundary(0) >= 1:
-            if not omega * epsilon > 0.0:  # underflowed: no block settles it
-                raise GuardExceeded("lower-bound block still growing at "
-                                    f"block limit {block_limit}")
-            columns.append(complexity_lower_block(
-                problem, scan.value, omega * epsilon, rho,
-                block_limit=block_limit))
-    except GuardExceeded as exc:
-        guard = str(exc)
-    return columns + [None] * (4 - len(columns)), guard
+    calls = [
+        (f"no stopping block bound within {block_limit} blocks",
+         lambda: stop_block_bound(problem, [epsilon], rho,
+                                  block_limit=block_limit)),
+        (f"no rough stopping bound within {block_limit} blocks",
+         lambda: stop_block_bound_rough(problem, [epsilon], rho,
+                                        block_limit=block_limit)),
+        ("first-term bound past the float range",
+         lambda: stop_block_bound_first_term(problem, [epsilon], rho))]
+    if omega is not None and problem.partition.boundary(0) >= 1:
+        # an omega * epsilon that underflowed settles at no block
+        calls.append((
+            f"lower-bound block still growing at block limit {block_limit}",
+            lambda: (complexity_lower_block(problem, scan.value,
+                                            [omega * epsilon], rho,
+                                            block_limit=block_limit)
+                     if omega * epsilon > 0.0 else [None])))
+    columns = []
+    for guard, call in calls:
+        (j,) = call()
+        if j is None:
+            return columns + [None] * (4 - len(columns)), guard
+        columns.append(j)
+    return columns + [None] * (4 - len(columns)), None
 
 
 @settings(max_examples=60, deadline=None)

@@ -79,6 +79,8 @@ def test_an_empty_tolerance_list_is_refused_as_a_missing_one(tmp_path, capsys,
         assert capsys.readouterr().err == (
             "config error: no tolerance list: set epsilons in the config or "
             "pass --epsilons\n")
+        # the list is checked before the output directory is made
+        assert not (tmp_path / "out").exists()
 
 
 def test_malformed_json(tmp_path):
@@ -491,6 +493,11 @@ def test_explicit_partition_that_runs_out_is_a_guard(tmp_path, capsys,
         _problem(partition={"kind": "explicit", "boundaries": [1, 2, 4, 8]}),
         input={"kind": "random-cone", "blocks": 3}, epsilons=[1e-9],
         output=str(out)))
+    if command == "adversarial":  # its start depth 4 is past the end
+        assert cli.main([command, "--config", cfg, "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: adversarial.blocks = 4 is past the last block")
+        return
     assert cli.main([command, "--config", cfg, "--quiet"]) == 1
     assert "guard exceeded" in capsys.readouterr().err
     if command == "solve":
@@ -500,6 +507,49 @@ def test_explicit_partition_that_runs_out_is_a_guard(tmp_path, capsys,
         record = json.loads((out / "run.json").read_text(encoding="utf-8"))
         assert record["rows"][0]["diagnostic"].startswith(
             "no stopping block within 3 blocks;")
+
+
+def test_bounds_on_an_explicit_partition_shorter_than_j_max(tmp_path,
+                                                            capsys):
+    # the scans end at the partition's 7th block, as a walk does, so the
+    # default j_max writes the rows of --jmax 7
+    cfg = write_config(tmp_path, {
+        "problem": {"spectrum": {"family": "algebraic"},
+                    "partition": {"kind": "explicit",
+                                  "boundaries": [1, 2, 4, 8, 16, 32, 64,
+                                                 128]}},
+        "epsilons": [0.5, 0.1], "rho": 1.0})
+    tables = []
+    for extra in ([], ["--jmax", "7"]):
+        out = tmp_path / f"out{len(tables)}"
+        assert cli.main(["bounds", "--config", cfg, "--output", str(out),
+                         "--quiet"] + extra) == 0
+        assert capsys.readouterr().err == ""
+        tables.append((out / "bounds.csv").read_text(encoding="utf-8"))
+    assert tables[0] == tables[1]
+    _, rows = read_csv(tmp_path / "out0" / "bounds.csv")
+    assert [row[:6] for row in rows] == [["0.5", "1.0", "2", "2", "3", "2"],
+                                         ["0.1", "1.0", "4", "5", "5", "5"]]
+
+
+@pytest.mark.parametrize("command, sections, key", [
+    ("solve", {}, "input.blocks = 8"),  # the default input.blocks
+    ("solve", {"input": {"kind": "random-cone", "blocks": 4}},
+     "input.blocks = 4"),
+    ("adversarial", {}, "adversarial.blocks = 4"),  # the search's start
+    ("adversarial", {"adversarial": {"blocks": 5}}, "adversarial.blocks = 5"),
+], ids=["solve-default", "solve", "adversarial-default", "adversarial"])
+def test_a_block_count_past_an_explicit_partition_is_a_config_error(
+        tmp_path, capsys, command, sections, key):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(
+        _problem(partition={"kind": "explicit", "boundaries": [1, 2, 4, 8]}),
+        epsilons=[0.1], output=str(out), **sections))
+    assert cli.main([command, "--config", cfg, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {key} is past the last block of the explicit "
+        "partition, block 3\n")
+    assert not out.exists()
 
 
 # -- bounds --------------------------------------------------------------------
@@ -638,12 +688,12 @@ def test_bounds_holds_the_chain_one_block_past_the_lower_bound(tmp_path,
 def test_bounds_reports_a_violated_chain_and_exits_1(tmp_path, capsys,
                                                      monkeypatch):
     # a lower bound two blocks short puts j_dagger = 15 past 12 + 1
-    scan = analysis.complexity_lower_blocks
+    scan = analysis.complexity_lower_block
 
     def short(*args, **kwargs):
         return [None if j is None else j - 2 for j in scan(*args, **kwargs)]
 
-    monkeypatch.setattr(analysis, "complexity_lower_blocks", short)
+    monkeypatch.setattr(analysis, "complexity_lower_block", short)
     problem, _ = cli.build_problem(HARMONIC_ONE_BLOCK_PAST["problem"])
     (row,) = analysis.bounds_table(problem, [3.1622776601683795e-05], 1.0)
     assert (row.j_dagger, row.j_star_lower, row.chain_holds) == (15, 12,

@@ -143,6 +143,13 @@ def configs(draw):
 @example("bounds", {
     "problem": {"spectrum": {"family": "algebraic"}}, "epsilons": [0.1],
     "guards": {"j_max": 1024, "n_max": 2 ** 16}})
+# an explicit partition of 7 blocks under j_max 24: the bound scans end
+# at its last block, as a walk does
+@example("bounds", {
+    "problem": {"spectrum": {"family": "algebraic"},
+                "partition": {"kind": "explicit",
+                              "boundaries": [1, 2, 4, 8, 16, 32, 64, 128]}},
+    "epsilons": [0.5, 0.1], "guards": {"j_max": 24, "n_max": 2 ** 12}})
 def test_every_command_ends_in_a_status_and_a_message(command, config):
     with tempfile.TemporaryDirectory() as workdir:
         out = Path(workdir) / "out"

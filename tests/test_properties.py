@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from adaptlin import (CoefficientSource, ConeParams, GuardExceeded,
                       OutOfRangeError, Partition, Problem, SingularSpectrum,
                       adaptive_algorithm, ball_algorithm, block_norm, cli,
-                      complexity_lower_blocks, cone_membership,
-                      random_cone_member, stop_block_bounds,
-                      stop_block_bounds_rough, tail_norm, tail_norms,
+                      complexity_lower_block, cone_membership,
+                      random_cone_member, stop_block_bound,
+                      stop_block_bound_rough, tail_norm, tail_norms,
                       true_error)
 from adaptlin.spectrum import _square_sum, block_decay_ratios, exact_norm
 from conftest import (binned_square_sum, brute_sigma, brute_worst_ratio,
@@ -385,17 +385,17 @@ def test_tolerance_list_scans_settle_where_each_own_scan_does(
         spectrum, partition, cone, epsilons, rho, ratio, block_limit):
     problem = Problem(spectrum, partition, cone)
     _assert_list_form_matches(
-        lambda: stop_block_bounds(problem, epsilons, rho,
-                                  block_limit=block_limit),
+        lambda: stop_block_bound(problem, epsilons, rho,
+                                 block_limit=block_limit),
         _scan_each(lambda eps: scan_stop_block_bound(
             problem, eps, rho, block_limit), epsilons))
     _assert_list_form_matches(
-        lambda: stop_block_bounds_rough(problem, epsilons, rho,
-                                        block_limit=block_limit),
+        lambda: stop_block_bound_rough(problem, epsilons, rho,
+                                       block_limit=block_limit),
         _scan_each(lambda eps: scan_stop_block_bound_rough(
             problem, eps, rho, block_limit), epsilons))
     _assert_list_form_matches(
-        lambda: complexity_lower_blocks(problem, ratio, epsilons, rho,
-                                        block_limit=block_limit),
+        lambda: complexity_lower_block(problem, ratio, epsilons, rho,
+                                       block_limit=block_limit),
         _scan_each(lambda eps: scan_complexity_lower_block(
             problem, ratio, eps, rho, block_limit), epsilons))

@@ -143,8 +143,8 @@ def test_lam_times_a_coefficient_is_formed_in_one_place():
 def test_the_cli_decides_no_bound_and_no_fooling_pair():
     # bounds and fooling pairs come from analysis.bounds_table and
     # adversarial.fooling_certificates; cli.py only writes their records
-    deciders = {"stop_block_bounds", "stop_block_bounds_rough",
-                "stop_block_bound_first_terms", "complexity_lower_blocks",
+    deciders = {"stop_block_bound", "stop_block_bound_rough",
+                "stop_block_bound_first_term", "complexity_lower_block",
                 "boundary_ratio", "tolerance_shrink_factor",
                 "fooling_inputs", "fooling_pair", "solution_separation",
                 "cone_membership", "adaptive_algorithm"}
