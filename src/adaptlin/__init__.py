@@ -10,9 +10,8 @@ and stop as soon as a computable error bound meets the tolerance.
 
 from .spectrum import (CoefficientSource, ConeParams, GuardExceeded,
                        MembershipReport, OutOfRangeError, Partition, Problem,
-                       SingularSpectrum, SupportBoundRequired, block_norm,
-                       cone_membership, random_cone_member, tail_norm,
-                       tail_norms)
+                       SingularSpectrum, block_norm, cone_membership,
+                       random_cone_member, tail_norm, tail_norms)
 from .algorithm import (Approximation, Walk, adaptive_algorithm,
                         adaptive_sweep, ball_algorithm, ball_budget,
                         interpolate, stop_threshold, true_error,
@@ -42,8 +41,8 @@ __all__ = [
     "ConeParams", "DEFAULT_BLOCK_LIMIT", "FoolingCertificate",
     "FoolingPair", "GuardExceeded", "MembershipReport",
     "MultiIndexSpectrum", "OutOfRangeError", "Partition", "Problem",
-    "RandomPeriodicInput", "RatioScan", "SingularSpectrum",
-    "SupportBoundRequired", "Walk", "adaptive_algorithm", "adaptive_sweep",
+    "RandomPeriodicInput", "RatioScan", "SingularSpectrum", "Walk",
+    "adaptive_algorithm", "adaptive_sweep",
     "ball_algorithm", "ball_budget", "block_norm", "boundary_ratio",
     "bounds_table", "complexity_lower_block",
     "cone_membership", "cost_bracket_check", "default_gamma",

@@ -304,17 +304,17 @@ def fooling_certificates(problem: Problem, epsilons, rho: float, *,
     the last one ended.  For the same reason a probe that cannot be built
     (a ratio check, a profile sum past the float range) or a run past
     ``block_limit`` fails every later tolerance with the same message.  A
-    depth without room to grow (a fixed ``blocks``, the index budget) is
-    run again for the next tolerance, which may fail there at
-    ``block_limit`` instead.  Each certificate is that of a search for its
-    tolerance alone started at that depth, bit for bit; one started at
-    depth 4 can instead fail at ``block_limit`` on a probe that a larger
-    tolerance has already outgrown.  A pair that cannot be built or checked
-    (``fooling_pair`` or a run on f+ or f- raising ValueError or
-    GuardExceeded) fails its own tolerance alone, with that message.  On
-    an explicit partition the start depth must not pass its last block
-    (``cli`` refuses such an ``adversarial.blocks`` as a config error), and
-    a search that grows past it raises OutOfRangeError.
+    depth without room to grow (a fixed ``blocks``, the index budget, the
+    last block of an explicit partition) is run again for the next
+    tolerance, which may fail there at ``block_limit`` instead.  Each
+    certificate is that of a search for its tolerance alone started at
+    that depth, bit for bit; one started at depth 4 can instead fail at
+    ``block_limit`` on a probe that a larger tolerance has already
+    outgrown.  A pair that cannot be built or checked (``fooling_pair`` or
+    a run on f+ or f- raising ValueError or GuardExceeded) fails its own
+    tolerance alone, with that message.  On an explicit partition the
+    start depth must not pass its last block (``cli`` refuses such an
+    ``adversarial.blocks`` as a config error).
     """
     epsilons = sorted(set(epsilons), reverse=True)
     depth = 4 if blocks is None else blocks
@@ -331,6 +331,10 @@ def fooling_certificates(problem: Problem, epsilons, rho: float, *,
                     raise _NoRoom("configured block count leaves no free "
                                   "coordinate for the bump; increase "
                                   "adversarial.blocks")
+                if problem.partition.last_block(depth + 1) == depth:
+                    raise _NoRoom(f"the probe depth = {depth + 1} is past "
+                                  "the last block of the explicit "
+                                  f"partition, block {depth}")
                 size = problem.partition.boundary(depth + 1)
                 if index_limit is not None and size > index_limit:
                     raise _NoRoom(f"the probe depth = {depth + 1} spans "

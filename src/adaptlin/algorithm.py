@@ -71,9 +71,9 @@ class Walk:
 
     def true_errors(self) -> list:
         """Each run's ``true_error``, bit for bit, from ``block_tails``;
-        None for a None run, and for every run without a support bound."""
+        None for a None run."""
         settled = [j for j in self.stops if j is not None]
-        if self.f.support_bound is None or not settled:
+        if not settled:
             return [None] * len(self.stops)
         first = min(settled)
         tails = block_tails(self.problem, self.f, self.values,
@@ -101,8 +101,7 @@ def interpolate(problem: Problem, f: CoefficientSource, n: int) -> Approximation
     if length is not None and n > length:
         raise OutOfRangeError(
             f"index {n} past the {length} enumerated singular values")
-    top = n if f.support_bound is None else min(n, f.support_bound)
-    values = products(problem.spectrum, f, 1, top)
+    values = products(problem.spectrum, f, 1, min(n, f.support_bound))
     values.flags.writeable = False
     return Approximation(values=values, cost=n, places=_places(f, values))
 

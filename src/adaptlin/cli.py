@@ -366,7 +366,7 @@ def _sweep(problem, f, epsilons, j_max):
             "error_bound": run.error_bound,
             "true_error": error,
             "worst_cone_ratio": worst[run.stop_block - 1],
-            "bound_holds": None if error is None else error <= run.error_bound,
+            "bound_holds": error <= run.error_bound,
         })
     return walk, rows
 
@@ -514,10 +514,9 @@ def cmd_adversarial(merged, quiet):
     if problem.partition.boundary(0) < 1:
         raise ConfigError("adversarial constructions need n_0 >= 1")
     adv_cfg = merged.get("adversarial", {})
-    if "blocks" in adv_cfg:
-        _index_budget(problem, adv_cfg["blocks"], n_max, "adversarial.blocks")
-    else:  # the probe search starts at depth 4 and grows within n_max
-        _index_budget(problem, 4, math.inf, "adversarial.blocks")
+    # the probe search starts at depth 4 by default and grows within n_max
+    _index_budget(problem, adv_cfg.get("blocks", 4), n_max,
+                  "adversarial.blocks")
     epsilons = _epsilons_from(merged)
     out = _out_dir(merged)
 

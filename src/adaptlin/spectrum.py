@@ -27,10 +27,6 @@ class OutOfRangeError(LookupError):
     """An explicitly enumerated sequence was queried past its last element."""
 
 
-class SupportBoundRequired(ValueError):
-    """The requested quantity is undecidable without a finite support bound."""
-
-
 class GuardExceeded(RuntimeError):
     """An iteration or scan guard was reached before the target condition."""
 
@@ -504,30 +500,31 @@ class ConeParams:
 
 
 class CoefficientSource:
-    """Deterministic, repeatable map from 1-based index to series coefficient.
-
-    ``rule`` maps ``np.arange(lo, hi + 1, dtype=np.float64)`` to the
-    coefficients at lo..hi, one per index, the contract of
-    ``SingularSpectrum.from_rule``.  ``support_bound`` = N promises that
-    coefficients vanish for indices above N, which is what makes exact tail
-    norms and membership checks decidable.  Sources without a bound can
-    still be solved adaptively.  ``from_vector`` and ``from_padded``
-    sources hold their coefficients in memory, so a walk over one reserves
-    its products at once (see ``read_blocks``).  A ``from_sparse`` source
-    holds only its nonzeros, and ``products`` forms only theirs.
+    """The coefficients of an input at 1-based indices, zero past its
+    support 1..N, where N, ``support_bound``, is a finite int.  A source
+    is either an array of the coefficients 1..N (``from_vector``,
+    ``from_padded``, ``zero``) or the nonzeros of the support
+    (``from_sparse``); ``CoefficientSource(...)`` itself raises TypeError.
+    A walk over either kind reserves its products at once (see
+    ``read_blocks``), and ``products`` forms a sparse source's products
+    only at its nonzeros.
     """
 
-    def __init__(self, rule: Callable, support_bound: Optional[int] = None):
-        if support_bound is not None and support_bound < 0:
-            raise ValueError("support bound must be non-negative")
-        self.support_bound = support_bound
-        # (lo, hi) -> coefficients lo..hi
-        self._read = lambda lo, hi: np.asarray(
-            rule(np.arange(lo, hi + 1, dtype=np.float64)), dtype=np.float64)
-        # whether the source holds coefficients 1..support_bound in memory,
-        # so that a walk may reserve as many products at once
-        self._stored = False
-        self._nonzeros = self._listed = None  # arrays, and lists to bisect
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a CoefficientSource comes from from_vector, "
+                        "from_padded, zero or from_sparse")
+
+    @classmethod
+    def _of(cls, read: Callable, support_bound: int,
+            nonzeros: Optional[tuple] = None) -> "CoefficientSource":
+        source = cls.__new__(cls)
+        source.support_bound = support_bound
+        source._read = read  # (lo, hi) -> coefficients lo..hi
+        source._nonzeros = nonzeros
+        # the nonzeros as lists to bisect; None for an array source
+        source._listed = None if nonzeros is None else (
+            nonzeros[0].tolist(), nonzeros[1].tolist())
+        return source
 
     @classmethod
     def from_vector(cls, values) -> "CoefficientSource":
@@ -555,30 +552,30 @@ class CoefficientSource:
             out[:max(size - lo + 1, 0)] = padded[lo - 1:size]
             return out
 
-        source = cls(None, support_bound=size)
-        source._read = read
-        source._stored = True
-        return source
+        return cls._of(read, size)
 
     @classmethod
     def from_sparse(cls, indices, values,
                     support_bound: int) -> "CoefficientSource":
         """Source that is zero but at ``indices``, strictly increasing
-        1-based indices up to ``support_bound``, where it takes ``values``
-        (a zero among them is allowed).  Both are copied into read-only
-        arrays, its ``nonzeros``.  ``coefficients`` scatters them into
-        zeros, ``norm`` sums their squares alone, and ``products`` forms
-        products only at them; anything else raises ValueError."""
+        1-based indices up to ``support_bound``, a non-negative int, where
+        it takes ``values`` (a zero among them is allowed).  Both are
+        copied into read-only arrays, its ``nonzeros``.  ``coefficients``
+        scatters them into zeros, ``norm`` sums their squares alone, and
+        ``products`` forms products only at them; anything else raises
+        ValueError."""
         places = np.array(indices, dtype=np.int64)
         entries = np.array(values, dtype=np.float64)
         if not (places.ndim == entries.ndim == 1
-                and places.size == entries.size and support_bound is not None
+                and places.size == entries.size
+                and isinstance(support_bound, (int, np.integer))
+                and support_bound >= 0
                 and (places.size == 0
                      or (1 <= places[0] and places[-1] <= support_bound
                          and (places[1:] > places[:-1]).all()))):
             raise ValueError("sparse coefficients need strictly increasing "
-                             "1-based indices up to the support bound, "
-                             "one value each")
+                             "1-based indices up to the support bound, a "
+                             "non-negative int, one value each")
         places.flags.writeable = entries.flags.writeable = False
 
         def read(lo, hi):
@@ -587,11 +584,7 @@ class CoefficientSource:
             out[places[first:stop] - lo] = entries[first:stop]
             return out
 
-        source = cls(None, support_bound=support_bound)
-        source._read = read
-        source._nonzeros = places, entries
-        source._listed = places.tolist(), entries.tolist()
-        return source
+        return cls._of(read, int(support_bound), (places, entries))
 
     @classmethod
     def zero(cls) -> "CoefficientSource":
@@ -604,9 +597,9 @@ class CoefficientSource:
         return self._nonzeros
 
     @property
-    def size(self) -> Optional[int]:
+    def size(self) -> int:
         """Length of the coefficients 1..``support_bound``, as of the array
-        ``dense(support_bound)``; None without a support bound."""
+        ``dense(support_bound)``."""
         return self.support_bound
 
     def coefficients(self, indices: range) -> np.ndarray:
@@ -621,9 +614,6 @@ class CoefficientSource:
 
     def norm(self) -> float:
         """Input-space norm, the plain l2 norm of the coefficients."""
-        if self.support_bound is None:
-            raise SupportBoundRequired(
-                "input norms need a finite support bound")
         if self._nonzeros is not None:  # a zero square adds nothing
             return exact_norm(self._nonzeros[1])
         return exact_norm(self.dense(self.support_bound))
@@ -683,12 +673,8 @@ def cone_membership(problem: Problem,
     the pair (j, k - j) of the first block k over 1 + slack, where j is the
     block that binds k (see ``block_decay_ratios``), or None.
     """
-    bound = f.support_bound
-    if bound is None:
-        raise SupportBoundRequired(
-            "membership is undecidable without a finite support bound")
     last = 0
-    while problem.partition.boundary(last) < bound:
+    while problem.partition.boundary(last) < f.support_bound:
         last += 1
     norms = [norm for _, _, _, norm in read_blocks(problem, f, last)][1:]
     ratios, binders = block_decay_ratios(problem.cone, norms)
@@ -744,8 +730,7 @@ def products(spectrum: SingularSpectrum, f: CoefficientSource, lo: int,
     ``from_sparse`` f only those at its nonzeros, each lam a one-index
     range.  Past the last product a read at ``hi`` checks lam."""
     if f._listed is None:
-        top = max(lo - 1, hi if f.support_bound is None
-                  else min(hi, f.support_bound))
+        top = max(lo - 1, min(hi, f.support_bound))
         values = np.empty(top - lo + 1) if out is None else out[lo - 1:top]
         for span in _chunks(lo, top):
             _multiply(spectrum.checked(span), f.coefficients(span),
@@ -772,35 +757,22 @@ def read_blocks(problem: Problem, f: CoefficientSource, last: int):
     clipped to a finite table.  Each block is one ``products`` call, so
     past the support lam is only checked, through the block's end.
     ``values`` are the products through ``end``, a prefix view of one
-    buffer the caller must not write into, as long as a sparse source's
-    nonzeros, reserved at min(n_last, support, table length) where the
-    input stores that many coefficients, or else grown geometrically.
-    ``total`` is the block's exact sum of squares (``_square_sum``) where
-    it holds 2**9 products or more, ``exact_norm``'s own switch, and None
-    otherwise; ``norm`` has the bits of ``block_norm``.  A non-finite norm
-    raises ValueError.
+    buffer the caller must not write into, reserved once: as long as a
+    sparse source's nonzeros, and otherwise min(n_last, support, table
+    length).  ``total`` is the block's exact sum of squares
+    (``_square_sum``) where it holds 2**9 products or more,
+    ``exact_norm``'s own switch, and None otherwise; ``norm`` has the bits
+    of ``block_norm``.  A non-finite norm raises ValueError.
     """
     spectrum, partition = problem.spectrum, problem.partition
-    length, support = spectrum.enumerated_length, f.support_bound
-    held = [n for n in (support, length) if n is not None]
-    bound = min(held) if held else None  # no product is stored past it
-    sparse = f.nonzeros is not None
-    if sparse:
-        buffer = np.empty(f.nonzeros[0].size)
-    else:
-        buffer = np.empty(min(bound, partition.boundary(last))
-                          if f._stored or length is not None else 0)
+    length = spectrum.enumerated_length
+    buffer = np.empty(f.nonzeros[0].size if f.nonzeros is not None else
+                      min(_solution_end(problem, f), partition.boundary(last)))
     start, count = 1, 0  # count products so far
     for j in range(last + 1):
         end = partition.boundary(j)
         if length is not None:  # no modes past a table
             end = min(end, length)
-        top = end if bound is None else min(end, bound)
-        if not sparse and top > buffer.size:  # a rule source: grow
-            size = max(top, 2 * buffer.size)
-            grown = np.empty(size if bound is None else min(size, bound))
-            grown[:count] = buffer[:count]
-            buffer = grown
         piece = products(spectrum, f, start, end, buffer)
         count += piece.size
         total = _square_sum(piece) if piece.size >= _FSUM_BELOW else None
@@ -857,9 +829,6 @@ def tail_norms(problem: Problem, f: CoefficientSource, cuts) -> list:
 
 def _solution_end(problem: Problem, f: CoefficientSource) -> int:
     """The input's support bound, clipped to a finite table."""
-    if f.support_bound is None:
-        raise SupportBoundRequired(
-            "exact tail norms need a finite support bound")
     length = problem.spectrum.enumerated_length
     return f.support_bound if length is None else min(f.support_bound, length)
 

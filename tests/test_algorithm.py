@@ -33,6 +33,20 @@ def geometric_coefficients(support=8):
                                           for i in range(1, support + 1)])
 
 
+def spied(f):
+    """``f``, whose ``coefficients`` now records each index it is asked
+    for, and the list of them."""
+    asked = []
+    read = f.coefficients
+
+    def coefficients(indices):
+        asked.extend(indices)
+        return read(indices)
+
+    f.coefficients = coefficients
+    return f, asked
+
+
 # -- stop_threshold ----------------------------------------------------------
 
 def test_stop_threshold_values():
@@ -259,17 +273,11 @@ def test_adaptive_retains_interpolation_through_boundary(unit_doubling):
 
 
 def test_adaptive_evaluates_each_coefficient_once(unit_doubling):
-    calls = {}
-
-    def rule(idx):
-        for i in idx.tolist():
-            calls[i] = calls.get(i, 0) + 1
-        return 2.0 ** -idx
-
-    f = CoefficientSource(rule, support_bound=None)
+    # the support runs far past the stop, so only the walk's reads show
+    f, asked = spied(geometric_coefficients(64))
     approx = adaptive_algorithm(unit_doubling, f, 0.05)
-    assert sorted(calls) == list(range(1, approx.cost + 1))
-    assert set(calls.values()) == {1}
+    assert approx.cost == 8
+    assert sorted(asked) == list(range(1, approx.cost + 1))
 
 
 def test_adaptive_stopping_index_identity(harmonic_doubling):
@@ -305,21 +313,20 @@ def test_adaptive_minimal_cost_single_leading_coefficient():
 
 def test_adaptive_guard(unit_doubling):
     # constant weights, constant coefficients: sigma_j grows, never stops
-    f = CoefficientSource(np.ones_like)
+    f = CoefficientSource.from_vector(np.ones(300))  # n_8 = 256
     with pytest.raises(GuardExceeded):
         adaptive_algorithm(unit_doubling, f, 0.1, block_limit=8)
 
 
 def test_adaptive_rejects_nonpositive_tolerance(unit_doubling):
     # NaN included, and before any coefficient is read
-    calls = []
-    f = CoefficientSource(lambda i: calls.append(i) or np.ones_like(i))
+    f, asked = spied(CoefficientSource.from_vector(np.ones(300)))
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             adaptive_algorithm(unit_doubling, f, bad)
         with pytest.raises(ValueError):
             adaptive_sweep(unit_doubling, f, [0.1, bad])
-    assert calls == []
+    assert asked == []
 
 
 def test_adaptive_clips_to_enumerated_length():
@@ -452,9 +459,6 @@ def test_sweep_returns_one_frozen_walk_record(harmonic_doubling):
     assert [total is None for total in walk.sums] == list(sizes < 2 ** 9)
     assert walk.true_errors() == tail_norms(
         harmonic_doubling, f, [run.cost for run in walk.runs])
-    unbounded = CoefficientSource(lambda i: 2.0 ** -i)
-    assert adaptive_sweep(harmonic_doubling, unbounded,
-                          [0.1, 0.01]).true_errors() == [None, None]
 
 
 @pytest.mark.parametrize("coeffs", [[1.0, math.nan, 0.1],
@@ -547,33 +551,20 @@ def test_the_walk_stores_no_product_past_the_support(harmonic_doubling):
     assert peak < walk.values.nbytes + 2 ** 20
 
 
-def test_a_distant_support_bound_reserves_only_what_the_walk_reads(
-        harmonic_doubling):
-    # a buffer sized by the bound alone would be 8 GiB
-    f = CoefficientSource(lambda i: 2.0 ** -i, support_bound=2 ** 30)
-    walk, peak = traced_peak(
-        lambda: adaptive_sweep(harmonic_doubling, f, [0.1, 1e-3]))
-    assert max(walk.stops) <= 10
-    assert walk.values.size == walk.ends[-1]
-    assert peak < 2 ** 20
-
-
 def straddled_sources():
     """Sources with support 100, inside block 7 (65..128) of harmonic
-    doubling: a vector, and the same coefficients as a rule with a support
-    bound, on a rule spectrum and on a 1000-entry table of it."""
+    doubling: a vector on a rule spectrum and on a 1000-entry table of it,
+    and the same coefficients, every one nonzero, as a sparse source."""
     coeffs = np.random.default_rng(45).standard_normal(100)
-    rule = CoefficientSource(lambda i: np.where(
-        i <= 100, coeffs[np.minimum(i, 100).astype(int) - 1], 0.0),
-        support_bound=100)
+    vector = CoefficientSource.from_vector(coeffs)
+    sparse = CoefficientSource.from_sparse(range(1, 101), coeffs, 100)
     harmonic = SingularSpectrum.algebraic(1.0, 1.0)
     table = SingularSpectrum.from_values(1.0 / np.arange(1.0, 1001.0))
-    return [(harmonic, CoefficientSource.from_vector(coeffs)),
-            (harmonic, rule), (table, rule)]
+    return [(harmonic, vector), (harmonic, sparse), (table, vector)]
 
 
 @pytest.mark.parametrize("spectrum, f", straddled_sources(),
-                         ids=["vector", "rule", "rule-on-table"])
+                         ids=["vector", "sparse", "vector-on-table"])
 def test_a_block_that_straddles_the_support_keeps_its_bits(spectrum, f):
     problem = Problem(spectrum, Partition.doubling(1), ConeParams(2.0, 0.5))
     walk = adaptive_sweep(problem, f, [1e-2, 1e-4, 1e-300])
@@ -588,6 +579,31 @@ def test_a_block_that_straddles_the_support_keeps_its_bits(spectrum, f):
         assert run.values.size == min(run.cost, 100)
         assert np.shares_memory(run.values, walk.values)
         assert not run.values.flags.writeable
+
+
+def test_the_walk_decides_nothing_from_the_support_bound(harmonic_doubling):
+    # the algorithm knows no support: the same coefficients followed by more
+    # zeros, or as the nonzeros of a far larger support, walk alike.  Block
+    # 10 (513..1024) holds 512 products of the padded vector, whose exact
+    # sum is extracted, and fewer of the other two, which fsum sums: the
+    # same bits either way
+    coeffs = np.random.default_rng(46).standard_normal(1000)
+    coeffs[::3] = 0.0
+    places = np.flatnonzero(coeffs) + 1
+    twins = [CoefficientSource.from_vector(coeffs),
+             CoefficientSource.from_vector(np.append(coeffs, np.zeros(4096))),
+             CoefficientSource.from_sparse(places, coeffs[places - 1], 2 ** 20)]
+    walks = [adaptive_sweep(harmonic_doubling, f, [1e-1, 1e-4, 1e-300])
+             for f in twins]
+    first = walks[0]
+    assert first.stops[-1] == 11  # 1025..2048, past the support
+    for walk in walks:
+        assert [s.hex() for s in walk.norms] \
+            == [s.hex() for s in first.norms]
+        assert walk.stops == first.stops
+        assert [(run.cost, run.error_bound.hex()) for run in walk.runs] \
+            == [(run.cost, run.error_bound.hex()) for run in first.runs]
+        assert walk.true_errors() == first.true_errors()
 
 
 # -- the sweep's true errors -------------------------------------------------

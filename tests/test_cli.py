@@ -552,6 +552,38 @@ def test_a_block_count_past_an_explicit_partition_is_a_config_error(
     assert not out.exists()
 
 
+def test_a_probe_search_past_an_explicit_partition_fails_its_tolerance(
+        tmp_path, capsys):
+    # the run at 0.06 on the depth-4 probe stops at block 4, the last, so
+    # the search has no room to grow; 0.5 keeps its certificate
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(
+        _problem(partition={"kind": "explicit",
+                            "boundaries": [1, 2, 4, 8, 16]}),
+        epsilons=[0.5, 0.06], output=str(out)))
+    assert cli.main(["adversarial", "--config", cfg, "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "adversarial: construction failed at epsilon=0.06: the probe depth "
+        "= 5 is past the last block of the explicit partition, block 4\n")
+    entries = json.loads((out / "adversarial.json").read_text(
+        encoding="utf-8"))["entries"]
+    assert [(e["epsilon"], e["ok"], e["blocks"]) for e in entries] \
+        == [(0.5, True, 4)]
+
+
+def test_the_default_probe_depth_obeys_the_index_budget(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(
+        _problem(partition={"kind": "explicit",
+                            "boundaries": [1, 2, 4, 8, 2 ** 22]}),
+        epsilons=[0.01], guards={"n_max": 2 ** 20}, output=str(out)))
+    assert cli.main(["adversarial", "--config", cfg, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: adversarial.blocks = 4 spans 4194304 indices, over "
+        "the index budget guards.n_max = 1048576\n")
+    assert not out.exists()
+
+
 # -- bounds --------------------------------------------------------------------
 
 def test_bounds_algebraic_chain(tmp_path):

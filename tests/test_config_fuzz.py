@@ -8,7 +8,9 @@ long; ``demo-derivative``'s box of 226,981 modes is past that index
 budget, so its walk runs only in the examples that raise n_max to 2**18.
 ``cli.main`` runs in-process under numpy's default error state with
 warnings raised as errors; it must return 0, 1 or 2, write no traceback
-and no warning, and return 2 only with a ``config error:``.  Every
+and no warning, and return 2 only with a ``config error:``.  No command
+reads past an explicit partition's last boundary, and every probe that
+``adversarial`` records spans at most ``guards.n_max`` indices.  Every
 ``bound_holds`` that ``solve`` records for an input drawn from the cone
 must be true, and any it records false must come with exit 1 and the
 refuted bound on stderr.
@@ -150,6 +152,19 @@ def configs(draw):
                 "partition": {"kind": "explicit",
                               "boundaries": [1, 2, 4, 8, 16, 32, 64, 128]}},
     "epsilons": [0.5, 0.1], "guards": {"j_max": 24, "n_max": 2 ** 12}})
+# the probe search at 0.06 outgrows the partition's 4 blocks: that
+# tolerance fails, and 0.5 keeps its certificate
+@example("adversarial", {
+    "problem": {"spectrum": {"family": "algebraic"},
+                "partition": {"kind": "explicit",
+                              "boundaries": [1, 2, 4, 8, 16]}},
+    "epsilons": [0.5, 0.06], "guards": {"j_max": 24, "n_max": 2 ** 12}})
+# the search's default start depth 4 spans 2**22 indices, over the budget
+@example("adversarial", {
+    "problem": {"spectrum": {"family": "algebraic"},
+                "partition": {"kind": "explicit",
+                              "boundaries": [1, 2, 4, 8, 2 ** 22]}},
+    "epsilons": [0.01], "guards": {"j_max": 24, "n_max": 2 ** 20}})
 def test_every_command_ends_in_a_status_and_a_message(command, config):
     with tempfile.TemporaryDirectory() as workdir:
         out = Path(workdir) / "out"
@@ -167,6 +182,14 @@ def test_every_command_ends_in_a_status_and_a_message(command, config):
         assert "Traceback" not in err and "Warning" not in err, err
         if status == 2:
             assert err.startswith("config error: "), err
+        assert "boundaries, asked for n_" not in err, err
+        record = out / "adversarial.json"
+        if command == "adversarial" and record.is_file():
+            n_max = config["guards"]["n_max"]
+            problem, _ = cli.build_problem(config.get("problem", {}), n_max)
+            for entry in json.loads(record.read_text(encoding="utf-8"))[
+                    "entries"]:
+                assert problem.partition.boundary(entry["blocks"]) <= n_max
         record = out / "run.json"
         if command == "solve" and record.is_file():
             rows = json.loads(record.read_text(encoding="utf-8"))["rows"]

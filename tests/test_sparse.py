@@ -301,7 +301,9 @@ def test_a_sparse_source_scatters_its_values_into_zeros():
     ([2, 2], [1.0, 2.0], 4),
     ([2, 5], [1.0, 2.0], 4),  # and within the support
     ([2, 3], [1.0], 4),  # one value each
-    ([], [], None),  # and a support bound
+    ([], [], None),  # and a support bound,
+    ([], [], -1),  # a non-negative
+    ([2], [1.0], 4.0),  # int
 ])
 def test_a_sparse_source_rejects_a_malformed_index_list(indices, values,
                                                         support):

@@ -7,8 +7,8 @@ import pytest
 
 from adaptlin import (CoefficientSource, ConeParams, FoolingPair,
                       GuardExceeded, OutOfRangeError, Partition, Problem,
-                      SingularSpectrum, SupportBoundRequired, block_norm,
-                      cone_membership, enumerate_derivative_spectrum,
+                      SingularSpectrum, block_norm, cone_membership,
+                      enumerate_derivative_spectrum,
                       interpolate, periodic_approximation_spectrum,
                       random_cone_member, solution_separation, tail_norm,
                       tail_norms)
@@ -483,10 +483,17 @@ def test_norm_matches_hand_value():
     assert f.norm() == 5.0
 
 
-def test_norm_requires_support_bound():
-    f = CoefficientSource(lambda i: 1.0 / i)
-    with pytest.raises(SupportBoundRequired):
-        f.norm()
+def test_a_source_comes_only_from_its_kinds():
+    for args, kwargs in (((lambda i: 1.0 / i,), {}), ((), {}),
+                         ((np.ones_like,), {"support_bound": 5})):
+        with pytest.raises(TypeError, match="comes from from_vector"):
+            CoefficientSource(*args, **kwargs)
+    kinds = [CoefficientSource.from_vector([1.0, 2.0]),
+             CoefficientSource.from_padded(np.array([1.0, 2.0, 0.0])),
+             CoefficientSource.zero(),
+             CoefficientSource.from_sparse([2], [3.0], 4)]
+    assert [(f.size, f.nonzeros is None) for f in kinds] == [
+        (2, True), (2, True), (0, True), (4, False)]
 
 
 def test_queries_are_repeatable():
@@ -500,10 +507,12 @@ def _sources():
     coeffs = np.array([1.0, -2.0, 3.0, 0.5, -0.25])
     return {"vector": CoefficientSource.from_vector(coeffs),
             "scaled": CoefficientSource.from_vector(-0.5 * coeffs),
-            "custom": CoefficientSource(
-                lambda i: np.where(i <= 5, 1.0 / i, 0.0), support_bound=5),
+            "custom": CoefficientSource.from_sparse([1, 2, 4],
+                                                    [1.0, 0.5, 0.25], 5),
             "zero": CoefficientSource.zero(),
-            "provider": CoefficientSource(lambda i: i)}
+            # coefficient i at 1..9, covering every range read below
+            "provider": CoefficientSource.from_padded(
+                np.append(np.arange(1.0, 10.0), 0.0))}
 
 
 @pytest.mark.parametrize("name", list(_sources()))
@@ -518,8 +527,7 @@ def test_range_coefficients_match_the_index_path(name, lo, hi):
     cut = (lo + hi + 1) // 2
     pieces = [f.coefficients(range(lo, cut)), f.coefficients(range(cut, hi + 1))]
     assert np.concatenate(pieces).tobytes() == got.tobytes()
-    if f.support_bound is not None:
-        assert not got[max(f.support_bound - lo + 1, 0):].any()
+    assert not got[max(f.support_bound - lo + 1, 0):].any()
 
 
 def test_range_coefficients_of_a_vector_are_read_only_views():
@@ -532,7 +540,8 @@ def test_range_coefficients_of_a_vector_are_read_only_views():
 _READERS = {
     "rule-values": lambda: SingularSpectrum.algebraic(1.0, 1.0).values,
     "table-values": lambda: SingularSpectrum.from_values([1.0, 0.5]).values,
-    "rule-coefficients": lambda: CoefficientSource(lambda i: 1.0 / i).coefficients,
+    "sparse-coefficients":
+        lambda: CoefficientSource.from_sparse([1, 3], [1.0, 0.5], 4).coefficients,
     "vector-coefficients":
         lambda: CoefficientSource.from_vector([1.0, -2.0]).coefficients,
     "zero-coefficients": lambda: CoefficientSource.zero().coefficients,
@@ -559,11 +568,9 @@ def test_a_rule_reads_the_float_indices_of_a_range():
         return 1.0 / i
 
     SingularSpectrum.from_rule(rule).values(range(3, 8))
-    CoefficientSource(rule).coefficients(range(3, 8))
-    expect = np.arange(3, 8, dtype=np.float64)
-    assert len(seen) == 2
-    for i in seen:
-        assert i.dtype == np.float64 and i.tobytes() == expect.tobytes()
+    (i,) = seen
+    assert i.dtype == np.float64
+    assert i.tobytes() == np.arange(3, 8, dtype=np.float64).tobytes()
 
 
 # -- block_norm --------------------------------------------------------------
@@ -683,12 +690,6 @@ def test_membership_scale_invariant(harmonic_doubling):
         assert scaled.worst_ratio == pytest.approx(base.worst_ratio, rel=1e-9)
 
 
-def test_membership_requires_support_bound(unit_doubling):
-    f = CoefficientSource(lambda i: 2.0 ** -i)
-    with pytest.raises(SupportBoundRequired):
-        cone_membership(unit_doubling, f)
-
-
 @pytest.mark.parametrize("index, value", [
     (6, math.nan), (11, math.nan), (21, math.nan), (41, math.nan),
     (6, math.inf)])
@@ -792,9 +793,6 @@ def test_tail_norms_reject_bad_cuts(harmonic_doubling):
     f = CoefficientSource.from_vector([1.0, 1.0])
     with pytest.raises(ValueError):
         tail_norms(harmonic_doubling, f, [0, -1])
-    unbounded = CoefficientSource(np.ones_like)
-    with pytest.raises(SupportBoundRequired):
-        tail_norms(harmonic_doubling, unbounded, [0])
 
 
 def test_pythagoras_blocks_sum_to_tail(harmonic_doubling):
