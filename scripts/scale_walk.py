@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-README_PEAK_MIB = 293  # the README's measured 2**24 solve
+README_PEAK_MIB = 165  # the README's measured 2**24 solve
 SLACK = 1.10
 
 CONFIG = {

@@ -34,11 +34,12 @@ class Approximation:
     retains (n_j for an adaptive run), and ``values`` holds the input's
     ``spectrum.products`` through ``cost``, read-only: from index 1, or at
     ``places``, its first nonzeros, for a ``from_sparse`` input (else None).
+    A run of a walk that keeps no products has neither (both None).
     Tolerance-driven runs also record the target tolerance, and adaptive
     runs the stopping block and the error bound certified at termination.
     """
 
-    values: np.ndarray
+    values: Optional[np.ndarray]
     cost: int
     stop_block: Optional[int] = None
     error_bound: Optional[float] = None
@@ -51,12 +52,14 @@ class Walk:
     """What the block walk of ``adaptive_sweep`` read, and where it stopped.
 
     ``values`` holds the products through ``ends[-1]``, read-only, in the
-    format of a run.  Block j (0 is indices 1..n_0) ends at ``ends[j]``
-    with the ``read_blocks`` total ``sums[j]``, an exact int where the
-    block holds 2**9 products or more and None where ``true_errors`` sums
-    its squares from ``values``; block j >= 1 has norm
-    ``norms[j - 1]``.  ``stops`` and ``runs`` hold each tolerance's stop
-    block and run (prefix views of ``values``), None where no block read
+    format of a run, or is None for a walk that keeps no products.  Block
+    j (0 is indices 1..n_0) ends at ``ends[j]`` with the ``read_blocks``
+    total ``sums[j]``: an exact int where the block holds 2**9 products or
+    more, and otherwise what ``true_errors`` sums its squares from, None
+    for the slice of ``values`` or, without them, the block's own
+    products; block j >= 1 has norm ``norms[j - 1]``.  ``stops`` and
+    ``runs`` hold each tolerance's stop block and run (prefix views of
+    ``values``, or runs without values), None where no block read
     qualified.
     """
 
@@ -106,9 +109,12 @@ def interpolate(problem: Problem, f: CoefficientSource, n: int) -> Approximation
     return Approximation(values=values, cost=n, places=_places(f, values))
 
 
-def _places(f: CoefficientSource, values: np.ndarray):
-    """The indices of ``values``, products of ``f``: None for a prefix."""
-    return None if f.nonzeros is None else f.nonzeros[0][:values.size]
+def _places(f: CoefficientSource, values: Optional[np.ndarray]):
+    """The indices of ``values``, products of ``f``: None for a prefix or
+    for no values."""
+    if f.nonzeros is None or values is None:
+        return None
+    return f.nonzeros[0][:values.size]
 
 
 def ball_budget(spectrum: SingularSpectrum, epsilon: float, rho: float) -> int:
@@ -167,20 +173,27 @@ def ball_algorithm(problem: Problem, f: CoefficientSource, epsilon: float,
 
 
 def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
-                   *, block_limit: int = DEFAULT_BLOCK_LIMIT) -> Walk:
+                   *, block_limit: int = DEFAULT_BLOCK_LIMIT,
+                   index_limit: Optional[int] = None,
+                   keep_products: bool = True) -> Walk:
     """One block walk serving a whole tolerance list, as a :class:`Walk`.
 
     Reads the blocks through ``read_blocks`` and settles each tolerance
     epsilon at the first block j with s_j <= epsilon*sqrt(1-b**2)/(a*b), a
     plain floating-point <=.  The level grows with epsilon, so the walk
-    stops at the smallest tolerance's stop block, at ``block_limit`` or at
-    the end of an explicit partition.  For a cone member the tail is then
-    at most a*b*s_j/sqrt(1-b**2) <= epsilon, the run's ``error_bound``.
-    Each run, None where no block read qualifies, is the interpolation
-    through its boundary n_j (clipped to a finite table), and every
-    coefficient up to the support bound is evaluated once.  Raises
-    ValueError for a tolerance that is not positive (NaN included), and
-    passes on that of ``read_blocks``.
+    stops at the smallest tolerance's stop block, at ``block_limit``, at
+    the end of an explicit partition, or before the first block that
+    ends past ``index_limit`` indices (see ``_walk_end``).  For a cone
+    member the tail is then at most a*b*s_j/sqrt(1-b**2) <= epsilon, the
+    run's ``error_bound``.  Each run, None where no block read qualifies,
+    is the interpolation through its boundary n_j (clipped to a finite
+    table), and every coefficient up to the support bound is evaluated
+    once.  With ``keep_products`` off the runs carry no products and the
+    walk holds at most a chunk of 2**14 products of a long block at once
+    (see ``read_blocks``); its norms, stops, costs, bounds and
+    ``true_errors`` keep their bits.  Raises ValueError for a tolerance
+    that is not positive (NaN included), and passes on that of
+    ``read_blocks``.
     """
     epsilons = list(epsilons)
     if not all(eps > 0 for eps in epsilons):
@@ -188,33 +201,60 @@ def adaptive_sweep(problem: Problem, f: CoefficientSource, epsilons,
     levels = [stop_threshold(problem.cone, eps) for eps in epsilons]
     pending = sorted(range(len(epsilons)), key=levels.__getitem__)
     stops = [None] * len(epsilons)
-    blocks = []
-    last = problem.partition.last_block(block_limit)
+    blocks, values = [], None
+    last = _walk_end(problem, block_limit, index_limit)
     # each block's values extend the last, so the last block's are the walk's
-    for j, (end, values, total, s) in enumerate(read_blocks(problem, f, last)):
-        blocks.append((end, total, s, values.size))
+    for j, (end, values, total, s) in enumerate(
+            read_blocks(problem, f, last, keep_products=keep_products)):
+        blocks.append((end, total, s, None if values is None else values.size))
         while j and pending and s <= levels[pending[-1]]:
             stops[pending.pop()] = j
         if not pending:
             break
-    ends, sums, norms, sizes = zip(*blocks)
-    values.flags.writeable = False
-    runs = tuple(None if j is None else
-                 Approximation(values=values[:sizes[j]], cost=ends[j],
-                               stop_block=j, tolerance=eps,
-                               error_bound=problem.cone.tail_factor * norms[j],
-                               places=_places(f, values[:sizes[j]]))
-                 for eps, j in zip(epsilons, stops))
-    return Walk(problem, f, values, ends, sums, norms[1:], tuple(stops), runs)
+    ends, sums, norms, sizes = zip(*blocks) if blocks else [()] * 4
+    if values is not None:
+        values.flags.writeable = False
+    runs = []
+    for eps, j in zip(epsilons, stops):
+        run = None if j is None or values is None else values[:sizes[j]]
+        runs.append(None if j is None else Approximation(
+            values=run, cost=ends[j], stop_block=j, tolerance=eps,
+            error_bound=problem.cone.tail_factor * norms[j],
+            places=_places(f, run)))
+    return Walk(problem, f, values, ends, sums, norms[1:], tuple(stops),
+                tuple(runs))
 
 
-def no_stop_error(problem: Problem, block_limit: int) -> GuardExceeded:
+def _walk_end(problem: Problem, block_limit: int,
+             index_limit: Optional[int] = None) -> int:
+    """The last block a walk reads: ``block_limit``, or fewer where the
+    problem's explicit partition ends first or where a block ends past
+    ``index_limit`` indices (``Partition.last_block``), -1 where block 0
+    does.  A finite table clips every block's end to its length, so one
+    no longer than ``index_limit`` lifts that limit."""
+    length = problem.spectrum.enumerated_length
+    if length is not None and index_limit is not None \
+            and length <= index_limit:
+        index_limit = None
+    return problem.partition.last_block(block_limit, index_limit)
+
+
+def no_stop_error(problem: Problem, block_limit: int,
+                  index_limit: Optional[int] = None) -> GuardExceeded:
     """The guard failure of a tolerance no block of a walk settles.
 
-    The message names the blocks that walk could read, which is fewer than
-    ``block_limit`` when the problem's explicit partition ends first.
+    The message names the blocks that walk could read (``_walk_end``),
+    which is fewer than ``block_limit`` when the problem's explicit
+    partition ends first, and names the index budget, with the end of the
+    first block past it, where that cut the walk short.
     """
-    walked = problem.partition.last_block(block_limit)
+    walked = _walk_end(problem, block_limit, index_limit)
+    if walked < _walk_end(problem, block_limit):
+        past = walked + 1  # block 0 where n_0 itself is past the budget
+        return GuardExceeded(
+            f"no stopping block within {max(walked, 0)} blocks: block "
+            f"{past} ends at {problem.partition.boundary(past)}, past the "
+            f"index budget guards.n_max = {index_limit}")
     return GuardExceeded(
         f"no stopping block within {walked} blocks; the input may not "
         "satisfy the assumed decay, or the tolerance may be unreachable")

@@ -15,7 +15,8 @@ remain faithful records of what ran.  CSV
 output uses shortest round-trip decimals, one header row, comma delimiters,
 LF line endings, and UTF-8, making reruns bit-stable for identical configs
 and seeds.  Exit status is 0 only when no guarantee violation, guard
-exceedance, or validation failure occurred.
+exceedance, or validation failure occurred; an allocation the host
+refuses exits 1 with numpy's message, which names the bytes.
 """
 
 import argparse
@@ -345,19 +346,23 @@ def observed_cone_ratio(cone, norms):
     return list(itertools.accumulate(ratios, max, initial=0.0))[1:]
 
 
-def _sweep(problem, f, epsilons, j_max):
-    """One block walk over ``epsilons``; returns the walk and run.json rows.
+def _sweep(problem, f, epsilons, j_max, n_max=None, keep_products=True):
+    """One block walk over ``epsilons``, within ``j_max`` blocks and none
+    ending past ``n_max`` indices; returns the walk and run.json rows.
 
     A guard diagnostic stands in for each tolerance no block settled, and
     ``bound_holds`` checks each certificate, true_error <= error_bound.
+    The rows need no products, so only a caller that evaluates a run keeps
+    them (``adaptive_sweep``'s ``keep_products``).
     """
-    walk = adaptive_sweep(problem, f, epsilons, block_limit=j_max)
+    walk = adaptive_sweep(problem, f, epsilons, block_limit=j_max,
+                          index_limit=n_max, keep_products=keep_products)
     worst = observed_cone_ratio(problem.cone, walk.norms)
     rows = []
     for eps, run, error in zip(epsilons, walk.runs, walk.true_errors()):
         if run is None:
-            rows.append({"epsilon": eps,
-                         "diagnostic": str(no_stop_error(problem, j_max))})
+            rows.append({"epsilon": eps, "diagnostic": str(
+                no_stop_error(problem, j_max, n_max))})
             continue
         rows.append({
             "epsilon": eps,
@@ -427,7 +432,8 @@ def cmd_solve(merged, quiet):
 
     start = time.perf_counter()
     try:
-        _, rows = _sweep(problem, f, epsilons, j_max)
+        _, rows = _sweep(problem, f, epsilons, j_max, n_max,
+                         keep_products=False)
     except ValueError as exc:  # e.g. a non-finite coefficient
         raise ConfigError(f"input rejected: {exc}") from exc
     table = []
@@ -558,11 +564,12 @@ def cmd_demo_derivative(merged, quiet):
                                 merged.get("seed", DEFAULT_SEED))
     f = derivative_coefficients(mis, inp)
 
-    # the figure run at epsilon = 0.1 joins the same walk
+    # the figure run at epsilon = 0.1 joins the same walk, which keeps its
+    # products for the figure
     swept = epsilons if 0.1 in epsilons else epsilons + [0.1]
-    walk, rows = _sweep(problem, f, swept, j_max)
+    walk, rows = _sweep(problem, f, swept, j_max, n_max)
     if None in walk.stops:
-        raise no_stop_error(problem, j_max)
+        raise no_stop_error(problem, j_max, n_max)
     figure_run = walk.runs[swept.index(0.1)]
     rows = rows[:len(epsilons)]
     table = []
@@ -689,6 +696,9 @@ def main(argv=None):
         return 2
     except (GuardExceeded, OutOfRangeError) as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the bytes refused
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -456,10 +456,25 @@ class Partition:
         return cls._of("zero-doubling",
                        lambda j: 0 if j == 0 else first << (j - 1))
 
-    def last_block(self, block_limit: int) -> int:
+    def last_block(self, block_limit: int,
+                   index_limit: Optional[int] = None) -> int:
         """The blocks a scan may read: ``block_limit``, or fewer where an
-        explicit partition ends first."""
-        return min(block_limit, self.block_count or block_limit)
+        explicit partition ends first or a block ends past ``index_limit``
+        indices, found by bracketing and bisection; -1 where n_0 does."""
+        last = min(block_limit, self.block_count or block_limit)
+        if index_limit is None:
+            return last
+        lo, hi = -1, 0  # n_lo <= index_limit, and no j >= hi qualifies
+        while hi <= last and self.boundary(hi) <= index_limit:
+            lo, hi = hi, 2 * hi + 1
+        hi = min(hi, last + 1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.boundary(mid) <= index_limit:
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def boundary(self, j: int) -> int:
         if j < 0:
@@ -505,7 +520,7 @@ class CoefficientSource:
     is either an array of the coefficients 1..N (``from_vector``,
     ``from_padded``, ``zero``) or the nonzeros of the support
     (``from_sparse``); ``CoefficientSource(...)`` itself raises TypeError.
-    A walk over either kind reserves its products at once (see
+    A walk that keeps its products reserves them at once (see
     ``read_blocks``), and ``products`` forms a sparse source's products
     only at its nonzeros.
     """
@@ -666,8 +681,10 @@ def cone_membership(problem: Problem,
 
     Checks s_{j+r} <= a * b**r * s_j for all pairs with 1 <= j < j+r <= J,
     where J is the first block whose boundary covers the support.  Blocks
-    past J vanish, so those pairs hold vacuously.  The norms come from
-    ``read_blocks``, whose ValueError a non-finite one raises.  The verdict
+    past J vanish, so those pairs hold vacuously.  The norms come from a
+    ``read_blocks`` walk that keeps no products, so a dense block of 2**9
+    products or more is summed a chunk at a time and never held whole;
+    its ValueError a non-finite norm raises.  The verdict
     allows a relative slack of 1e-9 on the ratio; a zero allowance with a
     positive later block norm counts as an infinite ratio.  The witness is
     the pair (j, k - j) of the first block k over 1 + slack, where j is the
@@ -676,7 +693,8 @@ def cone_membership(problem: Problem,
     last = 0
     while problem.partition.boundary(last) < f.support_bound:
         last += 1
-    norms = [norm for _, _, _, norm in read_blocks(problem, f, last)][1:]
+    norms = [norm for _, _, _, norm
+             in read_blocks(problem, f, last, keep_products=False)][1:]
     ratios, binders = block_decay_ratios(problem.cone, norms)
     worst = max([0.0] + ratios)
     witness = next(((j, k - j) for k, (ratio, j)
@@ -750,54 +768,73 @@ def products(spectrum: SingularSpectrum, f: CoefficientSource, lo: int,
     return values
 
 
-def read_blocks(problem: Problem, f: CoefficientSource, last: int):
+def read_blocks(problem: Problem, f: CoefficientSource, last: int, *,
+                keep_products: bool = True):
     """Yield ``(end, values, total, norm)`` for blocks 0, 1, ..., ``last``.
 
     Block 0 is indices 1..n_0, sampled but never tested; blocks are
-    clipped to a finite table.  Each block is one ``products`` call, so
-    past the support lam is only checked, through the block's end.
-    ``values`` are the products through ``end``, a prefix view of one
-    buffer the caller must not write into, reserved once: as long as a
-    sparse source's nonzeros, and otherwise min(n_last, support, table
-    length).  ``total`` is the block's exact sum of squares
-    (``_square_sum``) where it holds 2**9 products or more,
-    ``exact_norm``'s own switch, and None otherwise; ``norm`` has the bits
-    of ``block_norm``.  A non-finite norm raises ValueError.
+    clipped to a finite table.  Past the support lam is only checked,
+    through the block's end, and every lam and coefficient is read once.
+    ``total`` is the block's exact sum of squares (``_square_sum``) where
+    it holds 2**9 products or more, ``exact_norm``'s own switch; ``norm``
+    has the bits of ``block_norm``.  A non-finite norm raises ValueError.
+
+    With ``keep_products``, each block is one ``products`` call, ``values``
+    are the products through ``end``, a prefix view of one buffer the
+    caller must not write into, reserved once (as long as a sparse
+    source's nonzeros, and otherwise min(n_last, support, table length)),
+    and a shorter block's ``total`` is None.  Without it no buffer is
+    reserved and ``values`` is None: a dense block of 2**9 products or
+    more is summed a chunk of 2**14 at a time (``_product_sum``), and any
+    other block keeps its own products as its ``total``, for
+    ``block_tails`` to sum should a tail need them.
     """
     spectrum, partition = problem.spectrum, problem.partition
     length = spectrum.enumerated_length
-    buffer = np.empty(f.nonzeros[0].size if f.nonzeros is not None else
-                      min(_solution_end(problem, f), partition.boundary(last)))
+    buffer = None if not keep_products else np.empty(
+        f.nonzeros[0].size if f.nonzeros is not None else
+        min(_solution_end(problem, f), partition.boundary(last)))
     start, count = 1, 0  # count products so far
     for j in range(last + 1):
         end = partition.boundary(j)
         if length is not None:  # no modes past a table
             end = min(end, length)
-        piece = products(spectrum, f, start, end, buffer)
-        count += piece.size
-        total = _square_sum(piece) if piece.size >= _FSUM_BELOW else None
+        if buffer is None and f.nonzeros is None \
+                and min(end, f.support_bound) - start + 1 >= _FSUM_BELOW:
+            piece, total = None, _product_sum(problem, f, start, end)
+        else:
+            piece = products(spectrum, f, start, end, buffer)
+            count += piece.size
+            total = _square_sum(piece) if piece.size >= _FSUM_BELOW else None
         norm = exact_norm(piece) if total is None else math.sqrt(_rounded(total))
         if not math.isfinite(norm):
             raise ValueError(
                 f"non-finite norm over indices {start}..{end}: "
                 "a solution coefficient is not finite or its square overflows")
-        yield end, buffer[:count], total, norm
+        if buffer is None:
+            yield end, None, piece if total is None else total, norm
+        else:
+            yield end, buffer[:count], total, norm
         start = end + 1
 
 
-def block_tails(problem: Problem, f: CoefficientSource, values: np.ndarray,
-                ends: Sequence[int], totals: Sequence) -> list:
+def block_tails(problem: Problem, f: CoefficientSource,
+                values: Optional[np.ndarray], ends: Sequence[int],
+                totals: Sequence) -> list:
     """``tail_norms`` at the ends of consecutive blocks, bit for bit.
 
     ``ends`` and ``totals`` are what ``read_blocks`` yielded for the
-    blocks and ``values`` the products through ends[-1].  A block without a
-    total has its squares summed here from ``values`` by ``_square_sum``,
-    and only the support past ends[-1] is read, once; the exact ints then
-    add from the last block backwards, each tail rounded once.
+    blocks and ``values`` the products through ends[-1], None for a walk
+    that keeps none.  A block whose total is its own products, or None,
+    has its squares summed here by ``_square_sum``, from those products
+    or from ``values``, and only the support past ends[-1] is read, once;
+    the exact ints then add from the last block backwards, each tail
+    rounded once.
     """
-    cuts = ends if f.nonzeros is None else np.searchsorted(
+    cuts = ends if f.nonzeros is None or values is None else np.searchsorted(
         f.nonzeros[0], ends, "right").tolist()
-    sums = [_square_sum(values[lo:hi]) if total is None else total
+    sums = [total if isinstance(total, int) else
+            _square_sum(values[lo:hi] if total is None else total)
             for lo, hi, total in zip(cuts, cuts[1:], totals[1:])]
     rest = _product_sum(problem, f, ends[-1] + 1, _solution_end(problem, f))
     return _suffix_norms(sums + [rest])
@@ -834,14 +871,19 @@ def _solution_end(problem: Problem, f: CoefficientSource) -> int:
 
 
 def _product_sum(problem: Problem, f: CoefficientSource, lo: int, hi: int):
-    """The ``_square_sum`` of the ``products`` at lo..hi: one ``products``
-    call per chunk of 2**14 for a dense source, so no more than a chunk of
-    products is held at once, and one call for a sparse one."""
-    spans = _chunks(lo, hi) if f.nonzeros is None else [range(lo, hi + 1)]
+    """The ``_square_sum`` of the ``products`` at lo..hi, with the reads of
+    that one call: for a sparse source that call, and for a dense one a
+    call per chunk of 2**14 through the support, so no more than a chunk
+    of products is held at once, and one check of lam at ``hi`` past it."""
+    if f.nonzeros is not None:
+        return _square_sum(products(problem.spectrum, f, lo, hi))
+    top = max(lo - 1, min(hi, f.support_bound))
     total = 0
-    for span in spans:
+    for span in _chunks(lo, top):
         total = _plus(total, _square_sum(
             products(problem.spectrum, f, span.start, span.stop - 1)))
+    if hi > top:  # forms no product, and checks lam through hi
+        products(problem.spectrum, f, top + 1, hi)
     return total
 
 

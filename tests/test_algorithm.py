@@ -551,6 +551,98 @@ def test_the_walk_stores_no_product_past_the_support(harmonic_doubling):
     assert peak < walk.values.nbytes + 2 ** 20
 
 
+def test_a_walk_without_products_holds_no_product_array(harmonic_doubling):
+    # support 2**20, whose product array would take 8 MiB; a walk that
+    # keeps no products sums each block of 2**9 or more a chunk of 2**14
+    # at a time and holds only the products of the shorter blocks 0..9
+    f = random_cone_member(harmonic_doubling, np.random.default_rng(47), 20)
+
+    def sweep():
+        walk = adaptive_sweep(harmonic_doubling, f, [0.1, 1e-3, 1e-12],
+                              keep_products=False)
+        return walk, walk.true_errors()
+
+    (walk, errors), peak = traced_peak(sweep)
+    assert walk.stops[-1] == 21 and walk.values is None
+    assert all(run.values is None and run.places is None
+               for run in walk.runs)
+    assert errors == tail_norms(harmonic_doubling, f,
+                                [run.cost for run in walk.runs])
+    assert peak < 2 ** 20
+
+
+def test_membership_holds_no_product_array(harmonic_doubling):
+    f = random_cone_member(harmonic_doubling, np.random.default_rng(48), 20)
+    report, peak = traced_peak(lambda: cone_membership(harmonic_doubling, f))
+    assert report.member and report.blocks == 20
+    assert peak < 2 ** 20
+
+
+def twin_walk_cases():
+    """(problem, f) pairs whose walks cross the 2**9 switch: a cone member
+    whose blocks run past a chunk of 2**14, the support inside a long
+    block, a short block after a long one of an explicit partition, a
+    table that ends inside a block past the support, and a sparse source
+    with a block of 2**9 nonzeros or more."""
+    rng = np.random.default_rng(49)
+    harmonic = SingularSpectrum.algebraic(1.0, 1.0)
+    doubling = Problem(harmonic, Partition.doubling(1), ConeParams(2.0, 0.5))
+    explicit = Problem(harmonic,
+                       Partition.from_boundaries([0, 1000, 1100, 40000]),
+                       ConeParams(2.0, 0.5))
+    table = Problem(SingularSpectrum.from_values(1.0 / np.arange(1.0, 5001.0)),
+                    Partition.doubling(1), ConeParams(2.0, 0.5))
+    coeffs = rng.standard_normal(30000)
+    places = np.arange(1, 3001)  # blocks 10 to 12 hold 512 or more
+    return [
+        (doubling, random_cone_member(doubling, rng, 16)),
+        (doubling, CoefficientSource.from_vector(coeffs[:1500])),
+        (explicit, CoefficientSource.from_vector(coeffs)),
+        (table, CoefficientSource.from_vector(coeffs[:3000])),
+        (doubling, CoefficientSource.from_sparse(
+            places, coeffs[:places.size], 30000)),
+    ]
+
+
+@pytest.mark.parametrize("problem, f", twin_walk_cases(),
+                         ids=["member", "support-in-a-block",
+                              "short-after-long", "table", "sparse"])
+def test_a_walk_without_products_keeps_the_bits_of_one_with_them(problem, f):
+    epsilons = [1.0, 1e-2, 1e-4, 1e-300]
+    kept = adaptive_sweep(problem, f, epsilons)
+    bare = adaptive_sweep(problem, f, epsilons, keep_products=False)
+    assert bare.values is None and bare.ends == kept.ends
+    assert [s.hex() for s in bare.norms] == [s.hex() for s in kept.norms]
+    assert bare.stops == kept.stops
+    assert [total for total in bare.sums if isinstance(total, int)] \
+        == [total for total in kept.sums if total is not None]
+    assert [None if run is None else (run.cost, run.error_bound.hex())
+            for run in bare.runs] \
+        == [None if run is None else (run.cost, run.error_bound.hex())
+            for run in kept.runs]
+    assert [None if e is None else e.hex() for e in bare.true_errors()] \
+        == [None if e is None else e.hex() for e in kept.true_errors()]
+
+
+def test_a_walk_without_products_reads_what_one_with_them_reads():
+    # each on a fresh spectrum: the tightest tolerance stops on block 16,
+    # 32769..65536, past the support of 2**15 and past a chunk of 2**14
+    reads = []
+    for keep in (True, False):
+        spectrum = CountedHarmonic()
+        problem = Problem(spectrum, Partition.doubling(1),
+                          ConeParams(2.0, 0.5))
+        f, asked = spied(random_cone_member(
+            problem, np.random.default_rng(50), 15))
+        spectrum.reads.clear()
+        walk = adaptive_sweep(problem, f, [0.3, 1e-3, 1e-12],
+                              keep_products=keep)
+        walk.true_errors()
+        assert walk.stops[-1] == 16
+        reads.append((spectrum.counts(spectrum.reads).tolist(), asked))
+    assert reads[0] == reads[1]
+
+
 def straddled_sources():
     """Sources with support 100, inside block 7 (65..128) of harmonic
     doubling: a vector on a rule spectrum and on a 1000-entry table of it,

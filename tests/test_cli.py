@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +510,57 @@ def test_explicit_partition_that_runs_out_is_a_guard(tmp_path, capsys,
             "no stopping block within 3 blocks;")
 
 
+@pytest.mark.parametrize("power, partition, guards, first_past", [
+    # block 1 ends at 2**40, past the default n_max of 2**26: the walk
+    # reads block 0 alone instead of evaluating lam up to 2**40
+    (1.0, {"kind": "explicit", "boundaries": [0, 2 ** 40]}, {},
+     "block 1 ends at 1099511627776, past the index budget guards.n_max "
+     "= 67108864"),
+    (1.5, {"kind": "explicit", "boundaries": [0, 2 ** 40]}, {},
+     "block 1 ends at 1099511627776, past the index budget guards.n_max "
+     "= 67108864"),
+    # block 0 itself ends past the budget: the walk reads nothing
+    (1.0, {"kind": "arithmetic", "start": 2000, "step": 10},
+     {"n_max": 1000},
+     "block 0 ends at 2000, past the index budget guards.n_max = 1000"),
+], ids=["harmonic", "pow-1.5", "past-n_0"])
+def test_a_walk_stops_before_a_block_past_the_index_budget(
+        tmp_path, capsys, power, partition, guards, first_past):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "problem": {"spectrum": {"family": "algebraic", "power": power},
+                    "partition": partition},
+        "input": {"kind": "zero"}, "epsilons": [0.1], "guards": guards,
+        "output": str(out)})
+    start = time.perf_counter()
+    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "solve: guard exceeded at epsilon=0.1: no stopping block within 0 "
+        f"blocks: {first_past}\n")
+    _, rows = read_csv(out / "run.csv")
+    assert rows == [["0.1", "", "", "", "", ""]]
+
+
+def test_a_walk_reads_every_block_within_the_index_budget(tmp_path):
+    # n_4 = 1000 is the budget itself, so block 4 is read, and block 5,
+    # which ends at 2000, is not
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "problem": {"spectrum": {"family": "algebraic"},
+                    "partition": {"kind": "explicit",
+                                  "boundaries": [1, 2, 4, 8, 1000, 2000]}},
+        "input": {"kind": "random-cone", "blocks": 4},
+        "epsilons": [0.5, 1e-300], "guards": {"n_max": 1000},
+        "output": str(out)})
+    assert cli.main(["solve", "--config", cfg, "--quiet"]) == 1
+    rows = json.loads((out / "run.json").read_text(encoding="utf-8"))["rows"]
+    assert rows[0]["j_star"] <= 4
+    assert rows[1]["diagnostic"] == (
+        "no stopping block within 4 blocks: block 5 ends at 2000, past the "
+        "index budget guards.n_max = 1000")
+
+
 def test_bounds_on_an_explicit_partition_shorter_than_j_max(tmp_path,
                                                             capsys):
     # the scans end at the partition's 7th block, as a walk does, so the
@@ -987,9 +1039,9 @@ def test_a_bump_whose_squares_underflow_still_fools(tmp_path, payload):
 
 def test_an_input_past_the_default_index_budget_is_refused_before_any_draw(
         tmp_path):
-    # 2**28 indices are a 2 GiB input and as much again for the walk, which
-    # a 3 GB address space cannot hold: the default budget of 2**26 refuses
-    # the config before either is allocated
+    # 2**28 indices are a 2 GiB input, which with its draw's scratch a 3 GB
+    # address space cannot hold: the default budget of 2**26 refuses the
+    # config before it is allocated
     done = _cli_child(tmp_path, "solve", {
         "problem": {"spectrum": {"family": "algebraic", "scale": 1.0,
                                  "power": 1.0},
@@ -998,6 +1050,22 @@ def test_an_input_past_the_default_index_budget_is_refused_before_any_draw(
         "epsilons": [1e-14]}, limit=3_000_000_000)
     assert done.returncode == 2 and "Traceback" not in done.stderr
     assert "index budget guards.n_max = 67108864" in done.stderr
+
+
+def test_an_allocation_the_host_refuses_exits_1_with_numpys_message(
+        tmp_path):
+    # a budget raised to 2**29 admits a 4 GiB input, which a 3 GB address
+    # space refuses: the command names the bytes instead of a traceback
+    done = _cli_child(tmp_path, "solve", {
+        "problem": {"spectrum": {"family": "algebraic", "scale": 1.0,
+                                 "power": 1.0},
+                    "partition": {"kind": "doubling", "start": 1}},
+        "input": {"kind": "random-cone", "blocks": 29},
+        "epsilons": [1e-14], "guards": {"n_max": 2 ** 29}},
+        limit=3_000_000_000)
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert done.stderr.startswith("out of memory: Unable to allocate 4.00 "
+                                  "GiB for an array with shape (536870913,)")
 
 
 # -- example1 ------------------------------------------------------------------

@@ -165,6 +165,14 @@ def configs(draw):
                 "partition": {"kind": "explicit",
                               "boundaries": [1, 2, 4, 8, 2 ** 22]}},
     "epsilons": [0.01], "guards": {"j_max": 24, "n_max": 2 ** 20}})
+# block 1 ends at 2**40, past the budget: the walk stops before it instead
+# of evaluating lam up to 2**40
+@example("solve", {
+    "problem": {"spectrum": {"family": "algebraic", "power": 1.5},
+                "partition": {"kind": "explicit",
+                              "boundaries": [0, 2 ** 40]}},
+    "input": {"kind": "zero"}, "epsilons": [0.1],
+    "guards": {"j_max": 24, "n_max": 2 ** 16}})
 def test_every_command_ends_in_a_status_and_a_message(command, config):
     with tempfile.TemporaryDirectory() as workdir:
         out = Path(workdir) / "out"

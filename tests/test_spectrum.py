@@ -420,6 +420,32 @@ def test_a_partition_comes_only_from_its_four_kinds():
         ("explicit", 1)]
 
 
+@pytest.mark.parametrize("part", [
+    Partition.doubling(1), Partition.doubling(3), Partition.arithmetic(0, 1),
+    Partition.arithmetic(5, 7), Partition.zero_then_doubling(16),
+    Partition.from_boundaries([2, 3, 50, 51, 2 ** 40])],
+    ids=["doubling", "doubling-3", "arithmetic", "arithmetic-5-7",
+         "zero-doubling", "explicit"])
+def test_the_last_block_within_an_index_limit_is_the_scanned_one(part):
+    # the largest j <= the block limit (and the explicit end) with
+    # n_j <= the index limit, or -1 where n_0 is past it
+    for block_limit in (1, 4, 40, 5000):
+        last = part.last_block(block_limit)
+        assert part.last_block(block_limit, None) == last
+        for index_limit in (0, 1, 2, 3, 49, 50, 51, 1000, 2 ** 26, 2 ** 41):
+            scanned = -1
+            for j in range(last + 1):
+                if part.boundary(j) > index_limit:
+                    break
+                scanned = j
+            assert part.last_block(block_limit, index_limit) == scanned
+
+
+def test_a_far_block_limit_is_cut_without_its_boundary():
+    # n_(10**9) of a doubling partition would be an int of 10**9 bits
+    assert Partition.doubling(1).last_block(10 ** 9, 2 ** 26) == 26
+
+
 def test_partition_rejects_bad_queries():
     part = Partition.doubling(1)
     with pytest.raises(ValueError):
